@@ -21,6 +21,7 @@ from .chowring import (
 from .errors import (
     FlagcalcError,
     InvalidWordError,
+    NonHomogeneousError,
     NonIntegralExpansionError,
     NotARootError,
     NotDivisibleByMultiplierError,
@@ -71,6 +72,7 @@ __all__ = [
     "GradedAbelianGroup",
     "IntegerMatrix",
     "InvalidWordError",
+    "NonHomogeneousError",
     "NonIntegralExpansionError",
     "NotARootError",
     "NotDivisibleByMultiplierError",

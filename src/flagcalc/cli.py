@@ -47,7 +47,12 @@ def _parse_word(calc, text: str):
     if text in ("", "e"):
         return calc.group.identity
     if "," in text:
-        letters = [int(p) for p in text.split(",") if p]
+        try:
+            letters = [int(p) for p in text.split(",") if p]
+        except ValueError:
+            raise InvalidWordError(
+                f"word {text!r} must be comma-separated integers"
+            ) from None
     else:
         if not text.isdigit():
             raise InvalidWordError(f"word {text!r} must consist of digits")

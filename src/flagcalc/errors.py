@@ -17,6 +17,10 @@ class OutOfRangeError(FlagcalcError, ValueError):
     """An index or degree argument lies outside its documented range."""
 
 
+class NonHomogeneousError(FlagcalcError, ValueError):
+    """A polynomial that must be homogeneous mixes several degrees."""
+
+
 class NotDivisibleError(FlagcalcError, ArithmeticError):
     """Exact division of a polynomial by a linear form left a remainder."""
 

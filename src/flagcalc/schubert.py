@@ -17,10 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonIntegralExpansionError, OutOfRangeError
+from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
 from .polyring import Polynomial, Rational, _norm_coeff
 from .rootdata import CartanType, RootDatum, Weight, build_root_datum
-from .weylgroup import WeylElement, WeylGroup, _matmul
+from .weylgroup import WeylElement, WeylGroup
 
 
 class SchubertExpansion:
@@ -202,22 +202,22 @@ class SchubertCalc:
         if k < 0:
             return {}
         if not f.is_homogeneous():
-            raise ValueError("schubert expansion needs a homogeneous polynomial")
+            raise NonHomogeneousError(
+                "schubert expansion needs a homogeneous polynomial"
+            )
         if k > self.group.longest_length:
             raise OutOfRangeError(
                 f"degree {k} exceeds the number of positive roots"
             )
-        level = {self.group.identity: f}
+        group = self.group
+        level = {group.identity: f}
         for step in range(1, k + 1):
             nxt = {}
-            for v in self.group.elements_of_length(step):
-                i = v.word[0]
-                s = self.group.simple_matrices[i]
-                parent = self.group.known_element(_matmul(s, v.matrix))
-                g = level.get(parent)
+            for v in group.elements_of_length(step):
+                g = level.get(group.left_parent(v))
                 if g is None:
                     continue
-                h = self.divided_difference(i, g)
+                h = self.divided_difference(v.word[0], g)
                 if not h.is_zero():
                     nxt[v] = h
             level = nxt
@@ -247,14 +247,12 @@ class SchubertCalc:
 
     # -- Chevalley rule -------------------------------------------------------
 
-    def _covers_with_pairing(self, lam: Weight):
-        """Pairs (reflection, pairing) over positive roots with nonzero pairing."""
-        out = []
-        for beta in self.datum.positive_roots:
-            p = _norm_coeff(sum(Fraction(c) * x for c, x in zip(beta.coroot_on_omega, lam)))
-            if p:
-                out.append((self.group.root_reflection(beta), p))
-        return out
+    def root_pairings(self, lam: Weight) -> list:
+        """(beta^vee | lam) for each positive root beta, in positive-root order."""
+        return [
+            _norm_coeff(sum(Fraction(c) * x for c, x in zip(beta.coroot_on_omega, lam)))
+            for beta in self.datum.positive_roots
+        ]
 
     def chevalley_weight(self, lam: Weight, x: SchubertExpansion) -> SchubertExpansion:
         """Multiply by the degree-2 class of a weight, extended linearly.
@@ -262,12 +260,12 @@ class SchubertCalc:
         For each basis class Z_w the product contributes (beta^vee | lam) Z_{w s_beta}
         over the positive roots beta with l(w s_beta) = l(w) + 1.
         """
-        pairs = self._covers_with_pairing(lam)
+        pairing = self.root_pairings(lam)
         out: dict = {}
         for w, c in x.coeffs.items():
-            for sref, p in pairs:
-                v = self.group.compose(w, sref)
-                if v.length == w.length + 1:
+            for v, b in self.group.covers(w):
+                p = pairing[b]
+                if p:
                     t = out.get(v, 0) + c * p
                     if t:
                         out[v] = t
@@ -308,20 +306,20 @@ class SchubertCalc:
         one divided difference per step on the way back down.
         """
         memo = self._gtable
+        group = self.group
         path = []
         cur = w
         while cur not in memo:
-            if cur.length == self.group.longest_length:
+            if cur.length == group.longest_length:
                 memo[cur] = self._positive_root_product()
                 break
             for i in range(1, self.rank + 1):
-                if not self.group.descends(cur, i):
+                if not group.descends(cur, i):
                     break
             path.append((cur, i))
-            cur = self.group.compose(cur, self.group.simple_reflection(i))
+            cur = group.times_simple(cur, i)
         for v, i in reversed(path):
-            parent = self.group.compose(v, self.group.simple_reflection(i))
-            memo[v] = self.divided_difference(i, memo[parent])
+            memo[v] = self.divided_difference(i, memo[group.times_simple(v, i)])
         return memo[w]
 
     def giambelli_poly(self, w: WeylElement) -> Polynomial:

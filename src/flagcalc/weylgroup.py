@@ -4,9 +4,21 @@ An element is represented canonically by its integer action matrix on weight
 coordinates (faithful, since the fundamental weights span).  Each element also
 carries its length and its lexicographically minimal reduced word; words use
 1-based simple-root indices, matching the usual s_1, ..., s_l labels.
+
+Elements are interned per group and get a dense integer ``id`` in interning
+order.  Each one carries its right descent set as a bit mask and, once asked
+for, its upper Bruhat covers; the group keeps, per id, the table row of ids
+of w s_1, ..., w s_l and the id of s_i w for the first letter i of the word.
+Enumeration by length fills these tables, so ascents, descents and cover
+lookups cost no matrix products; elements met before enumeration reaches
+them are built from their matrices instead.  The tables hold ids rather than
+elements, so a group's elements form no reference cycles and are freed as
+soon as the group is.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import InvalidWordError, NotARootError, OutOfRangeError
 from .rootdata import Root, RootDatum, Weight
@@ -15,15 +27,14 @@ Matrix = tuple  # tuple of row tuples, integer entries
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) for col in bt) for row in a
     )
 
 
 def _matvec(a: Matrix, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _identity(n: int) -> Matrix:
@@ -33,19 +44,36 @@ def _identity(n: int) -> Matrix:
 class WeylElement:
     """One Weyl group element; equality and hashing use the action matrix."""
 
-    __slots__ = ("matrix", "inv_matrix", "length", "word")
+    __slots__ = (
+        "matrix", "inv_matrix", "length", "word",
+        "id", "descents", "_covers", "_hash",
+    )
 
-    def __init__(self, matrix: Matrix, inv_matrix: Matrix, length: int, word: tuple):
+    def __init__(
+        self,
+        matrix: Matrix,
+        inv_matrix: Matrix,
+        length: int,
+        word: tuple,
+        id: int,
+        descents: int,
+    ):
         self.matrix = matrix
         self.inv_matrix = inv_matrix
         self.length = length
         self.word = word
+        self.id = id
+        self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
+        self._covers = None
+        self._hash = hash(matrix)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return self is other or (
+            isinstance(other, WeylElement) and self.matrix == other.matrix
+        )
 
     def __hash__(self):
-        return hash(self.matrix)
+        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -92,30 +120,52 @@ class WeylGroup:
             self.simple_matrices[i] = tuple(
                 tuple(cols[j][r] for j in range(n)) for r in range(n)
             )
+        self._simple_omegas = [datum.simple_roots[j].omega for j in range(n)]
         self._root_sign = {
             r.omega: (1 if r.is_positive else -1) for r in datum.all_roots
         }
+        # (beta, beta^vee on the fundamental weights) in positive-root order
+        self._positive = [(r.omega, r.coroot_on_omega) for r in datum.positive_roots]
         self._elements: dict = {}
+        self._by_id: list = []
+        # _right[w.id * rank + i - 1] is the id of w s_i; _parents[w.id] the id
+        # of s_i w for the first letter i of w's word; None until known.
+        self._right: list = []
+        self._parents: list = []
         ident = _identity(n)
-        self.identity = self._element(ident, ident)
-        self._strata: list = [{self.identity}]
+        self.identity = self._new(ident, ident, 0, (), 0)
+        self._levels: list = [[self.identity]]  # strata in lex-min word order
+        self._level_sets: list = [frozenset(self._levels[0])]
         self._reflection_cache: dict = {}
 
     # -- element interning ---------------------------------------------------
 
+    def _new(self, matrix, inv_matrix, length, word, descents) -> WeylElement:
+        el = WeylElement(matrix, inv_matrix, length, word, len(self._by_id), descents)
+        self._elements[matrix] = el
+        self._by_id.append(el)
+        self._right.extend([None] * self.rank)
+        self._parents.append(None)
+        return el
+
     def _element(self, matrix: Matrix, inv_matrix: Matrix) -> WeylElement:
+        """Intern an element met outside enumeration, computing its word directly."""
         el = self._elements.get(matrix)
         if el is None:
             length, word = self._length_and_word(inv_matrix)
-            el = WeylElement(matrix, inv_matrix, length, word)
-            self._elements[matrix] = el
+            sign = self._root_sign
+            descents = 0
+            for j, alpha in enumerate(self._simple_omegas):
+                if sign[_matvec(matrix, alpha)] < 0:
+                    descents |= 1 << j
+            el = self._new(matrix, inv_matrix, length, word, descents)
         return el
 
     def _length_and_word(self, inv_matrix: Matrix) -> tuple:
         """Length and lex-min reduced word, by greedy smallest left descent."""
         word = []
         v = inv_matrix  # matrix of the inverse element
-        simples = [self.datum.simple_roots[j].omega for j in range(self.rank)]
+        simples = self._simple_omegas
         sign = self._root_sign
         while True:
             for i in range(1, self.rank + 1):
@@ -126,17 +176,12 @@ class WeylGroup:
             else:
                 return len(word), tuple(word)
 
-    def known_element(self, matrix: Matrix) -> WeylElement:
-        """Look up an already-interned element by its action matrix."""
-        return self._elements[matrix]
-
     # -- basic operations ------------------------------------------------------
 
     def simple_reflection(self, i: int) -> WeylElement:
         if not 1 <= i <= self.rank:
             raise OutOfRangeError(f"simple index {i} out of range")
-        s = self.simple_matrices[i]
-        return self._element(s, s)
+        return self.times_simple(self.identity, i)
 
     def element_from_word(self, word) -> WeylElement:
         """Evaluate any word in the generators (not required to be reduced)."""
@@ -151,9 +196,33 @@ class WeylGroup:
         return self._element(m, inv)
 
     def compose(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        return self._element(
-            _matmul(w.matrix, v.matrix), _matmul(v.inv_matrix, w.inv_matrix)
-        )
+        m = _matmul(w.matrix, v.matrix)
+        el = self._elements.get(m)
+        if el is None:
+            el = self._element(m, _matmul(v.inv_matrix, w.inv_matrix))
+        return el
+
+    def times_simple(self, w: WeylElement, i: int) -> WeylElement:
+        """w s_i, read from w's table row (filled in on first use)."""
+        slot = w.id * self.rank + i - 1
+        j = self._right[slot]
+        if j is not None:
+            return self._by_id[j]
+        s = self.simple_matrices[i]
+        v = self._element(_matmul(w.matrix, s), _matmul(s, w.inv_matrix))
+        self._right[slot] = v.id
+        self._right[v.id * self.rank + i - 1] = w.id
+        return v
+
+    def left_parent(self, w: WeylElement) -> WeylElement:
+        """s_i w for the first letter i of w's word; its word is w.word[1:]."""
+        j = self._parents[w.id]
+        if j is not None:
+            return self._by_id[j]
+        s = self.simple_matrices[w.word[0]]
+        p = self._element(_matmul(s, w.matrix), _matmul(w.inv_matrix, s))
+        self._parents[w.id] = p.id
+        return p
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self._element(w.inv_matrix, w.matrix)
@@ -162,9 +231,8 @@ class WeylGroup:
         return _matvec(w.matrix, lam)
 
     def descends(self, w: WeylElement, i: int) -> bool:
-        """True when l(w s_i) = l(w) - 1, by the sign of w(alpha_i)."""
-        alpha = self.datum.simple_roots[i - 1].omega
-        return self._root_sign[_matvec(w.matrix, alpha)] < 0
+        """True when l(w s_i) = l(w) - 1, i.e. when w(alpha_i) is negative."""
+        return bool(w.descents >> (i - 1) & 1)
 
     # -- enumeration -------------------------------------------------------
 
@@ -187,37 +255,73 @@ class WeylGroup:
             return (2 ** (n - 1)) * fact
         return {"G2": 12, "F4": 1152}[ct.family]
 
+    def _grow(self) -> None:
+        """Enumerate the next length stratum and fill the tables it touches.
+
+        The previous stratum is walked in lex-min word order and each element's
+        ascents in increasing index, so the first element v is reached from
+        carries v's lex-min word, min(word(v s_i) + (i,)) over its descents,
+        and the new stratum comes out already sorted.
+        """
+        k = len(self._levels)
+        n = self.rank
+        right, parents, by_id = self._right, self._parents, self._by_id
+        found: dict = {}
+        for w in self._levels[-1]:
+            base = w.id * n
+            for i, alpha in enumerate(self._simple_omegas):
+                if w.descents >> i & 1:
+                    continue
+                j = right[base + i]
+                if j is None:
+                    m = w.matrix
+                    # w s_i changes column i of w by -w(alpha_i); s_i w^-1 changes
+                    # the rows of w^-1 where alpha_i is nonzero.
+                    wa = _matvec(m, alpha)
+                    prod = tuple(
+                        r[:i] + (r[i] - d,) + r[i + 1 :] if d else r
+                        for r, d in zip(m, wa)
+                    )
+                    v = self._elements.get(prod)
+                    if v is None:
+                        inv = w.inv_matrix
+                        xi = inv[i]
+                        inv = tuple(
+                            tuple(x - a * y for x, y in zip(r, xi)) if a else r
+                            for r, a in zip(inv, alpha)
+                        )
+                        v = self._new(prod, inv, k, w.word + (i + 1,), 0)
+                    right[base + i] = v.id
+                    right[v.id * n + i] = w.id
+                else:
+                    v = by_id[j]
+                if v not in found:
+                    found[v] = None
+                    # s_j v = (s_j w) s_i for the first letter j of w's word
+                    parents[v.id] = 0 if k == 1 else right[parents[w.id] * n + i]
+                v.descents |= 1 << i
+        self._levels.append(list(found))
+        self._level_sets.append(frozenset(found))
+
     def elements_of_length(self, k: int) -> frozenset:
         if not 0 <= k <= self.longest_length:
             raise OutOfRangeError(
                 f"length {k} out of range 0..{self.longest_length}"
             )
-        while len(self._strata) <= k:
-            prev = self._strata[-1]
-            nxt = set()
-            for w in prev:
-                for i in range(1, self.rank + 1):
-                    if not self.descends(w, i):
-                        s = self.simple_matrices[i]
-                        m = _matmul(w.matrix, s)
-                        el = self._element(m, _matmul(s, w.inv_matrix))
-                        nxt.add(el)
-            self._strata.append(nxt)
-        return frozenset(self._strata[k])
+        while len(self._levels) <= k:
+            self._grow()
+        return self._level_sets[k]
 
     def sorted_stratum(self, k: int) -> list:
-        return sorted(self.elements_of_length(k), key=WeylElement.sort_key)
+        self.elements_of_length(k)
+        return list(self._levels[k])
 
     def longest_element(self) -> WeylElement:
         top = self.elements_of_length(self.longest_length)
         (w0,) = top
         return w0
 
-    def all_elements(self):
-        for k in range(self.longest_length + 1):
-            yield from self.sorted_stratum(k)
-
-    # -- reflections -------------------------------------------------------
+    # -- reflections and the Bruhat cover graph -----------------------------
 
     def root_reflection(self, beta: Root) -> WeylElement:
         """The reflection in a positive root, as a group element."""
@@ -239,6 +343,50 @@ class WeylGroup:
             self._reflection_cache[beta.omega] = el
         return el
 
+    def covers(self, w: WeylElement):
+        """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
+
+        beta runs over ``datum.positive_roots`` in order.  The covers are
+        cached on w, compactly, as a tuple of elements and a tuple of root
+        indices.  Each candidate comes from the rank-1 update
+        w s_beta = w - (w beta) (x) beta^vee.  When the stratum of length
+        l(w) + 1 is already enumerated, a candidate missing from the intern
+        table is not a cover; otherwise it is interned, so that high-rank
+        groups are never enumerated just to find covers.
+        """
+        got = w._covers
+        if got is None:
+            k = w.length + 1
+            enumerated = k < len(self._levels)
+            sign = self._root_sign
+            m = w.matrix
+            vs, bs = [], []
+            for b, (beta, cvec) in enumerate(self._positive):
+                wb = _matvec(m, beta)
+                if sign[wb] < 0:
+                    continue  # w s_beta < w
+                prod = tuple(
+                    tuple(x - y * c for x, c in zip(r, cvec)) if y else r
+                    for r, y in zip(m, wb)
+                )
+                v = self._elements.get(prod)
+                if v is None:
+                    if enumerated:
+                        continue
+                    # s_beta w^-1 = w^-1 - beta (x) (beta^vee w^-1)
+                    inv = w.inv_matrix
+                    u = [sum(c * x for c, x in zip(cvec, col)) for col in zip(*inv)]
+                    inv = tuple(
+                        tuple(x - a * y for x, y in zip(r, u)) if a else r
+                        for r, a in zip(inv, beta)
+                    )
+                    v = self._element(prod, inv)
+                if v.length == k:
+                    vs.append(v)
+                    bs.append(b)
+            got = w._covers = (tuple(vs), tuple(bs))
+        return zip(*got)
+
     # -- reduced words (used by word-independence checks) -------------------
 
     def reduced_words(self, w: WeylElement) -> list:
@@ -253,11 +401,7 @@ class WeylGroup:
                 got = []
                 for i in range(1, self.rank + 1):
                     if self.descends(u, i):
-                        s = self.simple_matrices[i]
-                        parent = self._element(
-                            _matmul(u.matrix, s), _matmul(s, u.inv_matrix)
-                        )
-                        got.extend(rw + (i,) for rw in rec(parent))
+                        got.extend(rw + (i,) for rw in rec(self.times_simple(u, i)))
                 memo[u] = got
             return got
 

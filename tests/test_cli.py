@@ -52,6 +52,11 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--type", "G2", "--expr", "1/2*w1")
         assert code == 2
 
+    def test_non_homogeneous_exits_2(self, capsys):
+        code, _, err = run(capsys, "expand", "--type", "G2", "--expr", "w1+w1^2")
+        assert code == 2
+        assert "homogeneous" in err
+
 
 class TestWordHandling:
     def test_delta(self, capsys):
@@ -80,6 +85,14 @@ class TestWordHandling:
         )
         assert code == 2
         assert "evaluates to 21" in err
+
+    def test_non_digit_letter_exits_2(self, capsys):
+        code, _, err = run(
+            capsys, "delta", "--type", "B", "--rank", "3", "--word", "1,a",
+            "--expr", "w1",
+        )
+        assert code == 2
+        assert "1,a" in err
 
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "basis", "--type", "G2", "--codim", "9")

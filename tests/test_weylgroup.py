@@ -4,7 +4,7 @@ import pytest
 
 from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
-from flagcalc.weylgroup import WeylGroup
+from flagcalc.weylgroup import WeylGroup, _matmul
 
 from conftest import word
 
@@ -73,15 +73,92 @@ def test_word_recomputed_from_matrix_not_concatenation(calc_g2):
     assert u.word == (1, 2, 1, 2)
 
 
-def test_lexmin_words(calc_f4):
+WHOLE_GROUPS = [("G2", None), ("B", 3), ("B", 4), ("D", 4), ("F4", None)]
+
+
+def _fresh_group(family, rank):
+    return WeylGroup(build_root_datum(cartan_type(family, rank)))
+
+
+def _enumerate(g):
+    return [w for k in range(g.longest_length + 1) for w in g.sorted_stratum(k)]
+
+
+def test_lexmin_words():
     # the stored word is reduced, evaluates back to the element, and is
     # lexicographically minimal among all reduced words
-    g = calc_f4.group
-    for k in (2, 3, 4):
-        for w in g.elements_of_length(k):
-            assert len(w.word) == w.length
-            assert g.element_from_word(w.word) == w
-            assert min(g.reduced_words(w)) == w.word
+    for family, rank in WHOLE_GROUPS:
+        g = _fresh_group(family, rank)
+        for k in (2, 3, 4):
+            for w in g.elements_of_length(k):
+                assert len(w.word) == w.length
+                assert g.element_from_word(w.word) == w
+                assert min(g.reduced_words(w)) == w.word
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_enumerated_words_match_greedy_words(family, rank):
+    g = _fresh_group(family, rank)
+    elements = _enumerate(g)
+    assert sorted(w.id for w in elements) == list(range(g.order()))
+    assert elements == sorted(elements, key=lambda w: w.sort_key())
+    for w in elements:
+        assert (w.length, w.word) == g._length_and_word(w.inv_matrix)
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_right_table_and_parent_match_matrices(family, rank):
+    g = _fresh_group(family, rank)
+    for w in _enumerate(g):
+        for i in range(1, g.rank + 1):
+            v = g.times_simple(w, i)
+            assert v.matrix == _matmul(w.matrix, g.simple_matrices[i])
+            assert v is g.compose(w, g.simple_reflection(i))
+        if w.length:
+            s = g.simple_matrices[w.word[0]]
+            assert g.left_parent(w).matrix == _matmul(s, w.matrix)
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_covers_match_root_reflections(family, rank):
+    g = _fresh_group(family, rank)
+    roots = g.datum.positive_roots
+    for w in _enumerate(g):
+        want = []
+        for b, beta in enumerate(roots):
+            v = g.compose(w, g.root_reflection(beta))
+            if v.length == w.length + 1:
+                want.append((v, b))
+        assert list(g.covers(w)) == want
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("F4", None)])
+def test_elements_met_before_enumeration(family, rank):
+    # elements interned from words, and covers found before their stratum is
+    # enumerated, agree with what enumeration of a second group produces
+    cold, warm = _fresh_group(family, rank), _fresh_group(family, rank)
+    rng = random.Random(12)
+    n, N = cold.rank, cold.longest_length
+    met = [cold.element_from_word([rng.randint(1, n) for _ in range(rng.randint(1, N))])
+           for _ in range(30)]
+    early = {w: list(cold.covers(w)) for w in met}
+    parents = {w: cold.left_parent(w) for w in met if w.length}
+    ranked = {w.word: w for w in _enumerate(warm)}
+    for w in met:
+        assert ranked[w.word].matrix == w.matrix
+        assert [(v.word, b) for v, b in early[w]] == [
+            (v.word, b) for v, b in warm.covers(ranked[w.word])
+        ]
+    stratum = {w.word: w for w in _enumerate(cold)}
+    assert stratum.keys() == ranked.keys()
+    for w in met:
+        assert stratum[w.word] is w
+        if w.length:
+            assert parents[w].word == w.word[1:]
+    for w in stratum.values():
+        for i in range(1, n + 1):
+            assert cold.times_simple(w, i).word == warm.times_simple(ranked[w.word], i).word
+            assert cold.descends(w, i) == warm.descends(ranked[w.word], i)
 
 
 @pytest.mark.parametrize(
@@ -123,18 +200,21 @@ def test_elements_of_length_out_of_range(calc_g2):
         calc_g2.group.elements_of_length(-1)
 
 
-def test_descent_dichotomy(calc_f4):
-    # for every w and simple i exactly one of l(w s_i) = l(w) +- 1 holds
-    g = calc_f4.group
-    rng = random.Random(11)
-    for _ in range(50):
-        w = g.element_from_word([rng.randint(1, 4) for _ in range(rng.randint(0, 10))])
-        for i in range(1, 5):
-            ws = g.compose(w, g.simple_reflection(i))
-            if g.descends(w, i):
-                assert ws.length == w.length - 1
-            else:
-                assert ws.length == w.length + 1
+def test_descent_dichotomy():
+    # for every w and simple i exactly one of l(w s_i) = l(w) +- 1 holds, and
+    # the descent table agrees with the sign of w(alpha_i)
+    for family, rank in WHOLE_GROUPS:
+        g = _fresh_group(family, rank)
+        sign = {r.omega: r.is_positive for r in g.datum.all_roots}
+        for w in _enumerate(g):
+            for i in range(1, g.rank + 1):
+                ws = g.compose(w, g.simple_reflection(i))
+                alpha = g.datum.simple_roots[i - 1].omega
+                assert g.descends(w, i) == (not sign[g.act(w, alpha)])
+                if g.descends(w, i):
+                    assert ws.length == w.length - 1
+                else:
+                    assert ws.length == w.length + 1
 
 
 class TestLongestElement:
