@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedRankError,
 )
 from .exprparse import parse_polynomial
-from .polyring import Polynomial, exact_div_linear, poly_arith, weyl_substitute
+from .polyring import Polynomial, exact_div_linear, weyl_substitute
 from .presentations import (
     BorelPresentation,
     VerificationReport,
@@ -49,17 +49,7 @@ from .rootdata import (
     coroot_pairing,
     elem_sym_t,
 )
-from .schubert import (
-    SchubertCalc,
-    SchubertExpansion,
-    calculus_for,
-    chevalley_product,
-    delta_w,
-    divided_difference,
-    giambelli_poly,
-    schubert_expand,
-    structure_constants,
-)
+from .schubert import SchubertCalc, SchubertExpansion, calculus_for
 from .weylgroup import WeylElement, WeylGroup
 
 __version__ = "0.1.0"
@@ -92,24 +82,17 @@ __all__ = [
     "build_root_datum",
     "calculus_for",
     "cartan_type",
-    "chevalley_product",
     "chow_groups",
     "chow_presentation",
     "coroot_pairing",
     "degree2_generator_images",
     "degree2_ideal_stratum",
-    "delta_w",
-    "divided_difference",
     "elem_sym_t",
     "exact_div_linear",
     "gamma_expansion",
-    "giambelli_poly",
     "parse_polynomial",
-    "poly_arith",
     "presentation_strata",
-    "schubert_expand",
     "smith_normal_form",
-    "structure_constants",
     "verify_chow",
     "verify_presentations",
     "weyl_substitute",

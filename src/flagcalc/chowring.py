@@ -43,11 +43,6 @@ class IntegerMatrix:
         ):
             raise ValueError("inconsistent matrix dimensions")
 
-    @classmethod
-    def from_columns(cls, rows: int, columns: list) -> "IntegerMatrix":
-        entries = [[col[r] for col in columns] for r in range(rows)]
-        return cls(rows, len(columns), entries)
-
     def copy_entries(self) -> list:
         return [row[:] for row in self.entries]
 

@@ -12,6 +12,9 @@ Grammar:
 Variables ``w1..wl`` are the fundamental-weight variables; ``t1..tn`` (and the
 bare ``t``, where the type defines it) are expanded into weight variables at
 parse time through the root datum.
+
+No class has degree above N, the number of positive roots, so a power or a
+product whose degree would pass N is rejected before it is computed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import OutOfRangeError, ParseError
 from .polyring import Polynomial
 from .rootdata import RootDatum
 
@@ -69,6 +72,10 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}")
         return tok
 
+    def check_degree(self, degree: int) -> None:
+        if degree > self.datum.num_positive_roots:
+            raise OutOfRangeError(f"degree {degree} exceeds the number of positive roots")
+
     def parse(self) -> Polynomial:
         p = self.expr()
         if self.peek() != "end":
@@ -87,7 +94,9 @@ class _Parser:
         p = self.factor()
         while self.peek() == "*":
             self.next()
-            p = p * self.factor()
+            q = self.factor()
+            self.check_degree(p.degree() + q.degree())
+            p = p * q
         return p
 
     def factor(self) -> Polynomial:
@@ -100,6 +109,7 @@ class _Parser:
             tok = self.next()
             if tok[0] != "num":
                 raise ParseError("exponent must be a nonnegative integer")
+            self.check_degree(p.degree() * tok[1])
             p = p**tok[1]
         return p
 

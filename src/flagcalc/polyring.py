@@ -196,15 +196,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def shift_mul(self, expo, c: Rational) -> "Polynomial":
-        """Multiply by the monomial c * w^expo."""
-        if not c:
-            return Polynomial.zero(self.nvars)
-        out = {}
-        for e, v in self.terms.items():
-            out[tuple(x + y for x, y in zip(e, expo))] = _norm_coeff(v * c)
-        return Polynomial._raw(self.nvars, out)
-
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.nvars == other.nvars and self.terms == other.terms
@@ -252,19 +243,6 @@ class Polynomial:
         for sign, text in pieces[1:]:
             out += f" {sign} {text}"
         return out
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Ring operation dispatch: op is one of ``add``, ``sub``, ``mul``."""
-    if a.nvars != b.nvars:
-        raise ValueError("variable count mismatch")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def substitute_linear(f: Polynomial, images: dict) -> Polynomial:

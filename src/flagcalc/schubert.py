@@ -357,34 +357,27 @@ class SchubertCalc:
                 )
         return out
 
-    def rep_poly(self, x: SchubertExpansion) -> Polynomial:
-        """A rational polynomial mapping to x under the characteristic map."""
+    def _unscaled_rep(self, x: SchubertExpansion) -> Polynomial:
+        """|W| times a representative of x: the sum of c * |W| G_w."""
         p = Polynomial.zero(self.rank)
         for w, c in x.coeffs.items():
             p = p + self._giambelli_unscaled(w).scale(c)
-        return p.scale(Fraction(1, self.weyl_order))
+        return p
 
     def mul_expansions(self, a: SchubertExpansion, b: SchubertExpansion) -> SchubertExpansion:
         """Bilinear extension of structure constants to two expansions."""
-        pa = Polynomial.zero(self.rank)
-        for w, c in a.coeffs.items():
-            pa = pa + self._giambelli_unscaled(w).scale(c)
-        pb = Polynomial.zero(self.rank)
-        for w, c in b.coeffs.items():
-            pb = pb + self._giambelli_unscaled(w).scale(c)
         return self._scaled_expand(
-            pa * pb, Fraction(1, self.weyl_order**2), a.codim + b.codim
+            self._unscaled_rep(a) * self._unscaled_rep(b),
+            Fraction(1, self.weyl_order**2),
+            a.codim + b.codim,
         )
 
     def pow_expansion(self, a: SchubertExpansion, p: int) -> SchubertExpansion:
         """p-th power of a class, one expansion of the p-th power representative."""
         if p == 0:
             return self.indicator(self.group.identity)
-        pa = Polynomial.zero(self.rank)
-        for w, c in a.coeffs.items():
-            pa = pa + self._giambelli_unscaled(w).scale(c)
         return self._scaled_expand(
-            pa**p, Fraction(1, self.weyl_order**p), a.codim * p
+            self._unscaled_rep(a) ** p, Fraction(1, self.weyl_order**p), a.codim * p
         )
 
     def expand_class_poly(self, f: Polynomial, scale: Rational = 1) -> SchubertExpansion:
@@ -396,27 +389,3 @@ class SchubertCalc:
 def calculus_for(ct: CartanType) -> SchubertCalc:
     """Shared engine per Cartan type (caches are per engine)."""
     return SchubertCalc(ct)
-
-
-def divided_difference(calc: SchubertCalc, i: int, f: Polynomial) -> Polynomial:
-    return calc.divided_difference(i, f)
-
-
-def delta_w(calc: SchubertCalc, w: WeylElement, f: Polynomial) -> Polynomial:
-    return calc.delta_w(w, f)
-
-
-def schubert_expand(calc: SchubertCalc, f: Polynomial) -> SchubertExpansion:
-    return calc.schubert_expand(f)
-
-
-def chevalley_product(calc: SchubertCalc, alpha: int, w: WeylElement) -> SchubertExpansion:
-    return calc.chevalley_product(alpha, w)
-
-
-def giambelli_poly(calc: SchubertCalc, w: WeylElement) -> Polynomial:
-    return calc.giambelli_poly(w)
-
-
-def structure_constants(calc: SchubertCalc, u: WeylElement, v: WeylElement) -> SchubertExpansion:
-    return calc.structure_constants(u, v)

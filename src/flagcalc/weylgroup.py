@@ -10,10 +10,12 @@ order.  Each one carries its right descent set as a bit mask and, once asked
 for, its upper Bruhat covers; the group keeps, per id, the table row of ids
 of w s_1, ..., w s_l and the id of s_i w for the first letter i of the word.
 Enumeration by length fills these tables, so ascents, descents and cover
-lookups cost no matrix products; elements met before enumeration reaches
-them are built from their matrices instead.  The tables hold ids rather than
-elements, so a group's elements form no reference cycles and are freed as
-soon as the group is.
+lookups cost no matrix products.  Elements carry no inverse: every new matrix
+is some known w times a reflection, w s_beta = w - (w beta) (x) beta^vee, and
+an element met before enumeration reaches it reads its word off w(rho).
+Products, inverses and words are walks along the right-multiplication table.
+The tables hold ids rather than elements, so a group's elements form no
+reference cycles and are freed as soon as the group is.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ from .rootdata import Root, RootDatum, Weight
 Matrix = tuple  # tuple of row tuples, integer entries
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) for col in bt) for row in a
-    )
-
-
 def _matvec(a: Matrix, v) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def _times_reflection(m: Matrix, mb: tuple, coroot: tuple) -> Matrix:
+    """The matrix of w s_beta = w - (w beta) (x) beta^vee, from m = w and mb = w beta."""
+    return tuple(
+        tuple(x - y * c for x, c in zip(r, coroot)) if y else r
+        for r, y in zip(m, mb)
+    )
 
 
 def _identity(n: int) -> Matrix:
@@ -45,21 +48,19 @@ class WeylElement:
     """One Weyl group element; equality and hashing use the action matrix."""
 
     __slots__ = (
-        "matrix", "inv_matrix", "length", "word",
+        "matrix", "length", "word",
         "id", "descents", "_covers", "_hash",
     )
 
     def __init__(
         self,
         matrix: Matrix,
-        inv_matrix: Matrix,
         length: int,
         word: tuple,
         id: int,
         descents: int,
     ):
         self.matrix = matrix
-        self.inv_matrix = inv_matrix
         self.length = length
         self.word = word
         self.id = id
@@ -106,25 +107,12 @@ class WeylGroup:
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.rank = datum.rank
-        n = self.rank
-        M = datum.cartan_matrix
-        # Column i-1 of the reflection s_i is e_{i-1} minus the i-th simple root.
-        self.simple_matrices = {}
-        for i in range(1, n + 1):
-            cols = []
-            for j in range(n):
-                col = [1 if r == j else 0 for r in range(n)]
-                if j == i - 1:
-                    col = [c - M[r][i - 1] for r, c in enumerate(col)]
-                cols.append(col)
-            self.simple_matrices[i] = tuple(
-                tuple(cols[j][r] for j in range(n)) for r in range(n)
-            )
-        self._simple_omegas = [datum.simple_roots[j].omega for j in range(n)]
         self._root_sign = {
             r.omega: (1 if r.is_positive else -1) for r in datum.all_roots
         }
-        # (beta, beta^vee on the fundamental weights) in positive-root order
+        # (beta, beta^vee on the fundamental weights) in simple- and in
+        # positive-root order; alpha_i^vee is the i-th unit vector
+        self._simple = [(r.omega, r.coroot_on_omega) for r in datum.simple_roots]
         self._positive = [(r.omega, r.coroot_on_omega) for r in datum.positive_roots]
         self._elements: dict = {}
         self._by_id: list = []
@@ -132,46 +120,49 @@ class WeylGroup:
         # of s_i w for the first letter i of w's word; None until known.
         self._right: list = []
         self._parents: list = []
-        ident = _identity(n)
-        self.identity = self._new(ident, ident, 0, (), 0)
+        self.identity = self._new(_identity(self.rank), 0, (), 0)
         self._levels: list = [[self.identity]]  # strata in lex-min word order
         self._level_sets: list = [frozenset(self._levels[0])]
         self._reflection_cache: dict = {}
 
     # -- element interning ---------------------------------------------------
 
-    def _new(self, matrix, inv_matrix, length, word, descents) -> WeylElement:
-        el = WeylElement(matrix, inv_matrix, length, word, len(self._by_id), descents)
+    def _new(self, matrix, length, word, descents) -> WeylElement:
+        el = WeylElement(matrix, length, word, len(self._by_id), descents)
         self._elements[matrix] = el
         self._by_id.append(el)
         self._right.extend([None] * self.rank)
         self._parents.append(None)
         return el
 
-    def _element(self, matrix: Matrix, inv_matrix: Matrix) -> WeylElement:
+    def _element(self, matrix: Matrix) -> WeylElement:
         """Intern an element met outside enumeration, computing its word directly."""
         el = self._elements.get(matrix)
         if el is None:
-            length, word = self._length_and_word(inv_matrix)
+            length, word = self._length_and_word(matrix)
             sign = self._root_sign
             descents = 0
-            for j, alpha in enumerate(self._simple_omegas):
+            for j, (alpha, _) in enumerate(self._simple):
                 if sign[_matvec(matrix, alpha)] < 0:
                     descents |= 1 << j
-            el = self._new(matrix, inv_matrix, length, word, descents)
+            el = self._new(matrix, length, word, descents)
         return el
 
-    def _length_and_word(self, inv_matrix: Matrix) -> tuple:
-        """Length and lex-min reduced word, by greedy smallest left descent."""
+    def _length_and_word(self, matrix: Matrix) -> tuple:
+        """Length and lex-min reduced word, by greedy smallest left descent.
+
+        x = w(rho) is the vector of row sums; s_i is a left descent of w
+        exactly when x_i = <w(rho), alpha_i^vee> < 0, and then
+        (s_i w)(rho) = x - x_i alpha_i.
+        """
         word = []
-        v = inv_matrix  # matrix of the inverse element
-        simples = self._simple_omegas
-        sign = self._root_sign
+        x = [sum(r) for r in matrix]
+        simple = self._simple
         while True:
-            for i in range(1, self.rank + 1):
-                if sign[_matvec(v, simples[i - 1])] < 0:
-                    word.append(i)
-                    v = _matmul(v, self.simple_matrices[i])
+            for i, xi in enumerate(x):
+                if xi < 0:
+                    word.append(i + 1)
+                    x = [a - xi * b for a, b in zip(x, simple[i][0])]
                     break
             else:
                 return len(word), tuple(word)
@@ -185,22 +176,17 @@ class WeylGroup:
 
     def element_from_word(self, word) -> WeylElement:
         """Evaluate any word in the generators (not required to be reduced)."""
-        m = _identity(self.rank)
-        inv = m
+        w = self.identity
         for i in word:
             if not (isinstance(i, int) and 1 <= i <= self.rank):
                 raise InvalidWordError(f"letter {i!r} out of range for rank {self.rank}")
-            s = self.simple_matrices[i]
-            m = _matmul(m, s)
-            inv = _matmul(s, inv)
-        return self._element(m, inv)
+            w = self.times_simple(w, i)
+        return w
 
     def compose(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        m = _matmul(w.matrix, v.matrix)
-        el = self._elements.get(m)
-        if el is None:
-            el = self._element(m, _matmul(v.inv_matrix, w.inv_matrix))
-        return el
+        for i in v.word:
+            w = self.times_simple(w, i)
+        return w
 
     def times_simple(self, w: WeylElement, i: int) -> WeylElement:
         """w s_i, read from w's table row (filled in on first use)."""
@@ -208,8 +194,9 @@ class WeylGroup:
         j = self._right[slot]
         if j is not None:
             return self._by_id[j]
-        s = self.simple_matrices[i]
-        v = self._element(_matmul(w.matrix, s), _matmul(s, w.inv_matrix))
+        alpha, coroot = self._simple[i - 1]
+        m = w.matrix
+        v = self._element(_times_reflection(m, _matvec(m, alpha), coroot))
         self._right[slot] = v.id
         self._right[v.id * self.rank + i - 1] = w.id
         return v
@@ -219,13 +206,12 @@ class WeylGroup:
         j = self._parents[w.id]
         if j is not None:
             return self._by_id[j]
-        s = self.simple_matrices[w.word[0]]
-        p = self._element(_matmul(s, w.matrix), _matmul(w.inv_matrix, s))
+        p = self.element_from_word(w.word[1:])
         self._parents[w.id] = p.id
         return p
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        return self._element(w.inv_matrix, w.matrix)
+        return self.element_from_word(reversed(w.word))
 
     def act(self, w: WeylElement, lam: Weight) -> Weight:
         return _matvec(w.matrix, lam)
@@ -269,28 +255,16 @@ class WeylGroup:
         found: dict = {}
         for w in self._levels[-1]:
             base = w.id * n
-            for i, alpha in enumerate(self._simple_omegas):
+            for i, (alpha, coroot) in enumerate(self._simple):
                 if w.descents >> i & 1:
                     continue
                 j = right[base + i]
                 if j is None:
                     m = w.matrix
-                    # w s_i changes column i of w by -w(alpha_i); s_i w^-1 changes
-                    # the rows of w^-1 where alpha_i is nonzero.
-                    wa = _matvec(m, alpha)
-                    prod = tuple(
-                        r[:i] + (r[i] - d,) + r[i + 1 :] if d else r
-                        for r, d in zip(m, wa)
-                    )
+                    prod = _times_reflection(m, _matvec(m, alpha), coroot)
                     v = self._elements.get(prod)
                     if v is None:
-                        inv = w.inv_matrix
-                        xi = inv[i]
-                        inv = tuple(
-                            tuple(x - a * y for x, y in zip(r, xi)) if a else r
-                            for r, a in zip(inv, alpha)
-                        )
-                        v = self._new(prod, inv, k, w.word + (i + 1,), 0)
+                        v = self._new(prod, k, w.word + (i + 1,), 0)
                     right[base + i] = v.id
                     right[v.id * n + i] = w.id
                 else:
@@ -331,15 +305,8 @@ class WeylGroup:
             raise NotARootError("root reflection expects a positive root")
         el = self._reflection_cache.get(beta.omega)
         if el is None:
-            n = self.rank
-            cvec = beta.coroot_on_omega
-            m = tuple(
-                tuple(
-                    (1 if r == j else 0) - cvec[j] * beta.omega[r] for j in range(n)
-                )
-                for r in range(n)
-            )
-            el = self._element(m, m)
+            m = _times_reflection(self.identity.matrix, beta.omega, beta.coroot_on_omega)
+            el = self._element(m)
             self._reflection_cache[beta.omega] = el
         return el
 
@@ -365,22 +332,12 @@ class WeylGroup:
                 wb = _matvec(m, beta)
                 if sign[wb] < 0:
                     continue  # w s_beta < w
-                prod = tuple(
-                    tuple(x - y * c for x, c in zip(r, cvec)) if y else r
-                    for r, y in zip(m, wb)
-                )
+                prod = _times_reflection(m, wb, cvec)
                 v = self._elements.get(prod)
                 if v is None:
                     if enumerated:
                         continue
-                    # s_beta w^-1 = w^-1 - beta (x) (beta^vee w^-1)
-                    inv = w.inv_matrix
-                    u = [sum(c * x for c, x in zip(cvec, col)) for col in zip(*inv)]
-                    inv = tuple(
-                        tuple(x - a * y for x, y in zip(r, u)) if a else r
-                        for r, a in zip(inv, beta)
-                    )
-                    v = self._element(prod, inv)
+                    v = self._element(prod)
                 if v.length == k:
                     vs.append(v)
                     bs.append(b)

@@ -57,6 +57,12 @@ class TestExpand:
         assert code == 2
         assert "homogeneous" in err
 
+    def test_over_degree_exits_2_before_computing(self, capsys):
+        expr = "(w1+w2+w3+w4)^120"
+        code, _, err = run(capsys, "expand", "--type", "F4", "--expr", expr)
+        assert code == 2
+        assert "exceeds the number of positive roots" in err
+
 
 class TestWordHandling:
     def test_delta(self, capsys):

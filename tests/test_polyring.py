@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from flagcalc.errors import NotDivisibleError, ParseError
+from flagcalc.errors import NotDivisibleError, OutOfRangeError, ParseError
 from flagcalc.exprparse import parse_polynomial
 from flagcalc.polyring import (
     Polynomial,
     exact_div_linear,
-    poly_arith,
     substitute_linear,
     weyl_substitute,
 )
@@ -27,18 +26,18 @@ def random_poly(rng, nvars, degree, terms=6):
 def test_add_zero_identity():
     rng = random.Random(1)
     a = random_poly(rng, 3, 4)
-    assert poly_arith(a, Polynomial.zero(3), "add") == a
+    assert a + Polynomial.zero(3) == a
 
 
 def test_monomial_product():
     w1 = Polynomial.variable(2, 0)
     w2 = Polynomial.variable(2, 1)
-    assert poly_arith(w1, w2, "mul") == Polynomial.monomial(2, (1, 1), 1)
+    assert w1 * w2 == Polynomial.monomial(2, (1, 1), 1)
 
 
 def test_g2_t_class_product(calc_g2):
     d = calc_g2.datum
-    prod = poly_arith(poly_arith(d.t_poly(1), d.t_poly(2), "mul"), d.t_poly(3), "mul")
+    prod = d.t_poly(1) * d.t_poly(2) * d.t_poly(3)
     assert prod == Polynomial(2, {(3, 0): 2, (2, 1): -3, (1, 2): 1})
 
 
@@ -202,6 +201,16 @@ class TestParser:
     def test_parse_errors(self, bad, calc_g2):
         with pytest.raises(ParseError):
             parse_polynomial(bad, calc_g2.datum)
+
+    def test_degree_bound(self, calc_g2):
+        # G2 has N = 6 positive roots: degree 6 parses, any power or product
+        # of degree 7 is refused, and zero powers stay zero
+        d = calc_g2.datum
+        assert parse_polynomial("w1^6", d) == Polynomial.monomial(2, (6, 0), 1)
+        assert parse_polynomial("(w1 - w1)^1000", d).is_zero()
+        for bad in ["w1^7", "w1^3*w2^4", "(w1^2)^4", "w1*(w1+w2)^6", "w1^99999999999"]:
+            with pytest.raises(OutOfRangeError):
+                parse_polynomial(bad, d)
 
     def test_format_round_trip(self, calc_f4):
         rng = random.Random(8)

@@ -4,7 +4,7 @@ import pytest
 
 from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
-from flagcalc.weylgroup import WeylGroup, _matmul
+from flagcalc.weylgroup import WeylGroup
 
 from conftest import word
 
@@ -40,17 +40,6 @@ def test_f4_table_action_spotchecks(calc_f4):
     assert g.act(s4, d.extra_t) == tuple(-x for x in d.extra_t)
 
 
-def test_compose_and_inverse(calc_f4):
-    g = calc_f4.group
-    rng = random.Random(10)
-    for _ in range(20):
-        w = g.element_from_word([rng.randint(1, 4) for _ in range(6)])
-        v = g.element_from_word([rng.randint(1, 4) for _ in range(6)])
-        wv = g.compose(w, v)
-        assert g.compose(wv, g.inverse(v)) == w
-        assert g.compose(g.inverse(w), w) == g.identity
-
-
 def test_braid_relations():
     g2 = WeylGroup(build_root_datum(cartan_type("G2")))
     assert g2.element_from_word([1, 2] * 6).is_identity
@@ -84,6 +73,77 @@ def _enumerate(g):
     return [w for k in range(g.longest_length + 1) for w in g.sorted_stratum(k)]
 
 
+# Reference route: plain matrix products of simple reflections built from the
+# Cartan matrix alone, independent of the group's rank-1 updates and tables.
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _simple_matrices(g):
+    # column i-1 of s_i is e_{i-1} minus alpha_i, the (i-1)-th Cartan column
+    n, M = g.rank, g.datum.cartan_matrix
+    return {
+        i: tuple(
+            tuple(int(r == j) - (M[r][i - 1] if j == i - 1 else 0) for j in range(n))
+            for r in range(n)
+        )
+        for i in range(1, n + 1)
+    }
+
+
+def _word_matrix(g, word):
+    m = g.identity.matrix
+    simple = _simple_matrices(g)
+    for i in word:
+        m = _matmul(m, simple[i])
+    return m
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_compose_and_inverse(family, rank):
+    g = _fresh_group(family, rank)
+    n = g.rank
+    rng = random.Random(10)
+    # on a cold group first, before enumeration reaches the elements
+    for _ in range(20):
+        w = g.element_from_word([rng.randint(1, n) for _ in range(6)])
+        v = g.element_from_word([rng.randint(1, n) for _ in range(6)])
+        wv = g.compose(w, v)
+        assert wv.matrix == _matmul(w.matrix, v.matrix)
+        assert g.compose(wv, g.inverse(v)) == w
+        assert g.compose(g.inverse(w), w) == g.identity
+    elements = _enumerate(g)
+    if g.order() <= 48:  # all pairs in G2 and B3
+        pairs = [(w, v) for w in elements for v in elements]
+    else:
+        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(400)]
+    for w, v in pairs:
+        assert g.compose(w, v).matrix == _matmul(w.matrix, v.matrix)
+    ident = g.identity.matrix
+    for w in elements:
+        inv = g.inverse(w)
+        assert _matmul(w.matrix, inv.matrix) == ident == _matmul(inv.matrix, w.matrix)
+        assert g.compose(w, inv) is g.identity is g.compose(inv, w)
+        assert inv.length == w.length
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_random_words_match_matrix_products(family, rank):
+    # words that are mostly not reduced, evaluated on a cold group
+    g = _fresh_group(family, rank)
+    n, N = g.rank, g.longest_length
+    rng = random.Random(11)
+    for _ in range(60):
+        word = [rng.randint(1, n) for _ in range(rng.randint(0, 2 * N))]
+        w = g.element_from_word(word)
+        assert w.matrix == _word_matrix(g, word)
+        assert w.length <= len(word) and (len(word) - w.length) % 2 == 0
+        assert _word_matrix(g, w.word) == w.matrix
+        assert len(w.word) == w.length
+
+
 def test_lexmin_words():
     # the stored word is reduced, evaluates back to the element, and is
     # lexicographically minimal among all reduced words
@@ -103,19 +163,20 @@ def test_enumerated_words_match_greedy_words(family, rank):
     assert sorted(w.id for w in elements) == list(range(g.order()))
     assert elements == sorted(elements, key=lambda w: w.sort_key())
     for w in elements:
-        assert (w.length, w.word) == g._length_and_word(w.inv_matrix)
+        assert (w.length, w.word) == g._length_and_word(w.matrix)
 
 
 @pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
 def test_right_table_and_parent_match_matrices(family, rank):
     g = _fresh_group(family, rank)
+    simple = _simple_matrices(g)
     for w in _enumerate(g):
         for i in range(1, g.rank + 1):
             v = g.times_simple(w, i)
-            assert v.matrix == _matmul(w.matrix, g.simple_matrices[i])
+            assert v.matrix == _matmul(w.matrix, simple[i])
             assert v is g.compose(w, g.simple_reflection(i))
         if w.length:
-            s = g.simple_matrices[w.word[0]]
+            s = simple[w.word[0]]
             assert g.left_parent(w).matrix == _matmul(s, w.matrix)
 
 
