@@ -24,11 +24,12 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, payload: dict, table: str) -> None:
+def _emit(args, payload: dict, table) -> None:
+    """Print the JSON payload, or the text that ``table()`` builds."""
     if args.format == "json":
         print(_json_dumps(payload))
     else:
-        print(table)
+        print(table())
 
 
 def _calc(args):
@@ -71,7 +72,7 @@ def _cmd_basis(args) -> int:
     _emit(
         args,
         {"type": calc.cartan_type.name, "codim": args.codim, "words": words},
-        " ".join(words),
+        lambda: " ".join(words),
     )
     return 0
 
@@ -80,7 +81,7 @@ def _cmd_expand(args) -> int:
     calc = _calc(args)
     f = parse_polynomial(args.expr, calc.datum)
     exp = calc.schubert_expand(f)
-    _emit(args, exp.to_json_dict(), str(exp))
+    _emit(args, exp.to_json_dict(), exp.__str__)
     return 0
 
 
@@ -88,12 +89,8 @@ def _cmd_delta(args) -> int:
     calc = _calc(args)
     f = parse_polynomial(args.expr, calc.datum)
     w = _parse_word(calc, args.word)
-    result = calc.delta_w(w, f)
-    _emit(
-        args,
-        {"word": w.word_str(), "poly": result.format()},
-        result.format(),
-    )
+    text = calc.delta_w(w, f).format()
+    _emit(args, {"word": w.word_str(), "poly": text}, lambda: text)
     return 0
 
 
@@ -104,15 +101,15 @@ def _cmd_chevalley(args) -> int:
         raise InvalidWordError("--u must be a single simple reflection")
     w = _parse_word(calc, args.word)
     exp = calc.chevalley_product(u.word[0], w)
-    _emit(args, exp.to_json_dict(), str(exp))
+    _emit(args, exp.to_json_dict(), exp.__str__)
     return 0
 
 
 def _cmd_giambelli(args) -> int:
     calc = _calc(args)
     w = _parse_word(calc, args.word)
-    poly = calc.giambelli_poly(w)
-    _emit(args, {"word": w.word_str(), "poly": poly.format()}, poly.format())
+    text = calc.giambelli_poly(w).format()
+    _emit(args, {"word": w.word_str(), "poly": text}, lambda: text)
     return 0
 
 
@@ -121,7 +118,7 @@ def _cmd_structconst(args) -> int:
     u = _parse_word(calc, args.u)
     v = _parse_word(calc, args.v)
     exp = calc.structure_constants(u, v)
-    _emit(args, exp.to_json_dict(), str(exp))
+    _emit(args, exp.to_json_dict(), exp.__str__)
     return 0
 
 

@@ -15,6 +15,12 @@ parse time through the root datum.
 
 No class has degree above N, the number of positive roots, so a power or a
 product whose degree would pass N is rejected before it is computed.
+
+Coefficients are bounded too: a literal of more than ``MAX_DIGITS`` digits is
+rejected before it is converted, and so is a power whose operand's largest
+coefficient, raised to the exponent, would pass that many digits (estimated
+from bit lengths, before the power is computed).  Every product and power is
+checked again once computed, numerators and denominators alike.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from fractions import Fraction
 from .errors import OutOfRangeError, ParseError
 from .polyring import Polynomial
 from .rootdata import RootDatum
+
+MAX_DIGITS = 1000
+_LIMIT = 10**MAX_DIGITS  # smallest value with more than MAX_DIGITS digits
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(.))")
 
@@ -38,6 +47,8 @@ def _tokenize(text: str) -> list:
             break
         num, name, sym = m.groups()
         if num is not None:
+            if len(num) > MAX_DIGITS:
+                raise OutOfRangeError(f"literal longer than {MAX_DIGITS} digits")
             tokens.append(("num", int(num)))
         elif name is not None:
             tokens.append(("name", name))
@@ -76,6 +87,24 @@ class _Parser:
         if degree > self.datum.num_positive_roots:
             raise OutOfRangeError(f"degree {degree} exceeds the number of positive roots")
 
+    @staticmethod
+    def check_coefficients(p: Polynomial, exponent: int = 1) -> None:
+        """Refuse p**exponent if its coefficients could pass MAX_DIGITS digits.
+
+        With exponent 1 this checks p itself.  For a larger exponent the
+        estimate is (bits - 1) * exponent, a lower bound on the bit length of
+        the largest coefficient to that power, so nothing is computed.
+        """
+        height = max(
+            (max(abs(c.numerator), c.denominator) for c in p.terms.values()), default=0
+        )
+        if exponent == 1:
+            too_big = height >= _LIMIT
+        else:
+            too_big = (height.bit_length() - 1) * exponent >= _LIMIT.bit_length()
+        if too_big:
+            raise OutOfRangeError(f"coefficient longer than {MAX_DIGITS} digits")
+
     def parse(self) -> Polynomial:
         p = self.expr()
         if self.peek() != "end":
@@ -97,6 +126,7 @@ class _Parser:
             q = self.factor()
             self.check_degree(p.degree() + q.degree())
             p = p * q
+            self.check_coefficients(p)
         return p
 
     def factor(self) -> Polynomial:
@@ -110,7 +140,9 @@ class _Parser:
             if tok[0] != "num":
                 raise ParseError("exponent must be a nonnegative integer")
             self.check_degree(p.degree() * tok[1])
+            self.check_coefficients(p, tok[1])
             p = p**tok[1]
+            self.check_coefficients(p)
         return p
 
     def atom(self) -> Polynomial:

@@ -1,19 +1,42 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 Polynomials live in Q[w1, ..., wl], the variables being the fundamental
-weights of a fixed rank-l root system.  A polynomial is stored as a map from
-exponent vectors (tuples of nonnegative ints of length l) to coefficients.
-Coefficients are kept as plain Python ints whenever they are integral and as
-``fractions.Fraction`` otherwise; every operation is exact.
+weights of a fixed rank-l root system.  A polynomial is stored as one dict
+from packed exponent keys to coefficients.  Coefficients are kept as plain
+Python ints whenever they are integral and as ``fractions.Fraction``
+otherwise; every operation is exact.
+
+Packed keys.  The exponent vector (e_0, ..., e_{l-1}) is one Python int:
+variable j takes the bits ``[j*W, (j+1)*W)`` and the total degree sits
+above them, from bit ``l*W`` on.  Multiplying two monomials is then one int
+addition, reading the exponent of variable j is one shift and mask, and the
+total degree is one shift.  Because the degree field is the highest, the
+largest key of a polynomial has its largest degree.  The encoding is private
+to this module.
+
+Overflow guard.  Every exponent must stay below ``2**W``.  A product or power
+whose factors' degrees add up past ``2**W - 1`` is checked variable by
+variable, and raises OutOfRangeError if some exponent could reach ``2**W``;
+a key never wraps into the next field.  Substitution, exact division and
+power replacement never raise the total degree, and they raise
+OutOfRangeError on an input whose total degree passes ``2**W - 1``.
+
+``Polynomial.terms`` is a read-only view keyed by exponent tuples, built on
+demand over the packed dict; its ``len`` is the number of terms, in O(1).
+The constructor takes any mapping from exponent tuples to coefficients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import NotDivisibleError
+from .errors import NotDivisibleError, OutOfRangeError
 
 Rational = int | Fraction
+
+_W = 16  # bits per variable
+_MASK = (1 << _W) - 1  # the largest exponent a field holds
 
 
 def _norm_coeff(c: Rational) -> Rational:
@@ -22,44 +45,128 @@ def _norm_coeff(c: Rational) -> Rational:
     return c
 
 
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {e: v if type(v) is int else _norm_coeff(v) for e, v in terms.items() if v}
+
+
+def _unit(j: int, n: int) -> int:
+    """Key of the variable of 0-based index j among n."""
+    return (1 << (j * _W)) | (1 << (n * _W))
+
+
+def _pack(expo, n: int) -> int:
+    expo = tuple(expo)
+    if len(expo) != n:
+        raise ValueError(f"exponent vector {expo} does not have {n} entries")
+    key = sum(expo) << (n * _W)
+    for j, e in enumerate(expo):
+        if not 0 <= e <= _MASK:
+            raise OutOfRangeError(f"exponent {e} outside [0, {_MASK}]")
+        key |= e << (j * _W)
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    return tuple((key >> (j * _W)) & _MASK for j in range(n))
+
+
+def _degree(terms: dict, n: int) -> int:
+    return max(terms) >> (n * _W) if terms else -1
+
+
+def _max_exponents(terms: dict, n: int) -> list:
+    return [max(((k >> (j * _W)) & _MASK for k in terms), default=0) for j in range(n)]
+
+
+def _check_product(n: int, factors) -> None:
+    """Raise unless a product of (term map, multiplicity) factors keeps every field."""
+    if sum(m * _degree(t, n) for t, m in factors) <= _MASK:
+        return
+    tops = [0] * n
+    for t, m in factors:
+        for j, e in enumerate(_max_exponents(t, n)):
+            tops[j] += m * e
+    if max(tops) > _MASK:
+        raise OutOfRangeError(f"an exponent would exceed {_MASK}")
+
+
+def _check_degree_fits(terms: dict, n: int) -> None:
+    if _degree(terms, n) > _MASK:
+        raise OutOfRangeError(f"total degree exceeds {_MASK}")
+
+
 def _dict_mul(a: dict, b: dict) -> dict:
-    """Sparse convolution of two term maps."""
+    """Sparse convolution of two packed term maps; zero sums are kept."""
     if len(a) > len(b):
         a, b = b, a
     out: dict = {}
+    get = out.get
+    pairs = tuple(b.items())
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        for eb, cb in pairs:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
     return out
+
+
+class _TermsView(Mapping):
+    """Read-only map from exponent tuples to coefficients of one polynomial."""
+
+    __slots__ = ("_terms", "_n")
+
+    def __init__(self, terms: dict, n: int):
+        self._terms = terms
+        self._n = n
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        n = self._n
+        return (_unpack(k, n) for k in self._terms)
+
+    def __getitem__(self, expo):
+        try:
+            key = _pack(expo, self._n)
+        except (TypeError, ValueError):
+            raise KeyError(expo) from None
+        return self._terms[key]
+
+    def values(self):
+        return self._terms.values()
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms")
 
-    def __init__(self, nvars: int, terms: dict | None = None):
+    def __init__(self, nvars: int, terms=None):
         clean: dict = {}
         if terms:
             for expo, c in terms.items():
                 c = _norm_coeff(c)
                 if c:
-                    clean[tuple(expo)] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+                    clean[_pack(expo, nvars)] = c
+        self.nvars = nvars
+        self._terms = clean
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict) -> "Polynomial":
-        # Caller guarantees terms are already normalized.
+        # Caller guarantees terms are packed and already normalized.
         self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        self.nvars = nvars
+        self._terms = terms
         return self
+
+    @property
+    def terms(self) -> _TermsView:
+        """The terms, keyed by exponent tuples (read-only)."""
+        return _TermsView(self._terms, self.nvars)
 
     # -- constructors ------------------------------------------------------
 
@@ -70,7 +177,7 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, c: Rational) -> "Polynomial":
         c = _norm_coeff(c)
-        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
+        return cls._raw(nvars, {0: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -79,57 +186,51 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars: int, j: int) -> "Polynomial":
         """The variable of 0-based index j."""
-        expo = tuple(1 if k == j else 0 for k in range(nvars))
-        return cls._raw(nvars, {expo: 1})
+        return cls._raw(nvars, {_unit(j, nvars): 1})
 
     @classmethod
     def linear_form(cls, coords) -> "Polynomial":
         """Degree-1 polynomial with the given coefficient vector."""
         coords = tuple(coords)
         n = len(coords)
-        terms = {}
-        for j, c in enumerate(coords):
-            c = _norm_coeff(c)
-            if c:
-                terms[tuple(1 if k == j else 0 for k in range(n))] = c
-        return cls._raw(n, terms)
+        terms = {_unit(j, n): c for j, c in enumerate(coords)}
+        return cls._raw(n, _clean(terms))
 
     @classmethod
     def monomial(cls, nvars: int, expo, c: Rational = 1) -> "Polynomial":
         c = _norm_coeff(c)
-        return cls._raw(nvars, {tuple(expo): c} if c else {})
+        return cls._raw(nvars, {_pack(expo, nvars): c} if c else {})
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return _degree(self._terms, self.nvars)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        if not self._terms:
+            return True
+        top = self.nvars * _W
+        return min(self._terms) >> top == max(self._terms) >> top
 
     def constant_term(self) -> Rational:
-        return self.terms.get((0,) * self.nvars, 0)
+        return self._terms.get(0, 0)
 
     def coefficient(self, expo) -> Rational:
-        return self.terms.get(tuple(expo), 0)
+        return self.terms.get(expo, 0)
 
     def linear_coords(self) -> tuple:
         """Coefficient vector of a polynomial of degree at most 1 (constant part dropped)."""
         coords = [0] * self.nvars
-        for expo, c in self.terms.items():
-            d = sum(expo)
-            if d == 0:
-                continue
-            if d > 1:
-                raise ValueError("polynomial has degree > 1")
-            coords[expo.index(1)] = c
+        degree_one = 1 << (self.nvars * _W)
+        for key, c in self._terms.items():
+            if key:
+                if key >> (self.nvars * _W) > 1:
+                    raise ValueError("polynomial has degree > 1")
+                coords[(key - degree_one).bit_length() // _W] = c
         return tuple(coords)
 
     # -- arithmetic --------------------------------------------------------
@@ -137,20 +238,20 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            v = _norm_coeff(v)
+        out = dict(self._terms)
+        get = out.get
+        for e, c in other._terms.items():
+            v = get(e, 0) + c
             if v:
-                out[e] = v
-            elif e in out:
+                out[e] = v if type(v) is int else _norm_coeff(v)
+            else:
                 del out[e]
         return Polynomial._raw(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -165,12 +266,8 @@ class Polynomial:
             return self.scale(other)
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        out = _dict_mul(self.terms, other.terms)
-        for e in list(out):
-            out[e] = _norm_coeff(out[e])
-            if not out[e]:
-                del out[e]
-        return Polynomial._raw(self.nvars, out)
+        _check_product(self.nvars, ((self._terms, 1), (other._terms, 1)))
+        return Polynomial._raw(self.nvars, _clean(_dict_mul(self._terms, other._terms)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -180,12 +277,13 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.nvars)
         return Polynomial._raw(
-            self.nvars, {e: _norm_coeff(v * c) for e, v in self.terms.items()}
+            self.nvars, _clean({e: v * c for e, v in self._terms.items()})
         )
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        _check_product(self.nvars, ((self._terms, k),))
         result = Polynomial.one(self.nvars)
         base = self
         while k:
@@ -196,9 +294,37 @@ class Polynomial:
                 base = base * base
         return result
 
+    def replace_powers(self, j: int, table) -> "Polynomial":
+        """Replace each power w_j^k by ``table(k)``, a polynomial of degree at most k.
+
+        A term m * w_j^k, with m free of w_j, goes to m * table(k).  The map is
+        linear, not a ring homomorphism; with table(k) the divided difference
+        of w_j^k it is the divided difference of ``self``.
+        """
+        n = self.nvars
+        _check_degree_fits(self._terms, n)
+        shift = j * _W
+        unit = _unit(j, n)
+        rows: dict = {}
+        out: dict = {}
+        get = out.get
+        for key, c in self._terms.items():
+            k = (key >> shift) & _MASK
+            row = rows.get(k)
+            if row is None:
+                image = table(k)
+                if image.degree() > k:
+                    raise ValueError(f"image of w{j + 1}^{k} has degree above {k}")
+                row = rows[k] = tuple(image._terms.items())
+            rest = key - k * unit
+            for e, v in row:
+                e += rest
+                out[e] = get(e, 0) + c * v
+        return Polynomial._raw(n, _clean(out))
+
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(self.nvars, other)
         return NotImplemented
@@ -215,13 +341,16 @@ class Polynomial:
 
     def format(self, names=None) -> str:
         """Render in the expression grammar, e.g. ``2*w1^3 - 3*w1^2*w2``."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         if names is None:
             names = [f"w{j + 1}" for j in range(self.nvars)]
+        rows = sorted(
+            ((_unpack(key, self.nvars), c) for key, c in self._terms.items()),
+            key=lambda row: (-sum(row[0]), tuple(-x for x in row[0])),
+        )
         pieces = []
-        for expo in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            c = self.terms[expo]
+        for expo, c in rows:
             factors = []
             for j, e in enumerate(expo):
                 if e == 1:
@@ -262,6 +391,7 @@ def substitute_linear(f: Polynomial, images: dict) -> Polynomial:
             active[j] = Polynomial.linear_form(coords)
     if not active:
         return f
+    _check_degree_fits(f._terms, n)
 
     powers: dict = {j: [Polynomial.one(n), p] for j, p in active.items()}
 
@@ -269,30 +399,24 @@ def substitute_linear(f: Polynomial, images: dict) -> Polynomial:
         cache = powers[j]
         while len(cache) <= e:
             cache.append(cache[-1] * cache[1])
-        return cache[e].terms
+        return cache[e]._terms
 
     out: dict = {}
-    for expo, c in f.terms.items():
-        base = list(expo)
+    get = out.get
+    for key, c in f._terms.items():
+        base = key
         parts = []
         for j in active:
-            if expo[j]:
-                parts.append((j, expo[j]))
-                base[j] = 0
-        acc = {tuple(base): c}
+            e = (key >> (j * _W)) & _MASK
+            if e:
+                parts.append((j, e))
+                base -= e * _unit(j, n)
+        acc = {base: c}
         for j, e in parts:
             acc = _dict_mul(acc, power(j, e))
         for e, v in acc.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            elif e in out:
-                del out[e]
-    for e in list(out):
-        out[e] = _norm_coeff(out[e])
-        if not out[e]:
-            del out[e]
-    return Polynomial._raw(n, out)
+            out[e] = get(e, 0) + v
+    return Polynomial._raw(n, _clean(out))
 
 
 def weyl_substitute(w, f: Polynomial) -> Polynomial:
@@ -321,57 +445,47 @@ def exact_div_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
     if ell.degree() != 1 or not ell.is_homogeneous():
         raise ValueError("divisor must be homogeneous of degree 1")
     n = f.nvars
+    _check_degree_fits(f._terms, n)
     coords = ell.linear_coords()
     pivot = next(j for j, c in enumerate(coords) if c)
     ck = coords[pivot]
-    rest = {}  # ell - ck * w_pivot, as a term map over the other variables
-    for j, c in enumerate(coords):
-        if j != pivot and c:
-            rest[tuple(1 if k == j else 0 for k in range(n))] = c
+    shift = pivot * _W
+    unit = _unit(pivot, n)
+    # ell - ck * w_pivot, as a term map over the other variables
+    rest = {_unit(j, n): c for j, c in enumerate(coords) if j != pivot and c}
 
     # Slice f by the exponent of the pivot variable.
     levels: dict = {}
-    for expo, c in f.terms.items():
-        d = expo[pivot]
-        stripped = expo[:pivot] + (0,) + expo[pivot + 1 :]
-        levels.setdefault(d, {})[stripped] = c
+    for key, c in f._terms.items():
+        d = (key >> shift) & _MASK
+        levels.setdefault(d, {})[key - d * unit] = c
     if not levels:
         return Polynomial.zero(n)
 
+    def subtract_product(eff: dict, q: dict) -> None:
+        for e, v in _dict_mul(q, rest).items():
+            w = eff.get(e, 0) - v
+            if w:
+                eff[e] = w
+            elif e in eff:
+                del eff[e]
+
     top = max(levels)
-    q_levels: dict = {}
+    out: dict = {}
     prev_q: dict = {}
     for d in range(top, 0, -1):
         eff = dict(levels.get(d, {}))
         if prev_q and rest:
-            for e, v in _dict_mul(prev_q, rest).items():
-                w = eff.get(e, 0) - v
-                if w:
-                    eff[e] = w
-                elif e in eff:
-                    del eff[e]
-        qd = {e: _coeff_div(v, ck) for e, v in eff.items()}
-        q_levels[d - 1] = qd
-        prev_q = qd
+            subtract_product(eff, prev_q)
+        prev_q = {e: _coeff_div(v, ck) for e, v in eff.items()}
+        for e, v in prev_q.items():
+            out[e + (d - 1) * unit] = v
 
     remainder = dict(levels.get(0, {}))
     if prev_q and rest:
-        for e, v in _dict_mul(prev_q, rest).items():
-            w = remainder.get(e, 0) - v
-            if w:
-                remainder[e] = w
-            elif e in remainder:
-                del remainder[e]
+        subtract_product(remainder, prev_q)
     if remainder:
         raise NotDivisibleError(
-            f"remainder of degree {max(sum(e) for e in remainder)} left by division"
+            f"remainder of degree {_degree(remainder, n)} left by division"
         )
-
-    out = {}
-    for d, qd in q_levels.items():
-        for e, v in qd.items():
-            expo = e[:pivot] + (d,) + e[pivot + 1 :]
-            v = _norm_coeff(v)
-            if v:
-                out[expo] = v
-    return Polynomial._raw(n, out)
+    return Polynomial._raw(n, _clean(out))

@@ -154,24 +154,7 @@ class SchubertCalc:
         """Apply the i-th divided difference (f - s_i f) / alpha_i, exactly."""
         if not 1 <= i <= self.rank:
             raise OutOfRangeError(f"simple index {i} out of range")
-        out: dict = {}
-        for expo, c in f.terms.items():
-            k = expo[i - 1]
-            if not k:
-                continue
-            stripped = expo[: i - 1] + (0,) + expo[i:]
-            for e, v in self._dd_table(i, k).terms.items():
-                key = tuple(x + y for x, y in zip(e, stripped))
-                w = out.get(key, 0) + c * v
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
-        for e in list(out):
-            out[e] = _norm_coeff(out[e])
-            if not out[e]:
-                del out[e]
-        return Polynomial._raw(self.rank, out)
+        return f.replace_powers(i - 1, lambda k: self._dd_table(i, k))
 
     def delta_word(self, word, f: Polynomial) -> Polynomial:
         """Compose divided differences along an explicit word.

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from flagcalc.cli import _json_dumps, main
+from flagcalc.schubert import SchubertExpansion
 
 
 def run(capsys, *argv):
@@ -62,6 +64,37 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--type", "F4", "--expr", expr)
         assert code == 2
         assert "exceeds the number of positive roots" in err
+
+    @pytest.mark.parametrize(
+        "expr", ["2^20000", "1" * 5001, "(10^999*w1+w2)^6"], ids=["power", "literal", "sum-power"]
+    )
+    def test_huge_coefficients_exit_2_quickly(self, capsys, expr):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "expand", "--type", "G2", "--expr", expr, "--format", "json"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "longer than 1000 digits" in err
+
+    def test_json_builds_no_text(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("text table built for --format json")
+
+        monkeypatch.setattr(SchubertExpansion, "__str__", refuse)
+        code, out, _ = run(
+            capsys, "expand", "--type", "G2", "--expr", "t1*t2*t3", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["coeffs"] == {"121": -2}
+
+    def test_coefficients_at_the_bound_pass(self, capsys):
+        # 2^3321 has 1000 digits, the most a coefficient may have
+        code, out, _ = run(
+            capsys, "expand", "--type", "G2", "--expr", "2^3321", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["coeffs"]["e"] == 2**3321
 
 
 class TestWordHandling:

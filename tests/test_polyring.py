@@ -6,6 +6,7 @@ import pytest
 from flagcalc.errors import NotDivisibleError, OutOfRangeError, ParseError
 from flagcalc.exprparse import parse_polynomial
 from flagcalc.polyring import (
+    _W,
     Polynomial,
     exact_div_linear,
     substitute_linear,
@@ -69,6 +70,55 @@ def test_degree_and_homogeneity():
     assert p.degree() == 3 and p.is_homogeneous()
     q = p + Polynomial.one(2)
     assert not q.is_homogeneous()
+
+
+class TestPackedWidth:
+    def test_exponent_past_the_width_raises(self):
+        w1 = Polynomial.variable(2, 0)
+        with pytest.raises(OutOfRangeError):
+            Polynomial.monomial(2, (2**_W, 0))
+        with pytest.raises(OutOfRangeError):
+            w1 ** (2**_W)
+        with pytest.raises(OutOfRangeError):
+            (w1 ** (2**_W - 1)) * w1
+
+    def test_full_fields_keep_both_exponents(self):
+        w1 = Polynomial.variable(2, 0)
+        w2 = Polynomial.variable(2, 1)
+        p = w1 ** (2**_W - 1) * w2
+        assert dict(p.terms) == {(2**_W - 1, 1): 1}
+        assert p.degree() == 2**_W
+
+    def test_degree_past_the_width_is_refused(self, calc_g2):
+        # substitution, division and the divided difference can move exponent
+        # between variables, so they refuse a total degree of 2^W or more
+        f = Polynomial.monomial(2, (2**_W - 1, 1))
+        with pytest.raises(OutOfRangeError):
+            substitute_linear(f, {0: (1, 1)})
+        with pytest.raises(OutOfRangeError):
+            exact_div_linear(f, Polynomial.variable(2, 1))
+        with pytest.raises(OutOfRangeError):
+            calc_g2.divided_difference(1, f)
+
+
+class TestTermsView:
+    def test_tuple_keys_and_length(self):
+        p = Polynomial(3, {(2, 0, 1): 4, (0, 3, 0): Fraction(1, 2), (1, 1, 1): 0})
+        assert len(p.terms) == 2
+        assert set(p.terms) == {(2, 0, 1), (0, 3, 0)}
+        assert p.terms[(0, 3, 0)] == Fraction(1, 2)
+        assert (1, 1, 1) not in p.terms and (1, 1) not in p.terms
+        assert p.coefficient((2, 0, 1)) == 4 and p.coefficient((9, 9)) == 0
+        assert Polynomial(3, p.terms) == p
+
+    def test_coefficients_stay_ints_when_integral(self):
+        half = Polynomial.variable(2, 0).scale(Fraction(1, 2))
+        for p in (half + half, half * Polynomial.variable(2, 1).scale(2)):
+            assert all(type(c) is int for c in p.terms.values())
+
+    def test_format_orders_by_degree_then_first_variable(self):
+        p = Polynomial(3, {(0, 0, 1): 1, (1, 2, 0): 1, (0, 3, 0): -2, (3, 0, 0): 5})
+        assert p.format() == "5*w1^3 + w1*w2^2 - 2*w2^3 + w3"
 
 
 class TestExactDivision:
