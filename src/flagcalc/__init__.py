@@ -10,12 +10,9 @@ the Chow rings of the corresponding complex algebraic groups.
 from .chowring import (
     ChowPresentation,
     GradedAbelianGroup,
-    IntegerMatrix,
     chow_groups,
     chow_presentation,
-    degree2_ideal_stratum,
     presentation_strata,
-    smith_normal_form,
     verify_chow,
 )
 from .errors import (
@@ -60,7 +57,6 @@ __all__ = [
     "ChowPresentation",
     "FlagcalcError",
     "GradedAbelianGroup",
-    "IntegerMatrix",
     "InvalidWordError",
     "NonHomogeneousError",
     "NonIntegralExpansionError",
@@ -86,13 +82,11 @@ __all__ = [
     "chow_presentation",
     "coroot_pairing",
     "degree2_generator_images",
-    "degree2_ideal_stratum",
     "elem_sym_t",
     "exact_div_linear",
     "gamma_expansion",
     "parse_polynomial",
     "presentation_strata",
-    "smith_normal_form",
     "verify_chow",
     "verify_presentations",
     "weyl_substitute",

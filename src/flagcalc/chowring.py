@@ -3,9 +3,10 @@ manifolds, computed as quotients by the degree-2-generated ideal.
 
 The ideal is generated in degree 2, so its codimension-k piece is spanned by
 the products lambda * Z_w over a basis of the degree-2 lattice and the basis
-classes of length k-1.  Each stratum of the quotient is the cokernel of an
-integer matrix, brought to Smith normal form; all arithmetic stays in exact
-arbitrary-precision integers.
+classes of length k-1.  Each stratum of the quotient is the cokernel of a
+sparse integer matrix, diagonalised by one sparse elimination whose pivots
+give the invariant factors; all arithmetic stays in exact arbitrary-precision
+integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -27,200 +28,6 @@ VARIANTS = ("simply_connected", "special_orthogonal")
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and Smith normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class IntegerMatrix:
-    rows: int
-    cols: int
-    entries: list  # list of row lists, arbitrary-precision ints
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
-            raise ValueError("inconsistent matrix dimensions")
-
-    def copy_entries(self) -> list:
-        return [row[:] for row in self.entries]
-
-
-def _identity_list(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-class _RowOps:
-    """Record of elementary row operations, replayable on any vector."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops = []
-
-    def swap(self, A, i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            self.ops.append(("swap", i, j, 0))
-
-    def negate(self, A, i):
-        A[i] = [-x for x in A[i]]
-        self.ops.append(("neg", i, 0, 0))
-
-    def addmul(self, A, i, j, q):
-        # row_i += q * row_j
-        if q:
-            ri, rj = A[i], A[j]
-            A[i] = [x + q * y for x, y in zip(ri, rj)]
-            self.ops.append(("add", i, j, q))
-
-    def apply(self, vec: list) -> list:
-        v = list(vec)
-        for kind, i, j, q in self.ops:
-            if kind == "swap":
-                v[i], v[j] = v[j], v[i]
-            elif kind == "neg":
-                v[i] = -v[i]
-            else:
-                v[i] += q * v[j]
-        return v
-
-
-def _snf_inplace(A: list, rowops: _RowOps, colops: _RowOps | None = None) -> list:
-    """Reduce A to Smith normal form in place; returns the full diagonal.
-
-    Pivots are chosen with minimal absolute value to control entry growth.
-    Column operations are recorded only when a tracker is supplied (they do
-    not affect cokernel coordinates).
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-
-    def col_swap(c1, c2):
-        if c1 != c2:
-            for row in A:
-                row[c1], row[c2] = row[c2], row[c1]
-            if colops is not None:
-                colops.ops.append(("swap", c1, c2, 0))
-
-    def col_addmul(c1, c2, q):
-        # col_c1 += q * col_c2
-        if q:
-            for row in A:
-                row[c1] += q * row[c2]
-            if colops is not None:
-                colops.ops.append(("add", c1, c2, q))
-
-    def diagonalize(t0: int):
-        t = t0
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = A[i][j]
-                    if v and (best is None or abs(v) < best):
-                        best = abs(v)
-                        pivot = (i, j)
-                        if best == 1:
-                            break
-                if best == 1:
-                    break
-            if pivot is None:
-                return
-            rowops.swap(A, t, pivot[0])
-            col_swap(t, pivot[1])
-            while True:
-                dirty = False
-                for i in range(t + 1, m):
-                    if A[i][t]:
-                        q = A[i][t] // A[t][t]
-                        rowops.addmul(A, i, t, -q)
-                        if A[i][t]:
-                            rowops.swap(A, t, i)
-                            dirty = True
-                if dirty:
-                    continue
-                for j in range(t + 1, n):
-                    if A[t][j]:
-                        q = A[t][j] // A[t][t]
-                        col_addmul(j, t, -q)
-                        if A[t][j]:
-                            col_swap(t, j)
-                            dirty = True
-                if dirty:
-                    continue
-                break
-            t += 1
-
-    diagonalize(0)
-    r = min(m, n)
-    for i in range(r):
-        if A[i][i] < 0:
-            rowops.negate(A, i)
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("divisibility chain failed to stabilize")
-        bad = None
-        for i in range(r - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b and b % a:
-                bad = i
-                break
-        if bad is None:
-            break
-        col_addmul(bad, bad + 1, 1)
-        diagonalize(bad)
-        for i in range(bad, r):
-            if A[i][i] < 0:
-                rowops.negate(A, i)
-    return [A[k][k] for k in range(r)]
-
-
-@dataclass
-class SmithResult:
-    diagonal: list  # full min(m,n) diagonal including zeros
-    U: list  # row transform
-    V: list  # column transform, U*M*V = D
-
-    @property
-    def invariant_factors(self) -> list:
-        return [d for d in self.diagonal if d]
-
-
-def smith_normal_form(M: IntegerMatrix) -> SmithResult:
-    """Smith normal form with unimodular transforms, U*M*V = D."""
-    A = M.copy_entries()
-    rowops = _RowOps()
-    colops = _RowOps()
-    diag = _snf_inplace(A, rowops, colops)
-    # U e_k, over the standard basis, assembles the row-op product.
-    U = [[0] * M.rows for _ in range(M.rows)]
-    for k in range(M.rows):
-        col = [1 if r == k else 0 for r in range(M.rows)]
-        res = rowops.apply(col)
-        for r in range(M.rows):
-            U[r][k] = res[r]
-    # Column ops are right multiplications; replay them on V.
-    V = _identity_list(M.cols)
-    for kind, i, j, q in colops.ops:
-        if kind == "swap":
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-        elif kind == "neg":
-            for row in V:
-                row[i] = -row[i]
-        else:
-            for row in V:
-                row[i] += q * row[j]
-    return SmithResult(diag, U, V)
-
-
-# ---------------------------------------------------------------------------
 # Cokernel of a stratum matrix
 # ---------------------------------------------------------------------------
 
@@ -228,15 +35,25 @@ def smith_normal_form(M: IntegerMatrix) -> SmithResult:
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
-    The columns are very sparse with many unit entries, so unit pivots are
-    eliminated first on a sparse structure; the small residual matrix then
-    goes through the dense Smith reduction.  Only row operations are recorded;
-    column operations never change cokernel coordinates.
+    One sparse elimination brings the matrix to a diagonal U M V.  Each step
+    takes the first +-1 entry as pivot, or an entry of least absolute value
+    when no unit is left.  Floor-quotient row operations leave remainders in
+    the rest of the pivot column, and remainder column operations do the same
+    along the pivot row.  The pivot retires once its row and column are both
+    clean; otherwise the least entry has strictly shrunk and the loop picks
+    again.  The stratum columns are sparse with mostly unit entries, so all
+    but a few pivots are units.
+
+    Only the row operations are recorded, as triples (t, s, q) meaning
+    row_t += q * row_s; column operations never change cokernel coordinates.
+    The cokernel is the sum of Z/d over the retired pivots d and one Z per
+    row that never held a pivot; one gcd/lcm pass turns the pivots into the
+    divisibility chain of invariant factors.
     """
 
     def __init__(self, rows: int, columns: list):
         self.rows = rows
-        self._rowops = _RowOps()
+        self._rowops = []
 
         cols = []
         for col in columns:
@@ -248,100 +65,90 @@ class CokernelStratum:
             for r in d:
                 col_of_row[r].add(ci)
         alive = set(range(len(cols)))
-        active_rows = set(range(rows))
-        unit_factors = 0
+        pivots = []  # (row, |pivot|) in retirement order
 
         while True:
             found = None
             for ci in alive:
                 for r, v in cols[ci].items():
-                    if v in (1, -1):
-                        found = (ci, r, v)
+                    if v == 1 or v == -1:
+                        found = ci, r, v
                         break
                 if found:
                     break
-            if not found:
-                break
+            else:
+                found = min(
+                    ((ci, r, v) for ci in alive for r, v in cols[ci].items()),
+                    key=lambda entry: abs(entry[2]),
+                    default=None,
+                )
+                if found is None:
+                    break
             ci, r, v = found
             pivot_col = cols[ci]
+            # Column: row_r2 -= (a // v) * row_r leaves a % v at (r2, ci).
             for r2 in [x for x in pivot_col if x != r]:
-                q = -pivot_col[r2] * v
-                self._rowops.ops.append(("add", r2, r, q))
+                q = -(pivot_col[r2] // v)
+                self._rowops.append((r2, r, q))
                 for cj in list(col_of_row[r]):
-                    if cj not in alive:
-                        continue
                     d = cols[cj]
-                    val = d.get(r)
-                    if not val:
-                        continue
-                    nv = d.get(r2, 0) + q * val
+                    nv = d.get(r2, 0) + q * d[r]
                     if nv:
                         d[r2] = nv
                         col_of_row[r2].add(cj)
                     elif r2 in d:
                         del d[r2]
                         col_of_row[r2].discard(cj)
-            # pivot column now holds a single +-1 at row r; clearing row r from
-            # the other columns is a column operation, so just drop the entries.
+            # Row: col_cj -= (b // v) * col_ci leaves b % v at (r, cj).
+            rest = [(r2, a) for r2, a in pivot_col.items() if r2 != r]
             for cj in list(col_of_row[r]):
-                if cj != ci and cj in alive:
-                    d = cols[cj]
-                    if r in d:
-                        del d[r]
-                        if not d:
-                            alive.discard(cj)
-            alive.discard(ci)
-            active_rows.discard(r)
-            del col_of_row[r]
-            unit_factors += 1
-
-        residual_rows = sorted(active_rows)
-        sub_cols = [cols[ci] for ci in alive if cols[ci]]
-        if residual_rows and sub_cols:
-            index = {r: k for k, r in enumerate(residual_rows)}
-            dense = [[0] * len(sub_cols) for _ in residual_rows]
-            for j, d in enumerate(sub_cols):
-                for r, v in d.items():
-                    dense[index[r]][j] = v
-            local_ops = _RowOps()
-            diag = _snf_inplace(dense, local_ops)
-            # Translate the dense-phase ops to original row labels; swaps are
-            # absorbed into the evolving position->label permutation.
-            for kind, i, j, q in local_ops.ops:
-                if kind == "swap":
-                    residual_rows[i], residual_rows[j] = (
-                        residual_rows[j],
-                        residual_rows[i],
-                    )
-                elif kind == "neg":
-                    self._rowops.ops.append(("neg", residual_rows[i], 0, 0))
+                if cj == ci:
+                    continue
+                d = cols[cj]
+                b = d.pop(r)
+                if b % v:
+                    d[r] = b % v
                 else:
-                    self._rowops.ops.append(
-                        ("add", residual_rows[i], residual_rows[j], q)
-                    )
-            self._pivots = [
-                (residual_rows[k], diag[k]) for k in range(len(diag)) if diag[k]
-            ]
-            pivot_rows = {r for r, _ in self._pivots}
-            self._free_rows = [r for r in residual_rows if r not in pivot_rows]
-        else:
-            self._pivots = []
-            self._free_rows = residual_rows
+                    col_of_row[r].discard(cj)
+                q = b // v
+                for r2, a in rest:
+                    nv = d.get(r2, 0) - q * a
+                    if nv:
+                        d[r2] = nv
+                        col_of_row[r2].add(cj)
+                    elif r2 in d:
+                        del d[r2]
+                        col_of_row[r2].discard(cj)
+                if not d:
+                    alive.discard(cj)
+            if not rest and len(col_of_row[r]) == 1:
+                alive.discard(ci)
+                del col_of_row[r]
+                pivots.append((r, abs(v)))
 
-        self.invariant_factors = [1] * unit_factors + sorted(
-            d for _, d in self._pivots
-        )
-        self.torsion = sorted(d for d in self.invariant_factors if d > 1)
+        self._pivots = [(r, d) for r, d in pivots if d > 1]
+        self._free_rows = sorted(col_of_row)
+        self.moduli = tuple(d for _, d in self._pivots)
+        chain = list(self.moduli)
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                g = gcd(chain[i], chain[j])
+                chain[i], chain[j] = g, chain[i] * chain[j] // g
+        self.invariant_factors = [1] * (len(pivots) - len(chain)) + chain
+        self.torsion = [d for d in chain if d > 1]
         self.free_rank = len(self._free_rows)
 
     def classify(self, vec) -> tuple:
         """Class of an integer vector in the cokernel.
 
-        Returns (torsion residues, free coordinates); the zero class has all
-        zeros in both parts.
+        Returns (torsion residues, free coordinates).  The residues follow
+        ``moduli``, one per non-unit pivot, each reduced modulo its pivot; the
+        zero class has all zeros in both parts.
         """
-        v = self._rowops.apply(list(vec))
-        torsion = tuple(v[r] % d for r, d in self._pivots if d > 1)
+        v = list(vec)
+        for t, s, q in self._rowops:
+            v[t] += q * v[s]
+        torsion = tuple(v[r] % d for r, d in self._pivots)
         free = tuple(v[r] for r in self._free_rows)
         return torsion, free
 
@@ -351,8 +158,7 @@ class CokernelStratum:
         if any(free):
             return 0
         order = 1
-        dlist = [d for _, d in self._pivots if d > 1]
-        for d, res in zip(dlist, torsion):
+        for d, res in zip(self.moduli, torsion):
             if res:
                 k = d // gcd(d, res)
                 order = order * k // gcd(order, k)
@@ -388,20 +194,6 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
     return len(basis), columns, basis
 
 
-def degree2_ideal_stratum(calc: SchubertCalc, variant: str, k: int) -> IntegerMatrix:
-    """Matrix of the codim-k piece of the degree-2-generated ideal."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if not 1 <= k <= calc.group.longest_length:
-        raise OutOfRangeError(f"codimension {k} out of range")
-    rows, columns, _ = _stratum_columns(calc, variant, k)
-    dense = [[0] * len(columns) for _ in range(rows)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            dense[r][j] = v
-    return IntegerMatrix(rows, len(columns), dense)
-
-
 class ChowComputation:
     """Per-(type, variant) cache of stratum cokernels and class reductions."""
 
@@ -416,6 +208,8 @@ class ChowComputation:
         """(CokernelStratum, ordered Schubert basis) for codimension k."""
         got = self._strata.get(k)
         if got is None:
+            if not 1 <= k <= self.calc.group.longest_length:
+                raise OutOfRangeError(f"codimension {k} out of range")
             rows, columns, basis = _stratum_columns(self.calc, self.variant, k)
             got = (CokernelStratum(rows, columns), basis)
             self._strata[k] = got
@@ -598,12 +392,34 @@ def presentation_strata(pres: ChowPresentation, max_codim: int) -> GradedAbelian
 # ---------------------------------------------------------------------------
 
 
-def _default_max_codim(ct: CartanType, pres: ChowPresentation) -> int:
-    N = {"B": ct.rank**2, "D": ct.rank * (ct.rank - 1), "G2": 6, "F4": 24}[ct.family]
-    if ct.family in ("G2", "F4"):
-        return N
-    peak = max((g.power * g.codim for g in pres.generators), default=3)
-    return min(2 * peak, N)
+def _chow_setup(family: str, rank, variant, max_codim):
+    """Engine and one (presentation, computation, limit) per group form.
+
+    variant=None means both forms for B/D and the simply connected one for
+    G2/F4.  max_codim is None for the default limit, or a codimension in
+    [1, N]; anything else raises OutOfRangeError before any check runs.
+    """
+    ct = cartan_type(family, rank)
+    calc = calculus_for(ct)
+    n_pos = calc.group.longest_length
+    if max_codim is not None and not 1 <= max_codim <= n_pos:
+        raise OutOfRangeError(f"max_codim {max_codim} is outside 1..{n_pos}")
+    if variant:
+        variants = (variant,)
+    else:
+        variants = VARIANTS if ct.family in ("B", "D") else ("simply_connected",)
+    runs = []
+    for var in variants:
+        pres = chow_presentation(ct, var)
+        if max_codim is not None:
+            limit = max_codim
+        elif ct.family in ("G2", "F4"):
+            limit = n_pos
+        else:
+            peak = max((g.power * g.codim for g in pres.generators), default=3)
+            limit = min(2 * peak, n_pos)
+        runs.append((pres, ChowComputation(calc, var), limit))
+    return ct, calc, runs
 
 
 def _generator_power_class(calc: SchubertCalc, gen: ChowGenerator, e: int):
@@ -634,18 +450,10 @@ def verify_chow(
     the right order, and confirms each generator power vanishes exactly at its
     stated exponent and not before.
     """
-    ct = cartan_type(family, rank)
-    variants = (
-        (variant,)
-        if variant
-        else (VARIANTS if ct.family in ("B", "D") else ("simply_connected",))
-    )
+    ct, calc, runs = _chow_setup(family, rank, variant, max_codim)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
-    calc = calculus_for(ct)
-    for var in variants:
-        pres = chow_presentation(ct, var)
-        limit = max_codim or _default_max_codim(ct, pres)
-        _check_variant(report, calc, pres, ChowComputation(calc, var), limit)
+    for pres, comp, limit in runs:
+        _check_variant(report, calc, pres, comp, limit)
     return report
 
 
@@ -708,11 +516,7 @@ def chow_to_json(
     max_codim: int | None = None,
 ) -> dict:
     """JSON payload for the CLI: strata, presentation and check results."""
-    ct = cartan_type(family, rank)
-    calc = calculus_for(ct)
-    pres = chow_presentation(ct, variant)
-    limit = max_codim or _default_max_codim(ct, pres)
-    comp = ChowComputation(calc, variant)
+    ct, calc, [(pres, comp, limit)] = _chow_setup(family, rank, variant, max_codim)
     groups = chow_groups(calc, variant, limit, comp)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
     _check_variant(report, calc, pres, comp, limit)

@@ -120,34 +120,31 @@ class SchubertCalc:
     # -- divided differences -------------------------------------------------
 
     def _dd_table(self, i: int, k: int) -> Polynomial:
-        """Divided difference of w_i^k, via the telescoped product formula.
+        """Divided difference of w_i^k, filled by the Leibniz recurrence.
 
-        With a = alpha_i the table entry is
-        sum_{j=0}^{k-1} w_i^j (w_i - a)^{k-1-j},
-        which times a equals w_i^k - (w_i - a)^k exactly.
+        With u = s_i(w_i) = w_i - alpha_i the entry for exponent m is
+        sum_{j=0}^{m-1} w_i^j u^{m-1-j}, which times alpha_i equals
+        w_i^m - u^m exactly; so entry m is entry m-1 times w_i plus u^{m-1}.
+        The state per index is one tuple (entries, u, u^(len(entries) - 1)),
+        replaced whole when it grows, so concurrent callers can only
+        duplicate work.
         """
-        table = self._dd_tables.get(i)
-        if table is None:
-            table = [Polynomial.zero(self.rank)]
-            self._dd_tables[i] = table
-        while len(table) <= k:
-            m = len(table)  # building entry for exponent m
+        state = self._dd_tables.get(i)
+        if state is None:
             n = self.rank
             alpha = self.datum.simple_roots[i - 1].omega
-            image = Polynomial.linear_form(
+            u = Polynomial.linear_form(
                 tuple((1 if r == i - 1 else 0) - alpha[r] for r in range(n))
-            )  # s_i(w_i) = w_i - alpha_i
-            acc = Polynomial.zero(n)
-            img_pow = Polynomial.one(n)
-            xi_powers = []
-            p = Polynomial.one(n)
-            for _ in range(m):
-                xi_powers.append(p)
-                p = p * Polynomial.variable(n, i - 1)
-            for j in range(m - 1, -1, -1):
-                acc = acc + xi_powers[j] * img_pow
-                img_pow = img_pow * image
-            table.append(acc)
+            )
+            state = ([Polynomial.zero(n)], u, Polynomial.one(n))
+        table, u, u_pow = state
+        if len(table) <= k:
+            table = table[:]
+            w_i = Polynomial.variable(self.rank, i - 1)
+            while len(table) <= k:
+                table.append(table[-1] * w_i + u_pow)
+                u_pow = u_pow * u
+            self._dd_tables[i] = (table, u, u_pow)
         return table[k]
 
     def divided_difference(self, i: int, f: Polynomial) -> Polynomial:
@@ -214,16 +211,7 @@ class SchubertCalc:
         Every coefficient must come out an integer; otherwise f is not an
         integral class and NonIntegralExpansionError is raised.
         """
-        k = max(f.degree(), 0)
-        raw = self._expand_raw(f)
-        coeffs = {}
-        for w, c in raw.items():
-            if not isinstance(c, int):
-                raise NonIntegralExpansionError(
-                    f"coefficient of Z_{w} is the non-integer {c}"
-                )
-            coeffs[w] = c
-        return SchubertExpansion(k, coeffs)
+        return self._scaled_expand(f, 1, max(f.degree(), 0))
 
     def indicator(self, w: WeylElement) -> SchubertExpansion:
         return SchubertExpansion(w.length, {w: 1})

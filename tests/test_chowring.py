@@ -1,17 +1,15 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from flagcalc.chowring import (
     ChowComputation,
     CokernelStratum,
-    IntegerMatrix,
     chow_groups,
     chow_presentation,
     chow_to_json,
-    degree2_ideal_stratum,
     presentation_strata,
-    smith_normal_form,
     verify_chow,
 )
 from flagcalc.errors import OutOfRangeError
@@ -21,17 +19,194 @@ from flagcalc.schubert import calculus_for
 from conftest import word
 
 
+# ---------------------------------------------------------------------------
+# Dense Smith normal form with unimodular transforms: the test oracle that
+# CokernelStratum is checked against.
+# ---------------------------------------------------------------------------
+
+
+class _RowOps:
+    """Record of elementary row operations, replayable on any vector."""
+
+    def __init__(self):
+        self.ops = []
+
+    def swap(self, A, i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            self.ops.append(("swap", i, j, 0))
+
+    def negate(self, A, i):
+        A[i] = [-x for x in A[i]]
+        self.ops.append(("neg", i, 0, 0))
+
+    def addmul(self, A, i, j, q):
+        # row_i += q * row_j
+        if q:
+            A[i] = [x + q * y for x, y in zip(A[i], A[j])]
+            self.ops.append(("add", i, j, q))
+
+    def apply(self, vec: list) -> list:
+        v = list(vec)
+        for kind, i, j, q in self.ops:
+            if kind == "swap":
+                v[i], v[j] = v[j], v[i]
+            elif kind == "neg":
+                v[i] = -v[i]
+            else:
+                v[i] += q * v[j]
+        return v
+
+
+def _snf_inplace(A: list, rowops: _RowOps, colops: _RowOps) -> list:
+    """Reduce A to Smith normal form in place; returns the full diagonal.
+
+    Pivots are chosen with minimal absolute value to control entry growth.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+
+    def col_swap(c1, c2):
+        if c1 != c2:
+            for row in A:
+                row[c1], row[c2] = row[c2], row[c1]
+            colops.ops.append(("swap", c1, c2, 0))
+
+    def col_addmul(c1, c2, q):
+        # col_c1 += q * col_c2
+        if q:
+            for row in A:
+                row[c1] += q * row[c2]
+            colops.ops.append(("add", c1, c2, q))
+
+    def diagonalize(t0: int):
+        t = t0
+        while True:
+            pivot = None
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    v = A[i][j]
+                    if v and (best is None or abs(v) < best):
+                        best = abs(v)
+                        pivot = (i, j)
+                        if best == 1:
+                            break
+                if best == 1:
+                    break
+            if pivot is None:
+                return
+            rowops.swap(A, t, pivot[0])
+            col_swap(t, pivot[1])
+            while True:
+                dirty = False
+                for i in range(t + 1, m):
+                    if A[i][t]:
+                        q = A[i][t] // A[t][t]
+                        rowops.addmul(A, i, t, -q)
+                        if A[i][t]:
+                            rowops.swap(A, t, i)
+                            dirty = True
+                if dirty:
+                    continue
+                for j in range(t + 1, n):
+                    if A[t][j]:
+                        q = A[t][j] // A[t][t]
+                        col_addmul(j, t, -q)
+                        if A[t][j]:
+                            col_swap(t, j)
+                            dirty = True
+                if dirty:
+                    continue
+                break
+            t += 1
+
+    diagonalize(0)
+    r = min(m, n)
+    for i in range(r):
+        if A[i][i] < 0:
+            rowops.negate(A, i)
+    # Enforce the divisibility chain d_i | d_{i+1}.
+    guard = 0
+    while True:
+        guard += 1
+        if guard > 10000:
+            raise AssertionError("divisibility chain failed to stabilize")
+        bad = None
+        for i in range(r - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if a and b and b % a:
+                bad = i
+                break
+        if bad is None:
+            break
+        col_addmul(bad, bad + 1, 1)
+        diagonalize(bad)
+        for i in range(bad, r):
+            if A[i][i] < 0:
+                rowops.negate(A, i)
+    return [A[k][k] for k in range(r)]
+
+
+@dataclass
+class SmithResult:
+    diagonal: list  # full min(m,n) diagonal including zeros
+    U: list  # row transform
+    V: list  # column transform, U*M*V = D
+
+    @property
+    def invariant_factors(self) -> list:
+        return [d for d in self.diagonal if d]
+
+
+def smith_normal_form(entries: list) -> SmithResult:
+    """Smith normal form of a list of equal-length rows, U*M*V = D."""
+    m, n = len(entries), len(entries[0])
+    A = [row[:] for row in entries]
+    rowops = _RowOps()
+    colops = _RowOps()
+    diag = _snf_inplace(A, rowops, colops)
+    # U e_k, over the standard basis, assembles the row-op product.
+    U = [[0] * m for _ in range(m)]
+    for k in range(m):
+        res = rowops.apply([1 if r == k else 0 for r in range(m)])
+        for r in range(m):
+            U[r][k] = res[r]
+    # Column ops are right multiplications; replay them on V.
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for kind, i, j, q in colops.ops:
+        if kind == "swap":
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+        elif kind == "neg":
+            for row in V:
+                row[i] = -row[i]
+        else:
+            for row in V:
+                row[i] += q * row[j]
+    return SmithResult(diag, U, V)
+
+
+def dense_of(rows: int, columns: list) -> list:
+    """Dense row lists of a matrix given as sparse columns (dicts row -> entry)."""
+    dense = [[0] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            dense[r][j] = v
+    return dense
+
+
 class TestSmithNormalForm:
     def test_trivial_diagonals(self):
-        res = smith_normal_form(IntegerMatrix(2, 2, [[2, 0], [0, 0]]))
+        res = smith_normal_form([[2, 0], [0, 0]])
         assert res.invariant_factors == [2]
         assert res.diagonal == [2, 0]
-        res = smith_normal_form(IntegerMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        res = smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert res.invariant_factors == [1, 1, 1]
 
     def test_hand_elimination_case(self):
         # [[2,4],[6,8]]: gcd of entries 2, determinant -8, factors 2 and 4
-        res = smith_normal_form(IntegerMatrix(2, 2, [[2, 4], [6, 8]]))
+        res = smith_normal_form([[2, 4], [6, 8]])
         assert res.invariant_factors == [2, 4]
 
     @staticmethod
@@ -59,14 +234,12 @@ class TestSmithNormalForm:
         for _ in range(60):
             m = rng.randint(1, 6)
             n = rng.randint(1, 6)
-            M = IntegerMatrix(
-                m, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            )
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             res = smith_normal_form(M)
             assert abs(self._det(res.U)) == 1
             assert abs(self._det(res.V)) == 1
             UM = [
-                [sum(res.U[i][k] * M.entries[k][j] for k in range(m)) for j in range(n)]
+                [sum(res.U[i][k] * M[k][j] for k in range(m)) for j in range(n)]
                 for i in range(m)
             ]
             D = [
@@ -83,14 +256,14 @@ class TestSmithNormalForm:
     def test_invariant_under_shuffles(self):
         rng = random.Random(31)
         base = [[rng.randint(-4, 4) for _ in range(7)] for _ in range(5)]
-        reference = smith_normal_form(IntegerMatrix(5, 7, base)).invariant_factors
+        reference = smith_normal_form(base).invariant_factors
         for _ in range(10):
             rows = base[:]
             rng.shuffle(rows)
             cols = list(range(7))
             rng.shuffle(cols)
             shuffled = [[row[c] for c in cols] for row in rows]
-            got = smith_normal_form(IntegerMatrix(5, 7, shuffled)).invariant_factors
+            got = smith_normal_form(shuffled).invariant_factors
             assert got == reference
 
 
@@ -108,12 +281,9 @@ class TestCokernelStratum:
                 }
                 cols.append({r: v for r, v in col.items() if v})
             coker = CokernelStratum(rows, cols)
-            dense = [[0] * ncols for _ in range(rows)]
-            for j, col in enumerate(cols):
-                for r, v in col.items():
-                    dense[r][j] = v
-            res = smith_normal_form(IntegerMatrix(rows, ncols, dense))
+            res = smith_normal_form(dense_of(rows, cols))
             want = sorted(d for d in res.invariant_factors if d > 1)
+            assert coker.invariant_factors == res.invariant_factors
             assert coker.torsion == want
             assert coker.free_rank == rows - len(res.invariant_factors)
 
@@ -132,9 +302,10 @@ class TestCokernelStratum:
 class TestIdealStrata:
     def test_codim1_simply_connected_is_full(self, calc_f4):
         # every degree-1 class is in the ideal
-        M = degree2_ideal_stratum(calc_f4, "simply_connected", 1)
-        res = smith_normal_form(M)
-        assert res.invariant_factors == [1, 1, 1, 1]
+        coker, basis = ChowComputation(calc_f4, "simply_connected").stratum(1)
+        assert len(basis) == 4
+        assert coker.invariant_factors == [1, 1, 1, 1]
+        assert coker.free_rank == 0
 
     def test_codim1_so_has_index_two(self, calc_b3):
         comp = ChowComputation(calc_b3, "special_orthogonal")
@@ -152,10 +323,12 @@ class TestIdealStrata:
         assert coker.free_rank == 0
 
     def test_out_of_range(self, calc_g2):
-        with pytest.raises(OutOfRangeError):
-            degree2_ideal_stratum(calc_g2, "simply_connected", 7)
+        comp = ChowComputation(calc_g2, "simply_connected")
+        for k in (0, 7):
+            with pytest.raises(OutOfRangeError):
+                comp.stratum(k)
         with pytest.raises(ValueError):
-            degree2_ideal_stratum(calc_g2, "adjoint", 1)
+            ChowComputation(calc_g2, "adjoint")
 
 
 class TestChowGroups:
@@ -252,6 +425,13 @@ class TestVerifyChow:
         names = {c.name for c in rep.checks}
         assert "F4: X4^2 != 0" in names
         assert "F4: X4^3 = 0" in names
+
+    @pytest.mark.parametrize("max_codim", [0, -1, 7])
+    def test_max_codim_out_of_range(self, max_codim):
+        with pytest.raises(OutOfRangeError):
+            verify_chow("G2", max_codim=max_codim)
+        with pytest.raises(OutOfRangeError):
+            chow_to_json("G2", None, "simply_connected", max_codim)
 
     def test_json_payload(self):
         payload = chow_to_json("G2", None, "simply_connected")

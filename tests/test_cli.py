@@ -289,6 +289,36 @@ class TestChowCommand:
         assert strata == {0: [0], 3: [2]}
 
 
+class TestMaxCodim:
+    @pytest.mark.parametrize("value", ["99", "-5", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--type", "G2"),
+            ("verify", "--type", "F4"),
+            ("chow", "--type", "B", "--rank", "3"),
+            ("chow", "--type", "F4"),
+        ],
+        ids=["verify-G2", "verify-F4", "chow-B3", "chow-F4"],
+    )
+    def test_out_of_range_exits_2(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, "--max-codim", value)
+        assert code == 2
+        assert out == ""
+        assert f"max_codim {value} is outside" in err
+
+    @pytest.mark.parametrize("value,codims", [("1", [0, 1]), ("9", list(range(7)))])
+    def test_in_range_limits_the_strata(self, capsys, value, codims):
+        # SO(7) has a nonzero stratum in every codimension up to 6 (of N = 9)
+        code, out, _ = run(
+            capsys,
+            "chow", "--type", "B", "--rank", "3", "--variant", "so",
+            "--max-codim", value, "--format", "json",
+        )
+        assert code == 0
+        assert [s["codim"] for s in json.loads(out)["strata"]] == codims
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--type", "H1", "--expr", "w1"])

@@ -1,10 +1,15 @@
-"""Property tests of the polynomial kernel, run when hypothesis is installed.
+"""Property tests, run when hypothesis is installed.
 
 The divided difference is checked against a tuple-keyed reference written
 here, independent of the packed kernel: Delta_i(m * w_i^k), with m free of
-w_i, is m * sum_{j<k} w_i^j (w_i - alpha_i)^(k-1-j).
+w_i, is m * sum_{j<k} w_i^j (w_i - alpha_i)^(k-1-j).  Stratum cokernels are
+checked against the dense Smith normal form of ``test_chowring``, and the
+CLI against its exit-code contract.
 """
 
+import contextlib
+import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,10 +18,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
+from flagcalc.chowring import CokernelStratum  # noqa: E402
+from flagcalc.cli import main  # noqa: E402
 from flagcalc.exprparse import parse_polynomial  # noqa: E402
 from flagcalc.polyring import Polynomial  # noqa: E402
 from flagcalc.rootdata import cartan_type  # noqa: E402
 from flagcalc.schubert import calculus_for  # noqa: E402
+from test_chowring import dense_of, smith_normal_form  # noqa: E402
 
 TYPES = {"G2": ("G2", None), "B3": ("B", 3), "D4": ("D", 4), "F4": ("F4", None)}
 COEFFS = st.one_of(
@@ -120,3 +128,100 @@ def test_terms_view_rebuilds_the_polynomial(case):
     assert len(f.terms) == len(want)
     assert dict(f.terms) == want
     assert Polynomial(nvars, f.terms) == f
+
+
+# ---------------------------------------------------------------------------
+# Cokernels of sparse integer matrices, against the dense Smith-form oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, sparse columns, two vectors): at most 8 x 10, entries in [-6, 6]."""
+    rows = draw(st.integers(1, 8))
+    entries = st.dictionaries(st.integers(0, rows - 1), st.integers(-6, 6))
+    columns = draw(st.lists(entries, min_size=1, max_size=10))
+    vector = st.lists(st.integers(-20, 20), min_size=rows, max_size=rows)
+    return rows, columns, draw(vector), draw(vector)
+
+
+def column_vector(rows, column):
+    return [column.get(r, 0) for r in range(rows)]
+
+
+@FAST
+@given(sparse_matrices())
+def test_cokernel_matches_dense_oracle(case):
+    rows, columns, _, _ = case
+    coker = CokernelStratum(rows, columns)
+    factors = coker.invariant_factors
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    want = smith_normal_form(dense_of(rows, columns)).invariant_factors
+    assert factors == want
+    assert coker.torsion == [d for d in want if d > 1]
+    assert coker.free_rank == rows - len(want)
+    assert math.prod(coker.moduli) == math.prod(coker.torsion)
+
+
+@FAST
+@given(sparse_matrices())
+def test_cokernel_class_map(case):
+    rows, columns, a, b = case
+    coker = CokernelStratum(rows, columns)
+    for column in columns:
+        assert coker.is_zero_class(column_vector(rows, column))
+    (ta, fa), (tb, fb) = coker.classify(a), coker.classify(b)
+    tab, fab = coker.classify([x + y for x, y in zip(a, b)])
+    assert all(0 <= t < d for t, d in zip(ta, coker.moduli))
+    assert tab == tuple((x + y) % d for x, y, d in zip(ta, tb, coker.moduli))
+    assert fab == tuple(x + y for x, y in zip(fa, fb))
+    order = coker.class_order(a)
+    if order:
+        assert coker.is_zero_class([order * x for x in a])
+        assert not any(coker.is_zero_class([k * x for x in a]) for k in range(1, order))
+    else:
+        assert any(fa)
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract: exit 0, 1 or 2 on any argument values, never a traceback
+# ---------------------------------------------------------------------------
+
+CLI_TYPES = (("--type", "G2"), ("--type", "B", "--rank", "2"), ("--type", "B", "--rank", "3"))
+WORDS = st.text(alphabet="01234,", max_size=6)
+CODIMS = st.integers(-2, 10)
+EXPR_TOKENS = ["w1", "w2", "t1", "+", "-", "*", "^", "(", ")", "/"] + list("0123456789")
+EXPRS = st.lists(st.sampled_from(EXPR_TOKENS), max_size=8).map(lambda ts: "".join(ts)[:12])
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(
+        st.sampled_from(
+            ["basis", "expand", "delta", "chevalley", "giambelli", "structconst", "chow"]
+        )
+    )
+    options = {
+        "basis": [("--codim", CODIMS)],
+        "expand": [("--expr", EXPRS)],
+        "delta": [("--word", WORDS), ("--expr", EXPRS)],
+        "chevalley": [("--u", WORDS), ("--word", WORDS)],
+        "giambelli": [("--word", WORDS)],
+        "structconst": [("--u", WORDS), ("--v", WORDS)],
+        "chow": [("--variant", st.sampled_from(["spin", "so"]))],
+    }[command]
+    if command == "chow" and draw(st.booleans()):
+        options.append(("--max-codim", CODIMS))
+    argv = [command, *draw(st.sampled_from(CLI_TYPES))]
+    argv += [f"{flag}={draw(values)}" for flag, values in options]
+    return argv + ["--format", draw(st.sampled_from(["table", "json"]))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_argvs())
+def test_cli_exit_codes(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, out.getvalue())

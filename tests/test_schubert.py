@@ -1,13 +1,14 @@
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from flagcalc.errors import NonIntegralExpansionError, OutOfRangeError
 from flagcalc.polyring import Polynomial, exact_div_linear, weyl_substitute
-from flagcalc.rootdata import elem_sym_t
-from flagcalc.schubert import SchubertExpansion
+from flagcalc.rootdata import cartan_type, elem_sym_t
+from flagcalc.schubert import SchubertCalc, SchubertExpansion
 
 from conftest import word
 from test_polyring import random_poly
@@ -70,6 +71,29 @@ class TestDividedDifference:
             got = calc_b4.divided_difference(4, elem_sym_t(d, k, 4))
             want = elem_sym_t(d, k - 1, 3) * 2
             assert got == want
+
+    @pytest.mark.parametrize(
+        "family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)]
+    )
+    def test_power_table_times_alpha(self, family, rank):
+        # Delta_i(w_i^k) * alpha_i = w_i^k - (w_i - alpha_i)^k, on a cold engine
+        calc = SchubertCalc(cartan_type(family, rank))
+        n = calc.rank
+        for i in range(1, n + 1):
+            alpha = Polynomial.linear_form(calc.datum.simple_root(i).omega)
+            w = Polynomial.variable(n, i - 1)
+            u = w - alpha
+            w_k = u_k = Polynomial.one(n)
+            for k in range(31):
+                assert calc.divided_difference(i, w_k) * alpha == w_k - u_k
+                w_k, u_k = w_k * w, u_k * u
+
+    def test_power_table_is_fast_when_cold(self):
+        calc = SchubertCalc(cartan_type("G2"))
+        t0 = time.monotonic()
+        got = calc.divided_difference(1, Polynomial.variable(2, 0) ** 300)
+        assert time.monotonic() - t0 < 2.0
+        assert got.degree() == 299
 
     def test_degree_drop_to_zero(self, calc_g2):
         w = word(calc_g2, "1212")
