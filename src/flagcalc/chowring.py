@@ -258,21 +258,32 @@ class GradedAbelianGroup:
         return "; ".join(f"{k}: {fmt(fs)}" for k, fs in self.strata) or "trivial"
 
 
+def _check_max_codim(calc: SchubertCalc, max_codim: int) -> None:
+    n_pos = calc.group.longest_length
+    if not 1 <= max_codim <= n_pos:
+        raise OutOfRangeError(f"max_codim {max_codim} is outside 1..{n_pos}")
+
+
+def _stratum_factors(coker: CokernelStratum) -> tuple:
+    # torsion factors first, then zeros for free summands (chain order)
+    return tuple(coker.torsion + [0] * coker.free_rank)
+
+
 def chow_groups(
     calc: SchubertCalc,
     variant: str,
     max_codim: int,
     comp: ChowComputation | None = None,
 ) -> GradedAbelianGroup:
-    """Additive structure of the quotient ring up to codimension max_codim."""
-    if max_codim > calc.group.longest_length:
-        raise OutOfRangeError("max_codim exceeds the number of positive roots")
+    """Additive structure of the quotient ring up to codimension max_codim.
+
+    max_codim must lie in 1..N; anything else raises OutOfRangeError.
+    """
+    _check_max_codim(calc, max_codim)
     comp = comp or ChowComputation(calc, variant)
     strata = [(0, (0,))]
     for k in range(1, max_codim + 1):
-        coker, _ = comp.stratum(k)
-        # torsion factors first, then zeros for free summands (chain order)
-        fs = tuple(coker.torsion + [0] * coker.free_rank)
+        fs = _stratum_factors(comp.stratum(k)[0])
         if fs:
             strata.append((k, fs))
     return GradedAbelianGroup(tuple(strata))
@@ -401,9 +412,9 @@ def _chow_setup(family: str, rank, variant, max_codim):
     """
     ct = cartan_type(family, rank)
     calc = calculus_for(ct)
+    if max_codim is not None:
+        _check_max_codim(calc, max_codim)
     n_pos = calc.group.longest_length
-    if max_codim is not None and not 1 <= max_codim <= n_pos:
-        raise OutOfRangeError(f"max_codim {max_codim} is outside 1..{n_pos}")
     if variant:
         variants = (variant,)
     else:
@@ -463,50 +474,46 @@ def _check_variant(
     pres: ChowPresentation,
     comp: ChowComputation,
     limit: int,
-) -> None:
-    """Add the checks of one group form to report, on the strata of comp."""
-    label = pres.group_name
-    var = comp.variant
-    try:
-        got = chow_groups(calc, var, limit, comp)
-        want = presentation_strata(pres, limit)
-        report.add(f"{label}: additive strata (codim <= {limit})", want, got)
-    except Exception as exc:
-        report.add_exc(f"{label}: additive strata", exc)
+) -> GradedAbelianGroup | None:
+    """Add the checks of one group form to report, on the strata of comp.
 
-    try:
-        coker, _ = comp.stratum(1)
-        fs = tuple(coker.torsion + [0] * coker.free_rank)
-        want1 = tuple(sorted(g.torsion for g in pres.generators if g.codim == 1))
-        report.add(f"{label}: codim-1 stratum", want1, fs)
-    except Exception as exc:
-        report.add_exc(f"{label}: codim-1 stratum", exc)
+    Returns the additive strata (a GradedAbelianGroup), or None when
+    computing them raised.
+    """
+    label = pres.group_name
+    groups = report.check(
+        f"{label}: additive strata (codim <= {limit})",
+        lambda: (
+            presentation_strata(pres, limit),
+            chow_groups(calc, comp.variant, limit, comp),
+        ),
+    )
+    report.check(
+        f"{label}: codim-1 stratum",
+        lambda: (
+            tuple(sorted(g.torsion for g in pres.generators if g.codim == 1)),
+            _stratum_factors(comp.stratum(1)[0]),
+        ),
+    )
+
+    def power_vanishes(gen, e):
+        zero = comp.is_zero_class(_generator_power_class(calc, gen, e))
+        return "zero" if e >= gen.power else "nonzero", "zero" if zero else "nonzero"
 
     for gen in pres.generators:
-        try:
-            w = calc.group.element_from_word(gen.schubert_word)
-            order = comp.class_order(calc.indicator(w))
-            report.add(
-                f"{label}: order of [Z_{w.word_str()}]", gen.torsion, order
-            )
-        except Exception as exc:
-            report.add_exc(f"{label}: generator {gen.symbol}", exc)
-
+        w = calc.group.element_from_word(gen.schubert_word)
+        report.check(
+            f"{label}: order of [Z_{w.word_str()}]",
+            lambda: (gen.torsion, comp.class_order(calc.indicator(w))),
+        )
         for e in range(2, gen.power + 1):
             if e * gen.codim > limit:
                 break
-            try:
-                cls = _generator_power_class(calc, gen, e)
-                zero = comp.is_zero_class(cls)
-                want = "zero" if e >= gen.power else "nonzero"
-                report.add(
-                    f"{label}: {gen.symbol}^{e} "
-                    f"{'=' if e >= gen.power else '!='} 0",
-                    want,
-                    "zero" if zero else "nonzero",
-                )
-            except Exception as exc:
-                report.add_exc(f"{label}: {gen.symbol}^{e}", exc)
+            report.check(
+                f"{label}: {gen.symbol}^{e} {'=' if e >= gen.power else '!='} 0",
+                lambda: power_vanishes(gen, e),
+            )
+    return groups
 
 
 def chow_to_json(
@@ -517,9 +524,10 @@ def chow_to_json(
 ) -> dict:
     """JSON payload for the CLI: strata, presentation and check results."""
     ct, calc, [(pres, comp, limit)] = _chow_setup(family, rank, variant, max_codim)
-    groups = chow_groups(calc, variant, limit, comp)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
-    _check_variant(report, calc, pres, comp, limit)
+    groups = _check_variant(report, calc, pres, comp, limit)
+    if groups is None:  # the strata check raised; raise its error here
+        groups = chow_groups(calc, variant, limit, comp)
     return {
         "type": ct.name,
         "variant": variant,

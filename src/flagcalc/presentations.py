@@ -7,12 +7,20 @@ the degree-2 generators and of the higher generators gamma_k, the ten
 Giambelli-polynomial identities for F4, the Weyl-element tables for G2/F4,
 and the longest-word data.  ``verify_presentations`` recomputes each of them from
 scratch and reports an exact comparison per check.
+
+Every check runs through ``VerificationReport.check``: a check whose
+computation raises is recorded as a failed check under the same name it has
+when it passes, with the exception in ``got``, and the suite goes on.  So a
+report has the same checks, in the same order, whatever their outcome.
+Shared inputs such as the gamma expansions are computed on first use inside
+the checks that need them, so a failure there fails exactly those checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotDivisibleByMultiplierError, OutOfRangeError
 from .polyring import Polynomial
@@ -222,8 +230,23 @@ class VerificationReport:
         e, g = str(expected), str(got)
         self.checks.append(Check(name, e, g, e == g))
 
-    def add_exc(self, name: str, exc: Exception):
-        self.checks.append(Check(name, "no error", f"{type(exc).__name__}: {exc}", False))
+    def check(self, name: str, compute):
+        """Run one check: ``compute()`` returns (expected, got), compared as text.
+
+        compute is called at once, so it may close over loop variables.  A
+        check that raises is recorded as failed under the same name, with
+        ``got`` the exception as "<Type>: <message>".  Returns got, or None
+        when compute raised.
+        """
+        try:
+            expected, got = compute()
+            self.add(name, expected, got)
+        except Exception as exc:  # verification mode reports instead of aborting
+            self.checks.append(
+                Check(name, "no error", f"{type(exc).__name__}: {exc}", False)
+            )
+            return None
+        return got
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
@@ -356,17 +379,25 @@ def expected_degree2_table(ct: CartanType) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _checked(report: VerificationReport, name: str, fn):
-    try:
-        fn()
-    except Exception as exc:  # verification mode reports instead of aborting
-        report.add_exc(name, exc)
-
-
 def _t_symbol_weight(datum, symbol: str):
     if symbol == "t":
         return datum.extra_t
     return datum.t_weight(int(symbol[1:]))
+
+
+def _gamma_memo(calc: SchubertCalc):
+    """gamma_expansion(calc, k), computed once per k on first use.
+
+    A failure is not cached: every check that needs the class records it.
+    """
+    return lru_cache(maxsize=None)(lambda k: gamma_expansion(calc, k))
+
+
+def _chevalley_power(calc: SchubertCalc, lam, x: SchubertExpansion, times: int):
+    """x multiplied ``times`` times by the degree-2 class of the weight lam."""
+    for _ in range(times):
+        x = calc.chevalley_weight(lam, x)
+    return x
 
 
 def _check_action_table(calc, report, table):
@@ -374,17 +405,38 @@ def _check_action_table(calc, report, table):
     symbols = [f"t{i}" for i in range(1, d.num_t_classes + 1)]
     if d.extra_t is not None:
         symbols.append("t")
-    for i in range(1, calc.rank + 1):
+
+    def images(i, sym):
+        combo = table.get((i, sym), {sym: 1})
+        want = tuple(
+            sum(c * _t_symbol_weight(d, s2)[r] for s2, c in combo.items())
+            for r in range(calc.rank)
+        )
         s = calc.group.simple_reflection(i)
+        return want, calc.group.act(s, _t_symbol_weight(d, sym))
+
+    for i in range(1, calc.rank + 1):
         for sym in symbols:
-            lam = _t_symbol_weight(d, sym)
-            got = calc.group.act(s, lam)
-            combo = table.get((i, sym), {sym: 1})
-            want = tuple(
-                sum(c * _t_symbol_weight(d, s2)[r] for s2, c in combo.items())
-                for r in range(calc.rank)
-            )
-            report.add(f"action s{i}({sym})", want, got)
+            report.check(f"action s{i}({sym})", lambda: images(i, sym))
+
+
+def _check_degree2_images(calc: SchubertCalc, report: VerificationReport):
+    """One check per degree-2 generator: its Schubert expansion against the table."""
+    images = lru_cache(maxsize=None)(lambda: degree2_generator_images(calc))
+    for sym, tab in expected_degree2_table(calc.cartan_type).items():
+        report.check(
+            f"degree-2 image of {sym}",
+            lambda: (_expansion_from_table(calc, 1, tab), images()[sym]),
+        )
+
+
+def _element_table_row(calc: SchubertCalc, k: int, words: list) -> tuple:
+    elems = {_word_element(calc, w) if w else calc.group.identity for w in words}
+    stratum = calc.group.elements_of_length(k)
+    want = "words fill the stratum bijectively"
+    if len(elems) == len(words) and elems == stratum:
+        return want, want
+    return want, f"{len(elems)} distinct elements vs stratum of {len(stratum)}"
 
 
 def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
@@ -393,231 +445,160 @@ def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
     g2 = ct.family == "G2"
     nt = 3 if g2 else 4
     c3 = elem_sym_t(d, 3, nt)
+    gamma = _gamma_memo(calc)
+
+    def delta_value(word, f, val):
+        got = calc.delta_w(_word_element(calc, word), f)
+        return Polynomial.constant(calc.rank, val), got
 
     # Element tables and the action tables pin the conventions.
     table = G2_ELEMENT_TABLE if g2 else F4_ELEMENT_TABLE
     for k, words in table.items():
-        def run(k=k, words=words):
-            elems = {
-                _word_element(calc, w) if w else calc.group.identity for w in words
-            }
-            stratum = calc.group.elements_of_length(k)
-            ok = len(elems) == len(words) and elems == stratum
-            report.add(
-                f"element table length {k}",
-                "words fill the stratum bijectively",
-                "words fill the stratum bijectively"
-                if ok
-                else f"{len(elems)} distinct elements vs stratum of {len(stratum)}",
-            )
-        _checked(report, f"element table length {k}", run)
+        report.check(
+            f"element table length {k}", lambda: _element_table_row(calc, k, words)
+        )
     _check_action_table(calc, report, G2_ACTION_TABLE if g2 else F4_ACTION_TABLE)
 
     # Divided-difference tables.
     dtable = G2_DELTA_C3 if g2 else F4_DELTA_C3
     for word, val in dtable.items():
-        def run(word=word, val=val):
-            w = _word_element(calc, word)
-            got = calc.delta_w(w, c3)
-            report.add(f"Delta_{word}(c3)", Polynomial.constant(calc.rank, val), got)
-        _checked(report, f"Delta_{word}(c3)", run)
+        report.check(f"Delta_{word}(c3)", lambda: delta_value(word, c3, val))
 
     if not g2:
         t = d.extra_t_poly()
         c4 = elem_sym_t(d, 4, 4)
         f4 = c4 - t * c3 * 2 + (t**4) * 8
         for word, val in F4_DELTA_C4.items():
-            def run(word=word, val=val):
-                w = _word_element(calc, word)
-                got = calc.delta_w(w, f4)
-                report.add(
-                    f"Delta_{word}(c4-2tc3+8t^4)",
-                    Polynomial.constant(calc.rank, val),
-                    got,
-                )
-            _checked(report, f"Delta_{word}(c4-2tc3+8t^4)", run)
-
-        def run_w0():
-            w0 = calc.group.longest_element()
-            printed = _word_element(calc, F4_W0_WORD)
-            report.add(
-                "longest element matches printed word",
-                "same action matrix",
-                "same action matrix" if printed == w0 else "different element",
+            report.check(
+                f"Delta_{word}(c4-2tc3+8t^4)", lambda: delta_value(word, f4, val)
             )
-        _checked(report, "longest element matches printed word", run_w0)
+
+        def w0_row():
+            same = _word_element(calc, F4_W0_WORD) == calc.group.longest_element()
+            want = "same action matrix"
+            return want, want if same else "different element"
+
+        report.check("longest element matches printed word", w0_row)
 
     # gamma expansions.
     gtable = {3: G2_GAMMA3} if g2 else {3: F4_GAMMA3, 4: F4_GAMMA4}
     for k, tab in gtable.items():
-        def run(k=k, tab=tab):
-            got = gamma_expansion(calc, k)
-            want = _expansion_from_table(calc, k, tab)
-            report.add(f"gamma_{k} expansion", want, got)
-        _checked(report, f"gamma_{k} expansion", run)
+        report.check(
+            f"gamma_{k} expansion",
+            lambda: (_expansion_from_table(calc, k, tab), gamma(k)),
+        )
 
-    # Degree-2 generator images.
-    def run_deg2():
-        got = degree2_generator_images(calc)
-        want = expected_degree2_table(ct)
-        for sym, tab in want.items():
-            report.add(
-                f"degree-2 image of {sym}",
-                _expansion_from_table(calc, 1, tab),
-                got[sym],
-            )
-    _checked(report, "degree-2 images", run_deg2)
+    _check_degree2_images(calc, report)
 
-    # Giambelli identities (F4 only).
-    if not g2:
-        _verify_f4_giambelli_identities(calc, report)
-
-    # Borel relations in the Schubert basis.
+    # Giambelli identities and Borel relations in the Schubert basis.
     if g2:
-        _verify_g2_relations(calc, report)
+        _verify_g2_relations(calc, report, gamma)
     else:
-        _verify_f4_relations(calc, report)
+        _verify_f4_giambelli_identities(calc, report, gamma)
+        _verify_f4_relations(calc, report, gamma)
 
 
-def _verify_f4_giambelli_identities(calc: SchubertCalc, report: VerificationReport):
+def _verify_f4_giambelli_identities(
+    calc: SchubertCalc, report: VerificationReport, gamma
+):
     d = calc.datum
     t1 = d.t_poly(1)
     t = d.extra_t_poly()
-    g3 = gamma_expansion(calc, 3)
-    g4 = gamma_expansion(calc, 4)
-    t1w, tw = d.t_weight(1), d.extra_t
 
-    def poly_of(expo_map) -> Polynomial:
-        p = Polynomial.zero(calc.rank)
-        for (i, j), c in expo_map.items():
-            p = p + (t1**i) * (t**j) * c
-        return p
+    def identity(word, a, lin, rest):
+        w = _word_element(calc, word)
+        # a*gamma_4 + L(t1,t)*gamma_3 + expansion of R(t1,t)
+        got = SchubertExpansion(w.length)
+        if a:
+            got = got + gamma(4).scale(a)
+        for (i, j), c in lin.items():
+            part = _chevalley_power(calc, d.t_weight(1), gamma(3).scale(c), i)
+            got = got + _chevalley_power(calc, d.extra_t, part, j)
+        r = Polynomial.zero(calc.rank)
+        for (i, j), c in rest.items():
+            r = r + (t1**i) * (t**j) * c
+        if not r.is_zero():
+            got = got + calc.schubert_expand(r)
+        return calc.indicator(w), got
 
-    for word, (a, lin, rest) in F4_GIAMBELLI_IDENTITIES.items():
-        def run(word=word, a=a, lin=lin, rest=rest):
-            w = _word_element(calc, word)
-            want = calc.indicator(w)
-            # a*gamma_4 + L(t1,t)*gamma_3 + expansion of R(t1,t)
-            got = SchubertExpansion(w.length)
-            if a:
-                got = got + g4.scale(a)
-            for (i, j), c in lin.items():
-                part = g3.scale(c)
-                for _ in range(i):
-                    part = calc.chevalley_weight(t1w, part)
-                for _ in range(j):
-                    part = calc.chevalley_weight(tw, part)
-                got = got + part
-            r = poly_of(rest)
-            if not r.is_zero():
-                got = got + calc.schubert_expand(r)
-            report.add(f"Z_{word} Giambelli identity", want, got)
-        _checked(report, f"Z_{word} Giambelli identity", run)
+    for word, row in F4_GIAMBELLI_IDENTITIES.items():
+        report.check(f"Z_{word} Giambelli identity", lambda: identity(word, *row))
 
 
-def _verify_g2_relations(calc: SchubertCalc, report: VerificationReport):
+def _verify_g2_relations(calc: SchubertCalc, report: VerificationReport, gamma):
     d = calc.datum
+    report.check("rho1: c1 = 0", lambda: (Polynomial.zero(2), elem_sym_t(d, 1, 3)))
+    report.check(
+        "rho2: c2 = 0 in H^4",
+        lambda: (SchubertExpansion(2), calc.schubert_expand(elem_sym_t(d, 2, 3))),
+    )
+    report.check(
+        "rho3: c3 = 2*gamma3",
+        lambda: (gamma(3).scale(2), calc.schubert_expand(elem_sym_t(d, 3, 3))),
+    )
 
-    def run_r1():
-        report.add("rho1: c1 = 0", Polynomial.zero(2), elem_sym_t(d, 1, 3))
-    _checked(report, "rho1", run_r1)
-
-    def run_r2():
-        report.add(
-            "rho2: c2 = 0 in H^4",
-            SchubertExpansion(2),
-            calc.schubert_expand(elem_sym_t(d, 2, 3)),
-        )
-    _checked(report, "rho2", run_r2)
-
-    def run_r3():
-        g3 = gamma_expansion(calc, 3)
-        report.add(
-            "rho3: c3 = 2*gamma3",
-            g3.scale(2),
-            calc.schubert_expand(elem_sym_t(d, 3, 3)),
-        )
-    _checked(report, "rho3", run_r3)
-
-    def run_r6():
+    def rho6():
         w121 = _word_element(calc, "121")
-        report.add(
-            "rho6: gamma3^2 = 0",
-            SchubertExpansion(6),
-            calc.structure_constants(w121, w121),
-        )
-    _checked(report, "rho6", run_r6)
+        return SchubertExpansion(6), calc.structure_constants(w121, w121)
+
+    report.check("rho6: gamma3^2 = 0", rho6)
 
 
-def _verify_f4_relations(calc: SchubertCalc, report: VerificationReport):
+def _verify_f4_relations(calc: SchubertCalc, report: VerificationReport, gamma):
     d = calc.datum
     t = d.extra_t_poly()
-    tw = d.extra_t
     c1 = elem_sym_t(d, 1, 4)
     c2 = elem_sym_t(d, 2, 4)
-    g3 = gamma_expansion(calc, 3)
-    g4 = gamma_expansion(calc, 4)
 
     def chev_t(x: SchubertExpansion, times: int) -> SchubertExpansion:
-        for _ in range(times):
-            x = calc.chevalley_weight(tw, x)
-        return x
+        return _chevalley_power(calc, d.extra_t, x, times)
 
-    def run_r1():
-        report.add("rho1: c1 = 2t", t * 2, c1)
-    _checked(report, "rho1", run_r1)
-
-    def run_r2():
-        report.add(
-            "rho2: c2 = 2t^2 in H^4",
-            SchubertExpansion(2),
-            calc.schubert_expand(c2 - (t**2) * 2),
-        )
-    _checked(report, "rho2", run_r2)
-
-    def run_r3():
-        report.add(
-            "rho3: c3 = 2*gamma3",
-            g3.scale(2),
-            calc.schubert_expand(elem_sym_t(d, 3, 4)),
-        )
-    _checked(report, "rho3", run_r3)
-
-    def run_r4():
+    def rho4():
         # c4 + 8t^4 = 3*gamma4 + 4*t*gamma3
         lhs = calc.schubert_expand(elem_sym_t(d, 4, 4) + (t**4) * 8)
-        rhs = g4.scale(3) + chev_t(g3, 1).scale(4)
-        report.add("rho4: c4 - 4t*gamma3 + 8t^4 = 3*gamma4", rhs, lhs)
-    _checked(report, "rho4", run_r4)
+        return gamma(4).scale(3) + chev_t(gamma(3), 1).scale(4), lhs
 
-    def run_r6():
+    def rho6():
         # gamma3^2 = 3t^2*gamma4 + 4t^3*gamma3 - 8t^6
+        g3 = gamma(3)
         lhs = calc.mul_expansions(g3, g3)
         rhs = (
-            chev_t(g4, 2).scale(3)
+            chev_t(gamma(4), 2).scale(3)
             + chev_t(g3, 3).scale(4)
             - calc.schubert_expand((t**6) * 8)
         )
-        report.add("rho6: gamma3^2 relation", rhs, lhs)
-    _checked(report, "rho6", run_r6)
+        return rhs, lhs
 
-    def run_r8():
+    def rho8():
         # 3*gamma4^2 + 6t*gamma3*gamma4 = 3t^4*gamma4 + 13t^8
-        g4sq = calc.mul_expansions(g4, g4)
-        g34 = calc.mul_expansions(g3, g4)
-        lhs = g4sq.scale(3) + chev_t(g34, 1).scale(6)
+        g3, g4 = gamma(3), gamma(4)
+        lhs = calc.mul_expansions(g4, g4).scale(3) + chev_t(
+            calc.mul_expansions(g3, g4), 1
+        ).scale(6)
         rhs = chev_t(g4, 4).scale(3) + calc.schubert_expand((t**8) * 13)
-        report.add("rho8: gamma4^2 relation", rhs, lhs)
-    _checked(report, "rho8", run_r8)
+        return rhs, lhs
 
-    def run_r12():
+    def rho12():
         # gamma4^3 + 12t^8*gamma4 = 6t^4*gamma4^2 + 8t^12
+        g4 = gamma(4)
         g4sq = calc.mul_expansions(g4, g4)
-        g4cube = calc.mul_expansions(g4sq, g4)
-        lhs = g4cube + chev_t(g4, 8).scale(12)
+        lhs = calc.mul_expansions(g4sq, g4) + chev_t(g4, 8).scale(12)
         rhs = chev_t(g4sq, 4).scale(6) + calc.schubert_expand((t**12) * 8)
-        report.add("rho12: gamma4^3 relation", rhs, lhs)
-    _checked(report, "rho12", run_r12)
+        return rhs, lhs
+
+    report.check("rho1: c1 = 2t", lambda: (t * 2, c1))
+    report.check(
+        "rho2: c2 = 2t^2 in H^4",
+        lambda: (SchubertExpansion(2), calc.schubert_expand(c2 - (t**2) * 2)),
+    )
+    report.check(
+        "rho3: c3 = 2*gamma3",
+        lambda: (gamma(3).scale(2), calc.schubert_expand(elem_sym_t(d, 3, 4))),
+    )
+    report.check("rho4: c4 - 4t*gamma3 + 8t^4 = 3*gamma4", rho4)
+    report.check("rho6: gamma3^2 relation", rho6)
+    report.check("rho8: gamma4^2 relation", rho8)
+    report.check("rho12: gamma4^3 relation", rho12)
 
 
 def _verify_bd(calc: SchubertCalc, report: VerificationReport):
@@ -625,6 +606,7 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
     d = calc.datum
     n = ct.rank
     odd = ct.family == "B"
+    gamma = _gamma_memo(calc)
 
     def csym(l: int, m: int) -> Polynomial:
         if l < 0:
@@ -637,26 +619,21 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
 
     kmax = n if odd else n - 1
 
+    def delta_row(i, f, want):
+        return want, calc.divided_difference(i, f)
+
     # (a) the divided-difference identities on the partial symmetric functions.
     for k in range(1, kmax + 1):
         ck = csym(k, n)
         for i in range(1, n):
-            def run(i=i, k=k, ck=ck):
-                report.add(
-                    f"Delta_{i}(c_{k}) = 0",
-                    Polynomial.zero(n),
-                    calc.divided_difference(i, ck),
-                )
-            _checked(report, f"Delta_{i}(c_{k})", run)
-
-        def run_top(k=k, ck=ck):
-            want = csym(k - 1, n - 1 if odd else n - 2) * 2
-            report.add(
-                f"Delta_{n}(c_{k}) = 2c_{k - 1}^({n - 1 if odd else n - 2})",
-                want,
-                calc.divided_difference(n, ck),
+            report.check(
+                f"Delta_{i}(c_{k}) = 0", lambda: delta_row(i, ck, Polynomial.zero(n))
             )
-        _checked(report, f"Delta_{n}(c_{k})", run_top)
+        m = n - 1 if odd else n - 2
+        report.check(
+            f"Delta_{n}(c_{k}) = 2c_{k - 1}^({m})",
+            lambda: delta_row(n, ck, csym(k - 1, m) * 2),
+        )
 
         jrange = range(1, n) if odd else range(2, n)
         for j in jrange:
@@ -665,86 +642,50 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
                 continue
             f = csym(l, n - j)
             for i in range(1, n - j):
-                def run(i=i, j=j, k=k, f=f):
-                    report.add(
-                        f"Delta_{i}(c-part k={k} j={j}) = 0",
-                        Polynomial.zero(n),
-                        calc.divided_difference(i, f),
-                    )
-                _checked(report, f"Delta_{i}(c-part k={k} j={j})", run)
-
-            def run_step(j=j, k=k, l=l, f=f):
-                want = csym(l - 1, n - j - 1)
-                report.add(
-                    f"Delta_{n - j}(c-part k={k} j={j})",
-                    want,
-                    calc.divided_difference(n - j, f),
+                report.check(
+                    f"Delta_{i}(c-part k={k} j={j}) = 0",
+                    lambda: delta_row(i, f, Polynomial.zero(n)),
                 )
-            _checked(report, f"Delta_{n - j}(c-part k={k} j={j})", run_step)
+            report.check(
+                f"Delta_{n - j}(c-part k={k} j={j})",
+                lambda: delta_row(n - j, f, csym(l - 1, n - j - 1)),
+            )
 
     # (b) c_k = 2 Z_word and gamma_k = Z_word.
     for k in range(1, kmax + 1):
-        def run(k=k):
-            word = gamma_word(ct, k)
-            w = calc.group.element_from_word(word)
-            got = calc.schubert_expand(csym(k, n))
-            report.add(f"c_{k} = 2*Z_{w.word_str()}", calc.indicator(w).scale(2), got)
-            report.add(
-                f"gamma_{k} = Z_{w.word_str()}",
-                calc.indicator(w),
-                gamma_expansion(calc, k),
-            )
-        _checked(report, f"c_{k} expansion", run)
+        w = calc.group.element_from_word(gamma_word(ct, k))
+        report.check(
+            f"c_{k} = 2*Z_{w.word_str()}",
+            lambda: (calc.indicator(w).scale(2), calc.schubert_expand(csym(k, n))),
+        )
+        report.check(
+            f"gamma_{k} = Z_{w.word_str()}", lambda: (calc.indicator(w), gamma(k))
+        )
 
-    # degree-2 generator images.
-    def run_deg2():
-        got = degree2_generator_images(calc)
-        want = expected_degree2_table(ct)
-        for sym, tab in want.items():
-            report.add(
-                f"degree-2 image of {sym}",
-                _expansion_from_table(calc, 1, tab),
-                got[sym],
-            )
-    _checked(report, "degree-2 images", run_deg2)
+    _check_degree2_images(calc, report)
 
     # (e) the quadratic relations, with products taken through the
     # torsion-free representatives c_i/2, plus c_n = 0 for D.
     if not odd:
-        def run_cn():
-            report.add(
-                f"c_{n} = 0 in H^{2 * n}",
-                SchubertExpansion(n),
-                calc.schubert_expand(csym(n, n)),
-            )
-        _checked(report, f"c_{n} relation", run_cn)
+        report.check(
+            f"c_{n} = 0 in H^{2 * n}",
+            lambda: (SchubertExpansion(n), calc.schubert_expand(csym(n, n))),
+        )
 
-    def gamma_class(i: int) -> SchubertExpansion | None:
-        if odd:
-            return gamma_expansion(calc, i) if 1 <= i <= n else None
-        return gamma_expansion(calc, i) if 1 <= i <= n - 1 else None
+    def quadratic(k):
+        # gamma_{2k} + sum (-1)^i gamma_i gamma_{2k-i}, over the gamma that exist
+        total = gamma(2 * k) if 2 * k <= kmax else SchubertExpansion(2 * k)
+        for i in range(1, 2 * k):
+            if max(i, 2 * k - i) > kmax:
+                continue
+            prod = calc.expand_class_poly(
+                csym(i, n) * csym(2 * k - i, n), Fraction(1, 4)
+            )
+            total = total + prod.scale((-1) ** i)
+        return SchubertExpansion(2 * k), total
 
     for k in range(1, kmax + 1):
-        def run(k=k):
-            total = SchubertExpansion(2 * k)
-            g2k = gamma_class(2 * k)
-            if g2k is not None:
-                total = total + g2k
-            for i in range(1, 2 * k):
-                gi, gj = gamma_class(i), gamma_class(2 * k - i)
-                if gi is None or gj is None:
-                    continue
-                prod = calc.expand_class_poly(
-                    csym(i, n) * csym(2 * k - i, n), Fraction(1, 4)
-                )
-                total = total + prod.scale((-1) ** i)
-            # total = gamma_{2k} + sum (-1)^i gamma_i gamma_{2k-i}
-            report.add(
-                f"quadratic relation at gamma_{2 * k}",
-                SchubertExpansion(2 * k),
-                total,
-            )
-        _checked(report, f"quadratic relation {2 * k}", run)
+        report.check(f"quadratic relation at gamma_{2 * k}", lambda: quadratic(k))
 
 
 def verify_presentations(family: str, rank: int | None = None) -> VerificationReport:

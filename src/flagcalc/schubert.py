@@ -312,15 +312,29 @@ class SchubertCalc:
                 coeffs[w] = v
         return SchubertExpansion(codim, coeffs)
 
-    def structure_constants(self, u: WeylElement, v: WeylElement) -> SchubertExpansion:
-        """Expansion of Z_u * Z_v, via the product of Giambelli representatives."""
-        k = u.length + v.length
-        if k > self.group.longest_length:
+    def _product(self, factors, codim: int) -> SchubertExpansion:
+        """Expansion of the product of (class, exponent) factors, of degree codim.
+
+        The degree is checked against N before any representative is built;
+        then the |W|-scaled representatives are multiplied and the product is
+        expanded once, divided by |W| to the total exponent.
+        """
+        if codim > self.group.longest_length:
             raise OutOfRangeError(
                 "product degree exceeds the dimension of the flag manifold"
             )
-        prod = self._giambelli_unscaled(u) * self._giambelli_unscaled(v)
-        out = self._scaled_expand(prod, Fraction(1, self.weyl_order**2), k)
+        prod = Polynomial.one(self.rank)
+        total = 0
+        for x, e in factors:
+            prod = prod * self._unscaled_rep(x) ** e
+            total += e
+        return self._scaled_expand(prod, Fraction(1, self.weyl_order**total), codim)
+
+    def structure_constants(self, u: WeylElement, v: WeylElement) -> SchubertExpansion:
+        """Expansion of Z_u * Z_v, via the product of Giambelli representatives."""
+        out = self._product(
+            ((self.indicator(u), 1), (self.indicator(v), 1)), u.length + v.length
+        )
         for w, c in out.coeffs.items():
             if c < 0:
                 raise AssertionError(
@@ -337,19 +351,11 @@ class SchubertCalc:
 
     def mul_expansions(self, a: SchubertExpansion, b: SchubertExpansion) -> SchubertExpansion:
         """Bilinear extension of structure constants to two expansions."""
-        return self._scaled_expand(
-            self._unscaled_rep(a) * self._unscaled_rep(b),
-            Fraction(1, self.weyl_order**2),
-            a.codim + b.codim,
-        )
+        return self._product(((a, 1), (b, 1)), a.codim + b.codim)
 
     def pow_expansion(self, a: SchubertExpansion, p: int) -> SchubertExpansion:
         """p-th power of a class, one expansion of the p-th power representative."""
-        if p == 0:
-            return self.indicator(self.group.identity)
-        return self._scaled_expand(
-            self._unscaled_rep(a) ** p, Fraction(1, self.weyl_order**p), a.codim * p
-        )
+        return self._product(((a, p),), a.codim * p)
 
     def expand_class_poly(self, f: Polynomial, scale: Rational = 1) -> SchubertExpansion:
         """Expansion of scale * f with the integrality check applied after scaling."""

@@ -356,6 +356,12 @@ class TestChowGroups:
         got = chow_groups(calc_b2, "simply_connected", 4)
         assert got.strata == ((0, (0,)),)
 
+    @pytest.mark.parametrize("max_codim", [0, -3, 7])
+    def test_max_codim_out_of_range(self, calc_g2, max_codim):
+        message = f"max_codim {max_codim} is outside 1..6"
+        with pytest.raises(OutOfRangeError, match=message):
+            chow_groups(calc_g2, "simply_connected", max_codim)
+
 
 class TestPresentations:
     def test_so7(self):
@@ -432,6 +438,54 @@ class TestVerifyChow:
             verify_chow("G2", max_codim=max_codim)
         with pytest.raises(OutOfRangeError):
             chow_to_json("G2", None, "simply_connected", max_codim)
+
+    def test_json_payload_builds_the_groups_once(self, monkeypatch):
+        import flagcalc.chowring as chowring
+
+        calls = []
+        real = chowring.chow_groups
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(chowring, "chow_groups", counting)
+        payload = chow_to_json("B", 3, "special_orthogonal")
+        assert len(calls) == 1
+        assert all(c["pass"] for c in payload["checks"])
+
+    @pytest.mark.parametrize(
+        "target", ["_generator_power_class", "chow_groups", "_stratum_factors"]
+    )
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3)])
+    def test_fault_keeps_every_check(self, monkeypatch, target, family, rank):
+        import flagcalc.chowring as chowring
+
+        passing = verify_chow(family, rank)
+        assert passing.all_passed
+
+        def boom(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(chowring, target, boom)
+        rep = verify_chow(family, rank)
+        assert [c.name for c in rep.checks] == [c.name for c in passing.checks]
+        if family == "G2":
+            assert len(rep.checks) == 4
+        failed = rep.failures()
+        assert failed
+        for c in failed:
+            assert (c.expected, c.got) == ("no error", "RuntimeError: injected")
+
+    def test_json_payload_raises_when_the_strata_fail(self, monkeypatch):
+        import flagcalc.chowring as chowring
+
+        def boom(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(chowring, "chow_groups", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            chow_to_json("G2", None, "simply_connected")
 
     def test_json_payload(self):
         payload = chow_to_json("G2", None, "simply_connected")

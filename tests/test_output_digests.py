@@ -1,0 +1,43 @@
+"""Pinned digests of full CLI outputs.
+
+Every verification and Chow-ring result below is recomputed from the root
+data; the sha256 of the JSON stdout pins it byte for byte, so a refactor of
+the suites or the engines that changes a single check name, value or
+ordering fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from flagcalc import cli
+
+DIGESTS = [
+    (
+        ("verify", "--type", "G2,F4"),
+        "40d701f4aa9ff359dbb04e25c2209bfbb0f7be31f0469e301c22b3f75ab61858",
+    ),
+    (
+        ("verify", "--type", "B", "--rank", "4"),
+        "ffd15023ef407a387fff14ea3a88a4e79dee5ee45e66438305c92ea3d62fdb5f",
+    ),
+    (
+        ("verify", "--type", "D", "--rank", "4"),
+        "24d0fd0f58fcc8c273a410d9063f95e1fca4894e941a92e230c5c6c034c5e968",
+    ),
+    (
+        ("chow", "--type", "B", "--rank", "4", "--variant", "so"),
+        "960baeaff070dce0208e1cd1e3a37d72f60a7bce80f967ed410196d12627c9cf",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=[" ".join(a) for a, _ in DIGESTS])
+def test_json_stdout_digest(argv, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([*argv, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import flagcalc.presentations as pres
 from flagcalc.errors import OutOfRangeError
 from flagcalc.presentations import (
+    VerificationReport,
     borel_presentation,
     degree2_generator_images,
     expected_degree2_table,
@@ -145,9 +147,101 @@ class TestVerifyPaper:
         assert len(table.splitlines()) == len(rep.checks) + 1
 
     def test_corrupted_table_fails(self, monkeypatch):
-        import flagcalc.presentations as pres
-
         monkeypatch.setitem(pres.F4_DELTA_C3, "243", -5)
         rep = verify_presentations("F4")
         assert not rep.all_passed
         assert any("Delta_243" in c.name for c in rep.failures())
+
+
+class TestCheckRunner:
+    def test_records_pass_and_fail(self):
+        rep = VerificationReport("t", [])
+        assert rep.check("same", lambda: (1, "1")) == "1"
+        assert rep.check("differs", lambda: (1, 2)) == 2
+        assert [(c.name, c.expected, c.got, c.passed) for c in rep.checks] == [
+            ("same", "1", "1", True),
+            ("differs", "1", "2", False),
+        ]
+
+    def test_raise_becomes_failed_check_under_its_name(self):
+        rep = VerificationReport("t", [])
+
+        def boom():
+            raise OutOfRangeError("no such class")
+
+        assert rep.check("rho9: made up", boom) is None
+        assert rep.check("after", lambda: (0, 0)) == 0
+        [failed] = rep.failures()
+        assert (failed.name, failed.expected, failed.got) == (
+            "rho9: made up",
+            "no error",
+            "OutOfRangeError: no such class",
+        )
+        assert [c.name for c in rep.checks] == ["rho9: made up", "after"]
+
+
+def _raising_on(family):
+    real = pres.gamma_expansion
+
+    def gamma_expansion(calc, k):
+        if calc.cartan_type.family == family:
+            raise RuntimeError("injected")
+        return real(calc, k)
+
+    return gamma_expansion
+
+
+class TestFaultInjection:
+    """A check that raises is a failed check under its passing name."""
+
+    @pytest.mark.parametrize(
+        "family,rank,count", [("F4", None, 91), ("G2", None, None), ("B", 3, None)]
+    )
+    def test_gamma_failure_keeps_every_check(self, monkeypatch, family, rank, count):
+        passing = verify_presentations(family, rank)
+        assert passing.all_passed
+        monkeypatch.setattr(pres, "gamma_expansion", _raising_on(family))
+        rep = verify_presentations(family, rank)
+        assert [c.name for c in rep.checks] == [c.name for c in passing.checks]
+        if count is not None:
+            assert len(rep.checks) == count
+        failed = rep.failures()
+        assert failed
+        for c in failed:
+            assert (c.expected, c.got) == ("no error", "RuntimeError: injected")
+
+    def test_f4_failures_are_the_gamma_checks(self, monkeypatch):
+        monkeypatch.setattr(pres, "gamma_expansion", _raising_on("F4"))
+        failed = {c.name for c in verify_presentations("F4").failures()}
+        assert failed == {
+            "gamma_3 expansion",
+            "gamma_4 expansion",
+            "Z_123 Giambelli identity",
+            "Z_1234 Giambelli identity",
+            "Z_1243 Giambelli identity",
+            "Z_1323 Giambelli identity",
+            "Z_3234 Giambelli identity",
+            "Z_4323 Giambelli identity",
+            "rho3: c3 = 2*gamma3",
+            "rho4: c4 - 4t*gamma3 + 8t^4 = 3*gamma4",
+            "rho6: gamma3^2 relation",
+            "rho8: gamma4^2 relation",
+            "rho12: gamma4^3 relation",
+        }
+
+
+class TestGammaCalls:
+    def test_bd_pass_computes_each_gamma_once(self, monkeypatch):
+        calls = []
+        real = pres.gamma_expansion
+
+        def counting(calc, k):
+            calls.append((calc.cartan_type.name, k))
+            return real(calc, k)
+
+        monkeypatch.setattr(pres, "gamma_expansion", counting)
+        for family in ("B", "D"):
+            assert verify_presentations(family).all_passed
+        # B2..B5 have gamma_1..gamma_n, D4 and D5 gamma_1..gamma_{n-1}
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == (2 + 3 + 4 + 5) + (3 + 4)

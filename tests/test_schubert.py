@@ -274,6 +274,39 @@ class TestStructureConstants:
         with pytest.raises(OutOfRangeError):
             calc_g2.structure_constants(w0, calc_g2.group.simple_reflection(1))
 
+    def test_expansion_products_degree_cap(self, calc_g2):
+        w0 = calc_g2.indicator(calc_g2.group.longest_element())
+        s1 = calc_g2.indicator(calc_g2.group.simple_reflection(1))
+        z3 = calc_g2.indicator(word(calc_g2, "121"))
+        with pytest.raises(OutOfRangeError):
+            calc_g2.mul_expansions(w0, s1)
+        with pytest.raises(OutOfRangeError):
+            calc_g2.mul_expansions(calc_g2.pow_expansion(z3, 2), s1)
+        with pytest.raises(OutOfRangeError):
+            calc_g2.pow_expansion(z3, 3)
+        with pytest.raises(OutOfRangeError):
+            calc_g2.pow_expansion(s1, 7)
+
+    def test_degree_cap_is_checked_before_any_representative(self):
+        calc = SchubertCalc(cartan_type("G2"))
+        z3 = calc.indicator(word(calc, "121"))
+        for product in (
+            lambda: calc.pow_expansion(z3, 3),
+            lambda: calc.mul_expansions(z3, calc.indicator(word(calc, "1212"))),
+            lambda: calc.structure_constants(word(calc, "12121"), word(calc, "12")),
+        ):
+            with pytest.raises(OutOfRangeError):
+                product()
+        assert calc._gtable == {}
+
+    def test_pow_expansion_small_exponents(self, calc_g2):
+        z = calc_g2.indicator(word(calc_g2, "12"))
+        assert calc_g2.pow_expansion(z, 0) == calc_g2.indicator(calc_g2.group.identity)
+        assert calc_g2.pow_expansion(z, 1) == z
+        assert calc_g2.pow_expansion(z, 3) == calc_g2.mul_expansions(
+            calc_g2.mul_expansions(z, z), z
+        )
+
     @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b2"])
     def test_poincare_duality_pairing(self, fixture, request):
         # at complementary degrees Z_u * Z_v is Z_{w0} exactly when v = w0*u,
