@@ -4,7 +4,7 @@ Grammar:
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := '-' factor | atom ('^' INT)*
+    factor := '-'* atom ('^' INT)*
     atom   := NUMBER | NAME | '(' expr ')'
     NUMBER := INT | INT '/' INT          (exact rational literal)
     NAME   := 'w'<digits> | 't'<digits> | 't'
@@ -15,6 +15,10 @@ parse time through the root datum.
 
 No class has degree above N, the number of positive roots, so a power or a
 product whose degree would pass N is rejected before it is computed.
+
+Parentheses nest at most ``MAX_NESTING`` deep; deeper input is a ParseError,
+raised long before the interpreter's recursion limit.  Unary minus is read
+in a loop, so any run of minus signs is accepted.
 
 Coefficients are bounded too: a literal of more than ``MAX_DIGITS`` digits is
 rejected before it is converted, and so is a power whose operand's largest
@@ -33,6 +37,7 @@ from .polyring import Polynomial
 from .rootdata import RootDatum
 
 MAX_DIGITS = 1000
+MAX_NESTING = 100
 _LIMIT = 10**MAX_DIGITS  # smallest value with more than MAX_DIGITS digits
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|(.))")
@@ -66,6 +71,7 @@ class _Parser:
     def __init__(self, tokens: list, datum: RootDatum):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses currently open
         self.datum = datum
         self.nvars = datum.rank
 
@@ -130,9 +136,10 @@ class _Parser:
         return p
 
     def factor(self) -> Polynomial:
-        if self.peek() == "-":
+        negate = False
+        while self.peek() == "-":
             self.next()
-            return -self.factor()
+            negate = not negate
         p = self.atom()
         while self.peek() == "^":
             self.next()
@@ -143,7 +150,7 @@ class _Parser:
             self.check_coefficients(p, tok[1])
             p = p**tok[1]
             self.check_coefficients(p)
-        return p
+        return -p if negate else p
 
     def atom(self) -> Polynomial:
         kind, value = self.next()
@@ -158,8 +165,12 @@ class _Parser:
         if kind == "name":
             return self.variable(value)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {value!r}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotARootError, OutOfRangeError, UnsupportedRankError
 from .polyring import Polynomial, Rational, _norm_coeff
@@ -204,29 +205,30 @@ class RootDatum:
                         nxt.append(m2)
             frontier = nxt
 
+        # Integer symmetrizer d_i = D |alpha_i|^2, D the least common
+        # denominator.  For beta = sum m_i alpha_i with weight coordinates
+        # omega, (alpha_i, beta) = |alpha_i|^2 omega_i / 2, so with
+        # norm = sum m_i omega_i d_i the squared length is norm / (2D) and the
+        # coroot coordinates m_i |alpha_i|^2 / |beta|^2 are 2 m_i d_i / norm.
+        denom = lcm(*(Fraction(x).denominator for x in self.simple_length_sq))
+        sym = [int(x * denom) for x in self.simple_length_sq]
+
         def make_root(m: tuple) -> Root:
             omega = tuple(sum(M[i][j] * m[j] for j in range(n)) for i in range(n))
-            lsq = _norm_coeff(
-                sum(
-                    Fraction(m[i]) * omega[i] * self.simple_length_sq[i]
-                    for i in range(n)
-                )
-                / 2
-            )
-            cvec = tuple(
-                _norm_coeff(Fraction(m[i]) * self.simple_length_sq[i] / lsq)
-                for i in range(n)
-            )
+            norm = sum(a * b * d for a, b, d in zip(m, omega, sym))
+            lsq = _norm_coeff(Fraction(norm, 2 * denom))
+            cvec = tuple(2 * a * d // norm for a, d in zip(m, sym))
             return Root(m, omega, lsq, cvec)
 
-        positives = sorted(
-            (m for m in seen if all(x >= 0 for x in m)), key=lambda m: (sum(m), m)
-        )
-        self.positive_roots = tuple(make_root(m) for m in positives)
-        self.simple_roots = tuple(
-            make_root(_unit(n, j)) for j in range(n)
-        )
         self.all_roots = tuple(make_root(m) for m in sorted(seen))
+        self.positive_roots = tuple(
+            sorted(
+                (r for r in self.all_roots if r.is_positive),
+                key=lambda r: (sum(r.simple_coords), r.simple_coords),
+            )
+        )
+        by_coords = {r.simple_coords: r for r in self.positive_roots}
+        self.simple_roots = tuple(by_coords[_unit(n, j)] for j in range(n))
         self._by_omega = {r.omega: r for r in self.all_roots}
 
     # -- lookups -----------------------------------------------------------

@@ -2,13 +2,27 @@
 Giambelli representatives and structure constants.
 
 The central object is :class:`SchubertCalc`, one per Cartan type.  It owns
-the (immutable) root datum and Weyl group together with two memo caches:
+the (immutable) root datum and Weyl group together with its memo caches:
 
-* per-variable tables for the divided difference kernel, and
+* per-variable tables for the divided difference kernel;
 * the table of Giambelli representatives, filled top-down from the longest
-  element.
+  element; only ``giambelli_poly`` reads it;
+* per degree l, the classes of all degree-l monomials in the fundamental
+  weights.  Degree l comes from degree l - 1 by one Chevalley step (the
+  class of m * w_j is w_j times the class of m, for j the largest variable
+  of m * w_j), starting from Z_e at degree 0;
+* per degree l, a square system for writing a class of codimension l as a
+  rational polynomial in the fundamental weights: |W_l| monomials whose
+  classes are independent (found by a rank scan modulo a prime, since
+  columns independent mod p are independent over Q) and the fraction-free
+  elimination of their class matrix.
 
-Both caches are filled idempotently with deterministic values, so concurrent
+Products use the last two.  A product x * y, with x the factor of smaller
+codimension l, writes x as such a polynomial P and applies P to y as
+Chevalley operators, one per variable; so no factor needs a representative
+of degree above l, and no product descends from the top class.
+
+Every cache is filled idempotently with deterministic values, so concurrent
 use only risks duplicated work, never wrong answers.
 """
 
@@ -16,6 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
 from .polyring import Polynomial, Rational, _norm_coeff
@@ -116,6 +132,13 @@ class SchubertCalc:
         self._dd_tables: dict = {}
         self._gtable: dict = {}  # element -> unscaled Giambelli polynomial
         self._d_unscaled: Polynomial | None = None
+        # _omega_pairings[j][b] = (beta_b^vee | omega_{j+1}), an integer
+        self._omega_pairings = tuple(
+            tuple(self.root_pairings(om)) for om in self.datum.fundamental_weights
+        )
+        # degree -> {nondecreasing tuple of 0-based variables: class coeffs}
+        self._monomials: dict = {0: {(): {self.group.identity: 1}}}
+        self._solvers: dict = {}  # degree -> _ClassSolver
 
     # -- divided differences -------------------------------------------------
 
@@ -219,11 +242,27 @@ class SchubertCalc:
     # -- Chevalley rule -------------------------------------------------------
 
     def root_pairings(self, lam: Weight) -> list:
-        """(beta^vee | lam) for each positive root beta, in positive-root order."""
+        """(beta^vee | lam) for each positive root beta, in positive-root order.
+
+        The coroot coordinates are integers, so an integral weight gets plain
+        integer pairings.
+        """
         return [
-            _norm_coeff(sum(Fraction(c) * x for c, x in zip(beta.coroot_on_omega, lam)))
+            _norm_coeff(sum(map(mul, beta.coroot_on_omega, lam)))
             for beta in self.datum.positive_roots
         ]
+
+    def _chevalley(self, pairing, coeffs: dict) -> dict:
+        """The Chevalley rule on raw coefficients: c Z_w -> c pairing[b] Z_{w s_beta_b}."""
+        out: dict = {}
+        get = out.get
+        covers = self.group.covers
+        for w, c in coeffs.items():
+            for v, b in covers(w):
+                p = pairing[b]
+                if p:
+                    out[v] = get(v, 0) + c * p
+        return {v: c for v, c in out.items() if c}
 
     def chevalley_weight(self, lam: Weight, x: SchubertExpansion) -> SchubertExpansion:
         """Multiply by the degree-2 class of a weight, extended linearly.
@@ -231,17 +270,7 @@ class SchubertCalc:
         For each basis class Z_w the product contributes (beta^vee | lam) Z_{w s_beta}
         over the positive roots beta with l(w s_beta) = l(w) + 1.
         """
-        pairing = self.root_pairings(lam)
-        out: dict = {}
-        for w, c in x.coeffs.items():
-            for v, b in self.group.covers(w):
-                p = pairing[b]
-                if p:
-                    t = out.get(v, 0) + c * p
-                    if t:
-                        out[v] = t
-                    elif v in out:
-                        del out[v]
+        out = self._chevalley(self.root_pairings(lam), x.coeffs)
         for v in list(out):
             if not isinstance(out[v], int):
                 c = _norm_coeff(out[v])
@@ -312,26 +341,92 @@ class SchubertCalc:
                 coeffs[w] = v
         return SchubertExpansion(codim, coeffs)
 
+    def _monomial_classes(self, degree: int) -> dict:
+        """Classes of the monomials of this degree in the fundamental weights.
+
+        Keys are nondecreasing tuples of 0-based variable indices.  The class
+        of m + (j,) is the Chevalley rule by w_{j+1} on the class of m.
+        """
+        got = self._monomials.get(degree)
+        if got is None:
+            got = {}
+            for m, cls in self._monomial_classes(degree - 1).items():
+                for j in range(m[-1] if m else 0, self.rank):
+                    got[m + (j,)] = self._chevalley(self._omega_pairings[j], cls)
+            self._monomials[degree] = got
+        return got
+
+    def _class_solver(self, degree: int) -> "_ClassSolver":
+        """The solver for classes of codimension ``degree``, built once."""
+        got = self._solvers.get(degree)
+        if got is None:
+            got = self._solvers[degree] = _ClassSolver(
+                self.group.sorted_stratum(degree), self._monomial_classes(degree)
+            )
+        return got
+
+    def _times(self, x: SchubertExpansion, y: SchubertExpansion) -> SchubertExpansion:
+        """x * y: x written as a polynomial P in the w_j, P applied to y.
+
+        P = sum a_m m / d over the solver's monomials, and each monomial acts
+        as one Chevalley operator per variable.  Monomials share prefixes, so
+        each prefix is applied to y once.  A coefficient that d does not
+        divide is kept as a Fraction; ``_product`` rejects it at the end.
+        """
+        solver = self._class_solver(x.codim)
+        den = lcm(1, *(c.denominator for c in x.coeffs.values()))
+        coords, d = solver.solve({w: int(c * den) for w, c in x.coeffs.items()})
+        d *= den
+        pairings = self._omega_pairings
+        memo = {(): y.coeffs}
+
+        def applied(m: tuple) -> dict:
+            got = memo.get(m)
+            if got is None:
+                got = memo[m] = self._chevalley(pairings[m[-1]], applied(m[:-1]))
+            return got
+
+        total: dict = {}
+        get = total.get
+        for m, a in zip(solver.monomials, coords):
+            if a:
+                for w, c in applied(m).items():
+                    total[w] = get(w, 0) + a * c
+        out = {}
+        for w, c in total.items():
+            q, r = divmod(c, d)
+            out[w] = Fraction(c, d) if r else q
+        return SchubertExpansion(x.codim + y.codim, out)
+
     def _product(self, factors, codim: int) -> SchubertExpansion:
         """Expansion of the product of (class, exponent) factors, of degree codim.
 
-        The degree is checked against N before any representative is built;
-        then the |W|-scaled representatives are multiplied and the product is
-        expanded once, divided by |W| to the total exponent.
+        The degree is checked against N before any work.  The factor of
+        largest codimension is kept as an expansion and every other factor
+        multiplies it by Chevalley operators (see ``_times``).  Every
+        coefficient of the result must be an integer.
         """
         if codim > self.group.longest_length:
             raise OutOfRangeError(
                 "product degree exceeds the dimension of the flag manifold"
             )
-        prod = Polynomial.one(self.rank)
-        total = 0
-        for x, e in factors:
-            prod = prod * self._unscaled_rep(x) ** e
-            total += e
-        return self._scaled_expand(prod, Fraction(1, self.weyl_order**total), codim)
+        pending = sorted((x for x, e in factors for _ in range(e)), key=lambda x: x.codim)
+        if not pending:
+            return self.indicator(self.group.identity)
+        out = pending.pop()
+        for x in pending:
+            out = self._times(x, out)
+        coeffs = {}
+        for w, c in out.coeffs.items():
+            c = coeffs[w] = _norm_coeff(c)
+            if not isinstance(c, int):
+                raise NonIntegralExpansionError(
+                    f"coefficient of Z_{w} is the non-integer {c}"
+                )
+        return SchubertExpansion(codim, coeffs)
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> SchubertExpansion:
-        """Expansion of Z_u * Z_v, via the product of Giambelli representatives."""
+        """Expansion of Z_u * Z_v, by Chevalley operators for the shorter factor."""
         out = self._product(
             ((self.indicator(u), 1), (self.indicator(v), 1)), u.length + v.length
         )
@@ -342,24 +437,122 @@ class SchubertCalc:
                 )
         return out
 
-    def _unscaled_rep(self, x: SchubertExpansion) -> Polynomial:
-        """|W| times a representative of x: the sum of c * |W| G_w."""
-        p = Polynomial.zero(self.rank)
-        for w, c in x.coeffs.items():
-            p = p + self._giambelli_unscaled(w).scale(c)
-        return p
-
     def mul_expansions(self, a: SchubertExpansion, b: SchubertExpansion) -> SchubertExpansion:
         """Bilinear extension of structure constants to two expansions."""
         return self._product(((a, 1), (b, 1)), a.codim + b.codim)
 
     def pow_expansion(self, a: SchubertExpansion, p: int) -> SchubertExpansion:
-        """p-th power of a class, one expansion of the p-th power representative."""
+        """p-th power of a class; Z_e for p = 0."""
         return self._product(((a, p),), a.codim * p)
 
     def expand_class_poly(self, f: Polynomial, scale: Rational = 1) -> SchubertExpansion:
         """Expansion of scale * f with the integrality check applied after scaling."""
         return self._scaled_expand(f, Fraction(scale), max(f.degree(), 0))
+
+
+# Primes for the rank scan, tried in turn; over Q the scan always finds a
+# full set of columns, so a later prime is only needed if p divides a minor.
+_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+
+
+def _independent_columns(columns: list, size: int, prime: int) -> list:
+    """Indices of the columns, taken greedily in order, independent mod prime.
+
+    Stops once ``size`` columns are found.  Each kept row is normalized to 1
+    at its pivot and is zero at the pivots of the rows kept before it, so
+    one pass over the kept rows, in order, reduces a new column.
+    """
+    kept = []
+    chosen = []
+    for k, col in enumerate(columns):
+        v = [c % prime for c in col]
+        for piv, row in kept:
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % prime for a, b in zip(v, row)]
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is not None:
+            inv = pow(v[piv], -1, prime)
+            kept.append((piv, [a * inv % prime for a in v]))
+            chosen.append(k)
+            if len(chosen) == size:
+                break
+    return chosen
+
+
+class _ClassSolver:
+    """Writes the classes of one codimension l as polynomials in the w_j.
+
+    ``monomials`` are |W_l| monomials whose classes form a basis over Q:
+    the first independent ones, modulo a prime, in decreasing tuple order.
+    Their class matrix (rows in stratum order) is kept in fraction-free
+    (Bareiss) form: step k replaces each row i below the pivot p_k by
+    (p_k row_i - a_ik row_k) / p_{k-1}, the division exact, so every entry
+    stays an integer.  The row swaps and the multipliers a_ik are kept, and
+    a solve replays them on the right-hand side.
+    """
+
+    def __init__(self, stratum: list, classes: dict):
+        self.index = {w: i for i, w in enumerate(stratum)}
+        size = len(stratum)
+        order = sorted(classes, reverse=True)
+        columns = []
+        for m in order:
+            col = [0] * size
+            for w, c in classes[m].items():
+                col[self.index[w]] = c
+            columns.append(col)
+        for prime in _PRIMES:
+            chosen = _independent_columns(columns, size, prime)
+            if len(chosen) == size:
+                break
+        else:
+            raise AssertionError(f"monomial classes of degree {len(order[0])} do not span")
+        self.monomials = tuple(order[k] for k in chosen)
+        rows = [[columns[k][i] for k in chosen] for i in range(size)]
+        self.steps = []  # (row swapped into place k, multipliers a_ik for i > k)
+        prev = 1
+        for k in range(size):
+            p = next(i for i in range(k, size) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            piv = rows[k][k]
+            tail = rows[k][k + 1:]
+            mults = []
+            for i in range(k + 1, size):
+                row = rows[i]
+                a = row[k]
+                mults.append(a)
+                rows[i] = row[: k + 1] + [
+                    (piv * x - a * y) // prev for x, y in zip(row[k + 1:], tail)
+                ]
+            self.steps.append((p, mults))
+            prev = piv
+        self.upper = rows  # entries on and above the diagonal are the reduced ones
+
+    def solve(self, coeffs: dict) -> tuple:
+        """(a, d) with d * x = sum_k a_k * class(monomials[k]), all integers.
+
+        x is the class with Schubert coefficients ``coeffs``; d is the
+        determinant of the class matrix, up to sign.
+        """
+        b = [0] * len(self.index)
+        for w, c in coeffs.items():
+            b[self.index[w]] = c
+        upper = self.upper
+        prev = 1
+        for k, (p, mults) in enumerate(self.steps):
+            b[k], b[p] = b[p], b[k]
+            piv, bk = upper[k][k], b[k]
+            for i, a in enumerate(mults, k + 1):
+                b[i] = (piv * b[i] - a * bk) // prev
+            prev = piv
+        # back substitution for a = prev * (the rational solution), which
+        # Cramer's rule makes integral, so every division is exact
+        a = [0] * len(b)
+        for k in range(len(b) - 1, -1, -1):
+            row = upper[k]
+            a[k] = (prev * b[k] - sum(map(mul, row[k + 1:], a[k + 1:]))) // row[k]
+        return a, prev
 
 
 @lru_cache(maxsize=None)

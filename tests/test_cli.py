@@ -88,6 +88,27 @@ class TestExpand:
         assert code == 0
         assert json.loads(out)["coeffs"] == {"121": -2}
 
+    @pytest.mark.parametrize("depth", [250, 5000])
+    def test_deep_parentheses_exit_2(self, capsys, depth):
+        expr = "(" * depth + "w1" + ")" * depth
+        code, _, err = run(capsys, "expand", "--type", "G2", "--expr", expr)
+        assert code == 2
+        assert "nested deeper than 100" in err
+
+    def test_parentheses_at_the_nesting_bound_pass(self, capsys):
+        expr = "(" * 100 + "w1" + ")" * 100
+        code, out, _ = run(capsys, "expand", "--type", "G2", "--expr", expr)
+        assert code == 0
+        assert out.strip() == "Z_1"
+
+    @pytest.mark.parametrize("signs,want", [(1000, "Z_1"), (1001, "-Z_1")])
+    def test_long_runs_of_minus_signs(self, capsys, signs, want):
+        code, out, _ = run(
+            capsys, "expand", "--type", "G2", "--expr=" + "-" * signs + "w1"
+        )
+        assert code == 0
+        assert out.strip() == want
+
     def test_coefficients_at_the_bound_pass(self, capsys):
         # 2^3321 has 1000 digits, the most a coefficient may have
         code, out, _ = run(
@@ -125,6 +146,14 @@ class TestWordHandling:
         assert code == 2
         assert "evaluates to 21" in err
 
+    def test_delta_deep_parentheses_exit_2(self, capsys):
+        expr = "(" * 400 + "w1*w2" + ")" * 400
+        code, _, err = run(
+            capsys, "delta", "--type", "G2", "--word", "1", "--expr", expr
+        )
+        assert code == 2
+        assert "nested deeper than 100" in err
+
     def test_non_digit_letter_exits_2(self, capsys):
         code, _, err = run(
             capsys, "delta", "--type", "B", "--rank", "3", "--word", "1,a",
@@ -151,6 +180,17 @@ class TestStructconst:
         )
         assert code == 0
         assert out.strip() == "Z_12 + Z_21"
+
+    def test_b6_degree_3_classes(self, capsys):
+        # 31 s through Giambelli representatives descended from the top class
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "structconst", "--type", "B", "--rank", "6",
+            "--u", "123", "--v", "654", "--format", "json",
+        )
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        assert out == '{"codim":6,"coeffs":{"123654":1,"126543":1}}\n'
 
 
 class TestChevalley:

@@ -163,6 +163,28 @@ def test_root_lengths_normalized():
     assert sorted({r.length_sq for r in d.positive_roots}) == [2]
 
 
+@pytest.mark.parametrize(
+    "family,rank", [("G2", None), ("F4", None), ("B", 3), ("B", 6), ("D", 4), ("D", 5)]
+)
+def test_roots_built_once_with_integer_coroots(family, rank):
+    d = build_root_datum(cartan_type(family, rank))
+    built = {id(r) for r in d.all_roots}
+    assert all(id(r) in built for r in d.positive_roots + d.simple_roots)
+    for r in d.all_roots:
+        # the Fraction formulas: |beta|^2 = sum m_i omega_i |alpha_i|^2 / 2 and
+        # beta^vee = sum (m_i |alpha_i|^2 / |beta|^2) alpha_i^vee
+        lsq = sum(
+            Fraction(m) * o * a for m, o, a in zip(r.simple_coords, r.omega, d.simple_length_sq)
+        ) / 2
+        assert r.length_sq == lsq
+        assert type(r.length_sq) is (int if lsq.denominator == 1 else Fraction)
+        assert r.coroot_on_omega == tuple(
+            Fraction(m) * a / lsq for m, a in zip(r.simple_coords, d.simple_length_sq)
+        )
+        assert all(type(c) is int for c in r.coroot_on_omega)
+        assert sum(c * o for c, o in zip(r.coroot_on_omega, r.omega)) == 2
+
+
 class TestCorootPairing:
     def test_delta_ij_on_simples(self):
         d = build_root_datum(cartan_type("F4"))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagcalc import schubert
 from flagcalc.errors import NonIntegralExpansionError, OutOfRangeError
 from flagcalc.polyring import Polynomial, exact_div_linear, weyl_substitute
 from flagcalc.rootdata import cartan_type, elem_sym_t
@@ -18,6 +19,44 @@ def expansion(calc, table):
     return SchubertExpansion(
         len(next(iter(table))), {word(calc, w): c for w, c in table.items()}
     )
+
+
+# -- the top-down product route, kept as the oracle for the Chevalley route --
+
+
+def unscaled_rep(calc, x):
+    """|W| times a representative of x: the sum of c * |W| G_w."""
+    p = Polynomial.zero(calc.rank)
+    for w, c in x.coeffs.items():
+        p = p + calc._giambelli_unscaled(w).scale(c)
+    return p
+
+
+def top_down_product(calc, factors, codim):
+    """Product of (class, exponent) factors through Giambelli representatives.
+
+    The |W|-scaled representatives, built by descent from the product of the
+    positive roots, are multiplied and the product is expanded once, divided
+    by |W| to the total exponent.
+    """
+    prod = Polynomial.one(calc.rank)
+    total = 0
+    for x, e in factors:
+        prod = prod * unscaled_rep(calc, x) ** e
+        total += e
+    return calc._scaled_expand(prod, Fraction(1, calc.weyl_order**total), codim)
+
+
+def top_down_structure_constants(calc, u, v):
+    return top_down_product(
+        calc, ((calc.indicator(u), 1), (calc.indicator(v), 1)), u.length + v.length
+    )
+
+
+def random_combination(rng, calc, codim):
+    stratum = calc.group.sorted_stratum(codim)
+    picks = rng.sample(stratum, min(3, len(stratum)))
+    return SchubertExpansion(codim, {w: rng.choice([-3, -1, 1, 2, 5]) for w in picks})
 
 
 class TestDividedDifference:
@@ -298,6 +337,7 @@ class TestStructureConstants:
             with pytest.raises(OutOfRangeError):
                 product()
         assert calc._gtable == {}
+        assert list(calc._monomials) == [0] and calc._solvers == {}
 
     def test_pow_expansion_small_exponents(self, calc_g2):
         z = calc_g2.indicator(word(calc_g2, "12"))
@@ -352,6 +392,106 @@ class TestStructureConstants:
             f = elem_sym_t(d, k, 3)
             via_rep = calc_b3.expand_class_poly(f * f, Fraction(1, 4))
             assert via_giambelli == via_rep
+
+
+class TestChevalleyRouteAgainstTopDown:
+    """The Chevalley-operator products against the top-down Giambelli route."""
+
+    @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b3"])
+    def test_all_pairs(self, fixture, request):
+        calc = request.getfixturevalue(fixture)
+        g = calc.group
+        N = g.longest_length
+        elems = [w for k in range(N + 1) for w in g.sorted_stratum(k)]
+        for i, u in enumerate(elems):
+            for v in elems[i:]:
+                if u.length + v.length <= N:
+                    want = top_down_structure_constants(calc, u, v)
+                    assert calc.structure_constants(u, v) == want, (u, v)
+                    assert calc.structure_constants(v, u) == want, (v, u)
+
+    @pytest.mark.parametrize("fixture,per_length", [("calc_d4", 3), ("calc_f4", 1)])
+    def test_sample_covers_every_shorter_length(self, fixture, per_length, request):
+        # for F4 the longer factor has the shorter one's length, which keeps
+        # the oracle's expansion degree (and its cost) as low as it can be
+        calc = request.getfixturevalue(fixture)
+        g = calc.group
+        N = g.longest_length
+        rng = random.Random(27)
+        for k in range(1, N // 2 + 1):
+            for _ in range(per_length):
+                u = rng.choice(g.sorted_stratum(k))
+                longer = k if per_length == 1 else rng.randint(k, N - k)
+                v = rng.choice(g.sorted_stratum(longer))
+                want = top_down_structure_constants(calc, u, v)
+                assert calc.structure_constants(u, v) == want, (u, v)
+                assert calc.structure_constants(v, u) == want, (v, u)
+
+    @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b3", "calc_d4"])
+    def test_mul_expansions_on_combinations(self, fixture, request):
+        calc = request.getfixturevalue(fixture)
+        N = calc.group.longest_length
+        rng = random.Random(28)
+        for _ in range(8):
+            i = rng.randint(0, N // 2)
+            j = rng.randint(i, min(N - i, 6))
+            a, b = random_combination(rng, calc, i), random_combination(rng, calc, j)
+            want = top_down_product(calc, ((a, 1), (b, 1)), i + j)
+            assert calc.mul_expansions(a, b) == want
+            assert calc.mul_expansions(b, a) == want
+
+    @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b3", "calc_d4"])
+    def test_pow_expansion_on_combinations(self, fixture, request):
+        calc = request.getfixturevalue(fixture)
+        N = calc.group.longest_length
+        rng = random.Random(29)
+        for codim in range(1, 4):
+            a = random_combination(rng, calc, codim)
+            for p in range(N // codim + 1):
+                want = top_down_product(calc, ((a, p),), codim * p)
+                assert calc.pow_expansion(a, p) == want, (a, p)
+
+    def test_rational_factors_as_the_oracle(self, calc_g2):
+        # a factor with a Fraction coefficient gives the oracle's result when
+        # the product is integral and raises as the oracle does when it is not
+        g = calc_g2.group
+        s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
+        half = SchubertExpansion(1, {s1: Fraction(1, 2)})
+        two = SchubertExpansion(1, {s2: 2})
+        want = top_down_product(calc_g2, ((half, 1), (two, 1)), 2)
+        assert calc_g2.mul_expansions(half, two) == want
+        assert calc_g2.mul_expansions(two, half) == want
+        for product in (
+            lambda: calc_g2.mul_expansions(half, half),
+            lambda: calc_g2.pow_expansion(half, 1),
+        ):
+            with pytest.raises(NonIntegralExpansionError):
+                product()
+        with pytest.raises(NonIntegralExpansionError):
+            top_down_product(calc_g2, ((half, 2),), 2)
+
+    def test_rank_scan_falls_back_to_the_next_prime(self, monkeypatch):
+        # modulo 2 the two degree-3 monomial classes of G2 that the scan
+        # meets first are dependent, so the scan needs its second prime
+        monkeypatch.setattr(schubert, "_PRIMES", (2, 2**61 - 1))
+        calc = SchubertCalc(cartan_type("G2"))
+        u, v = word(calc, "121"), word(calc, "212")
+        assert calc.structure_constants(u, v) == top_down_structure_constants(calc, u, v)
+        monkeypatch.setattr(schubert, "_PRIMES", (2,))
+        with pytest.raises(AssertionError, match="do not span"):
+            SchubertCalc(cartan_type("G2")).structure_constants(u, v)
+
+    def test_b6_two_degree_3_classes_cold(self):
+        # 31 s through the top-down route, which first builds the 277,582-term
+        # product of the positive roots
+        start = time.monotonic()
+        calc = SchubertCalc(cartan_type("B", 6))
+        u, v = word(calc, "123"), word(calc, "654")
+        got = calc.structure_constants(u, v)
+        assert time.monotonic() - start < 10.0
+        assert got.to_json_dict() == {"codim": 6, "coeffs": {"123654": 1, "126543": 1}}
+        assert calc.structure_constants(v, u) == got
+        assert calc._gtable == {}
 
 
 class TestExpansionJson:
