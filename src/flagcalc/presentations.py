@@ -209,7 +209,7 @@ def borel_presentation(ct: CartanType) -> BorelPresentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     name: str
     expected: str
@@ -228,7 +228,10 @@ class VerificationReport:
 
     def add(self, name: str, expected, got):
         e, g = str(expected), str(got)
-        self.checks.append(Check(name, e, g, e == g))
+        if e == g:  # a passing check keeps one copy of its text
+            self.checks.append(Check(name, e, e, True))
+        else:
+            self.checks.append(Check(name, e, g, False))
 
     def check(self, name: str, compute):
         """Run one check: ``compute()`` returns (expected, got), compared as text.

@@ -1,21 +1,32 @@
 """Weyl group elements, enumeration by length, and reflections.
 
-An element is represented canonically by its integer action matrix on weight
-coordinates (faithful, since the fundamental weights span).  Each element also
-carries its length and its lexicographically minimal reduced word; words use
-1-based simple-root indices, matching the usual s_1, ..., s_l labels.
+An element is represented by how it permutes the roots (a Weyl group element
+is determined by that permutation).  Roots are numbered as in
+``RootDatum.indexed_roots``: the positive roots first, in ``positive_roots``
+order (0..N-1), and -beta_b at N + b.  The permutation ``perm`` sends root r
+to root perm[r]; it is stored as ``bytes`` when 2N <= 256 (every rank up to
+11) and as a tuple above that.  Each element also carries its length and its
+lexicographically minimal reduced word; words use 1-based simple-root
+indices, matching the usual s_1, ..., s_l labels.
 
-Elements are interned per group and get a dense integer ``id`` in interning
-order.  Each one carries its right descent set as a bit mask and, once asked
-for, its upper Bruhat covers; the group keeps, per id, the table row of ids
-of w s_1, ..., w s_l and the id of s_i w for the first letter i of the word.
-Enumeration by length fills these tables, so ascents, descents and cover
-lookups cost no matrix products.  Elements carry no inverse: every new matrix
-is some known w times a reflection, w s_beta = w - (w beta) (x) beta^vee, and
-an element met before enumeration reaches it reads its word off w(rho).
-Products, inverses and words are walks along the right-multiplication table.
-The tables hold ids rather than elements, so a group's elements form no
-reference cycles and are freed as soon as the group is.
+Elements are interned per group, keyed by the images of the simple roots
+(rank entries, which determine the element), so equality is identity:
+elements of different groups never compare equal, even for the same Cartan
+type.  Each element gets a dense integer ``id`` in interning order, its right
+descent set as a bit mask and, once asked for, its upper Bruhat covers; the
+group keeps, per id, the table row of ids of w s_1, ..., w s_l and the id of
+s_i w for the first letter i of the word.
+
+Every product and test is an index lookup.  The permutation of w s_i is
+perm composed with s_i, and its key is w applied to s_i(alpha_j);
+w s_beta lies above w exactly when w(beta) is positive, and its key is w
+applied to s_beta(alpha_j).  The reflections s_beta are built once per group,
+on first use, by conjugation s_j s_gamma s_j down to the simple ones.  The
+action matrix on weight coordinates is computed on access from the
+permutation, for ``act``, ``weyl_substitute`` and the tests; no enumeration
+or cover path uses it.  The tables hold ids rather than elements, so a
+group's elements form no reference cycles and are freed as soon as the group
+is.
 """
 
 from __future__ import annotations
@@ -25,56 +36,32 @@ from operator import mul
 from .errors import InvalidWordError, NotARootError, OutOfRangeError
 from .rootdata import Root, RootDatum, Weight
 
-Matrix = tuple  # tuple of row tuples, integer entries
-
-
-def _matvec(a: Matrix, v) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def _times_reflection(m: Matrix, mb: tuple, coroot: tuple) -> Matrix:
-    """The matrix of w s_beta = w - (w beta) (x) beta^vee, from m = w and mb = w beta."""
-    return tuple(
-        tuple(x - y * c for x, c in zip(r, coroot)) if y else r
-        for r, y in zip(m, mb)
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
 
 class WeylElement:
-    """One Weyl group element; equality and hashing use the action matrix."""
+    """One Weyl group element; equality is identity within its interning group."""
 
-    __slots__ = (
-        "matrix", "length", "word",
-        "id", "descents", "_covers", "_hash",
-    )
+    __slots__ = ("perm", "length", "word", "id", "descents", "_covers", "_datum")
 
-    def __init__(
-        self,
-        matrix: Matrix,
-        length: int,
-        word: tuple,
-        id: int,
-        descents: int,
-    ):
-        self.matrix = matrix
+    def __init__(self, perm, length: int, word: tuple, id: int, descents: int, datum):
+        self.perm = perm
         self.length = length
         self.word = word
         self.id = id
         self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
         self._covers = None
-        self._hash = hash(matrix)
+        self._datum = datum
 
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, WeylElement) and self.matrix == other.matrix
+    @property
+    def matrix(self) -> tuple:
+        """The action on weight coordinates, as a tuple of integer rows.
+
+        Row i pairs a weight with the coroot of w^{-1}(alpha_i), since
+        <w(lam), alpha_i^vee> = <lam, w^{-1}(alpha_i)^vee>.
+        """
+        d, perm = self._datum, self.perm
+        return tuple(
+            d.indexed_roots[perm.index(a)].coroot_on_omega for a in d.simple_indices
         )
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_identity(self) -> bool:
@@ -100,72 +87,74 @@ class WeylElement:
 class WeylGroup:
     """The Weyl group of a root datum, enumerated lazily by length.
 
-    Elements are interned: the cache maps action matrices to WeylElement
-    instances, and a stratum, once filled, is never mutated again.
+    Elements are interned: the cache maps the images of the simple roots to
+    WeylElement instances, and a stratum, once filled, is never mutated again.
     """
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
         self.rank = datum.rank
-        self._root_sign = {
-            r.omega: (1 if r.is_positive else -1) for r in datum.all_roots
-        }
-        # (beta, beta^vee on the fundamental weights) in simple- and in
-        # positive-root order; alpha_i^vee is the i-th unit vector
-        self._simple = [(r.omega, r.coroot_on_omega) for r in datum.simple_roots]
-        self._positive = [(r.omega, r.coroot_on_omega) for r in datum.positive_roots]
+        self._n_pos = n_pos = datum.num_positive_roots
+        self._pack = bytes if 2 * n_pos <= 256 else tuple
+        self._alpha = datum.simple_indices
+        # _simple_keys[i][j] is the index of s_{i+1}(alpha_{j+1})
+        self._simple_keys = [
+            tuple(s[a] for a in self._alpha) for s in datum.simple_reflections
+        ]
         self._elements: dict = {}
         self._by_id: list = []
         # _right[w.id * rank + i - 1] is the id of w s_i; _parents[w.id] the id
         # of s_i w for the first letter i of w's word; None until known.
         self._right: list = []
         self._parents: list = []
-        self.identity = self._new(_identity(self.rank), 0, (), 0)
+        pack = self._pack
+        self.identity = self._new(pack(range(2 * n_pos)), pack(self._alpha), ())
         self._levels: list = [[self.identity]]  # strata in lex-min word order
         self._level_sets: list = [frozenset(self._levels[0])]
-        self._reflection_cache: dict = {}
+        self._reflections = None  # s_beta permutations and keys, on first use
 
     # -- element interning ---------------------------------------------------
 
-    def _new(self, matrix, length, word, descents) -> WeylElement:
-        el = WeylElement(matrix, length, word, len(self._by_id), descents)
-        self._elements[matrix] = el
+    def _new(self, perm, key, word: tuple) -> WeylElement:
+        n_pos = self._n_pos
+        descents = 0
+        for j, x in enumerate(key):
+            if x >= n_pos:
+                descents |= 1 << j
+        el = WeylElement(perm, len(word), word, len(self._by_id), descents, self.datum)
+        self._elements[key] = el
         self._by_id.append(el)
         self._right.extend([None] * self.rank)
         self._parents.append(None)
         return el
 
-    def _element(self, matrix: Matrix) -> WeylElement:
+    def _element(self, perm, key=None) -> WeylElement:
         """Intern an element met outside enumeration, computing its word directly."""
-        el = self._elements.get(matrix)
+        if key is None:
+            key = self._pack(map(perm.__getitem__, self._alpha))
+        el = self._elements.get(key)
         if el is None:
-            length, word = self._length_and_word(matrix)
-            sign = self._root_sign
-            descents = 0
-            for j, (alpha, _) in enumerate(self._simple):
-                if sign[_matvec(matrix, alpha)] < 0:
-                    descents |= 1 << j
-            el = self._new(matrix, length, word, descents)
+            el = self._new(perm, key, self._lexmin_word(perm))
         return el
 
-    def _length_and_word(self, matrix: Matrix) -> tuple:
-        """Length and lex-min reduced word, by greedy smallest left descent.
+    def _lexmin_word(self, perm) -> tuple:
+        """Lex-min reduced word, by greedy smallest left descent.
 
-        x = w(rho) is the vector of row sums; s_i is a left descent of w
-        exactly when x_i = <w(rho), alpha_i^vee> < 0, and then
-        (s_i w)(rho) = x - x_i alpha_i.
+        s_i is a left descent of w exactly when w^{-1}(alpha_i) is negative,
+        i.e. when the root sent to alpha_i has an index of N or more; then
+        s_i w permutes the roots by s_i after perm.
         """
         word = []
-        x = [sum(r) for r in matrix]
-        simple = self._simple
+        n_pos = self._n_pos
+        simple = self.datum.simple_reflections
         while True:
-            for i, xi in enumerate(x):
-                if xi < 0:
+            for i, a in enumerate(self._alpha):
+                if perm.index(a) >= n_pos:
                     word.append(i + 1)
-                    x = [a - xi * b for a, b in zip(x, simple[i][0])]
+                    perm = tuple(map(simple[i].__getitem__, perm))
                     break
             else:
-                return len(word), tuple(word)
+                return tuple(word)
 
     # -- basic operations ------------------------------------------------------
 
@@ -194,9 +183,12 @@ class WeylGroup:
         j = self._right[slot]
         if j is not None:
             return self._by_id[j]
-        alpha, coroot = self._simple[i - 1]
-        m = w.matrix
-        v = self._element(_times_reflection(m, _matvec(m, alpha), coroot))
+        perm, pack = w.perm, self._pack
+        key = pack(map(perm.__getitem__, self._simple_keys[i - 1]))
+        v = self._elements.get(key)
+        if v is None:
+            s = self.datum.simple_reflections[i - 1]
+            v = self._element(pack(map(perm.__getitem__, s)), key)
         self._right[slot] = v.id
         self._right[v.id * self.rank + i - 1] = w.id
         return v
@@ -214,7 +206,7 @@ class WeylGroup:
         return self.element_from_word(reversed(w.word))
 
     def act(self, w: WeylElement, lam: Weight) -> Weight:
-        return _matvec(w.matrix, lam)
+        return tuple(sum(map(mul, row, lam)) for row in w.matrix)
 
     def descends(self, w: WeylElement, i: int) -> bool:
         """True when l(w s_i) = l(w) - 1, i.e. when w(alpha_i) is negative."""
@@ -224,7 +216,7 @@ class WeylGroup:
 
     @property
     def longest_length(self) -> int:
-        return self.datum.num_positive_roots
+        return self._n_pos
 
     def order(self) -> int:
         ct = self.datum.cartan_type
@@ -252,19 +244,23 @@ class WeylGroup:
         k = len(self._levels)
         n = self.rank
         right, parents, by_id = self._right, self._parents, self._by_id
+        elements, pack = self._elements, self._pack
+        simple, keys = self.datum.simple_reflections, self._simple_keys
         found: dict = {}
         for w in self._levels[-1]:
             base = w.id * n
-            for i, (alpha, coroot) in enumerate(self._simple):
+            perm = w.perm
+            for i in range(n):
                 if w.descents >> i & 1:
                     continue
                 j = right[base + i]
                 if j is None:
-                    m = w.matrix
-                    prod = _times_reflection(m, _matvec(m, alpha), coroot)
-                    v = self._elements.get(prod)
+                    key = pack(map(perm.__getitem__, keys[i]))
+                    v = elements.get(key)
                     if v is None:
-                        v = self._new(prod, k, w.word + (i + 1,), 0)
+                        v = self._new(
+                            pack(map(perm.__getitem__, simple[i])), key, w.word + (i + 1,)
+                        )
                     right[base + i] = v.id
                     right[v.id * n + i] = w.id
                 else:
@@ -273,7 +269,6 @@ class WeylGroup:
                     found[v] = None
                     # s_j v = (s_j w) s_i for the first letter j of w's word
                     parents[v.id] = 0 if k == 1 else right[parents[w.id] * n + i]
-                v.descents |= 1 << i
         self._levels.append(list(found))
         self._level_sets.append(frozenset(found))
 
@@ -297,47 +292,69 @@ class WeylGroup:
 
     # -- reflections and the Bruhat cover graph -----------------------------
 
+    def _reflection_tables(self) -> tuple:
+        """(perms, keys): s_beta as a root permutation, and s_beta(alpha_j), per b.
+
+        Positive roots are numbered by height, so for beta not simple some
+        s_j(beta) = gamma has a smaller index, and s_beta = s_j s_gamma s_j.
+        """
+        got = self._reflections
+        if got is None:
+            n_pos = self._n_pos
+            perms = []
+            for b in range(n_pos):
+                for s in self.datum.simple_reflections:
+                    g = s[b]
+                    if g == n_pos + b:  # beta is the simple root of s
+                        perms.append(s)
+                        break
+                    if g < b:
+                        t = perms[g]
+                        perms.append(tuple(map(s.__getitem__, map(t.__getitem__, s))))
+                        break
+            keys = [tuple(p[a] for a in self._alpha) for p in perms]
+            got = self._reflections = (perms, keys)
+        return got
+
     def root_reflection(self, beta: Root) -> WeylElement:
         """The reflection in a positive root, as a group element."""
         if not self.datum.is_root(beta.omega):
             raise NotARootError(f"{beta} is not a root")
         if not beta.is_positive:
             raise NotARootError("root reflection expects a positive root")
-        el = self._reflection_cache.get(beta.omega)
-        if el is None:
-            m = _times_reflection(self.identity.matrix, beta.omega, beta.coroot_on_omega)
-            el = self._element(m)
-            self._reflection_cache[beta.omega] = el
-        return el
+        perms, keys = self._reflection_tables()
+        b = self.datum.root_index[beta.omega]
+        return self._element(self._pack(perms[b]), self._pack(keys[b]))
 
     def covers(self, w: WeylElement):
         """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
 
         beta runs over ``datum.positive_roots`` in order.  The covers are
         cached on w, compactly, as a tuple of elements and a tuple of root
-        indices.  Each candidate comes from the rank-1 update
-        w s_beta = w - (w beta) (x) beta^vee.  When the stratum of length
-        l(w) + 1 is already enumerated, a candidate missing from the intern
-        table is not a cover; otherwise it is interned, so that high-rank
-        groups are never enumerated just to find covers.
+        indices.  w s_beta lies above w exactly when w(beta) is positive, and
+        is looked up by its key, w applied to s_beta(alpha_j).  When the
+        stratum of length l(w) + 1 is already enumerated, a candidate missing
+        from the intern table is not a cover; otherwise its permutation,
+        w composed with s_beta, is interned, so that high-rank groups are
+        never enumerated just to find covers.
         """
         got = w._covers
         if got is None:
             k = w.length + 1
             enumerated = k < len(self._levels)
-            sign = self._root_sign
-            m = w.matrix
+            n_pos, pack, elements = self._n_pos, self._pack, self._elements
+            perms, keys = self._reflection_tables()
+            perm = w.perm
             vs, bs = [], []
-            for b, (beta, cvec) in enumerate(self._positive):
-                wb = _matvec(m, beta)
-                if sign[wb] < 0:
+            for b in range(n_pos):
+                if perm[b] >= n_pos:
                     continue  # w s_beta < w
-                prod = _times_reflection(m, wb, cvec)
-                v = self._elements.get(prod)
+                key = pack(map(perm.__getitem__, keys[b]))
+                v = elements.get(key)
                 if v is None:
                     if enumerated:
                         continue
-                    v = self._element(prod)
+                    v = self._element(pack(map(perm.__getitem__, perms[b])), key)
                 if v.length == k:
                     vs.append(v)
                     bs.append(b)

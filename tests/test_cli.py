@@ -19,6 +19,16 @@ class TestBasis:
         assert code == 0
         assert out.split() == ["121", "212"]
 
+    def test_rank_above_the_cap_exits_2_at_once(self, capsys):
+        for family in ("B", "D"):
+            start = time.perf_counter()
+            code, out, err = run(
+                capsys, "basis", "--type", family, "--rank", "100000", "--codim", "1"
+            )
+            assert code == 2 and out == ""
+            assert "rank at most 30" in err
+            assert time.perf_counter() - start < 1.0
+
     def test_f4_codim2_count(self, capsys):
         code, out, _ = run(
             capsys, "basis", "--type", "F4", "--codim", "2", "--format", "json"
@@ -44,6 +54,12 @@ class TestExpand:
             out.strip()
             == "3*Z_1234 - 30*Z_1243 + 12*Z_1323 - 3*Z_3234 + 30*Z_3243 - 24*Z_4323"
         )
+
+    def test_b12(self, capsys):
+        # 2N = 288 roots: the group stores its permutations as tuples
+        code, out, _ = run(capsys, "expand", "--type", "B", "--rank", "12", "--expr", "w1^2*w3")
+        assert code == 0
+        assert out.strip() == "Z_213 + Z_321"
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "--type", "G2", "--expr", "w1 +* w2")

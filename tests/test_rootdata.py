@@ -5,6 +5,7 @@ import pytest
 from flagcalc.errors import NotARootError, OutOfRangeError, UnsupportedRankError
 from flagcalc.polyring import Polynomial
 from flagcalc.rootdata import (
+    MAX_CLASSICAL_RANK,
     build_root_datum,
     cartan_type,
     coroot_pairing,
@@ -25,6 +26,38 @@ def test_rank_constraints():
         cartan_type("E8", 8)
     assert cartan_type("B", 2).name == "B2"
     assert cartan_type("G2").name == "G2"
+
+
+def test_classical_rank_cap():
+    assert cartan_type("B", MAX_CLASSICAL_RANK).rank == MAX_CLASSICAL_RANK
+    assert cartan_type("D", MAX_CLASSICAL_RANK).rank == MAX_CLASSICAL_RANK
+    for family in ("B", "D"):
+        for rank in (MAX_CLASSICAL_RANK + 1, 100000):
+            with pytest.raises(UnsupportedRankError, match="at most"):
+                cartan_type(family, rank)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("B", 3), ("B", 12), ("D", 5), ("G2", None), ("F4", None)]
+)
+def test_simple_reflections_permute_root_indices(family, rank):
+    # roots are numbered positive first, then -beta_b at N + b, and s_i sends
+    # root r to r - <r, alpha_i^vee> alpha_i
+    d = build_root_datum(cartan_type(family, rank))
+    N = d.num_positive_roots
+    roots = d.indexed_roots
+    assert roots[:N] == d.positive_roots
+    assert set(roots) == set(d.all_roots)
+    for b in range(N):
+        assert roots[N + b].omega == tuple(-x for x in roots[b].omega)
+    assert all(d.root_index[r.omega] == k for k, r in enumerate(roots))
+    assert tuple(roots[k] for k in d.simple_indices) == d.simple_roots
+    for i, perm in enumerate(d.simple_reflections):
+        alpha = d.simple_roots[i].omega
+        assert sorted(perm) == list(range(2 * N))
+        for r, image in zip(roots, perm):
+            want = tuple(x - r.omega[i] * a for x, a in zip(r.omega, alpha))
+            assert roots[image].omega == want
 
 
 @pytest.mark.parametrize(
@@ -169,7 +202,7 @@ def test_root_lengths_normalized():
 def test_roots_built_once_with_integer_coroots(family, rank):
     d = build_root_datum(cartan_type(family, rank))
     built = {id(r) for r in d.all_roots}
-    assert all(id(r) in built for r in d.positive_roots + d.simple_roots)
+    assert all(id(r) in built for r in d.indexed_roots + d.simple_roots)
     for r in d.all_roots:
         # the Fraction formulas: |beta|^2 = sum m_i omega_i |alpha_i|^2 / 2 and
         # beta^vee = sum (m_i |alpha_i|^2 / |beta|^2) alpha_i^vee

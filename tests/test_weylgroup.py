@@ -1,10 +1,11 @@
 import random
+from operator import mul
 
 import pytest
 
 from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
-from flagcalc.weylgroup import WeylGroup
+from flagcalc.weylgroup import WeylElement, WeylGroup
 
 from conftest import word
 
@@ -93,8 +94,12 @@ def _simple_matrices(g):
     }
 
 
+def _identity_matrix(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _word_matrix(g, word):
-    m = g.identity.matrix
+    m = _identity_matrix(g.rank)
     simple = _simple_matrices(g)
     for i in word:
         m = _matmul(m, simple[i])
@@ -156,6 +161,24 @@ def test_lexmin_words():
                 assert min(g.reduced_words(w)) == w.word
 
 
+def _greedy_word(g, matrix):
+    """Lex-min word by greedy smallest left descent, read off x = w(rho).
+
+    x is the vector of row sums; s_i is a left descent of w exactly when
+    x_i = <w(rho), alpha_i^vee> < 0, and then (s_i w)(rho) = x - x_i alpha_i.
+    """
+    simple = [r.omega for r in g.datum.simple_roots]
+    word, x = [], [sum(r) for r in matrix]
+    while True:
+        for i, xi in enumerate(x):
+            if xi < 0:
+                word.append(i + 1)
+                x = [a - xi * b for a, b in zip(x, simple[i])]
+                break
+        else:
+            return tuple(word)
+
+
 @pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
 def test_enumerated_words_match_greedy_words(family, rank):
     g = _fresh_group(family, rank)
@@ -163,7 +186,9 @@ def test_enumerated_words_match_greedy_words(family, rank):
     assert sorted(w.id for w in elements) == list(range(g.order()))
     assert elements == sorted(elements, key=lambda w: w.sort_key())
     for w in elements:
-        assert (w.length, w.word) == g._length_and_word(w.matrix)
+        assert w.word == _greedy_word(g, w.matrix)
+        assert w.length == len(w.word)
+        assert g._lexmin_word(w.perm) == w.word
 
 
 @pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
@@ -341,3 +366,116 @@ def test_reduced_words_enumeration(calc_b3):
     assert (1, 2, 1) in words and (2, 1, 2) in words
     assert all(g.element_from_word(rw) == w for rw in words)
     assert len(set(words)) == len(words)
+
+
+# Root permutations against the matrix route, over whole groups.
+
+PERM_GROUPS = WHOLE_GROUPS + [("D", 5)]
+
+
+def _times_reflection(m, beta, coroot):
+    """The matrix of w s_beta = w - (w beta) (x) beta^vee, from the matrix m of w."""
+    mb = [sum(map(mul, row, beta)) for row in m]
+    return tuple(tuple(x - y * c for x, c in zip(r, coroot)) for r, y in zip(m, mb))
+
+
+@pytest.mark.parametrize("family,rank", PERM_GROUPS)
+def test_matrix_is_the_product_along_the_word(family, rank):
+    # a prefix of a lex-min word is lex-min, so each matrix extends its prefix's
+    g = _fresh_group(family, rank)
+    simple = _simple_matrices(g)
+    want = {(): _identity_matrix(g.rank)}
+    for w in _enumerate(g):
+        if w.word:
+            want[w.word] = _matmul(want[w.word[:-1]], simple[w.word[-1]])
+        assert w.matrix == want[w.word]
+
+
+@pytest.mark.parametrize("family,rank", PERM_GROUPS)
+def test_covers_match_rank_one_matrix_updates(family, rank):
+    g = _fresh_group(family, rank)
+    elements = _enumerate(g)
+    by_matrix = {w.matrix: w for w in elements}
+    assert len(by_matrix) == len(elements)
+    roots = g.datum.positive_roots
+    for w in elements:
+        want = []
+        for b, beta in enumerate(roots):
+            v = by_matrix[_times_reflection(w.matrix, beta.omega, beta.coroot_on_omega)]
+            if v.length == w.length + 1:
+                want.append((v, b))
+        assert list(g.covers(w)) == want
+
+
+@pytest.mark.parametrize("family,rank", PERM_GROUPS)
+def test_covers_before_enumeration_match_enumerated_covers(family, rank):
+    # every cover of the cold group is interned by the path for strata that
+    # are not enumerated yet: its permutation is w composed with s_beta
+    cold, warm = _fresh_group(family, rank), _fresh_group(family, rank)
+    for w in _enumerate(warm):
+        u = cold.element_from_word(w.word)
+        assert (u.perm, u.word, u.descents) == (w.perm, w.word, w.descents)
+        assert [(v.perm, v.word, b) for v, b in cold.covers(u)] == [
+            (v.perm, v.word, b) for v, b in warm.covers(w)
+        ]
+    assert len(cold._levels) == 1
+    assert len(cold._by_id) == warm.order()
+
+
+def test_b12_low_strata_use_tuple_permutations():
+    # 2N = 288 roots do not fit in bytes
+    g = _fresh_group("B", 12)
+    assert 2 * g.longest_length > 256
+    # Poincare series of B_n: the product of 1 + q + ... + q^(2i-1), i = 1..n
+    counts = [1, 0, 0, 0]
+    for i in range(1, 13):
+        counts = [sum(counts[k - e] for e in range(min(k, 2 * i - 1) + 1)) for k in range(4)]
+    strata = [g.sorted_stratum(k) for k in range(4)]
+    assert [len(s) for s in strata] == counts == [1, 12, 77, 352]
+    by_matrix = {}
+    for stratum in strata:
+        for w in stratum:
+            assert type(w.perm) is tuple
+            assert w.matrix == _word_matrix(g, w.word)
+            assert w.word == _greedy_word(g, w.matrix)
+            by_matrix[w.matrix] = w
+    roots = g.datum.positive_roots
+    for k in range(3):
+        for w in strata[k]:
+            want = []
+            for b, beta in enumerate(roots):
+                v = by_matrix.get(_times_reflection(w.matrix, beta.omega, beta.coroot_on_omega))
+                if v is not None and v.length == k + 1:
+                    want.append((v, b))
+            assert list(g.covers(w)) == want
+
+
+def test_equality_is_identity(calc_b4, calc_d4):
+    b4, d4 = calc_b4.group, calc_d4.group
+    for w in b4.elements_of_length(4):
+        for rw in b4.reduced_words(w):
+            assert b4.element_from_word(rw) is w
+    assert b4.element_from_word([3, 4, 3, 4]) is b4.element_from_word([4, 3, 4, 3])
+    assert b4.identity != d4.identity
+    assert b4.simple_reflection(1) != d4.simple_reflection(1)
+    assert not set(b4.elements_of_length(2)) & set(d4.elements_of_length(2))
+    # a second group of the same type interns its own elements
+    other = _fresh_group("B", 4)
+    assert other.identity != b4.identity
+    assert other.element_from_word([1, 2]).perm == b4.element_from_word([1, 2]).perm
+
+
+def test_group_paths_use_no_matrices(monkeypatch):
+    # enumeration, products, reflections and covers are index lookups only
+    def no_matrix(self):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(WeylElement, "matrix", property(no_matrix))
+    cold, warm = _fresh_group("F4", None), _fresh_group("F4", None)
+    for beta in cold.datum.positive_roots:
+        cold.covers(cold.root_reflection(beta))
+    for w in _enumerate(warm):
+        warm.covers(w)
+        cold.covers(cold.inverse(w))
+        warm.left_parent(w)
+    assert len(cold._by_id) == warm.order()
