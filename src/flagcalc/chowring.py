@@ -35,9 +35,11 @@ VARIANTS = ("simply_connected", "special_orthogonal")
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
-    One sparse elimination brings the matrix to a diagonal U M V.  Each step
-    takes the first +-1 entry as pivot, or an entry of least absolute value
-    when no unit is left.  Floor-quotient row operations leave remainders in
+    One sparse elimination brings the matrix to a diagonal U M V.  The
+    nonzero columns are sorted by length, shortest first, and each step takes
+    the first +-1 entry as pivot, so unit pivots come from short columns and
+    fill in little; an entry of least absolute value is taken when no unit
+    is left.  Floor-quotient row operations leave remainders in
     the rest of the pivot column, and remainder column operations do the same
     along the pivot row.  The pivot retires once its row and column are both
     clean; otherwise the least entry has strictly shrunk and the loop picks
@@ -60,6 +62,7 @@ class CokernelStratum:
             d = {r: v for r, v in col.items() if v}
             if d:
                 cols.append(d)
+        cols.sort(key=len)
         col_of_row: dict = {r: set() for r in range(rows)}
         for ci, d in enumerate(cols):
             for r in d:

@@ -172,9 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rank_default=None):
+    def add_common(p):
         p.add_argument("--type", required=True, choices=["B", "D", "G2", "F4"])
-        p.add_argument("--rank", type=int, default=rank_default)
+        p.add_argument("--rank", type=int)
         p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("basis", help="Schubert basis words of one codimension")

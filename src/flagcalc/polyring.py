@@ -339,12 +339,11 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.format()!r})"
 
-    def format(self, names=None) -> str:
+    def format(self) -> str:
         """Render in the expression grammar, e.g. ``2*w1^3 - 3*w1^2*w2``."""
         if not self._terms:
             return "0"
-        if names is None:
-            names = [f"w{j + 1}" for j in range(self.nvars)]
+        names = [f"w{j + 1}" for j in range(self.nvars)]
         rows = sorted(
             ((_unpack(key, self.nvars), c) for key, c in self._terms.items()),
             key=lambda row: (-sum(row[0]), tuple(-x for x in row[0])),

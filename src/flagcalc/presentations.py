@@ -18,6 +18,7 @@ the checks that need them, so a failure there fails exactly those checks.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -228,8 +229,9 @@ class VerificationReport:
 
     def add(self, name: str, expected, got):
         e, g = str(expected), str(got)
-        if e == g:  # a passing check keeps one copy of its text
-            self.checks.append(Check(name, e, e, True))
+        if e == g:  # interned, so repeated reports of a passing check share its strings
+            e = sys.intern(e)
+            self.checks.append(Check(sys.intern(name), e, e, True))
         else:
             self.checks.append(Check(name, e, g, False))
 
@@ -709,6 +711,6 @@ def verify_presentations(family: str, rank: int | None = None) -> VerificationRe
         sub = VerificationReport("", [])
         _verify_bd(calculus_for(cartan_type(family, r)), sub)
         for c in sub.checks:
-            c.name = f"{family}{r}: {c.name}"
+            c.name = sys.intern(f"{family}{r}: {c.name}")
         report.checks.extend(sub.checks)
     return report

@@ -12,10 +12,9 @@ the (immutable) root datum and Weyl group together with its memo caches:
   class of m * w_j is w_j times the class of m, for j the largest variable
   of m * w_j), starting from Z_e at degree 0;
 * per degree l, a square system for writing a class of codimension l as a
-  rational polynomial in the fundamental weights: |W_l| monomials whose
-  classes are independent (found by a rank scan modulo a prime, since
-  columns independent mod p are independent over Q) and the fraction-free
-  elimination of their class matrix.
+  rational polynomial in the fundamental weights: one exact fraction-free
+  elimination over the monomial classes both picks |W_l| monomials whose
+  classes are independent over Q and factors their class matrix.
 
 Products use the last two.  A product x * y, with x the factor of smaller
 codimension l, writes x as such a polynomial P and applies P to y as
@@ -35,7 +34,7 @@ from operator import mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
 from .polyring import Polynomial, Rational, _norm_coeff
-from .rootdata import CartanType, RootDatum, Weight, build_root_datum
+from .rootdata import CartanType, Weight, build_root_datum
 from .weylgroup import WeylElement, WeylGroup
 
 
@@ -120,12 +119,23 @@ class SchubertExpansion:
         }
 
 
+def _integral(codim: int, coeffs: dict) -> SchubertExpansion:
+    """The expansion with these coefficients; each must be an integer (or an
+    integral Fraction), or the class is not integral."""
+    out = {}
+    for w, c in coeffs.items():
+        c = out[w] = _norm_coeff(c)
+        if not isinstance(c, int):
+            raise NonIntegralExpansionError(f"coefficient of Z_{w} is the non-integer {c}")
+    return SchubertExpansion(codim, out)
+
+
 class SchubertCalc:
     """Schubert calculus engine for one Cartan type."""
 
-    def __init__(self, ct: CartanType, datum: RootDatum | None = None):
+    def __init__(self, ct: CartanType):
         self.cartan_type = ct
-        self.datum = datum if datum is not None else build_root_datum(ct)
+        self.datum = build_root_datum(ct)
         self.group = WeylGroup(self.datum)
         self.rank = self.datum.rank
         self.weyl_order = self.group.order()
@@ -270,16 +280,7 @@ class SchubertCalc:
         For each basis class Z_w the product contributes (beta^vee | lam) Z_{w s_beta}
         over the positive roots beta with l(w s_beta) = l(w) + 1.
         """
-        out = self._chevalley(self.root_pairings(lam), x.coeffs)
-        for v in list(out):
-            if not isinstance(out[v], int):
-                c = _norm_coeff(out[v])
-                if not isinstance(c, int):
-                    raise NonIntegralExpansionError(
-                        f"Chevalley coefficient {c} at Z_{v} is not an integer"
-                    )
-                out[v] = c
-        return SchubertExpansion(x.codim + 1, out)
+        return _integral(x.codim + 1, self._chevalley(self.root_pairings(lam), x.coeffs))
 
     def chevalley_product(self, alpha: int, w: WeylElement) -> SchubertExpansion:
         """Expansion of Z_{s_alpha} * Z_w by the closed degree-1 rule."""
@@ -329,17 +330,7 @@ class SchubertCalc:
     # -- products in the Schubert basis ---------------------------------------
 
     def _scaled_expand(self, f: Polynomial, scale: Fraction, codim: int) -> SchubertExpansion:
-        raw = self._expand_raw(f)
-        coeffs = {}
-        for w, c in raw.items():
-            v = _norm_coeff(c * scale)
-            if not isinstance(v, int):
-                raise NonIntegralExpansionError(
-                    f"coefficient of Z_{w} is the non-integer {v}"
-                )
-            if v:
-                coeffs[w] = v
-        return SchubertExpansion(codim, coeffs)
+        return _integral(codim, {w: c * scale for w, c in self._expand_raw(f).items()})
 
     def _monomial_classes(self, degree: int) -> dict:
         """Classes of the monomials of this degree in the fundamental weights.
@@ -416,14 +407,7 @@ class SchubertCalc:
         out = pending.pop()
         for x in pending:
             out = self._times(x, out)
-        coeffs = {}
-        for w, c in out.coeffs.items():
-            c = coeffs[w] = _norm_coeff(c)
-            if not isinstance(c, int):
-                raise NonIntegralExpansionError(
-                    f"coefficient of Z_{w} is the non-integer {c}"
-                )
-        return SchubertExpansion(codim, coeffs)
+        return _integral(codim, out.coeffs)
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> SchubertExpansion:
         """Expansion of Z_u * Z_v, by Chevalley operators for the shorter factor."""
@@ -450,84 +434,58 @@ class SchubertCalc:
         return self._scaled_expand(f, Fraction(scale), max(f.degree(), 0))
 
 
-# Primes for the rank scan, tried in turn; over Q the scan always finds a
-# full set of columns, so a later prime is only needed if p divides a minor.
-_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
-
-
-def _independent_columns(columns: list, size: int, prime: int) -> list:
-    """Indices of the columns, taken greedily in order, independent mod prime.
-
-    Stops once ``size`` columns are found.  Each kept row is normalized to 1
-    at its pivot and is zero at the pivots of the rows kept before it, so
-    one pass over the kept rows, in order, reduces a new column.
-    """
-    kept = []
-    chosen = []
-    for k, col in enumerate(columns):
-        v = [c % prime for c in col]
-        for piv, row in kept:
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % prime for a, b in zip(v, row)]
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is not None:
-            inv = pow(v[piv], -1, prime)
-            kept.append((piv, [a * inv % prime for a in v]))
-            chosen.append(k)
-            if len(chosen) == size:
-                break
-    return chosen
-
-
 class _ClassSolver:
     """Writes the classes of one codimension l as polynomials in the w_j.
 
     ``monomials`` are |W_l| monomials whose classes form a basis over Q:
-    the first independent ones, modulo a prime, in decreasing tuple order.
-    Their class matrix (rows in stratum order) is kept in fraction-free
-    (Bareiss) form: step k replaces each row i below the pivot p_k by
-    (p_k row_i - a_ik row_k) / p_{k-1}, the division exact, so every entry
-    stays an integer.  The row swaps and the multipliers a_ik are kept, and
-    a solve replays them on the right-hand side.
+    the first independent ones in decreasing tuple order.  One fraction-free
+    (Bareiss) elimination, a column at a time, picks them and factors their
+    class matrix (rows in stratum order).  Each candidate column is reduced
+    by the steps kept so far; if an entry at row k or below is left, the
+    first such row is swapped into place k and the column becomes step k,
+    otherwise it is dependent over Q and skipped.  Step k replaces entry i
+    below the pivot p_k by (p_k b_i - a_ik b_k) / p_{k-1}, the division
+    exact, so every entry stays an integer; a solve replays the steps.
     """
 
     def __init__(self, stratum: list, classes: dict):
         self.index = {w: i for i, w in enumerate(stratum)}
         size = len(stratum)
-        order = sorted(classes, reverse=True)
-        columns = []
-        for m in order:
-            col = [0] * size
-            for w, c in classes[m].items():
-                col[self.index[w]] = c
-            columns.append(col)
-        for prime in _PRIMES:
-            chosen = _independent_columns(columns, size, prime)
-            if len(chosen) == size:
+        self.steps = []  # (row swapped into place k, p_k, a_ik for i > k, entries above p_k)
+        chosen = []
+        for m in sorted(classes, reverse=True):
+            col, _ = self._forward(classes[m])
+            k = len(chosen)
+            p = next((i for i in range(k, size) if col[i]), None)
+            if p is None:
+                continue
+            col[k], col[p] = col[p], col[k]
+            self.steps.append((p, col[k], col[k + 1:], col[:k]))
+            chosen.append(m)
+            if k + 1 == size:
                 break
         else:
-            raise AssertionError(f"monomial classes of degree {len(order[0])} do not span")
-        self.monomials = tuple(order[k] for k in chosen)
-        rows = [[columns[k][i] for k in chosen] for i in range(size)]
-        self.steps = []  # (row swapped into place k, multipliers a_ik for i > k)
-        prev = 1
-        for k in range(size):
-            p = next(i for i in range(k, size) if rows[i][k])
-            rows[k], rows[p] = rows[p], rows[k]
-            piv = rows[k][k]
-            tail = rows[k][k + 1:]
-            mults = []
-            for i in range(k + 1, size):
-                row = rows[i]
-                a = row[k]
-                mults.append(a)
-                rows[i] = row[: k + 1] + [
-                    (piv * x - a * y) // prev for x, y in zip(row[k + 1:], tail)
-                ]
-            self.steps.append((p, mults))
-            prev = piv
-        self.upper = rows  # entries on and above the diagonal are the reduced ones
+            raise AssertionError(f"monomial classes of degree {len(m)} do not span")
+        self.monomials = tuple(chosen)
+
+    def _forward(self, coeffs: dict) -> tuple:
+        """(the column of coeffs after the steps kept so far, the last pivot)"""
+        b = [0] * len(self.index)
+        for w, c in coeffs.items():
+            b[self.index[w]] = c
+        # a step whose b_k is zero only scales the rest by p_k / p_{k-1}, so
+        # the rest is kept as its true entries times prev / last
+        prev = last = 1
+        for k, (p, piv, mults, _) in enumerate(self.steps):
+            b[k], b[p] = b[p], b[k]
+            bk = b[k]
+            if bk:
+                b[k] = bk * last // prev
+                b[k + 1:] = [(piv * x - a * bk) // prev for x, a in zip(b[k + 1:], mults)]
+                prev = piv
+            last = piv
+        b[len(self.steps):] = [x * last // prev for x in b[len(self.steps):]]
+        return b, last
 
     def solve(self, coeffs: dict) -> tuple:
         """(a, d) with d * x = sum_k a_k * class(monomials[k]), all integers.
@@ -535,24 +493,16 @@ class _ClassSolver:
         x is the class with Schubert coefficients ``coeffs``; d is the
         determinant of the class matrix, up to sign.
         """
-        b = [0] * len(self.index)
-        for w, c in coeffs.items():
-            b[self.index[w]] = c
-        upper = self.upper
-        prev = 1
-        for k, (p, mults) in enumerate(self.steps):
-            b[k], b[p] = b[p], b[k]
-            piv, bk = upper[k][k], b[k]
-            for i, a in enumerate(mults, k + 1):
-                b[i] = (piv * b[i] - a * bk) // prev
-            prev = piv
-        # back substitution for a = prev * (the rational solution), which
+        b, d = self._forward(coeffs)
+        # back substitution for a = d * (the rational solution), which
         # Cramer's rule makes integral, so every division is exact
-        a = [0] * len(b)
-        for k in range(len(b) - 1, -1, -1):
-            row = upper[k]
-            a[k] = (prev * b[k] - sum(map(mul, row[k + 1:], a[k + 1:]))) // row[k]
-        return a, prev
+        a = [d * x for x in b]
+        for k in range(len(a) - 1, -1, -1):
+            _, piv, _, above = self.steps[k]
+            ak = a[k] = a[k] // piv
+            if ak:
+                a[:k] = [x - c * ak for x, c in zip(a, above)]
+        return a, d
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import pytest
 from flagcalc.chowring import (
     ChowComputation,
     CokernelStratum,
+    _stratum_columns,
     chow_groups,
     chow_presentation,
     chow_to_json,
@@ -286,6 +287,31 @@ class TestCokernelStratum:
             assert coker.invariant_factors == res.invariant_factors
             assert coker.torsion == want
             assert coker.free_rank == rows - len(res.invariant_factors)
+
+    @pytest.mark.parametrize(
+        "fixture,variants,top",
+        [
+            ("calc_g2", ("simply_connected",), 6),
+            ("calc_b3", ("simply_connected", "special_orthogonal"), 9),
+            ("calc_d4", ("simply_connected", "special_orthogonal"), 6),
+        ],
+        ids=["G2", "B3", "D4"],
+    )
+    def test_real_strata_match_dense_snf(self, fixture, variants, top, request):
+        # the pivot order depends on the column order, which random matrices
+        # barely exercise; the stratum columns have real lengths and overlaps
+        calc = request.getfixturevalue(fixture)
+        for variant in variants:
+            for k in range(1, top + 1):
+                rows, columns, _ = _stratum_columns(calc, variant, k)
+                coker = CokernelStratum(rows, columns)
+                res = smith_normal_form(dense_of(rows, columns))
+                assert coker.invariant_factors == res.invariant_factors, (variant, k)
+                for col in columns:
+                    vec = [0] * rows
+                    for r, v in col.items():
+                        vec[r] = v
+                    assert coker.is_zero_class(vec), (variant, k, col)
 
     def test_classify_detects_ideal_vectors(self):
         rng = random.Random(33)

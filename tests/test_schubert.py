@@ -229,6 +229,21 @@ class TestChevalley:
                 exp = calc_f4.chevalley_product(alpha, w)
                 assert all(isinstance(c, int) and c > 0 for c in exp.coeffs.values())
 
+    def test_non_integral_weight_uses_the_expansion_message(self, calc_g2):
+        # the Chevalley rule, the expansion and the product share one gate
+        e, s1 = calc_g2.group.identity, calc_g2.group.simple_reflection(1)
+        half_weight = (Fraction(1, 2), 0)
+        for raises in (
+            lambda: calc_g2.chevalley_weight(half_weight, calc_g2.indicator(e)),
+            lambda: calc_g2.schubert_expand(Polynomial.variable(2, 0).scale(Fraction(1, 2))),
+            lambda: calc_g2.pow_expansion(SchubertExpansion(1, {s1: Fraction(1, 2)}), 1),
+        ):
+            with pytest.raises(NonIntegralExpansionError, match="is the non-integer 1/2"):
+                raises()
+        got = calc_g2.chevalley_weight(half_weight, SchubertExpansion(0, {e: 2}))
+        assert got == calc_g2.chevalley_product(1, e)
+        assert all(type(c) is int for c in got.coeffs.values())
+
     def test_agrees_with_structure_constants_g2(self, calc_g2):
         g = calc_g2.group
         for alpha in (1, 2):
@@ -470,17 +485,6 @@ class TestChevalleyRouteAgainstTopDown:
         with pytest.raises(NonIntegralExpansionError):
             top_down_product(calc_g2, ((half, 2),), 2)
 
-    def test_rank_scan_falls_back_to_the_next_prime(self, monkeypatch):
-        # modulo 2 the two degree-3 monomial classes of G2 that the scan
-        # meets first are dependent, so the scan needs its second prime
-        monkeypatch.setattr(schubert, "_PRIMES", (2, 2**61 - 1))
-        calc = SchubertCalc(cartan_type("G2"))
-        u, v = word(calc, "121"), word(calc, "212")
-        assert calc.structure_constants(u, v) == top_down_structure_constants(calc, u, v)
-        monkeypatch.setattr(schubert, "_PRIMES", (2,))
-        with pytest.raises(AssertionError, match="do not span"):
-            SchubertCalc(cartan_type("G2")).structure_constants(u, v)
-
     def test_b6_two_degree_3_classes_cold(self):
         # 31 s through the top-down route, which first builds the 277,582-term
         # product of the positive roots
@@ -492,6 +496,62 @@ class TestChevalleyRouteAgainstTopDown:
         assert got.to_json_dict() == {"codim": 6, "coeffs": {"123654": 1, "126543": 1}}
         assert calc.structure_constants(v, u) == got
         assert calc._gtable == {}
+
+
+def greedy_independent(columns: list) -> list:
+    """Indices of the columns, in order, that are independent over Q of the
+    columns before them; exact, with Fractions."""
+    kept = []  # (pivot, row scaled to 1 at the pivot and 0 at earlier pivots)
+    chosen = []
+    for k, col in enumerate(columns):
+        v = [Fraction(c) for c in col]
+        for piv, row in kept:
+            if v[piv]:
+                c = v[piv]
+                v = [a - c * b for a, b in zip(v, row)]
+        piv = next((i for i, a in enumerate(v) if a), None)
+        if piv is not None:
+            kept.append((piv, [a / v[piv] for a in v]))
+            chosen.append(k)
+    return chosen
+
+
+class TestClassSolver:
+    @pytest.mark.parametrize(
+        "fixture,top", [("calc_g2", 6), ("calc_b3", 9), ("calc_f4", 6)], ids=["G2", "B3", "F4"]
+    )
+    def test_monomials_are_the_greedy_rational_basis(self, fixture, top, request):
+        calc = request.getfixturevalue(fixture)
+        for degree in range(1, top + 1):
+            stratum = calc.group.sorted_stratum(degree)
+            index = {w: i for i, w in enumerate(stratum)}
+            classes = calc._monomial_classes(degree)
+            order = sorted(classes, reverse=True)
+            columns = []
+            for m in order:
+                col = [0] * len(stratum)
+                for w, c in classes[m].items():
+                    col[index[w]] = c
+                columns.append(col)
+            chosen = greedy_independent(columns)
+            assert len(chosen) == len(stratum), degree
+            solver = schubert._ClassSolver(stratum, classes)
+            assert solver.monomials == tuple(order[k] for k in chosen), degree
+            # every class solves exactly: d Z_w = sum_k a_k class(monomials[k])
+            for w in stratum:
+                a, d = solver.solve({w: 1})
+                total = [0] * len(stratum)
+                for ak, m in zip(a, solver.monomials):
+                    for v, c in classes[m].items():
+                        total[index[v]] += ak * c
+                assert d and total == [d if v is w else 0 for v in stratum], (degree, w)
+
+    def test_classes_that_do_not_span_are_rejected(self, calc_g2):
+        stratum = calc_g2.group.sorted_stratum(3)
+        classes = calc_g2._monomial_classes(3)
+        one = dict([max(classes.items())])
+        with pytest.raises(AssertionError, match="degree 3 do not span"):
+            schubert._ClassSolver(stratum, one)
 
 
 class TestExpansionJson:
