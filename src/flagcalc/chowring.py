@@ -181,20 +181,20 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
     """Sparse columns (dicts row -> entry) of the codim-k ideal stratum.
 
     Column (lam, w) holds the Chevalley rule lam * Z_w = sum (beta^vee | lam)
-    Z_{w s_beta} over the covers of w, in positive-root order.
+    Z_{w s_beta} over the covers of w, in positive-root order; row v.pos is
+    Z_v.  Returns (number of rows, columns).
     """
     group = calc.group
-    basis = group.sorted_stratum(k)
-    index = {w: i for i, w in enumerate(basis)}
-    lower = group.sorted_stratum(k - 1)
+    rows = len(group.elements_of_length(k))
+    lower = group.elements_of_length(k - 1)
     columns = []
     for lam in calc.datum.degree2_lattice_basis(variant):
         pairing = calc.root_pairings(lam)
         for w in lower:
             columns.append(
-                {index[v]: pairing[b] for v, b in group.covers(w) if pairing[b]}
+                {v.pos: pairing[b] for v, b in group.covers(w) if pairing[b]}
             )
-    return len(basis), columns, basis
+    return rows, columns
 
 
 class ChowComputation:
@@ -207,36 +207,30 @@ class ChowComputation:
         self.variant = variant
         self._strata: dict = {}
 
-    def stratum(self, k: int) -> tuple:
-        """(CokernelStratum, ordered Schubert basis) for codimension k."""
+    def stratum(self, k: int) -> CokernelStratum:
+        """The cokernel of the ideal stratum in codimension k; row w.pos is Z_w."""
         got = self._strata.get(k)
         if got is None:
             if not 1 <= k <= self.calc.group.longest_length:
                 raise OutOfRangeError(f"codimension {k} out of range")
-            rows, columns, basis = _stratum_columns(self.calc, self.variant, k)
-            got = (CokernelStratum(rows, columns), basis)
+            got = CokernelStratum(*_stratum_columns(self.calc, self.variant, k))
             self._strata[k] = got
         return got
 
     def vector_of(self, x: SchubertExpansion) -> list:
-        _, basis = self.stratum(x.codim)
-        index = {w: i for i, w in enumerate(basis)}
-        vec = [0] * len(basis)
+        vec = [0] * self.stratum(x.codim).rows
         for w, c in x.coeffs.items():
-            vec[index[w]] = c
+            vec[w.pos] = c
         return vec
 
     def classify(self, x: SchubertExpansion) -> tuple:
-        coker, _ = self.stratum(x.codim)
-        return coker.classify(self.vector_of(x))
+        return self.stratum(x.codim).classify(self.vector_of(x))
 
     def class_order(self, x: SchubertExpansion) -> int:
-        coker, _ = self.stratum(x.codim)
-        return coker.class_order(self.vector_of(x))
+        return self.stratum(x.codim).class_order(self.vector_of(x))
 
     def is_zero_class(self, x: SchubertExpansion) -> bool:
-        coker, _ = self.stratum(x.codim)
-        return coker.is_zero_class(self.vector_of(x))
+        return self.stratum(x.codim).is_zero_class(self.vector_of(x))
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,7 @@ def chow_groups(
     comp = comp or ChowComputation(calc, variant)
     strata = [(0, (0,))]
     for k in range(1, max_codim + 1):
-        fs = _stratum_factors(comp.stratum(k)[0])
+        fs = _stratum_factors(comp.stratum(k))
         if fs:
             strata.append((k, fs))
     return GradedAbelianGroup(tuple(strata))
@@ -495,7 +489,7 @@ def _check_variant(
         f"{label}: codim-1 stratum",
         lambda: (
             tuple(sorted(g.torsion for g in pres.generators if g.codim == 1)),
-            _stratum_factors(comp.stratum(1)[0]),
+            _stratum_factors(comp.stratum(1)),
         ),
     )
 

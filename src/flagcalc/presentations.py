@@ -439,7 +439,7 @@ def _element_table_row(calc: SchubertCalc, k: int, words: list) -> tuple:
     elems = {_word_element(calc, w) if w else calc.group.identity for w in words}
     stratum = calc.group.elements_of_length(k)
     want = "words fill the stratum bijectively"
-    if len(elems) == len(words) and elems == stratum:
+    if len(elems) == len(words) and elems == set(stratum):
         return want, want
     return want, f"{len(elems)} distinct elements vs stratum of {len(stratum)}"
 

@@ -37,6 +37,10 @@ from .polyring import Polynomial, Rational, _norm_coeff
 from .rootdata import CartanType, Weight, build_root_datum
 from .weylgroup import WeylElement, WeylGroup
 
+# Giambelli descends from the degree-N product of the N positive roots; B6
+# (N = 36) takes seconds, B7 (N = 49) far longer, so larger N is refused.
+GIAMBELLI_MAX_ROOTS = 36
+
 
 class SchubertExpansion:
     """An integer combination of Schubert classes of one fixed codimension."""
@@ -141,7 +145,6 @@ class SchubertCalc:
         self.weyl_order = self.group.order()
         self._dd_tables: dict = {}
         self._gtable: dict = {}  # element -> unscaled Giambelli polynomial
-        self._d_unscaled: Polynomial | None = None
         # _omega_pairings[j][b] = (beta_b^vee | omega_{j+1}), an integer
         self._omega_pairings = tuple(
             tuple(self.root_pairings(om)) for om in self.datum.fundamental_weights
@@ -292,19 +295,13 @@ class SchubertCalc:
 
     # -- Giambelli representatives ---------------------------------------------
 
-    def _positive_root_product(self) -> Polynomial:
-        if self._d_unscaled is None:
-            p = Polynomial.one(self.rank)
-            for r in self.datum.positive_roots:
-                p = p * Polynomial.linear_form(r.omega)
-            self._d_unscaled = p
-        return self._d_unscaled
-
     def _giambelli_unscaled(self, w: WeylElement) -> Polynomial:
         """|W| times the Giambelli representative; integer coefficients.
 
-        Filled by walking an ascent path up to the longest element and applying
-        one divided difference per step on the way back down.
+        Filled by walking an ascent path up to the longest element, whose
+        value is the product of the positive roots (refused above
+        GIAMBELLI_MAX_ROOTS), and applying one divided difference per step on
+        the way back down.
         """
         memo = self._gtable
         group = self.group
@@ -312,7 +309,15 @@ class SchubertCalc:
         cur = w
         while cur not in memo:
             if cur.length == group.longest_length:
-                memo[cur] = self._positive_root_product()
+                if cur.length > GIAMBELLI_MAX_ROOTS:
+                    raise OutOfRangeError(
+                        f"Giambelli needs the product of all {cur.length} positive"
+                        f" roots; at most {GIAMBELLI_MAX_ROOTS} are supported"
+                    )
+                p = Polynomial.one(self.rank)
+                for r in self.datum.positive_roots:
+                    p = p * Polynomial.linear_form(r.omega)
+                memo[cur] = p
                 break
             for i in range(1, self.rank + 1):
                 if not group.descends(cur, i):
@@ -448,9 +453,8 @@ class _ClassSolver:
     exact, so every entry stays an integer; a solve replays the steps.
     """
 
-    def __init__(self, stratum: list, classes: dict):
-        self.index = {w: i for i, w in enumerate(stratum)}
-        size = len(stratum)
+    def __init__(self, stratum: tuple, classes: dict):
+        self.size = size = len(stratum)
         self.steps = []  # (row swapped into place k, p_k, a_ik for i > k, entries above p_k)
         chosen = []
         for m in sorted(classes, reverse=True):
@@ -470,9 +474,9 @@ class _ClassSolver:
 
     def _forward(self, coeffs: dict) -> tuple:
         """(the column of coeffs after the steps kept so far, the last pivot)"""
-        b = [0] * len(self.index)
+        b = [0] * self.size
         for w, c in coeffs.items():
-            b[self.index[w]] = c
+            b[w.pos] = c
         # a step whose b_k is zero only scales the rest by p_k / p_{k-1}, so
         # the rest is kept as its true entries times prev / last
         prev = last = 1

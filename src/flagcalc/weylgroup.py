@@ -17,6 +17,10 @@ descent set as a bit mask and, once asked for, its upper Bruhat covers; the
 group keeps, per id, the table row of ids of w s_1, ..., w s_l and the id of
 s_i w for the first letter i of the word.
 
+Each length stratum is stored once, as a tuple in lex-min word order, and
+enumerating it sets each element's ``pos``, its index in that tuple (None
+before, also for elements interned earlier by ``covers`` or ``times_simple``).
+
 Every product and test is an index lookup.  The permutation of w s_i is
 perm composed with s_i, and its key is w applied to s_i(alpha_j);
 w s_beta lies above w exactly when w(beta) is positive, and its key is w
@@ -31,6 +35,7 @@ is.
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
 
 from .errors import InvalidWordError, NotARootError, OutOfRangeError
@@ -40,13 +45,14 @@ from .rootdata import Root, RootDatum, Weight
 class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
-    __slots__ = ("perm", "length", "word", "id", "descents", "_covers", "_datum")
+    __slots__ = ("perm", "length", "word", "id", "pos", "descents", "_covers", "_datum")
 
     def __init__(self, perm, length: int, word: tuple, id: int, descents: int, datum):
         self.perm = perm
         self.length = length
         self.word = word
         self.id = id
+        self.pos = None  # index in the stratum tuple, once it is enumerated
         self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
         self._covers = None
         self._datum = datum
@@ -109,8 +115,8 @@ class WeylGroup:
         self._parents: list = []
         pack = self._pack
         self.identity = self._new(pack(range(2 * n_pos)), pack(self._alpha), ())
-        self._levels: list = [[self.identity]]  # strata in lex-min word order
-        self._level_sets: list = [frozenset(self._levels[0])]
+        self.identity.pos = 0
+        self._levels: list = [(self.identity,)]  # strata in lex-min word order
         self._reflections = None  # s_beta permutations and keys, on first use
 
     # -- element interning ---------------------------------------------------
@@ -219,19 +225,9 @@ class WeylGroup:
         return self._n_pos
 
     def order(self) -> int:
-        ct = self.datum.cartan_type
-        n = ct.rank
-        if ct.family == "B":
-            fact = 1
-            for k in range(2, n + 1):
-                fact *= k
-            return (2**n) * fact
-        if ct.family == "D":
-            fact = 1
-            for k in range(2, n + 1):
-                fact *= k
-            return (2 ** (n - 1)) * fact
-        return {"G2": 12, "F4": 1152}[ct.family]
+        """|W| = prod over beta > 0 of (ht beta + 1) / ht beta (Macdonald, 1972)."""
+        heights = [sum(beta.simple_coords) for beta in self.datum.positive_roots]
+        return prod(h + 1 for h in heights) // prod(heights)
 
     def _grow(self) -> None:
         """Enumerate the next length stratum and fill the tables it touches.
@@ -246,7 +242,7 @@ class WeylGroup:
         right, parents, by_id = self._right, self._parents, self._by_id
         elements, pack = self._elements, self._pack
         simple, keys = self.datum.simple_reflections, self._simple_keys
-        found: dict = {}
+        found: list = []
         for w in self._levels[-1]:
             base = w.id * n
             perm = w.perm
@@ -265,25 +261,25 @@ class WeylGroup:
                     right[v.id * n + i] = w.id
                 else:
                     v = by_id[j]
-                if v not in found:
-                    found[v] = None
+                if v.pos is None:
+                    v.pos = len(found)
+                    found.append(v)
                     # s_j v = (s_j w) s_i for the first letter j of w's word
                     parents[v.id] = 0 if k == 1 else right[parents[w.id] * n + i]
-        self._levels.append(list(found))
-        self._level_sets.append(frozenset(found))
+        self._levels.append(tuple(found))
 
-    def elements_of_length(self, k: int) -> frozenset:
+    def elements_of_length(self, k: int) -> tuple:
+        """The elements of length k, in lex-min word order; w.pos indexes it."""
         if not 0 <= k <= self.longest_length:
             raise OutOfRangeError(
                 f"length {k} out of range 0..{self.longest_length}"
             )
         while len(self._levels) <= k:
             self._grow()
-        return self._level_sets[k]
+        return self._levels[k]
 
-    def sorted_stratum(self, k: int) -> list:
-        self.elements_of_length(k)
-        return list(self._levels[k])
+    def sorted_stratum(self, k: int) -> tuple:
+        return self.elements_of_length(k)
 
     def longest_element(self) -> WeylElement:
         top = self.elements_of_length(self.longest_length)

@@ -232,6 +232,17 @@ class TestGiambelli:
         assert code2 == 0
         assert out2.strip() == "Z_21"
 
+    @pytest.mark.parametrize("family", ["B", "D"])
+    def test_more_than_36_positive_roots_exits_2_at_once(self, capsys, family):
+        # B7 and D7 have 49 and 42 positive roots; their product is never built
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "giambelli", "--type", family, "--rank", "7", "--word", "1"
+        )
+        assert code == 2 and out == ""
+        assert "at most 36 are supported" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestJsonRoundTrip:
     def test_expansion_json_reemit_identical(self, capsys):

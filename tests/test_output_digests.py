@@ -3,7 +3,8 @@
 Every verification and Chow-ring result below is recomputed from the root
 data; the sha256 of the JSON stdout pins it byte for byte, so a refactor of
 the suites or the engines that changes a single check name, value or
-ordering fails here.
+ordering fails here.  The two ``basis`` outputs pin the lex-min word order of
+a middle stratum, the order that ``pos`` indexes.
 """
 
 import contextlib
@@ -30,6 +31,14 @@ DIGESTS = [
     (
         ("chow", "--type", "B", "--rank", "4", "--variant", "so"),
         "960baeaff070dce0208e1cd1e3a37d72f60a7bce80f967ed410196d12627c9cf",
+    ),
+    (
+        ("basis", "--type", "D", "--rank", "5", "--codim", "10"),
+        "181c62ab0fc483c7b06e2ce37f1c28d4f55e4fbcef8b20206ec7b85cdb708221",
+    ),
+    (
+        ("basis", "--type", "F4", "--codim", "12"),
+        "5b2f278b9a7fe8e8c22b94036f698cb1fd27273ab80cb8929b01f6be79135f1c",
     ),
 ]
 

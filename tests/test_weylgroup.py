@@ -1,3 +1,4 @@
+import math
 import random
 from operator import mul
 
@@ -269,6 +270,52 @@ def test_total_order_by_enumeration(family, rank, order):
     g = WeylGroup(build_root_datum(cartan_type(family, rank)))
     total = sum(len(g.elements_of_length(k)) for k in range(g.longest_length + 1))
     assert total == order == g.order()
+
+
+def _closed_order(family, rank):
+    # |W(B_n)| = 2^n n!, |W(D_n)| = 2^(n-1) n!
+    if family in ("G2", "F4"):
+        return {"G2": 12, "F4": 1152}[family]
+    return 2 ** (rank - (family == "D")) * math.factorial(rank)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("G2", None), ("F4", None)]
+    + [("B", n) for n in range(2, 31)]
+    + [("D", n) for n in range(4, 31)],
+)
+def test_order_from_root_heights_matches_closed_formulas(family, rank):
+    assert _fresh_group(family, rank).order() == _closed_order(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
+def test_pos_indexes_the_stored_stratum(family, rank):
+    g = _fresh_group(family, rank)
+    for k in range(g.longest_length + 1):
+        s = g.elements_of_length(k)
+        assert type(s) is tuple
+        assert s is g.sorted_stratum(k)
+        assert [w.pos for w in s] == list(range(len(s)))
+
+
+def test_pos_of_elements_met_before_enumeration():
+    # covers and element_from_word intern elements of strata not enumerated
+    # yet; enumeration later gives them the same pos and word as in a warm group
+    cold, warm = _fresh_group("B", 5), _fresh_group("B", 5)
+    early = []
+    for w in _enumerate(warm)[::7]:
+        u = cold.element_from_word(w.word)
+        early.append(u)
+        early.extend(v for v, _ in cold.covers(u))
+    assert len(cold._levels) == 1
+    assert all(u.pos is None for u in early if u.length)
+    assert [(w.pos, w.word) for w in _enumerate(cold)] == [
+        (w.pos, w.word) for w in _enumerate(warm)
+    ]
+    for u in early:
+        assert cold.elements_of_length(u.length)[u.pos] is u
+        assert u.pos == warm.element_from_word(u.word).pos
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4), ("G2", 2), ("F4", 4)])
