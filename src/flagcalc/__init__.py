@@ -43,7 +43,6 @@ from .rootdata import (
     RootDatum,
     build_root_datum,
     cartan_type,
-    coroot_pairing,
     elem_sym_t,
 )
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
@@ -80,7 +79,6 @@ __all__ = [
     "cartan_type",
     "chow_groups",
     "chow_presentation",
-    "coroot_pairing",
     "degree2_generator_images",
     "elem_sym_t",
     "exact_div_linear",

@@ -325,23 +325,6 @@ def build_root_datum(ct: CartanType) -> RootDatum:
     return RootDatum(ct)
 
 
-def coroot_pairing(datum: RootDatum, beta: Root, lam: Weight) -> Rational:
-    """Pairing (beta^vee | lam) of a coroot with a weight, exact.
-
-    Integral whenever ``lam`` has integer coordinates; this is checked.
-    """
-    if not datum.is_root(beta.omega):
-        raise NotARootError(f"{beta} is not a root of {datum.cartan_type}")
-    val = _norm_coeff(
-        sum(Fraction(c) * x for c, x in zip(beta.coroot_on_omega, lam))
-    )
-    if all(isinstance(x, int) for x in lam) and not isinstance(val, int):
-        raise AssertionError(
-            f"coroot pairing {val} is not an integer on a lattice weight"
-        )
-    return val
-
-
 def elem_sym_t(datum: RootDatum, l: int, m: int) -> Polynomial:
     """Elementary symmetric polynomial e_l(t_1, ..., t_m) in weight variables."""
     if not 1 <= m <= datum.num_t_classes:

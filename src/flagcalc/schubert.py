@@ -5,8 +5,12 @@ The central object is :class:`SchubertCalc`, one per Cartan type.  It owns
 the (immutable) root datum and Weyl group together with its memo caches:
 
 * per-variable tables for the divided difference kernel;
-* the table of Giambelli representatives, filled top-down from the longest
-  element; only ``giambelli_poly`` reads it;
+* the table of |W|-scaled Giambelli representatives; only
+  ``giambelli_poly`` reads it.  Each descent starts at the highest element
+  it needs, x = w0 w_{0,J}, whose value is |W_J| times the product of the
+  positive roots outside the parabolic subsystem Phi_J, in closed form.
+  The fewer left descents an element has, the lower x and the shorter that
+  product;
 * per degree l, the classes of all degree-l monomials in the fundamental
   weights.  Degree l comes from degree l - 1 by one Chevalley step (the
   class of m * w_j is w_j times the class of m, for j the largest variable
@@ -35,10 +39,12 @@ from operator import mul
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
 from .polyring import Polynomial, Rational, _norm_coeff
 from .rootdata import CartanType, Weight, build_root_datum
-from .weylgroup import WeylElement, WeylGroup
+from .weylgroup import WeylElement, WeylGroup, weyl_order
 
-# Giambelli descends from the degree-N product of the N positive roots; B6
-# (N = 36) takes seconds, B7 (N = 49) far longer, so larger N is refused.
+# Giambelli is refused for more positive roots than this (B7, D7 and up),
+# before any walk.  The costliest descents start from a product of N - 1
+# roots, for elements whose left descents miss one simple root; they take
+# seconds on B6 (N = 36).
 GIAMBELLI_MAX_ROOTS = 36
 
 
@@ -298,35 +304,55 @@ class SchubertCalc:
     def _giambelli_unscaled(self, w: WeylElement) -> Polynomial:
         """|W| times the Giambelli representative; integer coefficients.
 
-        Filled by walking an ascent path up to the longest element, whose
-        value is the product of the positive roots (refused above
-        GIAMBELLI_MAX_ROOTS), and applying one divided difference per step on
-        the way back down.
+        The value is Delta_{w^{-1} w0} of the product of the positive roots
+        (Bernstein-Gelfand-Gelfand), but the chain starts lower.  From w the
+        walk ascends on the right only by s_i that keep the left descent set
+        D of w, so it ends at x = w_{0,K} w0 for K the complement of D.  With
+        J the right ascents of x, x = w0 w_{0,J}; the product of the roots
+        outside Phi_J is W_J-invariant and Delta_{w_{0,J}} of the product of
+        Phi_J^+ is |W_J|, so the value at x is |W_J| times the product of the
+        positive roots outside Phi_J.  One divided difference per step leads
+        back down to w.  Types with more than GIAMBELLI_MAX_ROOTS positive
+        roots are refused before any walk.
         """
-        memo = self._gtable
         group = self.group
+        if group.longest_length > GIAMBELLI_MAX_ROOTS:
+            raise OutOfRangeError(
+                f"Giambelli needs the product of all {group.longest_length} positive"
+                f" roots; at most {GIAMBELLI_MAX_ROOTS} are supported"
+            )
+        memo = self._gtable
+        d = group.left_descents(w.perm)
         path = []
         cur = w
         while cur not in memo:
-            if cur.length == group.longest_length:
-                if cur.length > GIAMBELLI_MAX_ROOTS:
-                    raise OutOfRangeError(
-                        f"Giambelli needs the product of all {cur.length} positive"
-                        f" roots; at most {GIAMBELLI_MAX_ROOTS} are supported"
-                    )
-                p = Polynomial.one(self.rank)
-                for r in self.datum.positive_roots:
-                    p = p * Polynomial.linear_form(r.omega)
-                memo[cur] = p
-                break
             for i in range(1, self.rank + 1):
                 if not group.descends(cur, i):
-                    break
+                    up = group.times_simple(cur, i)
+                    if group.left_descents(up.perm) == d:
+                        break
+            else:
+                memo[cur] = self._parabolic_top(cur)
+                break
             path.append((cur, i))
-            cur = group.times_simple(cur, i)
+            cur = up
         for v, i in reversed(path):
             memo[v] = self.divided_difference(i, memo[group.times_simple(v, i)])
         return memo[w]
+
+    def _parabolic_top(self, x: WeylElement) -> Polynomial:
+        """|W_J| times the product of the positive roots outside Phi_J.
+
+        J is the set of right ascents of x = w0 w_{0,J}; this is the unscaled
+        Giambelli value at x.
+        """
+        inside, p = [], Polynomial.one(self.rank)
+        for r in self.datum.positive_roots:
+            if any(c and x.descents >> j & 1 for j, c in enumerate(r.simple_coords)):
+                p = p * Polynomial.linear_form(r.omega)
+            else:
+                inside.append(r)
+        return p.scale(weyl_order(inside))
 
     def giambelli_poly(self, w: WeylElement) -> Polynomial:
         """A degree-l(w) polynomial whose Schubert expansion is exactly Z_w."""

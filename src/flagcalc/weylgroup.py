@@ -42,6 +42,16 @@ from .errors import InvalidWordError, NotARootError, OutOfRangeError
 from .rootdata import Root, RootDatum, Weight
 
 
+def weyl_order(roots) -> int:
+    """Order of the Weyl group whose positive roots are ``roots``.
+
+    The product over them of (ht beta + 1) / ht beta (Macdonald, 1972); for
+    the positive roots of a parabolic subsystem this is |W_J|.
+    """
+    heights = [sum(beta.simple_coords) for beta in roots]
+    return prod(h + 1 for h in heights) // prod(heights)
+
+
 class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
@@ -143,24 +153,33 @@ class WeylGroup:
             el = self._new(perm, key, self._lexmin_word(perm))
         return el
 
+    def left_descents(self, perm) -> int:
+        """Left descent set of the element with root permutation perm, as a mask.
+
+        Bit i-1 is set when l(s_i w) < l(w), i.e. when w^{-1}(alpha_i) is
+        negative: alpha_i is the image of a root of index N or more.
+        """
+        neg = perm[self._n_pos:]
+        d = 0
+        for i, a in enumerate(self._alpha):
+            if a in neg:
+                d |= 1 << i
+        return d
+
     def _lexmin_word(self, perm) -> tuple:
         """Lex-min reduced word, by greedy smallest left descent.
 
-        s_i is a left descent of w exactly when w^{-1}(alpha_i) is negative,
-        i.e. when the root sent to alpha_i has an index of N or more; then
         s_i w permutes the roots by s_i after perm.
         """
         word = []
-        n_pos = self._n_pos
-        simple = self.datum.simple_reflections
+        simple, pack = self.datum.simple_reflections, self._pack
         while True:
-            for i, a in enumerate(self._alpha):
-                if perm.index(a) >= n_pos:
-                    word.append(i + 1)
-                    perm = tuple(map(simple[i].__getitem__, perm))
-                    break
-            else:
+            d = self.left_descents(perm)
+            if not d:
                 return tuple(word)
+            i = (d & -d).bit_length() - 1
+            word.append(i + 1)
+            perm = pack(map(simple[i].__getitem__, perm))
 
     # -- basic operations ------------------------------------------------------
 
@@ -225,9 +244,8 @@ class WeylGroup:
         return self._n_pos
 
     def order(self) -> int:
-        """|W| = prod over beta > 0 of (ht beta + 1) / ht beta (Macdonald, 1972)."""
-        heights = [sum(beta.simple_coords) for beta in self.datum.positive_roots]
-        return prod(h + 1 for h in heights) // prod(heights)
+        """|W|, by ``weyl_order`` over all the positive roots."""
+        return weyl_order(self.datum.positive_roots)
 
     def _grow(self) -> None:
         """Enumerate the next length stratum and fill the tables it touches.
@@ -356,23 +374,3 @@ class WeylGroup:
                     bs.append(b)
             got = w._covers = (tuple(vs), tuple(bs))
         return zip(*got)
-
-    # -- reduced words (used by word-independence checks) -------------------
-
-    def reduced_words(self, w: WeylElement) -> list:
-        """All reduced words of w; exponential in the length, keep it small."""
-        memo: dict = {}
-
-        def rec(u: WeylElement):
-            if u.length == 0:
-                return [()]
-            got = memo.get(u)
-            if got is None:
-                got = []
-                for i in range(1, self.rank + 1):
-                    if self.descends(u, i):
-                        got.extend(rw + (i,) for rw in rec(self.times_simple(u, i)))
-                memo[u] = got
-            return got
-
-        return rec(w)

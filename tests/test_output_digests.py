@@ -4,7 +4,9 @@ Every verification and Chow-ring result below is recomputed from the root
 data; the sha256 of the JSON stdout pins it byte for byte, so a refactor of
 the suites or the engines that changes a single check name, value or
 ordering fails here.  The two ``basis`` outputs pin the lex-min word order of
-a middle stratum, the order that ``pos`` indexes.
+a middle stratum, the order that ``pos`` indexes.  The ``giambelli`` outputs
+pin representatives whose descents start at different parabolic tops
+w0 w_{0,J}, in types B, D (where w0 is not -1) and F4.
 """
 
 import contextlib
@@ -39,6 +41,22 @@ DIGESTS = [
     (
         ("basis", "--type", "F4", "--codim", "12"),
         "5b2f278b9a7fe8e8c22b94036f698cb1fd27273ab80cb8929b01f6be79135f1c",
+    ),
+    (
+        ("giambelli", "--type", "B", "--rank", "6", "--word", "123456"),
+        "287bdfe84171d81b42dc31f2808da04f15fe76a655ae5ad594c2f5e109bcfd3f",
+    ),
+    (
+        ("giambelli", "--type", "D", "--rank", "5", "--word", "4"),
+        "4ad8d3907bcfd8c7911f44791d313965aea25f5bd7f26442c3b32b0d4994a715",
+    ),
+    (
+        ("giambelli", "--type", "F4", "--word", "2323"),
+        "7a8152643644ba0518944a4e6c5e8b637bc5ebaed10cd149dc8b2f102912e9f2",
+    ),
+    (
+        ("giambelli", "--type", "F4", "--word", "1234"),
+        "217b3be18f45e0c2454914b1e17a6e97652e8ceef0069491977ca78902735b6d",
     ),
 ]
 

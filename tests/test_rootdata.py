@@ -8,9 +8,10 @@ from flagcalc.rootdata import (
     MAX_CLASSICAL_RANK,
     build_root_datum,
     cartan_type,
-    coroot_pairing,
     elem_sym_t,
 )
+
+from conftest import coroot_pairing
 
 
 def test_rank_constraints():

@@ -11,7 +11,7 @@ from flagcalc.polyring import Polynomial, exact_div_linear, weyl_substitute
 from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, SchubertExpansion
 
-from conftest import word
+from conftest import reduced_words, word
 from test_polyring import random_poly
 
 
@@ -35,9 +35,8 @@ def unscaled_rep(calc, x):
 def top_down_product(calc, factors, codim):
     """Product of (class, exponent) factors through Giambelli representatives.
 
-    The |W|-scaled representatives, built by descent from the product of the
-    positive roots, are multiplied and the product is expanded once, divided
-    by |W| to the total exponent.
+    The |W|-scaled Giambelli representatives are multiplied and the product
+    is expanded once, divided by |W| to the total exponent.
     """
     prod = Polynomial.one(calc.rank)
     total = 0
@@ -51,6 +50,70 @@ def top_down_structure_constants(calc, u, v):
     return top_down_product(
         calc, ((calc.indicator(u), 1), (calc.indicator(v), 1)), u.length + v.length
     )
+
+
+# -- the full descent from the top class, kept as the oracle for the Giambelli start --
+
+
+def full_descent(calc):
+    """w -> Delta along the lex-min word of w^{-1} w0, applied to the product
+    of the positive roots.
+
+    The lex-min word of u is its first letter i followed by the lex-min word
+    of s_i u, so the values are memoized by u.  Only the word of w is read,
+    so w may come from another engine of the same type.
+    """
+    g = calc.group
+    w0 = g.longest_element()
+    top = Polynomial.one(calc.rank)
+    for r in calc.datum.positive_roots:
+        top = top * Polynomial.linear_form(r.omega)
+    memo = {g.identity: top}
+
+    def along(u):
+        got = memo.get(u)
+        if got is None:
+            got = memo[u] = calc.divided_difference(u.word[0], along(g.left_parent(u)))
+        return got
+
+    return lambda w: along(g.compose(g.inverse(w), w0))
+
+
+def recording_tops(calc) -> dict:
+    """{x: value} for every element whose value is seeded in closed form."""
+    seen = {}
+    seed = calc._parabolic_top
+
+    def recorded(x):
+        got = seen[x] = seed(x)
+        return got
+
+    calc._parabolic_top = recorded
+    return seen
+
+
+def parabolic_longest(g, mask: int):
+    """w_{0,J} for J the simple indices in the bit mask, by ascents within J."""
+    w = g.identity
+    while True:
+        for j in range(1, g.rank + 1):
+            if mask >> (j - 1) & 1 and not g.descends(w, j):
+                w = g.times_simple(w, j)
+                break
+        else:
+            return w
+
+
+def assert_tops_are_parabolic(calc, oracle, seen):
+    """Each seeded x is w0 w_{0,J} for J its right ascents, and its value is
+    Delta_{w_{0,J}} of the product of the positive roots, which is the
+    oracle's value at x since x^{-1} w0 = w_{0,J}."""
+    g = calc.group
+    w0 = g.longest_element()
+    for x, value in seen.items():
+        w0j = parabolic_longest(g, ~x.descents & ((1 << calc.rank) - 1))
+        assert g.compose(w0, w0j) is x, x
+        assert value == oracle(x), x
 
 
 def random_combination(rng, calc, codim):
@@ -153,7 +216,7 @@ class TestWordIndependence:
         for w in sample:
             f = random_poly(rng, calc.rank, w.length + 2)
             base = calc.delta_w(w, f)
-            for rw in calc.group.reduced_words(w):
+            for rw in reduced_words(calc.group, w):
                 assert calc.delta_word(rw, f) == base
 
 
@@ -285,7 +348,6 @@ class TestGiambelli:
 
     def test_normalization_top_class(self, calc_g2):
         # applying the full chain to the scaled root product gives exactly 1
-        w0 = calc_g2.group.longest_element()
         p = calc_g2.giambelli_poly(calc_g2.group.identity)
         assert p == Polynomial.one(2)
 
@@ -299,6 +361,42 @@ class TestGiambelli:
             for w in g.elements_of_length(k):
                 exp = calc_f4.schubert_expand(calc_f4.giambelli_poly(w))
                 assert exp == calc_f4.indicator(w), w
+
+
+class TestParabolicStart:
+    """The Giambelli descent from w0 w_{0,J} against the full descent."""
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("G2", None), ("B", 3), ("B", 4), ("D", 4), ("D", 5), ("F4", None)],
+    )
+    def test_every_element_on_a_warm_engine(self, family, rank):
+        calc = SchubertCalc(cartan_type(family, rank))
+        oracle = full_descent(calc)
+        seen = recording_tops(calc)
+        g = calc.group
+        elements = [w for k in range(g.longest_length + 1) for w in g.elements_of_length(k)]
+        random.Random(31).shuffle(elements)
+        for w in elements:
+            assert calc._giambelli_unscaled(w) == oracle(w), w
+        # every subset of simple roots is a left descent set, and each seeds
+        # its top once
+        assert len(seen) == 2**calc.rank
+        assert_tops_are_parabolic(calc, oracle, seen)
+
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("F4", None)])
+    def test_short_elements_on_fresh_engines(self, family, rank):
+        ct = cartan_type(family, rank)
+        warm = SchubertCalc(ct)
+        oracle = full_descent(warm)
+        for k in range(5):
+            for w in warm.group.elements_of_length(k):
+                cold = SchubertCalc(ct)
+                seen = recording_tops(cold)
+                got = cold._giambelli_unscaled(cold.group.element_from_word(w.word))
+                assert got == oracle(w), w
+                assert len(seen) == 1
+                assert_tops_are_parabolic(cold, oracle, seen)
 
 
 class TestStructureConstants:
