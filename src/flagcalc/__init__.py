@@ -22,13 +22,12 @@ from .errors import (
     NonIntegralExpansionError,
     NotARootError,
     NotDivisibleByMultiplierError,
-    NotDivisibleError,
     OutOfRangeError,
     ParseError,
     UnsupportedRankError,
 )
 from .exprparse import parse_polynomial
-from .polyring import Polynomial, exact_div_linear, weyl_substitute
+from .polyring import Polynomial
 from .presentations import (
     BorelPresentation,
     VerificationReport,
@@ -61,7 +60,6 @@ __all__ = [
     "NonIntegralExpansionError",
     "NotARootError",
     "NotDivisibleByMultiplierError",
-    "NotDivisibleError",
     "OutOfRangeError",
     "ParseError",
     "Polynomial",
@@ -81,11 +79,9 @@ __all__ = [
     "chow_presentation",
     "degree2_generator_images",
     "elem_sym_t",
-    "exact_div_linear",
     "gamma_expansion",
     "parse_polynomial",
     "presentation_strata",
     "verify_chow",
     "verify_presentations",
-    "weyl_substitute",
 ]

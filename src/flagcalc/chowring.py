@@ -4,8 +4,11 @@ manifolds, computed as quotients by the degree-2-generated ideal.
 The ideal is generated in degree 2, so its codimension-k piece is spanned by
 the products lambda * Z_w over a basis of the degree-2 lattice and the basis
 classes of length k-1.  Each stratum of the quotient is the cokernel of a
-sparse integer matrix, diagonalised by one sparse elimination whose pivots
-give the invariant factors; all arithmetic stays in exact arbitrary-precision
+sparse integer matrix whose columns come from the flat Bruhat cover tables
+of the Weyl group (``WeylGroup.stratum_covers``).  A sparse elimination in
+two phases diagonalises it: unit pivots first, by substitution, then a
+general phase on the few columns left without a unit.  Its pivots give the
+invariant factors; all arithmetic stays in exact arbitrary-precision
 integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
@@ -15,8 +18,10 @@ t-classes, which produces the extra order-2 generator in codimension 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import OutOfRangeError
@@ -35,111 +40,119 @@ VARIANTS = ("simply_connected", "special_orthogonal")
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
-    One sparse elimination brings the matrix to a diagonal U M V.  The
-    nonzero columns are sorted by length, shortest first, and each step takes
-    the first +-1 entry as pivot, so unit pivots come from short columns and
-    fill in little; an entry of least absolute value is taken when no unit
-    is left.  Floor-quotient row operations leave remainders in
-    the rest of the pivot column, and remainder column operations do the same
-    along the pivot row.  The pivot retires once its row and column are both
-    clean; otherwise the least entry has strictly shrunk and the loop picks
-    again.  The stratum columns are sparse with mostly unit entries, so all
-    but a few pivots are units.
-
-    Only the row operations are recorded, as triples (t, s, q) meaning
+    The columns are dicts row -> entry, read and never changed.  The
+    elimination brings the matrix to a diagonal U M V in two phases, and
+    records only the row operations, as triples (t, s, q) meaning
     row_t += q * row_s; column operations never change cokernel coordinates.
+
+    The unit phase takes the columns shortest first and pivots on a +-1
+    entry of each, so unit pivots come from short columns and fill in
+    little.  A unit pivot u at row s of a column whose other entries are
+    a_t clears that column with the row operations row_t += -a_t u row_s;
+    the column operations that clear row s elsewhere then amount to a
+    substitution: an entry b at row s becomes q b at each row t, with
+    q = -a_t u.  Each column is reduced by the substitutions of the rows
+    pivoted before it (most are empty) before its pivot is chosen.  A column
+    left with no unit is set aside, and once every column is read it is
+    reduced again.  No row keeps the set of columns it meets.
+
+    The columns set aside go to the general phase, on the rows that hold no
+    unit pivot.  It takes the first +-1 entry as pivot, or an entry of least
+    absolute value when no unit is left.  Floor-quotient row operations
+    leave remainders in the rest of the pivot column, and remainder column
+    operations do the same along the pivot row.  The pivot retires once its
+    row and column are both clean; otherwise the least entry has strictly
+    shrunk and the loop picks again.
+
     The cokernel is the sum of Z/d over the retired pivots d and one Z per
     row that never held a pivot; one gcd/lcm pass turns the pivots into the
-    divisibility chain of invariant factors.
+    divisibility chain of invariant factors.  Which rows hold the pivots
+    depends on the order of the columns, the invariant factors do not.
     """
 
     def __init__(self, rows: int, columns: list):
         self.rows = rows
         self._rowops = []
-
-        cols = []
-        for col in columns:
-            d = {r: v for r, v in col.items() if v}
-            if d:
-                cols.append(d)
-        cols.sort(key=len)
-        col_of_row: dict = {r: set() for r in range(rows)}
-        for ci, d in enumerate(cols):
-            for r in d:
-                col_of_row[r].add(ci)
-        alive = set(range(len(cols)))
-        pivots = []  # (row, |pivot|) in retirement order
-
-        while True:
-            found = None
-            for ci in alive:
-                for r, v in cols[ci].items():
-                    if v == 1 or v == -1:
-                        found = ci, r, v
-                        break
-                if found:
-                    break
-            else:
-                found = min(
-                    ((ci, r, v) for ci in alive for r, v in cols[ci].items()),
-                    key=lambda entry: abs(entry[2]),
-                    default=None,
-                )
-                if found is None:
-                    break
-            ci, r, v = found
-            pivot_col = cols[ci]
-            # Column: row_r2 -= (a // v) * row_r leaves a % v at (r2, ci).
-            for r2 in [x for x in pivot_col if x != r]:
-                q = -(pivot_col[r2] // v)
-                self._rowops.append((r2, r, q))
-                for cj in list(col_of_row[r]):
-                    d = cols[cj]
-                    nv = d.get(r2, 0) + q * d[r]
-                    if nv:
-                        d[r2] = nv
-                        col_of_row[r2].add(cj)
-                    elif r2 in d:
-                        del d[r2]
-                        col_of_row[r2].discard(cj)
-            # Row: col_cj -= (b // v) * col_ci leaves b % v at (r, cj).
-            rest = [(r2, a) for r2, a in pivot_col.items() if r2 != r]
-            for cj in list(col_of_row[r]):
-                if cj == ci:
-                    continue
-                d = cols[cj]
-                b = d.pop(r)
-                if b % v:
-                    d[r] = b % v
-                else:
-                    col_of_row[r].discard(cj)
-                q = b // v
-                for r2, a in rest:
-                    nv = d.get(r2, 0) - q * a
-                    if nv:
-                        d[r2] = nv
-                        col_of_row[r2].add(cj)
-                    elif r2 in d:
-                        del d[r2]
-                        col_of_row[r2].discard(cj)
-                if not d:
-                    alive.discard(cj)
-            if not rest and len(col_of_row[r]) == 1:
-                alive.discard(ci)
-                del col_of_row[r]
-                pivots.append((r, abs(v)))
-
+        units, rest = self._unit_phase(columns)
+        pivots, free_rows = _eliminate(
+            [r for r in range(rows) if r not in units], rest, self._rowops
+        )
         self._pivots = [(r, d) for r, d in pivots if d > 1]
-        self._free_rows = sorted(col_of_row)
+        self._free_rows = free_rows
         self.moduli = tuple(d for _, d in self._pivots)
         chain = list(self.moduli)
         for i in range(len(chain)):
             for j in range(i + 1, len(chain)):
                 g = gcd(chain[i], chain[j])
                 chain[i], chain[j] = g, chain[i] * chain[j] // g
-        self.invariant_factors = [1] * (len(pivots) - len(chain)) + chain
+        self.invariant_factors = [1] * (len(units) + len(pivots) - len(chain)) + chain
         self.torsion = [d for d in chain if d > 1]
         self.free_rank = len(self._free_rows)
+
+    def _unit_phase(self, columns) -> tuple:
+        """(substitution per unit pivot row, the reduced columns without a unit).
+
+        The substitution of pivot row s maps each row t to its multiplier q;
+        its row operations are appended to the record in pivot order.  The
+        substitutions are kept closed: they name only rows that hold no
+        pivot, so one pass reduces a column.  When row s becomes a pivot, the
+        substitutions that name s take in its own.  Among the units of a
+        column, the pivot goes to the row that the fewest columns meet, so
+        that its substitution reaches few of them.
+        """
+        rowops = self._rowops
+        subs: dict = {}  # pivot row -> {t: q}
+        users: dict = {}  # row -> pivot rows whose substitution may name it
+
+        def reduce(col) -> dict:
+            d = {}
+            for r, v in col.items():
+                sub = subs.get(r)
+                if sub is None:
+                    nv = d.get(r, 0) + v
+                    if nv:
+                        d[r] = nv
+                    elif r in d:
+                        del d[r]
+                elif sub and v:
+                    for t, q in sub.items():
+                        nv = d.get(t, 0) + q * v
+                        if nv:
+                            d[t] = nv
+                        else:
+                            del d[t]
+            return d
+
+        rest = []
+        count = Counter(chain.from_iterable(columns))
+        for col in sorted(columns, key=len):
+            d = reduce(col)
+            units = [r for r, u in d.items() if u == 1 or u == -1]
+            if not units:
+                if d:
+                    rest.append(d)
+                continue
+            s = min(units, key=count.__getitem__) if len(d) > 1 else units[0]
+            u = d.pop(s)
+            sub = subs[s] = {t: -a * u for t, a in d.items()}
+            rowops.extend((t, s, q) for t, q in sub.items())
+            for t in sub:
+                users.setdefault(t, []).append(s)
+            for x in users.pop(s, ()):
+                other = subs[x]
+                c = other.pop(s, 0)
+                if not c:
+                    continue
+                for t, q in sub.items():
+                    nv = other.get(t, 0) + c * q
+                    if nv:
+                        if t not in other:
+                            users[t].append(x)
+                        other[t] = nv
+                    elif t in other:
+                        del other[t]
+        rest = [d for d in map(reduce, rest) if d]
+        return subs, rest
 
     def classify(self, vec) -> tuple:
         """Class of an integer vector in the cokernel.
@@ -172,6 +185,82 @@ class CokernelStratum:
         return not any(torsion) and not any(free)
 
 
+def _eliminate(rows: list, cols: list, rowops: list) -> tuple:
+    """The general phase: diagonalise cols (dicts row -> entry) on rows.
+
+    Appends its row operations to rowops and returns (pivots, free rows):
+    the pivots as pairs (row, |pivot|) in retirement order, and the rows,
+    sorted, that never held one.
+    """
+    cols.sort(key=len)
+    col_of_row: dict = {r: set() for r in rows}
+    for ci, d in enumerate(cols):
+        for r in d:
+            col_of_row[r].add(ci)
+    alive = set(range(len(cols)))
+    pivots = []
+
+    while True:
+        found = None
+        for ci in alive:
+            for r, v in cols[ci].items():
+                if v == 1 or v == -1:
+                    found = ci, r, v
+                    break
+            if found:
+                break
+        else:
+            found = min(
+                ((ci, r, v) for ci in alive for r, v in cols[ci].items()),
+                key=lambda entry: abs(entry[2]),
+                default=None,
+            )
+            if found is None:
+                break
+        ci, r, v = found
+        pivot_col = cols[ci]
+        # Column: row_r2 -= (a // v) * row_r leaves a % v at (r2, ci).
+        for r2 in [x for x in pivot_col if x != r]:
+            q = -(pivot_col[r2] // v)
+            rowops.append((r2, r, q))
+            for cj in list(col_of_row[r]):
+                d = cols[cj]
+                nv = d.get(r2, 0) + q * d[r]
+                if nv:
+                    d[r2] = nv
+                    col_of_row[r2].add(cj)
+                elif r2 in d:
+                    del d[r2]
+                    col_of_row[r2].discard(cj)
+        # Row: col_cj -= (b // v) * col_ci leaves b % v at (r, cj).
+        rest = [(r2, a) for r2, a in pivot_col.items() if r2 != r]
+        for cj in list(col_of_row[r]):
+            if cj == ci:
+                continue
+            d = cols[cj]
+            b = d.pop(r)
+            if b % v:
+                d[r] = b % v
+            else:
+                col_of_row[r].discard(cj)
+            q = b // v
+            for r2, a in rest:
+                nv = d.get(r2, 0) - q * a
+                if nv:
+                    d[r2] = nv
+                    col_of_row[r2].add(cj)
+                elif r2 in d:
+                    del d[r2]
+                    col_of_row[r2].discard(cj)
+            if not d:
+                alive.discard(cj)
+        if not rest and len(col_of_row[r]) == 1:
+            alive.discard(ci)
+            del col_of_row[r]
+            pivots.append((r, abs(v)))
+    return pivots, sorted(col_of_row)
+
+
 # ---------------------------------------------------------------------------
 # Ideal strata and Chow groups
 # ---------------------------------------------------------------------------
@@ -182,18 +271,25 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
 
     Column (lam, w) holds the Chevalley rule lam * Z_w = sum (beta^vee | lam)
     Z_{w s_beta} over the covers of w, in positive-root order; row v.pos is
-    Z_v.  Returns (number of rows, columns).
+    Z_v.  The columns of lam come in stratum order, one lam after another;
+    one pass over the flat covers fills them all, each cover once for every
+    lam that pairs with its root to nonzero.  Returns (number of rows,
+    columns).
     """
     group = calc.group
     rows = len(group.elements_of_length(k))
-    lower = group.elements_of_length(k - 1)
-    columns = []
-    for lam in calc.datum.degree2_lattice_basis(variant):
-        pairing = calc.root_pairings(lam)
-        for w in lower:
-            columns.append(
-                {v.pos: pairing[b] for v, b in group.covers(w) if pairing[b]}
-            )
+    covers = group.stratum_covers(k)
+    pairings = [calc.root_pairings(lam) for lam in calc.datum.degree2_lattice_basis(variant)]
+    nonzero = [
+        [(j, x) for j, pairing in enumerate(pairings) if (x := pairing[b])]
+        for b in range(group.longest_length)
+    ]
+    m = len(covers)
+    columns = [{} for _ in range(len(pairings) * m)]
+    for i, (ps, bs) in enumerate(covers):
+        for p, b in zip(ps, bs):
+            for j, x in nonzero[b]:
+                columns[j * m + i][p] = x
     return rows, columns
 
 

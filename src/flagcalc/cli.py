@@ -164,75 +164,114 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+_DESCRIPTION = (
+    "Exact Schubert calculus on flag manifolds of types "
+    "B, D, G2, F4, and Chow rings of the corresponding groups."
+)
+_FORMAT = ("--format", {"choices": ["table", "json"], "default": "table"})
+_COMMON = (
+    ("--type", {"required": True, "choices": ["B", "D", "G2", "F4"]}),
+    ("--rank", {"type": int}),
+    _FORMAT,
+)
+
+# name -> (help line, handler, arguments as (flag, add_argument keywords))
+_COMMANDS = {
+    "basis": (
+        "Schubert basis words of one codimension",
+        _cmd_basis,
+        _COMMON + (("--codim", {"type": int, "required": True}),),
+    ),
+    "expand": (
+        "expand a polynomial in the Schubert basis",
+        _cmd_expand,
+        _COMMON + (("--expr", {"required": True}),),
+    ),
+    "delta": (
+        "apply a divided difference operator",
+        _cmd_delta,
+        _COMMON + (("--word", {"required": True}), ("--expr", {"required": True})),
+    ),
+    "chevalley": (
+        "degree-1 product Z_u * Z_w",
+        _cmd_chevalley,
+        _COMMON
+        + (
+            ("--u", {"required": True, "help": "a single simple index"}),
+            ("--word", {"required": True}),
+        ),
+    ),
+    "giambelli": (
+        "polynomial representative of Z_w",
+        _cmd_giambelli,
+        _COMMON + (("--word", {"required": True}),),
+    ),
+    "structconst": (
+        "expansion of Z_u * Z_v",
+        _cmd_structconst,
+        _COMMON + (("--u", {"required": True}), ("--v", {"required": True})),
+    ),
+    "chow": (
+        "Chow ring of the algebraic group",
+        _cmd_chow,
+        _COMMON
+        + (
+            ("--variant", {"choices": ["spin", "so"], "default": "spin"}),
+            ("--max-codim", {"type": int, "default": None}),
+        ),
+    ),
+    "verify": (
+        "run the full verification suite",
+        _cmd_verify,
+        (
+            (
+                "--type",
+                {
+                    "required": True,
+                    "help": "B, D, G2, F4, a comma list of these, or 'all'",
+                },
+            ),
+            ("--rank", {"type": int, "default": None}),
+            ("--max-codim", {"type": int, "default": None}),
+            _FORMAT,
+        ),
+    ),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, fn, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flagcalc",
-        description="Exact Schubert calculus on flag manifolds of types "
-        "B, D, G2, F4, and Chow rings of the corresponding groups.",
-    )
+    """The parser of every subcommand, for help and for unknown commands."""
+    parser = argparse.ArgumentParser(prog="flagcalc", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--type", required=True, choices=["B", "D", "G2", "F4"])
-        p.add_argument("--rank", type=int)
-        p.add_argument("--format", choices=["table", "json"], default="table")
-
-    p = sub.add_parser("basis", help="Schubert basis words of one codimension")
-    add_common(p)
-    p.add_argument("--codim", type=int, required=True)
-    p.set_defaults(fn=_cmd_basis)
-
-    p = sub.add_parser("expand", help="expand a polynomial in the Schubert basis")
-    add_common(p)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=_cmd_expand)
-
-    p = sub.add_parser("delta", help="apply a divided difference operator")
-    add_common(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--expr", required=True)
-    p.set_defaults(fn=_cmd_delta)
-
-    p = sub.add_parser("chevalley", help="degree-1 product Z_u * Z_w")
-    add_common(p)
-    p.add_argument("--u", required=True, help="a single simple index")
-    p.add_argument("--word", required=True)
-    p.set_defaults(fn=_cmd_chevalley)
-
-    p = sub.add_parser("giambelli", help="polynomial representative of Z_w")
-    add_common(p)
-    p.add_argument("--word", required=True)
-    p.set_defaults(fn=_cmd_giambelli)
-
-    p = sub.add_parser("structconst", help="expansion of Z_u * Z_v")
-    add_common(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.set_defaults(fn=_cmd_structconst)
-
-    p = sub.add_parser("chow", help="Chow ring of the algebraic group")
-    add_common(p)
-    p.add_argument("--variant", choices=["spin", "so"], default="spin")
-    p.add_argument("--max-codim", type=int, default=None)
-    p.set_defaults(fn=_cmd_chow)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument(
-        "--type",
-        required=True,
-        help="B, D, G2, F4, a comma list of these, or 'all'",
-    )
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--max-codim", type=int, default=None)
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(fn=_cmd_verify)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; exit codes as in the module docstring.
+
+    A known subcommand builds only its own parser, as ``build_parser``
+    would build it.  Anything else, and arguments that parser leaves over,
+    goes through ``build_parser``, which prints the same help and errors.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"flagcalc {argv[0]}")
+        args, extra = _add_arguments(parser, argv[0]).parse_known_args(argv[1:])
+        if extra:
+            args = None
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
     except FlagcalcError as exc:

@@ -21,10 +21,6 @@ class NonHomogeneousError(FlagcalcError, ValueError):
     """A polynomial that must be homogeneous mixes several degrees."""
 
 
-class NotDivisibleError(FlagcalcError, ArithmeticError):
-    """Exact division of a polynomial by a linear form left a remainder."""
-
-
 class NonIntegralExpansionError(FlagcalcError, ArithmeticError):
     """A Schubert-basis expansion produced a non-integer coefficient.
 

@@ -17,9 +17,9 @@ to this module.
 Overflow guard.  Every exponent must stay below ``2**W``.  A product or power
 whose factors' degrees add up past ``2**W - 1`` is checked variable by
 variable, and raises OutOfRangeError if some exponent could reach ``2**W``;
-a key never wraps into the next field.  Substitution, exact division and
-power replacement never raise the total degree, and they raise
-OutOfRangeError on an input whose total degree passes ``2**W - 1``.
+a key never wraps into the next field.  Power replacement never raises
+the total degree, and it raises OutOfRangeError on an input whose total
+degree passes ``2**W - 1``.
 
 ``Polynomial.terms`` is a read-only view keyed by exponent tuples, built on
 demand over the packed dict; its ``len`` is the number of terms, in O(1).
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import NotDivisibleError, OutOfRangeError
+from .errors import OutOfRangeError
 
 Rational = int | Fraction
 
@@ -222,17 +222,6 @@ class Polynomial:
     def coefficient(self, expo) -> Rational:
         return self.terms.get(expo, 0)
 
-    def linear_coords(self) -> tuple:
-        """Coefficient vector of a polynomial of degree at most 1 (constant part dropped)."""
-        coords = [0] * self.nvars
-        degree_one = 1 << (self.nvars * _W)
-        for key, c in self._terms.items():
-            if key:
-                if key >> (self.nvars * _W) > 1:
-                    raise ValueError("polynomial has degree > 1")
-                coords[(key - degree_one).bit_length() // _W] = c
-        return tuple(coords)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -371,120 +360,3 @@ class Polynomial:
         for sign, text in pieces[1:]:
             out += f" {sign} {text}"
         return out
-
-
-def substitute_linear(f: Polynomial, images: dict) -> Polynomial:
-    """Substitute variables by linear forms.
-
-    ``images`` maps 0-based variable indices to coefficient vectors; variables
-    absent from the map are left alone.  Ring homomorphism, exact.
-    """
-    n = f.nvars
-    active = {}
-    for j, coords in images.items():
-        coords = tuple(coords)
-        if len(coords) != n:
-            raise ValueError("image has wrong variable count")
-        unit = tuple(1 if k == j else 0 for k in range(n))
-        if coords != unit:
-            active[j] = Polynomial.linear_form(coords)
-    if not active:
-        return f
-    _check_degree_fits(f._terms, n)
-
-    powers: dict = {j: [Polynomial.one(n), p] for j, p in active.items()}
-
-    def power(j: int, e: int) -> dict:
-        cache = powers[j]
-        while len(cache) <= e:
-            cache.append(cache[-1] * cache[1])
-        return cache[e]._terms
-
-    out: dict = {}
-    get = out.get
-    for key, c in f._terms.items():
-        base = key
-        parts = []
-        for j in active:
-            e = (key >> (j * _W)) & _MASK
-            if e:
-                parts.append((j, e))
-                base -= e * _unit(j, n)
-        acc = {base: c}
-        for j, e in parts:
-            acc = _dict_mul(acc, power(j, e))
-        for e, v in acc.items():
-            out[e] = get(e, 0) + v
-    return Polynomial._raw(n, _clean(out))
-
-
-def weyl_substitute(w, f: Polynomial) -> Polynomial:
-    """Apply a Weyl group element to a polynomial by substituting w(w_j) for w_j."""
-    matrix = w.matrix
-    n = f.nvars
-    images = {j: tuple(matrix[r][j] for r in range(n)) for j in range(n)}
-    return substitute_linear(f, images)
-
-
-def _coeff_div(c: Rational, d: Rational) -> Rational:
-    if isinstance(c, int) and isinstance(d, int) and c % d == 0:
-        return c // d
-    return _norm_coeff(Fraction(c) / d)
-
-
-def exact_div_linear(f: Polynomial, ell: Polynomial) -> Polynomial:
-    """Exact quotient of f by a nonzero homogeneous linear form.
-
-    Long division in the pivot variable (the smallest-index variable with a
-    nonzero coefficient in ``ell``); raises NotDivisibleError if a nonzero
-    remainder occurs.
-    """
-    if ell.is_zero():
-        raise ValueError("division by zero linear form")
-    if ell.degree() != 1 or not ell.is_homogeneous():
-        raise ValueError("divisor must be homogeneous of degree 1")
-    n = f.nvars
-    _check_degree_fits(f._terms, n)
-    coords = ell.linear_coords()
-    pivot = next(j for j, c in enumerate(coords) if c)
-    ck = coords[pivot]
-    shift = pivot * _W
-    unit = _unit(pivot, n)
-    # ell - ck * w_pivot, as a term map over the other variables
-    rest = {_unit(j, n): c for j, c in enumerate(coords) if j != pivot and c}
-
-    # Slice f by the exponent of the pivot variable.
-    levels: dict = {}
-    for key, c in f._terms.items():
-        d = (key >> shift) & _MASK
-        levels.setdefault(d, {})[key - d * unit] = c
-    if not levels:
-        return Polynomial.zero(n)
-
-    def subtract_product(eff: dict, q: dict) -> None:
-        for e, v in _dict_mul(q, rest).items():
-            w = eff.get(e, 0) - v
-            if w:
-                eff[e] = w
-            elif e in eff:
-                del eff[e]
-
-    top = max(levels)
-    out: dict = {}
-    prev_q: dict = {}
-    for d in range(top, 0, -1):
-        eff = dict(levels.get(d, {}))
-        if prev_q and rest:
-            subtract_product(eff, prev_q)
-        prev_q = {e: _coeff_div(v, ck) for e, v in eff.items()}
-        for e, v in prev_q.items():
-            out[e + (d - 1) * unit] = v
-
-    remainder = dict(levels.get(0, {}))
-    if prev_q and rest:
-        subtract_product(remainder, prev_q)
-    if remainder:
-        raise NotDivisibleError(
-            f"remainder of degree {_degree(remainder, n)} left by division"
-        )
-    return Polynomial._raw(n, _clean(out))

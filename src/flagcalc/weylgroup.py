@@ -22,21 +22,29 @@ enumerating it sets each element's ``pos``, its index in that tuple (None
 before, also for elements interned earlier by ``covers`` or ``times_simple``).
 
 Every product and test is an index lookup.  The permutation of w s_i is
-perm composed with s_i, and its key is w applied to s_i(alpha_j);
+perm composed with s_i, and its key is w applied to s_i(alpha_j); with bytes
+permutations each is one ``bytes.translate`` that reads perm as its table.
 w s_beta lies above w exactly when w(beta) is positive, and its key is w
 applied to s_beta(alpha_j).  The reflections s_beta are built once per group,
-on first use, by conjugation s_j s_gamma s_j down to the simple ones.  The
-action matrix on weight coordinates is computed on access from the
-permutation, for ``act``, ``weyl_substitute`` and the tests; no enumeration
-or cover path uses it.  The tables hold ids rather than elements, so a
-group's elements form no reference cycles and are freed as soon as the group
-is.
+on first use, by conjugation s_j s_gamma s_j down to the simple ones.
+
+The upper Bruhat covers w s_beta of w (l(w s_beta) = l(w) + 1) are found
+once per element and kept in one of two forms.  ``covers`` keeps elements,
+and interns a candidate that is not yet known, so high-rank groups are
+never enumerated just to find covers.  ``stratum_covers`` keeps flat
+integers: the positions of the covers in the next stratum and the indices
+of their roots, which is all the Chow-ring strata read.
+
+The action matrix on weight coordinates is computed on access from the
+permutation, for ``act`` and the tests; no enumeration or cover path uses
+it.  The tables hold ids rather than elements, so a group's elements form no
+reference cycles and are freed as soon as the group is.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InvalidWordError, NotARootError, OutOfRangeError
 from .rootdata import Root, RootDatum, Weight
@@ -55,7 +63,9 @@ def weyl_order(roots) -> int:
 class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
-    __slots__ = ("perm", "length", "word", "id", "pos", "descents", "_covers", "_datum")
+    __slots__ = (
+        "perm", "length", "word", "id", "pos", "descents", "_covers", "_cover_pos", "_datum"
+    )
 
     def __init__(self, perm, length: int, word: tuple, id: int, descents: int, datum):
         self.perm = perm
@@ -65,6 +75,7 @@ class WeylElement:
         self.pos = None  # index in the stratum tuple, once it is enumerated
         self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
         self._covers = None
+        self._cover_pos = None  # (positions, root indices), see stratum_covers
         self._datum = datum
 
     @property
@@ -72,7 +83,8 @@ class WeylElement:
         """The action on weight coordinates, as a tuple of integer rows.
 
         Row i pairs a weight with the coroot of w^{-1}(alpha_i), since
-        <w(lam), alpha_i^vee> = <lam, w^{-1}(alpha_i)^vee>.
+        <w(lam), alpha_i^vee> = <lam, w^{-1}(alpha_i)^vee>.  ``act`` applies
+        it to a weight; the tests substitute it into polynomials.
         """
         d, perm = self._datum, self.perm
         return tuple(
@@ -112,11 +124,13 @@ class WeylGroup:
         self.rank = datum.rank
         self._n_pos = n_pos = datum.num_positive_roots
         self._pack = bytes if 2 * n_pos <= 256 else tuple
+        self._pad = bytes(256 - 2 * n_pos) if self._pack is bytes else ()
         self._alpha = datum.simple_indices
-        # _simple_keys[i][j] is the index of s_{i+1}(alpha_{j+1})
-        self._simple_keys = [
-            tuple(s[a] for a in self._alpha) for s in datum.simple_reflections
-        ]
+        # _times[i] makes the permutation of w s_{i+1} from w.perm + _pad, and
+        # _times_key[i] its key, the images under w of s_{i+1}(alpha_j)
+        simple = datum.simple_reflections
+        self._times = [self._composer(s) for s in simple]
+        self._times_key = [self._composer([s[a] for a in self._alpha]) for s in simple]
         self._elements: dict = {}
         self._by_id: list = []
         # _right[w.id * rank + i - 1] is the id of w s_i; _parents[w.id] the id
@@ -130,6 +144,15 @@ class WeylGroup:
         self._reflections = None  # s_beta permutations and keys, on first use
 
     # -- element interning ---------------------------------------------------
+
+    def _composer(self, indices):
+        """Callable taking perm + self._pad to the packed (perm[i] for i in indices).
+
+        Packed as bytes, that is one ``translate`` with perm as the table.
+        """
+        if self._pack is bytes:
+            return bytes(indices).translate
+        return itemgetter(*indices)
 
     def _new(self, perm, key, word: tuple) -> WeylElement:
         n_pos = self._n_pos
@@ -208,12 +231,11 @@ class WeylGroup:
         j = self._right[slot]
         if j is not None:
             return self._by_id[j]
-        perm, pack = w.perm, self._pack
-        key = pack(map(perm.__getitem__, self._simple_keys[i - 1]))
+        t = w.perm + self._pad
+        key = self._times_key[i - 1](t)
         v = self._elements.get(key)
         if v is None:
-            s = self.datum.simple_reflections[i - 1]
-            v = self._element(pack(map(perm.__getitem__, s)), key)
+            v = self._element(self._times[i - 1](t), key)
         self._right[slot] = v.id
         self._right[v.id * self.rank + i - 1] = w.id
         return v
@@ -258,23 +280,21 @@ class WeylGroup:
         k = len(self._levels)
         n = self.rank
         right, parents, by_id = self._right, self._parents, self._by_id
-        elements, pack = self._elements, self._pack
-        simple, keys = self.datum.simple_reflections, self._simple_keys
+        elements, pad = self._elements, self._pad
+        times, times_key = self._times, self._times_key
         found: list = []
         for w in self._levels[-1]:
             base = w.id * n
-            perm = w.perm
+            t = w.perm + pad
             for i in range(n):
                 if w.descents >> i & 1:
                     continue
                 j = right[base + i]
                 if j is None:
-                    key = pack(map(perm.__getitem__, keys[i]))
+                    key = times_key[i](t)
                     v = elements.get(key)
                     if v is None:
-                        v = self._new(
-                            pack(map(perm.__getitem__, simple[i])), key, w.word + (i + 1,)
-                        )
+                        v = self._new(times[i](t), key, w.word + (i + 1,))
                     right[base + i] = v.id
                     right[v.id * n + i] = w.id
                 else:
@@ -307,10 +327,12 @@ class WeylGroup:
     # -- reflections and the Bruhat cover graph -----------------------------
 
     def _reflection_tables(self) -> tuple:
-        """(perms, keys): s_beta as a root permutation, and s_beta(alpha_j), per b.
+        """(perms, keys): composers (see ``_composer``) for w s_beta and its key.
 
-        Positive roots are numbered by height, so for beta not simple some
-        s_j(beta) = gamma has a smaller index, and s_beta = s_j s_gamma s_j.
+        Applied to w.perm + _pad, perms[b] gives the root permutation of
+        w s_beta and keys[b] the images under w of s_beta(alpha_j).  Positive
+        roots are numbered by height, so for beta not simple some s_j(beta) =
+        gamma has a smaller index, and s_beta = s_j s_gamma s_j.
         """
         got = self._reflections
         if got is None:
@@ -326,8 +348,10 @@ class WeylGroup:
                         t = perms[g]
                         perms.append(tuple(map(s.__getitem__, map(t.__getitem__, s))))
                         break
-            keys = [tuple(p[a] for a in self._alpha) for p in perms]
-            got = self._reflections = (perms, keys)
+            got = self._reflections = (
+                [self._composer(p) for p in perms],
+                [self._composer([p[a] for a in self._alpha]) for p in perms],
+            )
         return got
 
     def root_reflection(self, beta: Root) -> WeylElement:
@@ -338,39 +362,68 @@ class WeylGroup:
             raise NotARootError("root reflection expects a positive root")
         perms, keys = self._reflection_tables()
         b = self.datum.root_index[beta.omega]
-        return self._element(self._pack(perms[b]), self._pack(keys[b]))
+        t = self.identity.perm + self._pad
+        return self._element(perms[b](t), keys[b](t))
+
+    def _cover_scan(self, w: WeylElement) -> tuple:
+        """(elements, root indices) of the covers w s_beta of w, as two lists.
+
+        w s_beta lies above w exactly when w(beta) is positive, and is looked
+        up by its key, w applied to s_beta(alpha_j).  When the stratum of
+        length l(w) + 1 is already enumerated, a candidate missing from the
+        intern table is not a cover; otherwise its permutation, w composed
+        with s_beta, is interned, so that high-rank groups are never
+        enumerated just to find covers.
+        """
+        k = w.length + 1
+        enumerated = k < len(self._levels)
+        n_pos, elements = self._n_pos, self._elements
+        perms, keys = self._reflection_tables()
+        perm = w.perm
+        t = perm + self._pad
+        vs, bs = [], []
+        for b in range(n_pos):
+            if perm[b] >= n_pos:
+                continue  # w s_beta < w
+            key = keys[b](t)
+            v = elements.get(key)
+            if v is None:
+                if enumerated:
+                    continue
+                v = self._element(perms[b](t), key)
+            if v.length == k:
+                vs.append(v)
+                bs.append(b)
+        return vs, bs
 
     def covers(self, w: WeylElement):
         """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
 
         beta runs over ``datum.positive_roots`` in order.  The covers are
-        cached on w, compactly, as a tuple of elements and a tuple of root
-        indices.  w s_beta lies above w exactly when w(beta) is positive, and
-        is looked up by its key, w applied to s_beta(alpha_j).  When the
-        stratum of length l(w) + 1 is already enumerated, a candidate missing
-        from the intern table is not a cover; otherwise its permutation,
-        w composed with s_beta, is interned, so that high-rank groups are
-        never enumerated just to find covers.
+        cached on w, as a tuple of elements and a tuple of root indices.
         """
         got = w._covers
         if got is None:
-            k = w.length + 1
-            enumerated = k < len(self._levels)
-            n_pos, pack, elements = self._n_pos, self._pack, self._elements
-            perms, keys = self._reflection_tables()
-            perm = w.perm
-            vs, bs = [], []
-            for b in range(n_pos):
-                if perm[b] >= n_pos:
-                    continue  # w s_beta < w
-                key = pack(map(perm.__getitem__, keys[b]))
-                v = elements.get(key)
-                if v is None:
-                    if enumerated:
-                        continue
-                    v = self._element(pack(map(perm.__getitem__, perms[b])), key)
-                if v.length == k:
-                    vs.append(v)
-                    bs.append(b)
+            vs, bs = self._cover_scan(w)
             got = w._covers = (tuple(vs), tuple(bs))
         return zip(*got)
+
+    def stratum_covers(self, k: int) -> list:
+        """The covers of the elements of length k - 1, as flat integers.
+
+        Entry w.pos is the pair (positions, roots) for w: the positions in
+        stratum k of the covers w s_beta, and the indices of their roots
+        beta, in positive-root order.  Each element keeps its pair, built
+        once (from its cached ``covers`` when there are any); the strata k - 1
+        and k are enumerated first.
+        """
+        self.elements_of_length(k)
+        pack = self._pack
+        out = []
+        for w in self._levels[k - 1]:
+            got = w._cover_pos
+            if got is None:
+                vs, bs = w._covers or self._cover_scan(w)
+                got = w._cover_pos = (tuple(v.pos for v in vs), pack(bs))
+            out.append(got)
+        return out

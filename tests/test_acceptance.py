@@ -20,7 +20,7 @@ from flagcalc.presentations import gamma_expansion, verify_presentations
 from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, calculus_for
 
-from conftest import reduced_words, word
+from conftest import reduced_words, weyl_substitute, word
 
 
 def fresh(family, rank=None):
@@ -153,8 +153,6 @@ class TestCriterion5Properties:
         pairs_per_type = 25
         for family, rank in (("B", 3), ("D", 4), ("G2", None), ("F4", None)):
             calc = calculus_for(cartan_type(family, rank))
-            from flagcalc.polyring import weyl_substitute
-
             for _ in range(pairs_per_type):
                 u = random_poly(rng, calc.rank, 4, terms=4)
                 v = random_poly(rng, calc.rank, 4, terms=4)

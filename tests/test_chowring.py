@@ -325,6 +325,80 @@ class TestCokernelStratum:
         assert coker.class_order([0, 0, 1]) == 0
 
 
+class GeneralPhaseOnly(CokernelStratum):
+    """The general phase alone on the whole matrix: the reference for the unit phase."""
+
+    def _unit_phase(self, columns):
+        return {}, [{r: v for r, v in col.items() if v} for col in columns]
+
+
+# every stratum of these engines; the dense oracle where the matrix is small
+UNIT_PHASE_CASES = [
+    ("calc_g2", ("simply_connected",)),
+    ("calc_b3", ("simply_connected", "special_orthogonal")),
+    ("calc_b4", ("simply_connected", "special_orthogonal")),
+    ("calc_d4", ("simply_connected", "special_orthogonal")),
+    ("calc_f4", ("simply_connected",)),
+    ("calc_d5", ("simply_connected", "special_orthogonal")),
+]
+DENSE_MAX_ENTRIES = 40_000
+
+
+class TestUnitPhase:
+    @pytest.mark.parametrize(
+        "fixture,variants", UNIT_PHASE_CASES, ids=[f[5:].upper() for f, _ in UNIT_PHASE_CASES]
+    )
+    def test_every_stratum_matches_the_general_phase(self, fixture, variants, request):
+        # pivot rows may differ between the two, the invariant factors and
+        # the class map up to isomorphism may not
+        calc = request.getfixturevalue(fixture)
+        rng = random.Random(34)
+        dense_checked = 0
+        for variant in variants:
+            for k in range(1, calc.group.longest_length + 1):
+                rows, columns = _stratum_columns(calc, variant, k)
+                coker = CokernelStratum(rows, columns)
+                ref = GeneralPhaseOnly(rows, columns)
+                assert coker.invariant_factors == ref.invariant_factors, (variant, k)
+                assert (coker.torsion, coker.free_rank) == (ref.torsion, ref.free_rank)
+                if rows * len(columns) <= DENSE_MAX_ENTRIES:
+                    res = smith_normal_form(dense_of(rows, columns))
+                    assert coker.invariant_factors == res.invariant_factors, (variant, k)
+                    dense_checked += 1
+                # every Schubert class of the stratum, then random vectors
+                vectors = [[int(r == i) for r in range(rows)] for i in range(rows)]
+                vectors += [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(20)]
+                for vec in vectors:
+                    assert coker.class_order(vec) == ref.class_order(vec), (variant, k)
+                    assert coker.is_zero_class(vec) == ref.is_zero_class(vec)
+                for col in columns:
+                    vec = [0] * rows
+                    for r, v in col.items():
+                        vec[r] = v
+                    assert coker.is_zero_class(vec), (variant, k)
+        assert dense_checked
+
+    def test_substitutions_stay_closed(self):
+        # column 0 pivots on row 0, whose substitution names row 1; column 1
+        # pivots on row 1, so row 0's substitution takes in row 1's and names
+        # row 2; column 2 reduces to 5 at row 2, for the general phase
+        cols = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 2, 2: 3}]
+        coker = CokernelStratum(3, cols)
+        assert coker.torsion == [5] and coker.free_rank == 0
+        assert smith_normal_form(dense_of(3, cols)).invariant_factors == [1, 1, 5]
+        ref = GeneralPhaseOnly(3, cols)
+        for vec in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 7], [0, 0, 5]):
+            assert coker.class_order(vec) == ref.class_order(vec)
+            assert coker.is_zero_class(vec) == ref.is_zero_class(vec)
+
+    def test_zero_entries_and_empty_columns(self):
+        coker = CokernelStratum(2, [{0: 0}, {}, {0: 2, 1: 0}])
+        assert coker.torsion == [2]
+        assert coker.free_rank == 1
+        assert coker.class_order([1, 0]) == 2
+        assert coker.class_order([0, 1]) == 0
+
+
 class TestIdealStrata:
     def test_codim1_simply_connected_is_full(self, calc_f4):
         # every degree-1 class is in the ideal

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from flagcalc import cli
 from flagcalc.cli import _json_dumps, main
 from flagcalc.schubert import SchubertExpansion
 
@@ -390,3 +391,43 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "--type", "H1", "--expr", "w1"])
     assert exc.value.code == 2
+
+
+class TestParserBuilds:
+    """A known subcommand builds only its own parser, with the same bytes out."""
+
+    @staticmethod
+    def exit_output(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize(
+        "extra",
+        [("--help",), (), ("--type", "G2", "--bogus"), ("--rank", "x")],
+        ids=["help", "missing-type", "unknown-flag", "bad-int"],
+    )
+    def test_single_build_prints_the_full_build_bytes(self, capsys, command, extra):
+        argv = [command, *extra]
+        single = self.exit_output(capsys, main, argv)
+        full = self.exit_output(capsys, cli.build_parser().parse_args, argv)
+        assert single == full
+        assert single[0] == (0 if extra == ("--help",) else 2)
+        if extra == ("--help",):
+            assert single[1].startswith(f"usage: flagcalc {command} ")
+
+    def test_known_command_builds_no_full_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("full parser built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert main(["basis", "--type", "G2", "--codim", "1"]) == 0
+        assert capsys.readouterr().out.split() == ["1", "2"]
+
+    @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["--type", "G2"]])
+    def test_other_input_goes_through_the_full_parser(self, capsys, argv):
+        single = self.exit_output(capsys, main, argv)
+        full = self.exit_output(capsys, cli.build_parser().parse_args, argv)
+        assert single == full

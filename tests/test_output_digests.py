@@ -3,7 +3,8 @@
 Every verification and Chow-ring result below is recomputed from the root
 data; the sha256 of the JSON stdout pins it byte for byte, so a refactor of
 the suites or the engines that changes a single check name, value or
-ordering fails here.  The two ``basis`` outputs pin the lex-min word order of
+ordering fails here.  The rank-6 ``chow`` outputs pin Chow rings whose
+strata are large enough that most pivots come from the unit phase.  The two ``basis`` outputs pin the lex-min word order of
 a middle stratum, the order that ``pos`` indexes.  The ``giambelli`` outputs
 pin representatives whose descents start at different parabolic tops
 w0 w_{0,J}, in types B, D (where w0 is not -1) and F4.
@@ -33,6 +34,14 @@ DIGESTS = [
     (
         ("chow", "--type", "B", "--rank", "4", "--variant", "so"),
         "960baeaff070dce0208e1cd1e3a37d72f60a7bce80f967ed410196d12627c9cf",
+    ),
+    (
+        ("chow", "--type", "D", "--rank", "6"),
+        "d25904c5699d82200c55d59d5583fa1d97b4660b61027334ad480d666f2bfe53",
+    ),
+    (
+        ("chow", "--type", "B", "--rank", "6", "--variant", "so"),
+        "c6653419fc9406ca645547426c57b9fc49e244d0085f44cf257a47ccb8dd46ec",
     ),
     (
         ("basis", "--type", "D", "--rank", "5", "--codim", "10"),

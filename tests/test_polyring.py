@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from flagcalc.errors import NotDivisibleError, OutOfRangeError, ParseError
+from flagcalc.errors import OutOfRangeError, ParseError
 from flagcalc.exprparse import parse_polynomial
-from flagcalc.polyring import (
-    _W,
-    Polynomial,
+from flagcalc.polyring import _W, Polynomial
+
+from conftest import (
+    NotDivisibleError,
     exact_div_linear,
     substitute_linear,
     weyl_substitute,

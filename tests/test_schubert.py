@@ -7,11 +7,11 @@ import pytest
 
 from flagcalc import schubert
 from flagcalc.errors import NonIntegralExpansionError, OutOfRangeError
-from flagcalc.polyring import Polynomial, exact_div_linear, weyl_substitute
+from flagcalc.polyring import Polynomial
 from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, SchubertExpansion
 
-from conftest import reduced_words, word
+from conftest import exact_div_linear, reduced_words, weyl_substitute, word
 from test_polyring import random_poly
 
 

@@ -219,6 +219,21 @@ def test_covers_match_root_reflections(family, rank):
         assert list(g.covers(w)) == want
 
 
+@pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
+def test_stratum_covers_match_covers(family, rank):
+    # the flat covers, found by their own scan on one group and read from
+    # cached covers on another, name exactly the pairs that covers(w) gives
+    flat, warm = _fresh_group(family, rank), _fresh_group(family, rank)
+    for k in range(1, flat.longest_length + 1):
+        table = flat.stratum_covers(k)
+        lower, upper = warm.sorted_stratum(k - 1), warm.sorted_stratum(k)
+        assert len(table) == len(lower)
+        for w in lower:
+            ps, bs = table[w.pos]
+            assert [(upper[p], b) for p, b in zip(ps, bs)] == list(warm.covers(w))
+        assert warm.stratum_covers(k) == table
+
+
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F4", None)])
 def test_elements_met_before_enumeration(family, rank):
     # elements interned from words, and covers found before their stratum is
