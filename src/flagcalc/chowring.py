@@ -4,12 +4,10 @@ manifolds, computed as quotients by the degree-2-generated ideal.
 The ideal is generated in degree 2, so its codimension-k piece is spanned by
 the products lambda * Z_w over a basis of the degree-2 lattice and the basis
 classes of length k-1.  Each stratum of the quotient is the cokernel of a
-sparse integer matrix whose columns come from the flat Bruhat cover tables
-of the Weyl group (``WeylGroup.stratum_covers``).  A sparse elimination in
-two phases diagonalises it: unit pivots first, by substitution, then a
-general phase on the few columns left without a unit.  Its pivots give the
-invariant factors; all arithmetic stays in exact arbitrary-precision
-integers.
+sparse integer matrix built from the flat Bruhat cover tables of the Weyl
+group.  A sparse elimination diagonalises it in two phases, unit pivots by
+substitution and then the few columns left without a unit; its pivots give
+the invariant factors.  All arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -40,29 +38,26 @@ VARIANTS = ("simply_connected", "special_orthogonal")
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
-    The columns are dicts row -> entry, read and never changed.  The
-    elimination brings the matrix to a diagonal U M V in two phases, and
-    records only the row operations, as triples (t, s, q) meaning
-    row_t += q * row_s; column operations never change cokernel coordinates.
+    The columns are dicts row -> entry, read and never changed.  Two phases
+    bring the matrix to a diagonal U M V, recording only the row operations,
+    as triples (t, s, q) meaning row_t += q * row_s; column operations never
+    change cokernel coordinates.
 
     The unit phase takes the columns shortest first and pivots on a +-1
-    entry of each, so unit pivots come from short columns and fill in
-    little.  A unit pivot u at row s of a column whose other entries are
-    a_t clears that column with the row operations row_t += -a_t u row_s;
-    the column operations that clear row s elsewhere then amount to a
-    substitution: an entry b at row s becomes q b at each row t, with
-    q = -a_t u.  Each column is reduced by the substitutions of the rows
-    pivoted before it (most are empty) before its pivot is chosen.  A column
-    left with no unit is set aside, and once every column is read it is
-    reduced again.  No row keeps the set of columns it meets.
+    entry u of each, at row s.  The row operations row_t += -a_t u row_s
+    clear the other entries a_t of the pivot column, and the column
+    operations that clear row s elsewhere amount to a substitution: an entry
+    b at row s becomes -a_t u b at each row t.  Each column is reduced by the
+    substitutions of the rows pivoted before it (most are empty) before its
+    pivot is chosen; no row keeps the set of columns it meets.  A column left
+    without a unit is set aside and, once every column is read, reduced again.
 
-    The columns set aside go to the general phase, on the rows that hold no
-    unit pivot.  It takes the first +-1 entry as pivot, or an entry of least
-    absolute value when no unit is left.  Floor-quotient row operations
-    leave remainders in the rest of the pivot column, and remainder column
-    operations do the same along the pivot row.  The pivot retires once its
-    row and column are both clean; otherwise the least entry has strictly
-    shrunk and the loop picks again.
+    The general phase takes those columns, on the rows without a pivot.  It
+    pivots on a +-1 entry, or on an entry of least absolute value.
+    Floor-quotient row operations leave remainders in the rest of the pivot
+    column, and remainder column operations do the same along the pivot row.
+    The pivot retires once its row and column are both clean; otherwise the
+    least entry has strictly shrunk and the loop picks again.
 
     The cokernel is the sum of Z/d over the retired pivots d and one Z per
     row that never held a pivot; one gcd/lcm pass turns the pivots into the
@@ -271,10 +266,8 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
 
     Column (lam, w) holds the Chevalley rule lam * Z_w = sum (beta^vee | lam)
     Z_{w s_beta} over the covers of w, in positive-root order; row v.pos is
-    Z_v.  The columns of lam come in stratum order, one lam after another;
-    one pass over the flat covers fills them all, each cover once for every
-    lam that pairs with its root to nonzero.  Returns (number of rows,
-    columns).
+    Z_v.  Columns run over w within lam; one pass over the flat covers fills
+    them all.  Returns (number of rows, columns).
     """
     group = calc.group
     rows = len(group.elements_of_length(k))

@@ -168,74 +168,38 @@ _DESCRIPTION = (
     "Exact Schubert calculus on flag manifolds of types "
     "B, D, G2, F4, and Chow rings of the corresponding groups."
 )
+_REQUIRED = {"required": True}
 _FORMAT = ("--format", {"choices": ["table", "json"], "default": "table"})
-_COMMON = (
+_COMMON = [
     ("--type", {"required": True, "choices": ["B", "D", "G2", "F4"]}),
     ("--rank", {"type": int}),
     _FORMAT,
-)
+]
 
 # name -> (help line, handler, arguments as (flag, add_argument keywords))
 _COMMANDS = {
-    "basis": (
-        "Schubert basis words of one codimension",
-        _cmd_basis,
-        _COMMON + (("--codim", {"type": int, "required": True}),),
-    ),
-    "expand": (
-        "expand a polynomial in the Schubert basis",
-        _cmd_expand,
-        _COMMON + (("--expr", {"required": True}),),
-    ),
-    "delta": (
-        "apply a divided difference operator",
-        _cmd_delta,
-        _COMMON + (("--word", {"required": True}), ("--expr", {"required": True})),
-    ),
-    "chevalley": (
-        "degree-1 product Z_u * Z_w",
-        _cmd_chevalley,
-        _COMMON
-        + (
-            ("--u", {"required": True, "help": "a single simple index"}),
-            ("--word", {"required": True}),
-        ),
-    ),
-    "giambelli": (
-        "polynomial representative of Z_w",
-        _cmd_giambelli,
-        _COMMON + (("--word", {"required": True}),),
-    ),
-    "structconst": (
-        "expansion of Z_u * Z_v",
-        _cmd_structconst,
-        _COMMON + (("--u", {"required": True}), ("--v", {"required": True})),
-    ),
-    "chow": (
-        "Chow ring of the algebraic group",
-        _cmd_chow,
-        _COMMON
-        + (
-            ("--variant", {"choices": ["spin", "so"], "default": "spin"}),
-            ("--max-codim", {"type": int, "default": None}),
-        ),
-    ),
-    "verify": (
-        "run the full verification suite",
-        _cmd_verify,
-        (
-            (
-                "--type",
-                {
-                    "required": True,
-                    "help": "B, D, G2, F4, a comma list of these, or 'all'",
-                },
-            ),
-            ("--rank", {"type": int, "default": None}),
-            ("--max-codim", {"type": int, "default": None}),
-            _FORMAT,
-        ),
-    ),
+    "basis": ("Schubert basis words of one codimension", _cmd_basis,
+              [*_COMMON, ("--codim", {"type": int, "required": True})]),
+    "expand": ("expand a polynomial in the Schubert basis", _cmd_expand,
+               [*_COMMON, ("--expr", _REQUIRED)]),
+    "delta": ("apply a divided difference operator", _cmd_delta,
+              [*_COMMON, ("--word", _REQUIRED), ("--expr", _REQUIRED)]),
+    "chevalley": ("degree-1 product Z_u * Z_w", _cmd_chevalley,
+                  [*_COMMON, ("--u", {"required": True, "help": "a single simple index"}),
+                   ("--word", _REQUIRED)]),
+    "giambelli": ("polynomial representative of Z_w", _cmd_giambelli,
+                  [*_COMMON, ("--word", _REQUIRED)]),
+    "structconst": ("expansion of Z_u * Z_v", _cmd_structconst,
+                    [*_COMMON, ("--u", _REQUIRED), ("--v", _REQUIRED)]),
+    "chow": ("Chow ring of the algebraic group", _cmd_chow,
+             [*_COMMON, ("--variant", {"choices": ["spin", "so"], "default": "spin"}),
+              ("--max-codim", {"type": int, "default": None})]),
+    "verify": ("run the full verification suite", _cmd_verify,
+               [("--type", {"required": True,
+                            "help": "B, D, G2, F4, a comma list of these, or 'all'"}),
+                ("--rank", {"type": int, "default": None}),
+                ("--max-codim", {"type": int, "default": None}),
+                _FORMAT]),
 }
 
 

@@ -29,11 +29,9 @@ applied to s_beta(alpha_j).  The reflections s_beta are built once per group,
 on first use, by conjugation s_j s_gamma s_j down to the simple ones.
 
 The upper Bruhat covers w s_beta of w (l(w s_beta) = l(w) + 1) are found
-once per element and kept in one of two forms.  ``covers`` keeps elements,
-and interns a candidate that is not yet known, so high-rank groups are
-never enumerated just to find covers.  ``stratum_covers`` keeps flat
-integers: the positions of the covers in the next stratum and the indices
-of their roots, which is all the Chow-ring strata read.
+once per element.  ``covers`` keeps them as elements, so high-rank groups are
+never enumerated just to find covers; ``stratum_covers`` keeps flat integers,
+their positions in the next stratum and their root indices, for the Chow rings.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -167,10 +165,8 @@ class WeylGroup:
         self._parents.append(None)
         return el
 
-    def _element(self, perm, key=None) -> WeylElement:
+    def _element(self, perm, key) -> WeylElement:
         """Intern an element met outside enumeration, computing its word directly."""
-        if key is None:
-            key = self._pack(map(perm.__getitem__, self._alpha))
         el = self._elements.get(key)
         if el is None:
             el = self._new(perm, key, self._lexmin_word(perm))
@@ -366,14 +362,11 @@ class WeylGroup:
         return self._element(perms[b](t), keys[b](t))
 
     def _cover_scan(self, w: WeylElement) -> tuple:
-        """(elements, root indices) of the covers w s_beta of w, as two lists.
+        """(elements, root indices) of the covers w s_beta of w, as two tuples.
 
         w s_beta lies above w exactly when w(beta) is positive, and is looked
-        up by its key, w applied to s_beta(alpha_j).  When the stratum of
-        length l(w) + 1 is already enumerated, a candidate missing from the
-        intern table is not a cover; otherwise its permutation, w composed
-        with s_beta, is interned, so that high-rank groups are never
-        enumerated just to find covers.
+        up by its key.  A candidate missing from the intern table is no cover
+        once the stratum l(w) + 1 is enumerated; before that, it is interned.
         """
         k = w.length + 1
         enumerated = k < len(self._levels)
@@ -394,7 +387,7 @@ class WeylGroup:
             if v.length == k:
                 vs.append(v)
                 bs.append(b)
-        return vs, bs
+        return tuple(vs), tuple(bs)
 
     def covers(self, w: WeylElement):
         """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
@@ -404,18 +397,15 @@ class WeylGroup:
         """
         got = w._covers
         if got is None:
-            vs, bs = self._cover_scan(w)
-            got = w._covers = (tuple(vs), tuple(bs))
+            got = w._covers = self._cover_scan(w)
         return zip(*got)
 
     def stratum_covers(self, k: int) -> list:
         """The covers of the elements of length k - 1, as flat integers.
 
-        Entry w.pos is the pair (positions, roots) for w: the positions in
-        stratum k of the covers w s_beta, and the indices of their roots
-        beta, in positive-root order.  Each element keeps its pair, built
-        once (from its cached ``covers`` when there are any); the strata k - 1
-        and k are enumerated first.
+        Entry w.pos is (positions in stratum k of the covers w s_beta, indices
+        of their roots beta), in positive-root order.  Each element keeps its
+        pair, built once, from its cached ``covers`` if it has them.
         """
         self.elements_of_length(k)
         pack = self._pack
