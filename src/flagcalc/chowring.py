@@ -119,16 +119,22 @@ class CokernelStratum:
             return d
 
         rest = []
-        count = Counter(chain.from_iterable(columns))
+        count = None  # row -> number of columns that meet it, once a choice needs it
         for col in sorted(columns, key=len):
             d = reduce(col)
-            units = [r for r, u in d.items() if u == 1 or u == -1]
-            if not units:
+            for s, u in d.items():
+                if u == 1 or u == -1:
+                    break
+            else:
                 if d:
                     rest.append(d)
                 continue
-            s = min(units, key=count.__getitem__) if len(d) > 1 else units[0]
-            u = d.pop(s)
+            if len(d) > 1:
+                if count is None:
+                    count = Counter(chain.from_iterable(columns))
+                s = min((r for r, a in d.items() if a == 1 or a == -1), key=count.__getitem__)
+                u = d[s]
+            del d[s]
             sub = subs[s] = {t: -a * u for t, a in d.items()}
             rowops.extend((t, s, q) for t, q in sub.items())
             for t in sub:
@@ -196,20 +202,11 @@ def _eliminate(rows: list, cols: list, rowops: list) -> tuple:
     pivots = []
 
     while True:
-        found = None
-        for ci in alive:
-            for r, v in cols[ci].items():
-                if v == 1 or v == -1:
-                    found = ci, r, v
-                    break
-            if found:
-                break
-        else:
-            found = min(
-                ((ci, r, v) for ci in alive for r, v in cols[ci].items()),
-                key=lambda entry: abs(entry[2]),
-                default=None,
-            )
+        units = ((ci, r, v) for ci in alive for r, v in cols[ci].items() if v == 1 or v == -1)
+        found = next(units, None)
+        if found is None:
+            entries = ((ci, r, v) for ci in alive for r, v in cols[ci].items())
+            found = min(entries, key=lambda entry: abs(entry[2]), default=None)
             if found is None:
                 break
         ci, r, v = found
