@@ -381,11 +381,12 @@ class TestUnitPhase:
     def test_substitutions_stay_closed(self):
         # column 0 pivots on row 0, whose substitution names row 1; column 1
         # pivots on row 1, so row 0's substitution takes in row 1's and names
-        # row 2; column 2 reduces to 5 at row 2, for the general phase
-        cols = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 2, 2: 3}]
+        # row 2; column 2 then reduces to 3 at row 2, for the general phase,
+        # and not to a second unit at row 1
+        cols = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 2}]
         coker = CokernelStratum(3, cols)
-        assert coker.torsion == [5] and coker.free_rank == 0
-        assert smith_normal_form(dense_of(3, cols)).invariant_factors == [1, 1, 5]
+        assert coker.torsion == [3] and coker.free_rank == 0
+        assert smith_normal_form(dense_of(3, cols)).invariant_factors == [1, 1, 3]
         ref = GeneralPhaseOnly(3, cols)
         for vec in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, 7], [0, 0, 5]):
             assert coker.class_order(vec) == ref.class_order(vec)
