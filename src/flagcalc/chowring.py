@@ -50,7 +50,8 @@ class CokernelStratum:
     b at row s becomes -a_t u b at each row t.  Each column is reduced by the
     substitutions of the rows pivoted before it (most are empty) before its
     pivot is chosen; no row keeps the set of columns it meets.  A column left
-    without a unit is set aside and, once every column is read, reduced again.
+    without a unit is set aside and, once every column is read, reduced again;
+    equal columns go on once.
 
     The general phase takes those columns, on the rows without a pivot.  It
     pivots on a +-1 entry, or on an entry of least absolute value.
@@ -152,7 +153,8 @@ class CokernelStratum:
                         other[t] = nv
                     elif t in other:
                         del other[t]
-        rest = [d for d in map(reduce, rest) if d]
+        # equal columns span the same lattice; the general phase gets one each
+        rest = list({frozenset(d.items()): d for d in map(reduce, rest) if d}.values())
         return subs, rest
 
     def classify(self, vec) -> tuple:
