@@ -5,9 +5,9 @@ The ideal is generated in degree 2, so its codimension-k piece is spanned by
 the products lambda * Z_w over a basis of the degree-2 lattice and the basis
 classes of length k-1.  Each stratum of the quotient is the cokernel of a
 sparse integer matrix built from the flat Bruhat cover tables of the Weyl
-group.  A sparse elimination diagonalises it in two phases, unit pivots by
-substitution and then the few columns left without a unit; its pivots give
-the invariant factors.  All arithmetic stays in exact integers.
+group.  It is diagonalised in two phases: closed substitutions take the unit
+pivots, nearly every row, and a dense Smith step the few rows left; the
+pivots give the invariant factors.  All arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -35,94 +35,95 @@ VARIANTS = ("simply_connected", "special_orthogonal")
 # ---------------------------------------------------------------------------
 
 
+def _reduce(subs: dict, entries) -> dict:
+    """The vector of (row, entry) pairs after the unit pivots' substitutions.
+
+    subs maps a pivot row s to its closed substitution, a tuple of pairs
+    (t, q): an entry b at row s becomes q * b at each row t.  Rows without a
+    substitution keep their entries.  Returns the nonzero entries, as a dict
+    row -> entry.
+    """
+    d = {}
+    for r, v in entries:
+        if not v:
+            continue
+        sub = subs.get(r)
+        if sub is None:
+            nv = d.get(r, 0) + v
+            if nv:
+                d[r] = nv
+            else:
+                del d[r]
+        else:
+            for t, q in sub:
+                nv = d.get(t, 0) + q * v
+                if nv:
+                    d[t] = nv
+                else:
+                    del d[t]
+    return d
+
+
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
     The columns are dicts row -> entry, read and never changed.  Two phases
-    bring the matrix to a diagonal U M V, recording only the row operations,
-    as triples (t, s, q) meaning row_t += q * row_s; column operations never
-    change cokernel coordinates.
+    bring the matrix to a diagonal U M V; column operations never change
+    cokernel coordinates, so only U is kept, as one record per phase.
 
     The unit phase takes the columns shortest first and pivots on a +-1
     entry u of each, at row s.  The row operations row_t += -a_t u row_s
-    clear the other entries a_t of the pivot column, and the column
-    operations that clear row s elsewhere amount to a substitution: an entry
+    that clear the other entries a_t of the pivot column, with the column
+    operations that clear row s elsewhere, amount to a substitution: an entry
     b at row s becomes -a_t u b at each row t.  Each column is reduced by the
-    substitutions of the rows pivoted before it (most are empty) before its
-    pivot is chosen; no row keeps the set of columns it meets.  A column left
-    without a unit is set aside and, once every column is read, reduced again;
-    equal columns go on once.
+    substitutions so far (``_reduce``) before its pivot is chosen; no row
+    keeps the set of columns it meets.  The phase's record is its non-empty
+    substitutions, kept closed, and the rows left without a pivot: reducing
+    a vector by them equals replaying its row operations on the rows left.
 
-    The general phase takes those columns, on the rows without a pivot.  It
-    pivots on a +-1 entry, or on an entry of least absolute value.
-    Floor-quotient row operations leave remainders in the rest of the pivot
-    column, and remainder column operations do the same along the pivot row.
-    The pivot retires once its row and column are both clean; otherwise the
-    least entry has strictly shrunk and the loop picks again.
-
-    The cokernel is the sum of Z/d over the retired pivots d and one Z per
-    row that never held a pivot; one gcd/lcm pass turns the pivots into the
+    The columns left without a unit go to the general phase, ``_eliminate``,
+    on the rows left; its row operations are the second record.  The
+    cokernel is the sum of Z/d over its pivots d and one Z per row that
+    never held a pivot; one gcd/lcm pass turns the pivots into the
     divisibility chain of invariant factors.  Which rows hold the pivots
     depends on the order of the columns, the invariant factors do not.
     """
 
     def __init__(self, rows: int, columns: list):
         self.rows = rows
+        subs, rest = self._unit_phase(columns)
+        self._left = [r for r in range(rows) if r not in subs]
+        self._subs = {s: sub for s, sub in subs.items() if sub}
         self._rowops = []
-        units, rest = self._unit_phase(columns)
-        pivots, free_rows = _eliminate(
-            [r for r in range(rows) if r not in units], rest, self._rowops
-        )
-        self._pivots = [(r, d) for r, d in pivots if d > 1]
-        self._free_rows = free_rows
+        pivots, self._free_rows = self._eliminate(self._left, rest, self._rowops)
+        self._pivots = [(i, d) for i, d in pivots if d > 1]
         self.moduli = tuple(d for _, d in self._pivots)
         chain = list(self.moduli)
         for i in range(len(chain)):
             for j in range(i + 1, len(chain)):
                 g = gcd(chain[i], chain[j])
                 chain[i], chain[j] = g, chain[i] * chain[j] // g
-        self.invariant_factors = [1] * (len(units) + len(pivots) - len(chain)) + chain
+        self.invariant_factors = [1] * (len(subs) + len(pivots) - len(chain)) + chain
         self.torsion = [d for d in chain if d > 1]
         self.free_rank = len(self._free_rows)
 
-    def _unit_phase(self, columns) -> tuple:
-        """(substitution per unit pivot row, the reduced columns without a unit).
+    @staticmethod
+    def _unit_phase(columns) -> tuple:
+        """(substitution per unit pivot row, iterator of the reduced columns left).
 
-        The substitution of pivot row s maps each row t to its multiplier q;
-        its row operations are appended to the record in pivot order.  The
-        substitutions are kept closed: they name only rows that hold no
-        pivot, so one pass reduces a column.  When row s becomes a pivot, the
-        substitutions that name s take in its own.  Among the units of a
-        column, the pivot goes to the row that the fewest columns meet, so
-        that its substitution reaches few of them.
+        The substitution of pivot row s pairs each row t with its multiplier
+        q.  When row s becomes a pivot, the substitutions that name s take in
+        its own, so they stay closed.  Among the units of a column, the pivot
+        goes to the row that the fewest columns meet, so that its substitution
+        reaches few of them.  Tuples, not dicts, keep the substitutions small:
+        most are empty, and a stratum keeps the rest.
         """
-        rowops = self._rowops
-        subs: dict = {}  # pivot row -> {t: q}
+        subs: dict = {}  # pivot row -> ((t, q), ...)
         users: dict = {}  # row -> pivot rows whose substitution may name it
-
-        def reduce(col) -> dict:
-            d = {}
-            for r, v in col.items():
-                sub = subs.get(r)
-                if sub is None:
-                    nv = d.get(r, 0) + v
-                    if nv:
-                        d[r] = nv
-                    elif r in d:
-                        del d[r]
-                elif sub and v:
-                    for t, q in sub.items():
-                        nv = d.get(t, 0) + q * v
-                        if nv:
-                            d[t] = nv
-                        else:
-                            del d[t]
-            return d
-
         rest = []
         count = None  # row -> number of columns that meet it, once a choice needs it
         for col in sorted(columns, key=len):
-            d = reduce(col)
+            d = _reduce(subs, col.items())
             for s, u in d.items():
                 if u == 1 or u == -1:
                     break
@@ -136,16 +137,15 @@ class CokernelStratum:
                 s = min((r for r, a in d.items() if a == 1 or a == -1), key=count.__getitem__)
                 u = d[s]
             del d[s]
-            sub = subs[s] = {t: -a * u for t, a in d.items()}
-            rowops.extend((t, s, q) for t, q in sub.items())
-            for t in sub:
+            sub = subs[s] = tuple((t, -a * u) for t, a in d.items())
+            for t, _ in sub:
                 users.setdefault(t, []).append(s)
             for x in users.pop(s, ()):
-                other = subs[x]
+                other = dict(subs[x])
                 c = other.pop(s, 0)
                 if not c:
                     continue
-                for t, q in sub.items():
+                for t, q in sub:
                     nv = other.get(t, 0) + c * q
                     if nv:
                         if t not in other:
@@ -153,9 +153,55 @@ class CokernelStratum:
                         other[t] = nv
                     elif t in other:
                         del other[t]
-        # equal columns span the same lattice; the general phase gets one each
-        rest = list({frozenset(d.items()): d for d in map(reduce, rest) if d}.values())
-        return subs, rest
+                subs[x] = tuple(other.items())
+        return subs, (_reduce(subs, d.items()) for d in rest)
+
+    @staticmethod
+    def _eliminate(rows: list, cols, rowops: list) -> tuple:
+        """The general phase: a dense Smith step on cols (dicts row -> entry).
+
+        The unit phase leaves few rows: at most 3 on every stratum of B3-B5,
+        D4-D6, G2 and F4, and at most 8, meeting at most 1,765 distinct
+        columns, on B7 so.  So each row is one list, over the distinct columns,
+        and the matrix holds the rows not yet pivoted.  Each step pivots on
+        an entry v of least absolute value.  Floor row operations leave
+        remainders in the rest of its column and are appended to rowops as
+        (t, s, q), row_t += q * row_s; remainder column operations do the
+        same along its row, unrecorded.  The pivot retires once both are
+        clean; otherwise the least entry has shrunk.
+
+        Rows are numbered by their index in ``rows``.  Returns (pivots, free
+        rows): the pivots as pairs (row, |v|) in retirement order, and the
+        rows, sorted, that never held one.
+        """
+        distinct = dict.fromkeys(tuple(col.get(r, 0) for r in rows) for col in cols)
+        distinct.pop((0,) * len(rows), None)
+        if not distinct:
+            return [], list(range(len(rows)))
+        matrix = dict(enumerate(map(list, zip(*distinct))))
+        pivots = []
+        while True:
+            entries = [(abs(a), i, j) for i, row in matrix.items() for j, a in enumerate(row) if a]
+            if not entries:
+                return pivots, list(matrix)
+            _, i, j = min(entries)
+            row = matrix[i]
+            v = row[j]
+            for i2, row2 in matrix.items():
+                if row2[j] and i2 != i:
+                    q = -(row2[j] // v)
+                    matrix[i2] = [x + q * y for x, y in zip(row2, row)]
+                    rowops.append((i2, i, q))
+            rest = [(row2, row2[j]) for i2, row2 in matrix.items() if row2[j] and i2 != i]
+            for j2, b in enumerate(row):
+                if b and j2 != j:
+                    q = b // v
+                    row[j2] = b - q * v
+                    for row2, a in rest:
+                        row2[j2] -= q * a
+            if not rest and row.count(0) == len(row) - 1:
+                del matrix[i]
+                pivots.append((i, abs(v)))
 
     def classify(self, vec) -> tuple:
         """Class of an integer vector in the cokernel.
@@ -164,11 +210,12 @@ class CokernelStratum:
         ``moduli``, one per non-unit pivot, each reduced modulo its pivot; the
         zero class has all zeros in both parts.
         """
-        v = list(vec)
+        d = _reduce(self._subs, enumerate(vec))
+        v = [d.get(r, 0) for r in self._left]
         for t, s, q in self._rowops:
             v[t] += q * v[s]
-        torsion = tuple(v[r] % d for r, d in self._pivots)
-        free = tuple(v[r] for r in self._free_rows)
+        torsion = tuple(v[i] % p for i, p in self._pivots)
+        free = tuple(v[i] for i in self._free_rows)
         return torsion, free
 
     def class_order(self, vec) -> int:
@@ -186,73 +233,6 @@ class CokernelStratum:
     def is_zero_class(self, vec) -> bool:
         torsion, free = self.classify(vec)
         return not any(torsion) and not any(free)
-
-
-def _eliminate(rows: list, cols: list, rowops: list) -> tuple:
-    """The general phase: diagonalise cols (dicts row -> entry) on rows.
-
-    Appends its row operations to rowops and returns (pivots, free rows):
-    the pivots as pairs (row, |pivot|) in retirement order, and the rows,
-    sorted, that never held one.
-    """
-    cols.sort(key=len)
-    col_of_row: dict = {r: set() for r in rows}
-    for ci, d in enumerate(cols):
-        for r in d:
-            col_of_row[r].add(ci)
-    alive = set(range(len(cols)))
-    pivots = []
-
-    while True:
-        units = ((ci, r, v) for ci in alive for r, v in cols[ci].items() if v == 1 or v == -1)
-        found = next(units, None)
-        if found is None:
-            entries = ((ci, r, v) for ci in alive for r, v in cols[ci].items())
-            found = min(entries, key=lambda entry: abs(entry[2]), default=None)
-            if found is None:
-                break
-        ci, r, v = found
-        pivot_col = cols[ci]
-        # Column: row_r2 -= (a // v) * row_r leaves a % v at (r2, ci).
-        for r2 in [x for x in pivot_col if x != r]:
-            q = -(pivot_col[r2] // v)
-            rowops.append((r2, r, q))
-            for cj in list(col_of_row[r]):
-                d = cols[cj]
-                nv = d.get(r2, 0) + q * d[r]
-                if nv:
-                    d[r2] = nv
-                    col_of_row[r2].add(cj)
-                elif r2 in d:
-                    del d[r2]
-                    col_of_row[r2].discard(cj)
-        # Row: col_cj -= (b // v) * col_ci leaves b % v at (r, cj).
-        rest = [(r2, a) for r2, a in pivot_col.items() if r2 != r]
-        for cj in list(col_of_row[r]):
-            if cj == ci:
-                continue
-            d = cols[cj]
-            b = d.pop(r)
-            if b % v:
-                d[r] = b % v
-            else:
-                col_of_row[r].discard(cj)
-            q = b // v
-            for r2, a in rest:
-                nv = d.get(r2, 0) - q * a
-                if nv:
-                    d[r2] = nv
-                    col_of_row[r2].add(cj)
-                elif r2 in d:
-                    del d[r2]
-                    col_of_row[r2].discard(cj)
-            if not d:
-                alive.discard(cj)
-        if not rest and len(col_of_row[r]) == 1:
-            alive.discard(ci)
-            del col_of_row[r]
-            pivots.append((r, abs(v)))
-    return pivots, sorted(col_of_row)
 
 
 # ---------------------------------------------------------------------------

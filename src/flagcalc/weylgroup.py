@@ -32,6 +32,10 @@ The upper Bruhat covers w s_beta of w (l(w s_beta) = l(w) + 1) are found
 once per element.  ``covers`` keeps them as elements, so high-rank groups are
 never enumerated just to find covers; ``stratum_covers`` keeps flat integers,
 their positions in the next stratum and their root indices, for the Chow rings.
+Before the stratum l(w) + 1 is enumerated, a candidate w s_beta missing from
+the intern table has its length counted from its permutation (the positive
+roots it sends to negative ones) and is interned, with a lex-min word, only
+when it is a cover; a candidate several steps above w is dropped.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -366,7 +370,8 @@ class WeylGroup:
 
         w s_beta lies above w exactly when w(beta) is positive, and is looked
         up by its key.  A candidate missing from the intern table is no cover
-        once the stratum l(w) + 1 is enumerated; before that, it is interned.
+        once the stratum l(w) + 1 is enumerated; before that, its length is
+        counted from its permutation, and it is interned only if a cover.
         """
         k = w.length + 1
         enumerated = k < len(self._levels)
@@ -383,7 +388,10 @@ class WeylGroup:
             if v is None:
                 if enumerated:
                     continue
-                v = self._element(perms[b](t), key)
+                p = perms[b](t)
+                if sum(map(n_pos.__le__, p[:n_pos])) != k:
+                    continue
+                v = self._element(p, key)
             if v.length == k:
                 vs.append(v)
                 bs.append(b)

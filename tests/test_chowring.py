@@ -313,6 +313,37 @@ class TestCokernelStratum:
                         vec[r] = v
                     assert coker.is_zero_class(vec), (variant, k, col)
 
+    def test_dense_step_on_every_row(self):
+        # no entry is a unit, so the unit phase pivots on no row and the whole
+        # matrix reaches the dense Smith step; the sparse general phase is the
+        # reference for its class map
+        rng = random.Random(35)
+        values = (2, 3, 4, 6, -2, -3, -4, -6)
+        for _ in range(60):
+            rows = rng.randint(1, 8)
+            cols = [
+                {r: rng.choice(values) for r in rng.sample(range(rows), rng.randint(0, rows))}
+                for _ in range(rng.randint(1, 10))
+            ]
+            coker = CokernelStratum(rows, cols)
+            assert coker._left == list(range(rows)) and not coker._subs
+            res = smith_normal_form(dense_of(rows, cols))
+            assert coker.invariant_factors == res.invariant_factors
+            ref = GeneralPhaseOnly(rows, cols)
+            for _ in range(10):
+                # a random vector, and a random point of the image moved by it
+                vec = [rng.randint(-12, 12) for _ in range(rows)]
+                image = [0] * rows
+                for col in cols:
+                    q = rng.randint(-3, 3)
+                    for r, v in col.items():
+                        image[r] += q * v
+                k = rng.choice((0, 1, 2, 3))
+                for x in (vec, image, [a + k * b for a, b in zip(image, vec)]):
+                    assert coker.class_order(x) == ref.class_order(x)
+                    assert coker.is_zero_class(x) == ref.is_zero_class(x)
+                assert coker.is_zero_class(image)
+
     def test_classify_detects_ideal_vectors(self):
         rng = random.Random(33)
         cols = [{0: 2, 1: 1}, {1: 3}]
@@ -325,11 +356,86 @@ class TestCokernelStratum:
         assert coker.class_order([0, 0, 1]) == 0
 
 
-class GeneralPhaseOnly(CokernelStratum):
-    """The general phase alone on the whole matrix: the reference for the unit phase."""
+def sparse_eliminate(rows: list, cols: list, rowops: list) -> tuple:
+    """The general phase: diagonalise cols (dicts row -> entry) on rows.
 
-    def _unit_phase(self, columns):
+    Appends its row operations to rowops and returns (pivots, free rows):
+    the pivots as pairs (row, |pivot|) in retirement order, and the rows,
+    sorted, that never held one.
+    """
+    cols.sort(key=len)
+    col_of_row: dict = {r: set() for r in rows}
+    for ci, d in enumerate(cols):
+        for r in d:
+            col_of_row[r].add(ci)
+    alive = set(range(len(cols)))
+    pivots = []
+
+    while True:
+        units = ((ci, r, v) for ci in alive for r, v in cols[ci].items() if v == 1 or v == -1)
+        found = next(units, None)
+        if found is None:
+            entries = ((ci, r, v) for ci in alive for r, v in cols[ci].items())
+            found = min(entries, key=lambda entry: abs(entry[2]), default=None)
+            if found is None:
+                break
+        ci, r, v = found
+        pivot_col = cols[ci]
+        # Column: row_r2 -= (a // v) * row_r leaves a % v at (r2, ci).
+        for r2 in [x for x in pivot_col if x != r]:
+            q = -(pivot_col[r2] // v)
+            rowops.append((r2, r, q))
+            for cj in list(col_of_row[r]):
+                d = cols[cj]
+                nv = d.get(r2, 0) + q * d[r]
+                if nv:
+                    d[r2] = nv
+                    col_of_row[r2].add(cj)
+                elif r2 in d:
+                    del d[r2]
+                    col_of_row[r2].discard(cj)
+        # Row: col_cj -= (b // v) * col_ci leaves b % v at (r, cj).
+        rest = [(r2, a) for r2, a in pivot_col.items() if r2 != r]
+        for cj in list(col_of_row[r]):
+            if cj == ci:
+                continue
+            d = cols[cj]
+            b = d.pop(r)
+            if b % v:
+                d[r] = b % v
+            else:
+                col_of_row[r].discard(cj)
+            q = b // v
+            for r2, a in rest:
+                nv = d.get(r2, 0) - q * a
+                if nv:
+                    d[r2] = nv
+                    col_of_row[r2].add(cj)
+                elif r2 in d:
+                    del d[r2]
+                    col_of_row[r2].discard(cj)
+            if not d:
+                alive.discard(cj)
+        if not rest and len(col_of_row[r]) == 1:
+            alive.discard(ci)
+            del col_of_row[r]
+            pivots.append((r, abs(v)))
+    return pivots, sorted(col_of_row)
+
+
+class GeneralPhaseOnly(CokernelStratum):
+    """The sparse general phase alone on the whole matrix.
+
+    The reference for both the unit phase and the dense Smith step.  Its
+    rows are all rows, so the sparse phase's row numbers are the indices
+    that classify reads.
+    """
+
+    @staticmethod
+    def _unit_phase(columns):
         return {}, [{r: v for r, v in col.items() if v} for col in columns]
+
+    _eliminate = staticmethod(sparse_eliminate)
 
 
 # every stratum of these engines; the dense oracle where the matrix is small

@@ -4,11 +4,12 @@ The divided difference is checked against a tuple-keyed reference written
 here, independent of the packed kernel: Delta_i(m * w_i^k), with m free of
 w_i, is m * sum_{j<k} w_i^j (w_i - alpha_i)^(k-1-j).  Stratum cokernels are
 checked against the dense Smith normal form of ``test_chowring``, and the
-CLI against its exit-code contract.
+CLI against its exit-code contract and on re-emitting its JSON output.
 """
 
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
 from flagcalc.chowring import CokernelStratum  # noqa: E402
-from flagcalc.cli import main  # noqa: E402
+from flagcalc.cli import _json_dumps, main  # noqa: E402
 from flagcalc.exprparse import parse_polynomial  # noqa: E402
 from flagcalc.polyring import Polynomial  # noqa: E402
 from flagcalc.rootdata import cartan_type  # noqa: E402
@@ -225,3 +226,47 @@ def test_cli_exit_codes(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
     assert code in (0, 1, 2), (argv, out.getvalue())
+
+
+@st.composite
+def json_argvs(draw):
+    """A valid ``--format json`` call of a subcommand on G2, B2 or B3."""
+    type_args = draw(st.sampled_from(CLI_TYPES))
+    group = calculus_for(cartan_type(type_args[1], *map(int, type_args[3:]))).group
+
+    def element(top=group.longest_length):
+        k = draw(st.integers(0, top))
+        return draw(st.sampled_from(group.elements_of_length(k)))
+
+    weights = st.lists(st.sampled_from(["w1", "w2"]), min_size=1, max_size=4)
+    expr = "*".join(draw(weights))
+    u = element()
+    v = element(group.longest_length - u.length)  # structconst caps l(u) + l(v) at N
+    command, options = draw(
+        st.sampled_from(
+            [
+                ("basis", [("--codim", str(draw(st.integers(0, group.longest_length))))]),
+                ("expand", [("--expr", expr)]),
+                ("delta", [("--word", u), ("--expr", expr)]),
+                ("chevalley", [("--u", str(draw(st.integers(1, group.rank)))),
+                               ("--word", u)]),
+                ("giambelli", [("--word", u)]),
+                ("structconst", [("--u", u), ("--v", v)]),
+                ("chow", [("--variant", draw(st.sampled_from(["spin", "so"])))]),
+            ]
+        )
+    )
+    return [command, *type_args, *(f"{flag}={value}" for flag, value in options),
+            "--format", "json"]
+
+
+@FAST
+@given(json_argvs())
+def test_json_reemission_is_identity(argv):
+    # loading the JSON output and dumping it again gives the same bytes
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    assert code == 0 and text, argv
+    assert _json_dumps(json.loads(text)) + "\n" == text, argv

@@ -484,6 +484,20 @@ def test_covers_before_enumeration_match_enumerated_covers(family, rank):
     assert len(cold._by_id) == warm.order()
 
 
+@pytest.mark.parametrize("family,rank", [("B", 4), ("F4", None), ("B", 12)])
+def test_covers_before_enumeration_intern_only_covers(family, rank):
+    # a candidate w s_beta missing from the intern table may lie several
+    # steps above w; only the true covers are interned and given a word
+    g = _fresh_group(family, rank)
+    rng = random.Random(13)
+    for _ in range(5):
+        w = g.element_from_word([rng.randint(1, g.rank) for _ in range(rng.randint(1, 4))])
+        before = len(g._by_id)
+        got = {v.id for v, _ in g.covers(w)}
+        assert {v.id for v in g._by_id[before:]} <= got
+    assert len(g._levels) == 1
+
+
 def test_b12_low_strata_use_tuple_permutations():
     # 2N = 288 roots do not fit in bytes
     g = _fresh_group("B", 12)
