@@ -233,31 +233,25 @@ def json_argvs(draw):
     """A valid ``--format json`` call of a subcommand on G2, B2 or B3."""
     type_args = draw(st.sampled_from(CLI_TYPES))
     group = calculus_for(cartan_type(type_args[1], *map(int, type_args[3:]))).group
+    n = group.longest_length
 
-    def element(top=group.longest_length):
-        k = draw(st.integers(0, top))
-        return draw(st.sampled_from(group.elements_of_length(k)))
+    def element(top):
+        return draw(st.sampled_from(group.elements_of_length(draw(st.integers(0, top)))))
 
-    weights = st.lists(st.sampled_from(["w1", "w2"]), min_size=1, max_size=4)
-    expr = "*".join(draw(weights))
-    u = element()
-    v = element(group.longest_length - u.length)  # structconst caps l(u) + l(v) at N
-    command, options = draw(
-        st.sampled_from(
-            [
-                ("basis", [("--codim", str(draw(st.integers(0, group.longest_length))))]),
-                ("expand", [("--expr", expr)]),
-                ("delta", [("--word", u), ("--expr", expr)]),
-                ("chevalley", [("--u", str(draw(st.integers(1, group.rank)))),
-                               ("--word", u)]),
-                ("giambelli", [("--word", u)]),
-                ("structconst", [("--u", u), ("--v", v)]),
-                ("chow", [("--variant", draw(st.sampled_from(["spin", "so"])))]),
-            ]
-        )
-    )
-    return [command, *type_args, *(f"{flag}={value}" for flag, value in options),
-            "--format", "json"]
+    expr = "*".join(draw(st.lists(st.sampled_from(["w1", "w2"]), min_size=1, max_size=4)))
+    u = element(n)
+    options = {
+        "basis": [("--codim", draw(st.integers(0, n)))],
+        "expand": [("--expr", expr)],
+        "delta": [("--word", u), ("--expr", expr)],
+        "chevalley": [("--u", draw(st.integers(1, group.rank))), ("--word", u)],
+        "giambelli": [("--word", u)],
+        "structconst": [("--u", u), ("--v", element(n - u.length))],  # l(u) + l(v) <= N
+        "chow": [("--variant", draw(st.sampled_from(["spin", "so"])))],
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    flags = [f"{flag}={value}" for flag, value in options[command]]
+    return [command, *type_args, *flags, "--format", "json"]
 
 
 @FAST
