@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 
 from .errors import OutOfRangeError
 from .presentations import VerificationReport, gamma_word
-from .rootdata import CartanType, cartan_type, elem_sym_t
+from .rootdata import CartanType, cartan_type
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
 
 VARIANTS = ("simply_connected", "special_orthogonal")
@@ -501,16 +500,11 @@ def _chow_setup(family: str, rank, variant, max_codim):
 def _generator_power_class(calc: SchubertCalc, gen: ChowGenerator, e: int):
     """Class of the e-th power of a generator, as a Schubert expansion.
 
-    G2/F4 powers go through the Giambelli representatives of the generator
-    classes; in B/D the generator equals gamma_i, whose torsion-free
-    representative e_i(t)/2 keeps high ranks tractable.
+    Every generator is a Schubert class Z_w, and its power is taken in the
+    Schubert basis by ``pow_expansion``.
     """
-    ct = calc.cartan_type
     w = calc.group.element_from_word(gen.schubert_word)
-    if ct.family in ("G2", "F4"):
-        return calc.pow_expansion(calc.indicator(w), e)
-    f = elem_sym_t(calc.datum, gen.codim, calc.rank)
-    return calc.expand_class_poly(f**e, Fraction(1, 2**e))
+    return calc.pow_expansion(calc.indicator(w), e)
 
 
 def verify_chow(

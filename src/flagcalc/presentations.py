@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDivisibleByMultiplierError, OutOfRangeError
@@ -669,8 +668,8 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
 
     _check_degree2_images(calc, report)
 
-    # (e) the quadratic relations, with products taken through the
-    # torsion-free representatives c_i/2, plus c_n = 0 for D.
+    # (e) the quadratic relations, with the products gamma_i gamma_{2k-i}
+    # taken in the Schubert basis, plus c_n = 0 for D.
     if not odd:
         report.check(
             f"c_{n} = 0 in H^{2 * n}",
@@ -683,9 +682,7 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
         for i in range(1, 2 * k):
             if max(i, 2 * k - i) > kmax:
                 continue
-            prod = calc.expand_class_poly(
-                csym(i, n) * csym(2 * k - i, n), Fraction(1, 4)
-            )
+            prod = calc.mul_expansions(gamma(i), gamma(2 * k - i))
             total = total + prod.scale((-1) ** i)
         return SchubertExpansion(2 * k), total
 

@@ -11,19 +11,16 @@ the (immutable) root datum and Weyl group together with its memo caches:
   positive roots outside the parabolic subsystem Phi_J, in closed form.
   The fewer left descents an element has, the lower x and the shorter that
   product;
-* per degree l, the classes of all degree-l monomials in the fundamental
-  weights.  Degree l comes from degree l - 1 by one Chevalley step (the
-  class of m * w_j is w_j times the class of m, for j the largest variable
-  of m * w_j), starting from Z_e at degree 0;
-* per degree l, a square system for writing a class of codimension l as a
-  rational polynomial in the fundamental weights: one exact fraction-free
-  elimination over the monomial classes both picks |W_l| monomials whose
-  classes are independent over Q and factors their class matrix.
+* the products Z_u * Z_v of pairs of basis classes, one entry per
+  unordered pair, kept as long as the engine; only products read it.
 
-Products use the last two.  A product x * y, with x the factor of smaller
-codimension l, writes x as such a polynomial P and applies P to y as
-Chevalley operators, one per variable; so no factor needs a representative
-of degree above l, and no product descends from the top class.
+A product Z_u * Z_v comes from shorter pairs by the twisted Leibniz rule of
+the divided differences (Kostant-Kumar): Delta_i of the product gives every
+coefficient at a w with right descent i, and a w whose descents all miss
+those of u and v does not occur.  The recursion walks the lower intervals of
+both factors in the right weak order and bottoms out at Z_e and at the
+Chevalley rule; a product of expansions is the bilinear extension.  No
+product needs a polynomial representative.
 
 Every cache is filled idempotently with deterministic values, so concurrent
 use only risks duplicated work, never wrong answers.
@@ -32,8 +29,7 @@ use only risks duplicated work, never wrong answers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
@@ -155,9 +151,7 @@ class SchubertCalc:
         self._omega_pairings = tuple(
             tuple(self.root_pairings(om)) for om in self.datum.fundamental_weights
         )
-        # degree -> {nondecreasing tuple of 0-based variables: class coeffs}
-        self._monomials: dict = {0: {(): {self.group.identity: 1}}}
-        self._solvers: dict = {}  # degree -> _ClassSolver
+        self._pairs: dict = {}  # (u, v), u.id <= v.id -> Z_u * Z_v, see _pair
 
     # -- divided differences -------------------------------------------------
 
@@ -363,69 +357,82 @@ class SchubertCalc:
     def _scaled_expand(self, f: Polynomial, scale: Fraction, codim: int) -> SchubertExpansion:
         return _integral(codim, {w: c * scale for w, c in self._expand_raw(f).items()})
 
-    def _monomial_classes(self, degree: int) -> dict:
-        """Classes of the monomials of this degree in the fundamental weights.
+    @cached_property
+    def _alpha_pairings(self) -> tuple:
+        """_alpha_pairings[i][b] = (beta_b^vee | alpha_{i+1}), built on first use."""
+        return tuple(tuple(self.root_pairings(a.omega)) for a in self.datum.simple_roots)
 
-        Keys are nondecreasing tuples of 0-based variable indices.  The class
-        of m + (j,) is the Chevalley rule by w_{j+1} on the class of m.
+    def _pair(self, u: WeylElement, v: WeylElement) -> dict:
+        """Z_u * Z_v as raw coefficients, memoized per unordered pair.
+
+        Z_e and a length-1 factor (the Chevalley rule by omega_i) are the base
+        cases.  Otherwise, for each right descent i of u or v, the twisted
+        Leibniz rule Delta_i(Z_u Z_v) = Delta_i Z_u * Z_v + Z_u * Delta_i Z_v
+        - alpha_i * Delta_i Z_u * Delta_i Z_v, with Delta_i Z_w = Z_{w s_i}
+        for a right descent i of w and 0 otherwise, gives Delta_i of the
+        product from shorter pairs; and [Z_w](Z_u Z_v) = [Z_{w s_i}]
+        Delta_i(Z_u Z_v) for each right descent i of w.  A w with a right
+        descent outside those of u and v has coefficient 0, so every term is
+        read back this way.  Each call shortens the pair, so the recursion is
+        at most N calls deep (900 for B30), below Python's recursion limit.
         """
-        got = self._monomials.get(degree)
-        if got is None:
+        key = (u, v) if u.id <= v.id else (v, u)
+        got = self._pairs.get(key)
+        if got is not None:
+            return got
+        if u.length > v.length:
+            u, v = v, u
+        if not u.length:
+            got = {v: 1}
+        elif u.length == 1:
+            got = self._chevalley(self._omega_pairings[u.word[0] - 1], {v: 1})
+        else:
             got = {}
-            for m, cls in self._monomial_classes(degree - 1).items():
-                for j in range(m[-1] if m else 0, self.rank):
-                    got[m + (j,)] = self._chevalley(self._omega_pairings[j], cls)
-            self._monomials[degree] = got
-        return got
-
-    def _class_solver(self, degree: int) -> "_ClassSolver":
-        """The solver for classes of codimension ``degree``, built once."""
-        got = self._solvers.get(degree)
-        if got is None:
-            got = self._solvers[degree] = _ClassSolver(
-                self.group.sorted_stratum(degree), self._monomial_classes(degree)
-            )
+            times_simple, pair = self.group.times_simple, self._pair
+            du, dv = u.descents, v.descents
+            todo = du | dv
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                i = bit.bit_length()
+                if not dv & bit:
+                    terms = pair(times_simple(u, i), v)
+                elif not du & bit:
+                    terms = pair(u, times_simple(v, i))
+                else:
+                    us, vs = times_simple(u, i), times_simple(v, i)
+                    terms = dict(pair(us, v))
+                    get = terms.get
+                    for x, c in pair(u, vs).items():
+                        terms[x] = get(x, 0) + c
+                    for x, c in self._chevalley(self._alpha_pairings[i - 1], pair(us, vs)).items():
+                        terms[x] = get(x, 0) - c
+                    terms = {x: c for x, c in terms.items() if c}
+                got.update({times_simple(x, i): c for x, c in terms.items()})
+        self._pairs[key] = got
         return got
 
     def _times(self, x: SchubertExpansion, y: SchubertExpansion) -> SchubertExpansion:
-        """x * y: x written as a polynomial P in the w_j, P applied to y.
+        """x * y, the pair products extended bilinearly.
 
-        P = sum a_m m / d over the solver's monomials, and each monomial acts
-        as one Chevalley operator per variable.  Monomials share prefixes, so
-        each prefix is applied to y once.  A coefficient that d does not
-        divide is kept as a Fraction; ``_product`` rejects it at the end.
+        Coefficients are multiplied as they are, so a Fraction that does not
+        cancel is kept; ``_product`` rejects it at the end.
         """
-        solver = self._class_solver(x.codim)
-        den = lcm(1, *(c.denominator for c in x.coeffs.values()))
-        coords, d = solver.solve({w: int(c * den) for w, c in x.coeffs.items()})
-        d *= den
-        pairings = self._omega_pairings
-        memo = {(): y.coeffs}
-
-        def applied(m: tuple) -> dict:
-            got = memo.get(m)
-            if got is None:
-                got = memo[m] = self._chevalley(pairings[m[-1]], applied(m[:-1]))
-            return got
-
         total: dict = {}
         get = total.get
-        for m, a in zip(solver.monomials, coords):
-            if a:
-                for w, c in applied(m).items():
-                    total[w] = get(w, 0) + a * c
-        out = {}
-        for w, c in total.items():
-            q, r = divmod(c, d)
-            out[w] = Fraction(c, d) if r else q
-        return SchubertExpansion(x.codim + y.codim, out)
+        for u, a in x.coeffs.items():
+            for v, b in y.coeffs.items():
+                ab = a * b
+                for w, c in self._pair(u, v).items():
+                    total[w] = get(w, 0) + ab * c
+        return SchubertExpansion(x.codim + y.codim, total)
 
     def _product(self, factors, codim: int) -> SchubertExpansion:
         """Expansion of the product of (class, exponent) factors, of degree codim.
 
         The degree is checked against N before any work.  The factor of
-        largest codimension is kept as an expansion and every other factor
-        multiplies it by Chevalley operators (see ``_times``).  Every
+        largest codimension is multiplied by each of the others in turn,
+        through the products of basis classes (see ``_times``).  Every
         coefficient of the result must be an integer.
         """
         if codim > self.group.longest_length:
@@ -441,7 +448,7 @@ class SchubertCalc:
         return _integral(codim, out.coeffs)
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> SchubertExpansion:
-        """Expansion of Z_u * Z_v, by Chevalley operators for the shorter factor."""
+        """Expansion of Z_u * Z_v, by the Leibniz rule (see ``_pair``)."""
         out = self._product(
             ((self.indicator(u), 1), (self.indicator(v), 1)), u.length + v.length
         )
@@ -458,81 +465,13 @@ class SchubertCalc:
 
     def pow_expansion(self, a: SchubertExpansion, p: int) -> SchubertExpansion:
         """p-th power of a class; Z_e for p = 0."""
+        if not isinstance(p, int) or p < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         return self._product(((a, p),), a.codim * p)
 
     def expand_class_poly(self, f: Polynomial, scale: Rational = 1) -> SchubertExpansion:
         """Expansion of scale * f with the integrality check applied after scaling."""
         return self._scaled_expand(f, Fraction(scale), max(f.degree(), 0))
-
-
-class _ClassSolver:
-    """Writes the classes of one codimension l as polynomials in the w_j.
-
-    ``monomials`` are |W_l| monomials whose classes form a basis over Q:
-    the first independent ones in decreasing tuple order.  One fraction-free
-    (Bareiss) elimination, a column at a time, picks them and factors their
-    class matrix (rows in stratum order).  Each candidate column is reduced
-    by the steps kept so far; if an entry at row k or below is left, the
-    first such row is swapped into place k and the column becomes step k,
-    otherwise it is dependent over Q and skipped.  Step k replaces entry i
-    below the pivot p_k by (p_k b_i - a_ik b_k) / p_{k-1}, the division
-    exact, so every entry stays an integer; a solve replays the steps.
-    """
-
-    def __init__(self, stratum: tuple, classes: dict):
-        self.size = size = len(stratum)
-        self.steps = []  # (row swapped into place k, p_k, a_ik for i > k, entries above p_k)
-        chosen = []
-        for m in sorted(classes, reverse=True):
-            col, _ = self._forward(classes[m])
-            k = len(chosen)
-            p = next((i for i in range(k, size) if col[i]), None)
-            if p is None:
-                continue
-            col[k], col[p] = col[p], col[k]
-            self.steps.append((p, col[k], col[k + 1:], col[:k]))
-            chosen.append(m)
-            if k + 1 == size:
-                break
-        else:
-            raise AssertionError(f"monomial classes of degree {len(m)} do not span")
-        self.monomials = tuple(chosen)
-
-    def _forward(self, coeffs: dict) -> tuple:
-        """(the column of coeffs after the steps kept so far, the last pivot)"""
-        b = [0] * self.size
-        for w, c in coeffs.items():
-            b[w.pos] = c
-        # a step whose b_k is zero only scales the rest by p_k / p_{k-1}, so
-        # the rest is kept as its true entries times prev / last
-        prev = last = 1
-        for k, (p, piv, mults, _) in enumerate(self.steps):
-            b[k], b[p] = b[p], b[k]
-            bk = b[k]
-            if bk:
-                b[k] = bk * last // prev
-                b[k + 1:] = [(piv * x - a * bk) // prev for x, a in zip(b[k + 1:], mults)]
-                prev = piv
-            last = piv
-        b[len(self.steps):] = [x * last // prev for x in b[len(self.steps):]]
-        return b, last
-
-    def solve(self, coeffs: dict) -> tuple:
-        """(a, d) with d * x = sum_k a_k * class(monomials[k]), all integers.
-
-        x is the class with Schubert coefficients ``coeffs``; d is the
-        determinant of the class matrix, up to sign.
-        """
-        b, d = self._forward(coeffs)
-        # back substitution for a = d * (the rational solution), which
-        # Cramer's rule makes integral, so every division is exact
-        a = [d * x for x in b]
-        for k in range(len(a) - 1, -1, -1):
-            _, piv, _, above = self.steps[k]
-            ak = a[k] = a[k] // piv
-            if ak:
-                a[:k] = [x - c * ak for x, c in zip(a, above)]
-        return a, d
 
 
 @lru_cache(maxsize=None)

@@ -133,6 +133,7 @@ class WeylGroup:
         simple = datum.simple_reflections
         self._times = [self._composer(s) for s in simple]
         self._times_key = [self._composer([s[a] for a in self._alpha]) for s in simple]
+        self._key_of = self._composer(self._alpha)  # the key of a permutation
         self._elements: dict = {}
         self._by_id: list = []
         # _right[w.id * rank + i - 1] is the id of w s_i; _parents[w.id] the id
@@ -192,10 +193,12 @@ class WeylGroup:
     def _lexmin_word(self, perm) -> tuple:
         """Lex-min reduced word, by greedy smallest left descent.
 
-        s_i w permutes the roots by s_i after perm.
+        s_i w permutes the roots by s_i after perm.  The walk stops at the
+        first interned s_i ... w, whose stored word is its lex-min word.
         """
         word = []
-        simple, pack = self.datum.simple_reflections, self._pack
+        simple, pack, pad = self.datum.simple_reflections, self._pack, self._pad
+        elements, key_of = self._elements, self._key_of
         while True:
             d = self.left_descents(perm)
             if not d:
@@ -203,6 +206,9 @@ class WeylGroup:
             i = (d & -d).bit_length() - 1
             word.append(i + 1)
             perm = pack(map(simple[i].__getitem__, perm))
+            known = elements.get(key_of(perm + pad))
+            if known is not None:
+                return tuple(word) + known.word
 
     # -- basic operations ------------------------------------------------------
 

@@ -7,7 +7,9 @@ ordering fails here.  The rank-6 ``chow`` outputs pin Chow rings whose
 strata are large enough that most pivots come from the unit phase.  The two ``basis`` outputs pin the lex-min word order of
 a middle stratum, the order that ``pos`` indexes.  The ``giambelli`` outputs
 pin representatives whose descents start at different parabolic tops
-w0 w_{0,J}, in types B, D (where w0 is not -1) and F4.
+w0 w_{0,J}, in types B, D (where w0 is not -1) and F4.  The ``structconst``
+output pins a product of two length-9 classes of B6, in the 3,210-element
+middle stratum.
 """
 
 import contextlib
@@ -66,6 +68,10 @@ DIGESTS = [
     (
         ("giambelli", "--type", "F4", "--word", "1234"),
         "217b3be18f45e0c2454914b1e17a6e97652e8ceef0069491977ca78902735b6d",
+    ),
+    (
+        ("structconst", "--type", "B", "--rank", "6", "--u", "121321432", "--v", "654365465"),
+        "9a58fe502e054de8ab636730c2d3f4132ce690c4dae784f0e0ec5a40685888d7",
     ),
 ]
 

@@ -2,10 +2,11 @@ import os
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
 
-from flagcalc import schubert
 from flagcalc.errors import NonIntegralExpansionError, OutOfRangeError
 from flagcalc.polyring import Polynomial
 from flagcalc.rootdata import cartan_type, elem_sym_t
@@ -50,6 +51,159 @@ def top_down_structure_constants(calc, u, v):
     return top_down_product(
         calc, ((calc.indicator(u), 1), (calc.indicator(v), 1)), u.length + v.length
     )
+
+
+# -- the Chevalley-operator product through a dense class solver, kept as the
+# -- second oracle for the Leibniz route --
+
+
+class SolverCalc(SchubertCalc):
+    """The engine with products through the shorter factor as a polynomial.
+
+    A class of codimension l is written as a rational polynomial in the
+    fundamental weights by one Bareiss elimination over the classes of all
+    degree-l monomials (``_ClassSolver``), and the polynomial is applied to
+    the other factor as Chevalley operators.  ``_product`` is the engine's.
+    """
+
+    def __init__(self, ct):
+        super().__init__(ct)
+        # degree -> {nondecreasing tuple of 0-based variables: class coeffs}
+        self._monomials: dict = {0: {(): {self.group.identity: 1}}}
+        self._solvers: dict = {}  # degree -> _ClassSolver
+
+    def _monomial_classes(self, degree: int) -> dict:
+        """Classes of the monomials of this degree in the fundamental weights.
+
+        Keys are nondecreasing tuples of 0-based variable indices.  The class
+        of m + (j,) is the Chevalley rule by w_{j+1} on the class of m.
+        """
+        got = self._monomials.get(degree)
+        if got is None:
+            got = {}
+            for m, cls in self._monomial_classes(degree - 1).items():
+                for j in range(m[-1] if m else 0, self.rank):
+                    got[m + (j,)] = self._chevalley(self._omega_pairings[j], cls)
+            self._monomials[degree] = got
+        return got
+
+    def _class_solver(self, degree: int) -> "_ClassSolver":
+        """The solver for classes of codimension ``degree``, built once."""
+        got = self._solvers.get(degree)
+        if got is None:
+            got = self._solvers[degree] = _ClassSolver(
+                self.group.sorted_stratum(degree), self._monomial_classes(degree)
+            )
+        return got
+
+    def _times(self, x: SchubertExpansion, y: SchubertExpansion) -> SchubertExpansion:
+        """x * y: x written as a polynomial P in the w_j, P applied to y.
+
+        P = sum a_m m / d over the solver's monomials, and each monomial acts
+        as one Chevalley operator per variable.  Monomials share prefixes, so
+        each prefix is applied to y once.  A coefficient that d does not
+        divide is kept as a Fraction; ``_product`` rejects it at the end.
+        """
+        solver = self._class_solver(x.codim)
+        den = lcm(1, *(c.denominator for c in x.coeffs.values()))
+        coords, d = solver.solve({w: int(c * den) for w, c in x.coeffs.items()})
+        d *= den
+        pairings = self._omega_pairings
+        memo = {(): y.coeffs}
+
+        def applied(m: tuple) -> dict:
+            got = memo.get(m)
+            if got is None:
+                got = memo[m] = self._chevalley(pairings[m[-1]], applied(m[:-1]))
+            return got
+
+        total: dict = {}
+        get = total.get
+        for m, a in zip(solver.monomials, coords):
+            if a:
+                for w, c in applied(m).items():
+                    total[w] = get(w, 0) + a * c
+        out = {}
+        for w, c in total.items():
+            q, r = divmod(c, d)
+            out[w] = Fraction(c, d) if r else q
+        return SchubertExpansion(x.codim + y.codim, out)
+
+
+class _ClassSolver:
+    """Writes the classes of one codimension l as polynomials in the w_j.
+
+    ``monomials`` are |W_l| monomials whose classes form a basis over Q:
+    the first independent ones in decreasing tuple order.  One fraction-free
+    (Bareiss) elimination, a column at a time, picks them and factors their
+    class matrix (rows in stratum order).  Each candidate column is reduced
+    by the steps kept so far; if an entry at row k or below is left, the
+    first such row is swapped into place k and the column becomes step k,
+    otherwise it is dependent over Q and skipped.  Step k replaces entry i
+    below the pivot p_k by (p_k b_i - a_ik b_k) / p_{k-1}, the division
+    exact, so every entry stays an integer; a solve replays the steps.
+    """
+
+    def __init__(self, stratum: tuple, classes: dict):
+        self.size = size = len(stratum)
+        self.steps = []  # (row swapped into place k, p_k, a_ik for i > k, entries above p_k)
+        chosen = []
+        for m in sorted(classes, reverse=True):
+            col, _ = self._forward(classes[m])
+            k = len(chosen)
+            p = next((i for i in range(k, size) if col[i]), None)
+            if p is None:
+                continue
+            col[k], col[p] = col[p], col[k]
+            self.steps.append((p, col[k], col[k + 1:], col[:k]))
+            chosen.append(m)
+            if k + 1 == size:
+                break
+        else:
+            raise AssertionError(f"monomial classes of degree {len(m)} do not span")
+        self.monomials = tuple(chosen)
+
+    def _forward(self, coeffs: dict) -> tuple:
+        """(the column of coeffs after the steps kept so far, the last pivot)"""
+        b = [0] * self.size
+        for w, c in coeffs.items():
+            b[w.pos] = c
+        # a step whose b_k is zero only scales the rest by p_k / p_{k-1}, so
+        # the rest is kept as its true entries times prev / last
+        prev = last = 1
+        for k, (p, piv, mults, _) in enumerate(self.steps):
+            b[k], b[p] = b[p], b[k]
+            bk = b[k]
+            if bk:
+                b[k] = bk * last // prev
+                b[k + 1:] = [(piv * x - a * bk) // prev for x, a in zip(b[k + 1:], mults)]
+                prev = piv
+            last = piv
+        b[len(self.steps):] = [x * last // prev for x in b[len(self.steps):]]
+        return b, last
+
+    def solve(self, coeffs: dict) -> tuple:
+        """(a, d) with d * x = sum_k a_k * class(monomials[k]), all integers.
+
+        x is the class with Schubert coefficients ``coeffs``; d is the
+        determinant of the class matrix, up to sign.
+        """
+        b, d = self._forward(coeffs)
+        # back substitution for a = d * (the rational solution), which
+        # Cramer's rule makes integral, so every division is exact
+        a = [d * x for x in b]
+        for k in range(len(a) - 1, -1, -1):
+            _, piv, _, above = self.steps[k]
+            ak = a[k] = a[k] // piv
+            if ak:
+                a[:k] = [x - c * ak for x, c in zip(a, above)]
+        return a, d
+
+
+@lru_cache(maxsize=None)
+def solver_calc(ct) -> SolverCalc:
+    """One solver engine per Cartan type, shared by the tests."""
+    return SolverCalc(ct)
 
 
 # -- the full descent from the top class, kept as the oracle for the Giambelli start --
@@ -450,7 +604,7 @@ class TestStructureConstants:
             with pytest.raises(OutOfRangeError):
                 product()
         assert calc._gtable == {}
-        assert list(calc._monomials) == [0] and calc._solvers == {}
+        assert calc._pairs == {}
 
     def test_pow_expansion_small_exponents(self, calc_g2):
         z = calc_g2.indicator(word(calc_g2, "12"))
@@ -459,6 +613,15 @@ class TestStructureConstants:
         assert calc_g2.pow_expansion(z, 3) == calc_g2.mul_expansions(
             calc_g2.mul_expansions(z, z), z
         )
+
+    def test_pow_expansion_rejects_negative_exponents(self):
+        # checked before any pair product is taken
+        calc = SchubertCalc(cartan_type("G2"))
+        z = calc.indicator(word(calc, "12"))
+        for p in (-1, -3):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                calc.pow_expansion(z, p)
+        assert calc._pairs == {}
 
     @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b2"])
     def test_poincare_duality_pairing(self, fixture, request):
@@ -508,7 +671,7 @@ class TestStructureConstants:
 
 
 class TestChevalleyRouteAgainstTopDown:
-    """The Chevalley-operator products against the top-down Giambelli route."""
+    """The Leibniz-rule products against the top-down Giambelli route."""
 
     @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b3"])
     def test_all_pairs(self, fixture, request):
@@ -595,6 +758,103 @@ class TestChevalleyRouteAgainstTopDown:
         assert calc.structure_constants(v, u) == got
         assert calc._gtable == {}
 
+    def test_b6_two_length_9_classes_cold(self):
+        # 35 s through the dense class solver, which needs all the degree-9
+        # monomial classes of B6
+        start = time.monotonic()
+        calc = SchubertCalc(cartan_type("B", 6))
+        u, v = word(calc, "121321432"), word(calc, "654365465")
+        got = calc.structure_constants(u, v)
+        assert time.monotonic() - start < 5.0
+        assert got.codim == 18 and len(got.coeffs) == 35
+        assert sum(got.coeffs.values()) == 37
+        assert calc.structure_constants(v, u) == got
+        assert calc._gtable == {}
+
+    def test_b5_two_length_12_classes_cold(self):
+        # 7 s through the dense class solver
+        start = time.monotonic()
+        calc = SchubertCalc(cartan_type("B", 5))
+        got = calc.structure_constants(word(calc, "121321432154"), word(calc, "543215432545"))
+        assert time.monotonic() - start < 3.0
+        assert got.to_json_dict() == {
+            "codim": 24, "coeffs": {"121324321543215432543545": 1}
+        }
+
+
+class TestLeibnizRouteAgainstClassSolver:
+    """The Leibniz-rule products against the dense class solver's."""
+
+    def test_all_pairs_d4(self):
+        ct = cartan_type("D", 4)
+        calc, oracle = SchubertCalc(ct), solver_calc(ct)
+        g, og = calc.group, oracle.group
+        N = g.longest_length
+        elems = [w for k in range(N + 1) for w in og.sorted_stratum(k)]
+        for i, u in enumerate(elems):
+            for v in elems[i:]:
+                if u.length + v.length <= N:
+                    want = oracle.structure_constants(u, v).to_json_dict()
+                    got = calc.structure_constants(word(calc, u.word), word(calc, v.word))
+                    assert got.to_json_dict() == want, (u, v)
+
+    @pytest.mark.parametrize("family,rank", [("F4", None), ("B", 4), ("D", 5)])
+    def test_sample_covers_every_shorter_length(self, family, rank):
+        ct = cartan_type(family, rank)
+        calc, oracle = SchubertCalc(ct), solver_calc(ct)
+        og = oracle.group
+        N = og.longest_length
+        rng = random.Random(32)
+        for k in range(1, N // 2 + 1):
+            for _ in range(2):
+                u = rng.choice(og.sorted_stratum(k))
+                v = rng.choice(og.sorted_stratum(rng.randint(k, N - k)))
+                want = oracle.structure_constants(u, v).to_json_dict()
+                cu, cv = word(calc, u.word), word(calc, v.word)
+                assert calc.structure_constants(cu, cv).to_json_dict() == want, (u, v)
+                assert calc.structure_constants(cv, cu).to_json_dict() == want, (v, u)
+
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4)])
+    def test_rational_combinations(self, family, rank):
+        # products and powers of combinations with Fraction coefficients give
+        # the oracle's result, or raise when the oracle does
+        ct = cartan_type(family, rank)
+        calc, oracle = SchubertCalc(ct), solver_calc(ct)
+        N = calc.group.longest_length
+        rng = random.Random(33)
+        coeffs = [-3, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+        def combination(codim):
+            stratum = oracle.group.sorted_stratum(codim)
+            picks = rng.sample(stratum, min(3, len(stratum)))
+            return {w.word: rng.choice(coeffs) for w in picks}
+
+        def outcome(engine, method, tables, *extra):
+            args = [
+                SchubertExpansion(len(next(iter(t))), {word(engine, w): c for w, c in t.items()})
+                for t in tables
+            ]
+            try:
+                return getattr(engine, method)(*args, *extra).to_json_dict()
+            except NonIntegralExpansionError:
+                return "not integral"
+
+        seen = set()
+        for _ in range(12):
+            i = rng.randint(1, N // 2)
+            a, b = combination(i), combination(rng.randint(i, N - i))
+            want = outcome(oracle, "mul_expansions", (a, b))
+            assert outcome(calc, "mul_expansions", (a, b)) == want, (a, b)
+            assert outcome(calc, "mul_expansions", (b, a)) == want, (b, a)
+            seen.add(want == "not integral")
+        for codim in range(1, 4):
+            a = combination(codim)
+            for p in range(N // codim + 1):
+                want = outcome(oracle, "pow_expansion", (a,), p)
+                assert outcome(calc, "pow_expansion", (a,), p) == want, (a, p)
+                seen.add(want == "not integral")
+        assert seen == {True, False}
+
 
 def greedy_independent(columns: list) -> list:
     """Indices of the columns, in order, that are independent over Q of the
@@ -619,7 +879,7 @@ class TestClassSolver:
         "fixture,top", [("calc_g2", 6), ("calc_b3", 9), ("calc_f4", 6)], ids=["G2", "B3", "F4"]
     )
     def test_monomials_are_the_greedy_rational_basis(self, fixture, top, request):
-        calc = request.getfixturevalue(fixture)
+        calc = solver_calc(request.getfixturevalue(fixture).cartan_type)
         for degree in range(1, top + 1):
             stratum = calc.group.sorted_stratum(degree)
             index = {w: i for i, w in enumerate(stratum)}
@@ -633,7 +893,7 @@ class TestClassSolver:
                 columns.append(col)
             chosen = greedy_independent(columns)
             assert len(chosen) == len(stratum), degree
-            solver = schubert._ClassSolver(stratum, classes)
+            solver = _ClassSolver(stratum, classes)
             assert solver.monomials == tuple(order[k] for k in chosen), degree
             # every class solves exactly: d Z_w = sum_k a_k class(monomials[k])
             for w in stratum:
@@ -645,11 +905,12 @@ class TestClassSolver:
                 assert d and total == [d if v is w else 0 for v in stratum], (degree, w)
 
     def test_classes_that_do_not_span_are_rejected(self, calc_g2):
-        stratum = calc_g2.group.sorted_stratum(3)
-        classes = calc_g2._monomial_classes(3)
+        calc = solver_calc(calc_g2.cartan_type)
+        stratum = calc.group.sorted_stratum(3)
+        classes = calc._monomial_classes(3)
         one = dict([max(classes.items())])
         with pytest.raises(AssertionError, match="degree 3 do not span"):
-            schubert._ClassSolver(stratum, one)
+            _ClassSolver(stratum, one)
 
 
 class TestExpansionJson:

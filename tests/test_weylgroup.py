@@ -150,6 +150,21 @@ def test_random_words_match_matrix_products(family, rank):
         assert len(w.word) == w.length
 
 
+@pytest.mark.parametrize("family,rank", [*WHOLE_GROUPS, ("B", 6)])
+def test_words_met_before_enumeration_are_greedy(family, rank):
+    # on a cold group, elements interned by times_simple and by covers get
+    # their words from walks that stop at the first interned element; each
+    # must still be the lex-min word
+    g = _fresh_group(family, rank)
+    rng = random.Random(12)
+    for _ in range(60):
+        word = [rng.randint(1, g.rank) for _ in range(rng.randint(0, g.longest_length))]
+        w = g.element_from_word(word)
+        for v in (w, *(v for v, _ in g.covers(w))):
+            assert v.word == _greedy_word(g, v.matrix), v
+    assert len(g._levels) == 1
+
+
 def test_lexmin_words():
     # the stored word is reduced, evaluates back to the element, and is
     # lexicographically minimal among all reduced words
