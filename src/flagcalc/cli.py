@@ -40,7 +40,8 @@ def _calc(args):
 def _parse_word(calc, text: str):
     """Resolve a word given as digits (or comma-separated letters) to an element.
 
-    Any reduced word for the element is accepted, so printed table words and
+    Letters are ASCII digits; a comma-separated word has no empty item.  Any
+    reduced word for the element is accepted, so printed table words and
     lex-min words are interchangeable; non-reduced words are rejected naming
     the element they evaluate to.
     """
@@ -48,14 +49,12 @@ def _parse_word(calc, text: str):
     if text in ("", "e"):
         return calc.group.identity
     if "," in text:
-        try:
-            letters = [int(p) for p in text.split(",") if p]
-        except ValueError:
-            raise InvalidWordError(
-                f"word {text!r} must be comma-separated integers"
-            ) from None
+        items = [p.strip() for p in text.split(",")]
+        if not all(p.isascii() and p.isdigit() for p in items):
+            raise InvalidWordError(f"word {text!r} must be comma-separated integers")
+        letters = list(map(int, items))
     else:
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise InvalidWordError(f"word {text!r} must consist of digits")
         letters = [int(ch) for ch in text]
     w = calc.group.element_from_word(letters)

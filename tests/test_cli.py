@@ -179,6 +179,14 @@ class TestWordHandling:
         assert code == 2
         assert "1,a" in err
 
+    @pytest.mark.parametrize(
+        "text", ["\u00b2", "1\u00b2", "\u0663", "1,\u0663", "1,,2", ",", "1,", "1_0,2"]
+    )
+    def test_non_ascii_digit_or_empty_item_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "giambelli", "--type", "G2", "--word", text)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and repr(text) in err
+
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "basis", "--type", "G2", "--codim", "9")
         assert code == 2

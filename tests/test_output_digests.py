@@ -7,9 +7,10 @@ ordering fails here.  The rank-6 ``chow`` outputs pin Chow rings whose
 strata are large enough that most pivots come from the unit phase.  The two ``basis`` outputs pin the lex-min word order of
 a middle stratum, the order that ``pos`` indexes.  The ``giambelli`` outputs
 pin representatives whose descents start at different parabolic tops
-w0 w_{0,J}, in types B, D (where w0 is not -1) and F4.  The ``structconst``
-output pins a product of two length-9 classes of B6, in the 3,210-element
-middle stratum.
+w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the descents of the
+B6 and D6 words of lengths 15 and 11 start from the products of 35 of the 36
+and 28 of the 30 positive roots.  The ``structconst`` output pins a product
+of two length-9 classes of B6, in the 3,210-element middle stratum.
 """
 
 import contextlib
@@ -68,6 +69,14 @@ DIGESTS = [
     (
         ("giambelli", "--type", "F4", "--word", "1234"),
         "217b3be18f45e0c2454914b1e17a6e97652e8ceef0069491977ca78902735b6d",
+    ),
+    (
+        ("giambelli", "--type", "B", "--rank", "6", "--word", "121321432154321"),
+        "c2ffa3661d70a337662315833a7b698676d130c05bf520f30fd514170199ce17",
+    ),
+    (
+        ("giambelli", "--type", "D", "--rank", "6", "--word", "12132143215"),
+        "849b4c49c8e4925575fc8ffef7d94b799fc7b6eac7dd81855b115eb919fa7598",
     ),
     (
         ("structconst", "--type", "B", "--rank", "6", "--u", "121321432", "--v", "654365465"),

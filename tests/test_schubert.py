@@ -234,7 +234,8 @@ def full_descent(calc):
 
 
 def recording_tops(calc) -> dict:
-    """{x: value} for every element whose value is seeded in closed form."""
+    """{x: (roots, g)} for every element whose factored value is seeded in
+    closed form."""
     seen = {}
     seed = calc._parabolic_top
 
@@ -259,15 +260,24 @@ def parabolic_longest(g, mask: int):
 
 
 def assert_tops_are_parabolic(calc, oracle, seen):
-    """Each seeded x is w0 w_{0,J} for J its right ascents, and its value is
-    Delta_{w_{0,J}} of the product of the positive roots, which is the
-    oracle's value at x since x^{-1} w0 = w_{0,J}."""
+    """Each seeded x is w0 w_{0,J} for J its right ascents; its roots are the
+    positive roots outside Phi_J, its polynomial part is a constant, and its
+    expansion is Delta_{w_{0,J}} of the product of the positive roots, which
+    is the oracle's value at x since x^{-1} w0 = w_{0,J} (so the constant is
+    |W_J|)."""
     g = calc.group
     w0 = g.longest_element()
-    for x, value in seen.items():
-        w0j = parabolic_longest(g, ~x.descents & ((1 << calc.rank) - 1))
+    for x, (roots, part) in seen.items():
+        ascents = ~x.descents & ((1 << calc.rank) - 1)
+        w0j = parabolic_longest(g, ascents)
         assert g.compose(w0, w0j) is x, x
-        assert value == oracle(x), x
+        outside = [
+            b for b, r in enumerate(calc.datum.positive_roots)
+            if any(c and not ascents >> j & 1 for j, c in enumerate(r.simple_coords))
+        ]
+        assert roots == sum(1 << b for b in outside), x
+        assert part.degree() == 0, x
+        assert calc._expand_roots(roots, part) == oracle(x), x
 
 
 def random_combination(rng, calc, codim):
@@ -517,6 +527,22 @@ class TestGiambelli:
                 assert exp == calc_f4.indicator(w), w
 
 
+    def test_b6_length_15_class_cold(self):
+        # 17 s when the product of the 35 positive roots other than alpha_6
+        # was expanded before the first divided difference
+        start = time.monotonic()
+        calc = SchubertCalc(cartan_type("B", 6))
+        w = word(calc, "121321432154321")
+        p = calc.giambelli_poly(w)
+        assert time.monotonic() - start < 5.0
+        assert p.degree() == 15 and p.is_homogeneous()
+        assert len(p.terms) == 5553
+        assert p.coefficient((11, 4, 0, 0, 0, 0)) == Fraction(1, 12)
+        assert min(p.terms.values()) == Fraction(-88, 3)
+        assert max(p.terms.values()) == Fraction(1712, 45)
+        assert calc._gtable[w] == (0, p.scale(calc.weyl_order))
+
+
 class TestParabolicStart:
     """The Giambelli descent from w0 w_{0,J} against the full descent."""
 
@@ -532,7 +558,9 @@ class TestParabolicStart:
         elements = [w for k in range(g.longest_length + 1) for w in g.elements_of_length(k)]
         random.Random(31).shuffle(elements)
         for w in elements:
-            assert calc._giambelli_unscaled(w) == oracle(w), w
+            got = calc._giambelli_unscaled(w)
+            assert got == oracle(w), w
+            assert calc._gtable[w] == (0, got), w
         # every subset of simple roots is a left descent set, and each seeds
         # its top once
         assert len(seen) == 2**calc.rank
@@ -551,6 +579,30 @@ class TestParabolicStart:
                 assert got == oracle(w), w
                 assert len(seen) == 1
                 assert_tops_are_parabolic(cold, oracle, seen)
+
+
+    @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5), ("F4", None)])
+    def test_one_missing_left_descent_on_fresh_engines(self, family, rank):
+        # these descents start from products of N - 1 roots, the longest
+        # after w0's own
+        ct = cartan_type(family, rank)
+        warm = SchubertCalc(ct)
+        oracle = full_descent(warm)
+        g = warm.group
+        full = (1 << warm.rank) - 1
+        checked = 0
+        for k in range(g.longest_length + 1):
+            for w in g.elements_of_length(k):
+                if bin(full & ~g.left_descents(w.perm)).count("1") != 1:
+                    continue
+                cold = SchubertCalc(ct)
+                seen = recording_tops(cold)
+                got = cold._giambelli_unscaled(cold.group.element_from_word(w.word))
+                assert got == oracle(w), w
+                assert len(seen) == 1
+                assert_tops_are_parabolic(cold, oracle, seen)
+                checked += 1
+        assert checked > 2 * warm.rank
 
 
 class TestStructureConstants:
