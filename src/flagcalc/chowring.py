@@ -4,8 +4,8 @@ manifolds, computed as quotients by the degree-2-generated ideal.
 The ideal is generated in degree 2, so its codimension-k piece is spanned by
 the products lambda * Z_w over a basis of the degree-2 lattice and the basis
 classes of length k-1.  Each stratum of the quotient is the cokernel of a
-sparse integer matrix built from the flat Bruhat cover tables of the Weyl
-group.  It is diagonalised in two phases: closed substitutions take the unit
+sparse integer matrix built by the Chevalley rule from the cached Bruhat
+covers.  It is diagonalised in two phases: closed substitutions take the unit
 pivots, nearly every row, and a dense Smith step the few rows left; the
 pivots give the invariant factors.  All arithmetic stays in exact integers.
 
@@ -244,23 +244,24 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
 
     Column (lam, w) holds the Chevalley rule lam * Z_w = sum (beta^vee | lam)
     Z_{w s_beta} over the covers of w, in positive-root order; row v.pos is
-    Z_v.  Columns run over w within lam; one pass over the flat covers fills
-    them all.  Returns (number of rows, columns).
+    Z_v.  Columns run over w within lam; one pass over the cached covers of
+    the stratum k - 1 fills them all.  Returns (number of rows, columns).
     """
     group = calc.group
     rows = len(group.elements_of_length(k))
-    covers = group.stratum_covers(k)
+    lower = group.elements_of_length(k - 1)
     pairings = [calc.root_pairings(lam) for lam in calc.datum.degree2_lattice_basis(variant)]
-    nonzero = [
-        [(j, x) for j, pairing in enumerate(pairings) if (x := pairing[b])]
+    m = len(lower)
+    nonzero = [  # per root beta: (j * m, (beta^vee | lam_j)) where that is nonzero
+        [(j * m, x) for j, pairing in enumerate(pairings) if (x := pairing[b])]
         for b in range(group.longest_length)
     ]
-    m = len(covers)
     columns = [{} for _ in range(len(pairings) * m)]
-    for i, (ps, bs) in enumerate(covers):
-        for p, b in zip(ps, bs):
-            for j, x in nonzero[b]:
-                columns[j * m + i][p] = x
+    for i, w in enumerate(lower):  # i = w.pos
+        for v, b in group.covers(w):
+            p = v.pos
+            for jm, x in nonzero[b]:
+                columns[jm + i][p] = x
     return rows, columns
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul, neg
 
-from .errors import NotARootError, OutOfRangeError, UnsupportedRankError
+from .errors import OutOfRangeError, UnsupportedRankError
 from .polyring import Polynomial, Rational, _norm_coeff
 
 FAMILIES = ("B", "D", "G2", "F4")
@@ -264,20 +264,8 @@ class RootDatum:
 
     # -- lookups -----------------------------------------------------------
 
-    def root_by_omega(self, omega: Weight) -> Root:
-        k = self.root_index.get(tuple(omega))
-        if k is None:
-            raise NotARootError(f"{tuple(omega)} is not a root of {self.cartan_type}")
-        return self.indexed_roots[k]
-
     def is_root(self, omega: Weight) -> bool:
         return tuple(omega) in self.root_index
-
-    def simple_root(self, i: int) -> Root:
-        """The i-th simple root, 1-based."""
-        if not 1 <= i <= self.rank:
-            raise OutOfRangeError(f"simple root index {i} out of range")
-        return self.simple_roots[i - 1]
 
     @property
     def num_t_classes(self) -> int:

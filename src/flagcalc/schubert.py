@@ -15,7 +15,9 @@ the (immutable) root datum and Weyl group together with its memo caches:
   roots that s_i moves out of the set, and a value asked for is expanded
   once and stored back expanded;
 * the products Z_u * Z_v of pairs of basis classes, one entry per
-  unordered pair, kept as long as the engine; only products read it.
+  unordered pair, kept as long as the engine; only products read it;
+* the pairings (beta^vee | lam) with the positive roots, one tuple per
+  weight lam, for the Chevalley rule in products and in the Chow rings.
 
 A product Z_u * Z_v comes from shorter pairs by the twisted Leibniz rule of
 the divided differences (Kostant-Kumar): Delta_i of the product gives every
@@ -32,7 +34,7 @@ use only risks duplicated work, never wrong answers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
@@ -152,10 +154,7 @@ class SchubertCalc:
         self.weyl_order = self.group.order()
         self._dd_tables: dict = {}
         self._gtable: dict = {}  # element -> factored unscaled Giambelli value
-        # _omega_pairings[j][b] = (beta_b^vee | omega_{j+1}), an integer
-        self._omega_pairings = tuple(
-            tuple(self.root_pairings(om)) for om in self.datum.fundamental_weights
-        )
+        self._pairings: dict = {}  # tuple(lam) -> root_pairings(lam)
         self._pairs: dict = {}  # (u, v), u.id <= v.id -> Z_u * Z_v, see _pair
 
     # -- divided differences -------------------------------------------------
@@ -252,23 +251,27 @@ class SchubertCalc:
         Every coefficient must come out an integer; otherwise f is not an
         integral class and NonIntegralExpansionError is raised.
         """
-        return self._scaled_expand(f, 1, max(f.degree(), 0))
+        return _integral(max(f.degree(), 0), self._expand_raw(f))
 
     def indicator(self, w: WeylElement) -> SchubertExpansion:
         return SchubertExpansion(w.length, {w: 1})
 
     # -- Chevalley rule -------------------------------------------------------
 
-    def root_pairings(self, lam: Weight) -> list:
+    def root_pairings(self, lam: Weight) -> tuple:
         """(beta^vee | lam) for each positive root beta, in positive-root order.
 
         The coroot coordinates are integers, so an integral weight gets plain
-        integer pairings.
+        integer pairings.  Memoized per weight, as a tuple.
         """
-        return [
-            _norm_coeff(sum(map(mul, beta.coroot_on_omega, lam)))
-            for beta in self.datum.positive_roots
-        ]
+        key = tuple(lam)
+        got = self._pairings.get(key)
+        if got is None:
+            got = self._pairings[key] = tuple(
+                _norm_coeff(sum(map(mul, beta.coroot_on_omega, key)))
+                for beta in self.datum.positive_roots
+            )
+        return got
 
     def _chevalley(self, pairing, coeffs: dict) -> dict:
         """The Chevalley rule on raw coefficients: c Z_w -> c pairing[b] Z_{w s_beta_b}."""
@@ -393,14 +396,6 @@ class SchubertCalc:
 
     # -- products in the Schubert basis ---------------------------------------
 
-    def _scaled_expand(self, f: Polynomial, scale: Fraction, codim: int) -> SchubertExpansion:
-        return _integral(codim, {w: c * scale for w, c in self._expand_raw(f).items()})
-
-    @cached_property
-    def _alpha_pairings(self) -> tuple:
-        """_alpha_pairings[i][b] = (beta_b^vee | alpha_{i+1}), built on first use."""
-        return tuple(tuple(self.root_pairings(a.omega)) for a in self.datum.simple_roots)
-
     def _pair(self, u: WeylElement, v: WeylElement) -> dict:
         """Z_u * Z_v as raw coefficients, memoized per unordered pair.
 
@@ -424,7 +419,8 @@ class SchubertCalc:
         if not u.length:
             got = {v: 1}
         elif u.length == 1:
-            got = self._chevalley(self._omega_pairings[u.word[0] - 1], {v: 1})
+            lam = self.datum.fundamental_weights[u.word[0] - 1]
+            got = self._chevalley(self.root_pairings(lam), {v: 1})
         else:
             got = {}
             times_simple, pair = self.group.times_simple, self._pair
@@ -444,7 +440,8 @@ class SchubertCalc:
                     get = terms.get
                     for x, c in pair(u, vs).items():
                         terms[x] = get(x, 0) + c
-                    for x, c in self._chevalley(self._alpha_pairings[i - 1], pair(us, vs)).items():
+                    alpha = self.datum.simple_roots[i - 1].omega
+                    for x, c in self._chevalley(self.root_pairings(alpha), pair(us, vs)).items():
                         terms[x] = get(x, 0) - c
                     terms = {x: c for x, c in terms.items() if c}
                 got.update({times_simple(x, i): c for x, c in terms.items()})
@@ -510,7 +507,9 @@ class SchubertCalc:
 
     def expand_class_poly(self, f: Polynomial, scale: Rational = 1) -> SchubertExpansion:
         """Expansion of scale * f with the integrality check applied after scaling."""
-        return self._scaled_expand(f, Fraction(scale), max(f.degree(), 0))
+        scale = Fraction(scale)
+        coeffs = {w: c * scale for w, c in self._expand_raw(f).items()}
+        return _integral(max(f.degree(), 0), coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -29,13 +29,13 @@ applied to s_beta(alpha_j).  The reflections s_beta are built once per group,
 on first use, by conjugation s_j s_gamma s_j down to the simple ones.
 
 The upper Bruhat covers w s_beta of w (l(w s_beta) = l(w) + 1) are found
-once per element.  ``covers`` keeps them as elements, so high-rank groups are
-never enumerated just to find covers; ``stratum_covers`` keeps flat integers,
-their positions in the next stratum and their root indices, for the Chow rings.
-Before the stratum l(w) + 1 is enumerated, a candidate w s_beta missing from
-the intern table has its length counted from its permutation (the positive
-roots it sends to negative ones) and is interned, with a lex-min word, only
-when it is a cover; a candidate several steps above w is dropped.
+once per element and kept on it, as ids and packed root indices; the
+Chevalley rule reads them, in products and in the Chow rings.  Before the
+stratum l(w) + 1 is enumerated, a candidate w s_beta missing from the intern
+table has its length counted from its permutation (the positive roots it
+sends to negative ones) and is interned, with a lex-min word, only when it
+is a cover; a candidate several steps above w is dropped.  So high-rank
+groups are never enumerated just to find covers.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -66,7 +66,7 @@ class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
     __slots__ = (
-        "perm", "length", "word", "id", "pos", "descents", "_covers", "_cover_pos", "_datum"
+        "perm", "length", "word", "id", "pos", "descents", "_covers", "_datum"
     )
 
     def __init__(self, perm, length: int, word: tuple, id: int, descents: int, datum):
@@ -76,8 +76,7 @@ class WeylElement:
         self.id = id
         self.pos = None  # index in the stratum tuple, once it is enumerated
         self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
-        self._covers = None
-        self._cover_pos = None  # (positions, root indices), see stratum_covers
+        self._covers = None  # (ids, packed root indices), see covers
         self._datum = datum
 
     @property
@@ -92,10 +91,6 @@ class WeylElement:
         return tuple(
             d.indexed_roots[perm.index(a)].coroot_on_omega for a in d.simple_indices
         )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.length == 0
 
     def word_str(self) -> str:
         if not self.word:
@@ -372,7 +367,7 @@ class WeylGroup:
         return self._element(perms[b](t), keys[b](t))
 
     def _cover_scan(self, w: WeylElement) -> tuple:
-        """(elements, root indices) of the covers w s_beta of w, as two tuples.
+        """(ids, packed root indices) of the covers w s_beta of w.
 
         w s_beta lies above w exactly when w(beta) is positive, and is looked
         up by its key.  A candidate missing from the intern table is no cover
@@ -385,7 +380,7 @@ class WeylGroup:
         perms, keys = self._reflection_tables()
         perm = w.perm
         t = perm + self._pad
-        vs, bs = [], []
+        ids, bs = [], []
         for b in range(n_pos):
             if perm[b] >= n_pos:
                 continue  # w s_beta < w
@@ -399,35 +394,19 @@ class WeylGroup:
                     continue
                 v = self._element(p, key)
             if v.length == k:
-                vs.append(v)
+                ids.append(v.id)
                 bs.append(b)
-        return tuple(vs), tuple(bs)
+        return tuple(ids), self._pack(bs)
 
     def covers(self, w: WeylElement):
         """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
 
         beta runs over ``datum.positive_roots`` in order.  The covers are
-        cached on w, as a tuple of elements and a tuple of root indices.
+        cached on w as ids and packed root indices, integers that the garbage
+        collector does not track.
         """
         got = w._covers
         if got is None:
             got = w._covers = self._cover_scan(w)
-        return zip(*got)
-
-    def stratum_covers(self, k: int) -> list:
-        """The covers of the elements of length k - 1, as flat integers.
-
-        Entry w.pos is (positions in stratum k of the covers w s_beta, indices
-        of their roots beta), in positive-root order.  Each element keeps its
-        pair, built once, from its cached ``covers`` if it has them.
-        """
-        self.elements_of_length(k)
-        pack = self._pack
-        out = []
-        for w in self._levels[k - 1]:
-            got = w._cover_pos
-            if got is None:
-                vs, bs = w._covers or self._cover_scan(w)
-                got = w._cover_pos = (tuple(v.pos for v in vs), pack(bs))
-            out.append(got)
-        return out
+        ids, bs = got
+        return zip(map(self._by_id.__getitem__, ids), bs)

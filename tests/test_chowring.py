@@ -15,7 +15,7 @@ from flagcalc.chowring import (
 )
 from flagcalc.errors import OutOfRangeError
 from flagcalc.rootdata import cartan_type
-from flagcalc.schubert import calculus_for
+from flagcalc.schubert import SchubertCalc, calculus_for
 
 from conftest import word
 
@@ -536,6 +536,53 @@ class TestIdealStrata:
                 comp.stratum(k)
         with pytest.raises(ValueError):
             ChowComputation(calc_g2, "adjoint")
+
+
+def _warmed(ct):
+    """A fresh engine whose covers were cached by products before enumeration."""
+    calc = SchubertCalc(ct)
+    g, n = calc.group, calc.rank
+    gens = sum((calc.indicator(g.simple_reflection(i)) for i in range(2, n + 1)),
+               calc.indicator(g.simple_reflection(1)))
+    calc.pow_expansion(gens, 4)
+    top = []  # a reduced word of w0, by right ascents, without enumeration
+    w = g.identity
+    while w.descents != (1 << n) - 1:
+        top.append(next(i for i in range(1, n + 1) if not g.descends(w, i)))
+        w = g.times_simple(w, top[-1])
+    half = len(top) // 2
+    calc.structure_constants(g.element_from_word(top[:half - 1]),
+                             g.element_from_word(top[half:]))
+    assert len(g._levels) == 1  # no stratum was enumerated
+    return calc
+
+
+@pytest.mark.parametrize("family,rank,variant", [
+    ("G2", None, "simply_connected"),
+    ("F4", None, "simply_connected"),
+    ("B", 3, "simply_connected"),
+    ("B", 3, "special_orthogonal"),
+    ("D", 4, "simply_connected"),
+    ("D", 4, "special_orthogonal"),
+])
+def test_stratum_columns_are_chevalley_weights(family, rank, variant):
+    # column (lam, w) of the codim-k stratum is lam * Z_w by the Chevalley
+    # rule, keyed by the rows v.pos, on a cold engine and on one whose covers
+    # were cached by products before their strata were enumerated
+    ct = cartan_type(family, rank)
+    for calc in (SchubertCalc(ct), _warmed(ct)):
+        g = calc.group
+        basis = calc.datum.degree2_lattice_basis(variant)
+        for k in range(1, g.longest_length + 1):
+            rows, columns = _stratum_columns(calc, variant, k)
+            lower = g.elements_of_length(k - 1)
+            assert rows == len(g.elements_of_length(k))
+            assert len(columns) == len(basis) * len(lower)
+            for j, lam in enumerate(basis):
+                for w in lower:
+                    want = calc.chevalley_weight(lam, calc.indicator(w))
+                    got = columns[j * len(lower) + w.pos]
+                    assert got == {v.pos: c for v, c in want.coeffs.items()}
 
 
 class TestChowGroups:

@@ -224,7 +224,7 @@ class TestCorootPairing:
         d = build_root_datum(cartan_type("F4"))
         for i in range(1, 5):
             for j in range(1, 5):
-                val = coroot_pairing(d, d.simple_root(i), d.fundamental_weights[j - 1])
+                val = coroot_pairing(d, d.simple_roots[i - 1], d.fundamental_weights[j - 1])
                 assert val == (1 if i == j else 0)
 
     def test_zero_weight(self):

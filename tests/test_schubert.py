@@ -10,9 +10,9 @@ import pytest
 from flagcalc.errors import NonIntegralExpansionError, OutOfRangeError
 from flagcalc.polyring import Polynomial
 from flagcalc.rootdata import cartan_type, elem_sym_t
-from flagcalc.schubert import SchubertCalc, SchubertExpansion
+from flagcalc.schubert import SchubertCalc, SchubertExpansion, _integral
 
-from conftest import exact_div_linear, reduced_words, weyl_substitute, word
+from conftest import coroot_pairing, exact_div_linear, reduced_words, weyl_substitute, word
 from test_polyring import random_poly
 
 
@@ -44,7 +44,8 @@ def top_down_product(calc, factors, codim):
     for x, e in factors:
         prod = prod * unscaled_rep(calc, x) ** e
         total += e
-    return calc._scaled_expand(prod, Fraction(1, calc.weyl_order**total), codim)
+    scale = Fraction(1, calc.weyl_order**total)
+    return _integral(codim, {w: c * scale for w, c in calc._expand_raw(prod).items()})
 
 
 def top_down_structure_constants(calc, u, v):
@@ -83,7 +84,8 @@ class SolverCalc(SchubertCalc):
             got = {}
             for m, cls in self._monomial_classes(degree - 1).items():
                 for j in range(m[-1] if m else 0, self.rank):
-                    got[m + (j,)] = self._chevalley(self._omega_pairings[j], cls)
+                    omega = self.datum.fundamental_weights[j]
+                    got[m + (j,)] = self._chevalley(self.root_pairings(omega), cls)
             self._monomials[degree] = got
         return got
 
@@ -108,7 +110,7 @@ class SolverCalc(SchubertCalc):
         den = lcm(1, *(c.denominator for c in x.coeffs.values()))
         coords, d = solver.solve({w: int(c * den) for w, c in x.coeffs.items()})
         d *= den
-        pairings = self._omega_pairings
+        pairings = [self.root_pairings(om) for om in self.datum.fundamental_weights]
         memo = {(): y.coeffs}
 
         def applied(m: tuple) -> dict:
@@ -324,7 +326,7 @@ class TestDividedDifference:
             i = rng.randint(1, 4)
             s = calc_f4.group.simple_reflection(i)
             num = f - weyl_substitute(s, f)
-            alpha = Polynomial.linear_form(calc_f4.datum.simple_root(i).omega)
+            alpha = Polynomial.linear_form(calc_f4.datum.simple_roots[i - 1].omega)
             if num.is_zero():
                 assert calc_f4.divided_difference(i, f).is_zero()
             else:
@@ -346,7 +348,7 @@ class TestDividedDifference:
         calc = SchubertCalc(cartan_type(family, rank))
         n = calc.rank
         for i in range(1, n + 1):
-            alpha = Polynomial.linear_form(calc.datum.simple_root(i).omega)
+            alpha = Polynomial.linear_form(calc.datum.simple_roots[i - 1].omega)
             w = Polynomial.variable(n, i - 1)
             u = w - alpha
             w_k = u_k = Polynomial.one(n)
@@ -433,6 +435,29 @@ class TestExpansion:
 
 
 class TestChevalley:
+    def test_root_pairings_are_memoized_per_weight(self):
+        calc = SchubertCalc(cartan_type("B", 3))
+        got = calc.root_pairings([2, -1, 3])
+        assert type(got) is tuple
+        assert calc.root_pairings((2, -1, 3)) is got
+        assert calc.root_pairings([2, -1, 3]) is got
+        assert got == tuple(
+            coroot_pairing(calc.datum, beta, (2, -1, 3)) for beta in calc.datum.positive_roots
+        )
+        # an integral Fraction weight pairs like the integer one, in ints
+        whole = calc.root_pairings((Fraction(4, 2), -1, 3))
+        assert whole == got and all(type(c) is int for c in whole)
+
+    def test_fraction_weight_pairings(self):
+        calc = SchubertCalc(cartan_type("B", 3))
+        half = (Fraction(1, 2), 0, 0)
+        assert calc.root_pairings(half) == tuple(
+            coroot_pairing(calc.datum, beta, half) for beta in calc.datum.positive_roots
+        )
+        message = "coefficient of Z_1 is the non-integer 1/2"
+        with pytest.raises(NonIntegralExpansionError, match=message):
+            calc.chevalley_weight(half, calc.indicator(calc.group.identity))
+
     def test_identity_base(self, calc_f4):
         for alpha in range(1, 5):
             got = calc_f4.chevalley_product(alpha, calc_f4.group.identity)

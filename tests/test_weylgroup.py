@@ -44,13 +44,13 @@ def test_f4_table_action_spotchecks(calc_f4):
 
 def test_braid_relations():
     g2 = WeylGroup(build_root_datum(cartan_type("G2")))
-    assert g2.element_from_word([1, 2] * 6).is_identity
-    assert not g2.element_from_word([1, 2] * 3).is_identity
+    assert g2.element_from_word([1, 2] * 6).length == 0
+    assert g2.element_from_word([1, 2] * 3).length != 0
     f4 = WeylGroup(build_root_datum(cartan_type("F4")))
-    assert f4.element_from_word([2, 3] * 4).is_identity
-    assert f4.element_from_word([1, 2] * 3).is_identity
-    assert f4.element_from_word([3, 4] * 3).is_identity
-    assert f4.element_from_word([1, 3, 1, 3]).is_identity
+    assert f4.element_from_word([2, 3] * 4).length == 0
+    assert f4.element_from_word([1, 2] * 3).length == 0
+    assert f4.element_from_word([3, 4] * 3).length == 0
+    assert f4.element_from_word([1, 3, 1, 3]).length == 0
 
 
 def test_word_recomputed_from_matrix_not_concatenation(calc_g2):
@@ -234,21 +234,6 @@ def test_covers_match_root_reflections(family, rank):
         assert list(g.covers(w)) == want
 
 
-@pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
-def test_stratum_covers_match_covers(family, rank):
-    # the flat covers, found by their own scan on one group and read from
-    # cached covers on another, name exactly the pairs that covers(w) gives
-    flat, warm = _fresh_group(family, rank), _fresh_group(family, rank)
-    for k in range(1, flat.longest_length + 1):
-        table = flat.stratum_covers(k)
-        lower, upper = warm.sorted_stratum(k - 1), warm.sorted_stratum(k)
-        assert len(table) == len(lower)
-        for w in lower:
-            ps, bs = table[w.pos]
-            assert [(upper[p], b) for p, b in zip(ps, bs)] == list(warm.covers(w))
-        assert warm.stratum_covers(k) == table
-
-
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F4", None)])
 def test_elements_met_before_enumeration(family, rank):
     # elements interned from words, and covers found before their stratum is
@@ -402,31 +387,31 @@ class TestRootReflection:
     def test_simple_root_gives_simple_reflection(self, calc_b3):
         g, d = calc_b3.group, calc_b3.datum
         for i in (1, 2, 3):
-            assert g.root_reflection(d.simple_root(i)) == g.simple_reflection(i)
+            assert g.root_reflection(d.simple_roots[i - 1]) == g.simple_reflection(i)
 
     def test_involution(self, calc_f4):
         g, d = calc_f4.group, calc_f4.datum
         for beta in d.positive_roots:
             s = g.root_reflection(beta)
-            assert g.compose(s, s).is_identity
+            assert g.compose(s, s).length == 0
 
     def test_b3_short_root_length_five(self, calc_b3):
         # oracle: count the positive roots sent negative by the reflection
         g, d = calc_b3.group, calc_b3.datum
-        beta = d.root_by_omega((1, 0, 0))  # t_1 = alpha_1 + alpha_2 + alpha_3
+        beta = d.indexed_roots[d.root_index[(1, 0, 0)]]  # t_1 = alpha_1 + alpha_2 + alpha_3
         assert beta.simple_coords == (1, 1, 1)
         s = g.root_reflection(beta)
         flipped = sum(
             1
             for r in d.positive_roots
-            if not d.root_by_omega(g.act(s, r.omega)).is_positive
+            if not d.indexed_roots[d.root_index[g.act(s, r.omega)]].is_positive
         )
         assert flipped == 5
         assert s.length == 5
 
     def test_rejects_non_roots(self, calc_b3):
         g, d = calc_b3.group, calc_b3.datum
-        neg = d.root_by_omega(tuple(-x for x in d.simple_root(1).omega))
+        neg = d.indexed_roots[d.root_index[tuple(-x for x in d.simple_roots[0].omega)]]
         with pytest.raises(NotARootError):
             g.root_reflection(neg)
 
