@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd
 
 from .errors import OutOfRangeError
-from .presentations import VerificationReport, gamma_word
+from .presentations import VerificationReport, gamma_degrees, gamma_word
 from .rootdata import CartanType, cartan_type
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
 
@@ -418,16 +418,10 @@ def chow_presentation(ct: CartanType, variant: str) -> ChowPresentation:
                 ChowGenerator("X4", 4, 3, 3, (1, 2, 3, 4)),
             ),
         )
-    if ct.family == "B":
-        m = 2 * n + 1
-        top = 2 * ((n + 1) // 2) - 1
-        neff = n
-    else:
-        m = 2 * n
-        top = 2 * (n // 2) - 1
-        neff = n - 1
+    m = 2 * n + 1 if ct.family == "B" else 2 * n
+    neff = gamma_degrees(ct)[-1]
     gens = []
-    for i in range(1, top + 1, 2):
+    for i in range(1, neff + 1, 2):
         if variant == "simply_connected" and i == 1:
             continue
         p = 2 ** (_log2_floor_ratio(neff, i) + 1)

@@ -24,6 +24,10 @@ degree passes ``2**W - 1``.
 ``Polynomial.terms`` is a read-only view keyed by exponent tuples, built on
 demand over the packed dict; its ``len`` is the number of terms, in O(1).
 The constructor takes any mapping from exponent tuples to coefficients.
+
+Rendering.  ``signed_sum`` writes (coefficient, body) pairs as a signed sum
+such as ``2*w1^3 - w2 + 1/2``.  ``Polynomial.format`` gives it the monomials,
+highest degree first, and ``SchubertExpansion`` its classes, so both print alike.
 """
 
 from __future__ import annotations
@@ -94,6 +98,28 @@ def _check_product(n: int, factors) -> None:
 def _check_degree_fits(terms: dict, n: int) -> None:
     if _degree(terms, n) > _MASK:
         raise OutOfRangeError(f"total degree exceeds {_MASK}")
+
+
+def signed_sum(terms) -> str:
+    """Render (coefficient, body) pairs, in order, as ``a - 2*b + 1/2*c``: a
+    unit coefficient is left out, an empty body is a constant, no pairs is 0."""
+    pieces = []
+    for c, body in terms:
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        pieces.append(f"{'-' if c < 0 else '+'} {body}")
+    if not pieces:
+        return "0"
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
+
+
+def _monomial_text(expo) -> str:
+    """``w1^3*w2`` for the exponents (3, 1); empty for a constant."""
+    return "*".join(f"w{j + 1}^{e}" if e > 1 else f"w{j + 1}" for j, e in enumerate(expo) if e)
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -227,6 +253,8 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.nvars, other)
+        elif self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
         out = dict(self._terms)
         get = out.get
         for e, c in other._terms.items():
@@ -330,33 +358,8 @@ class Polynomial:
 
     def format(self) -> str:
         """Render in the expression grammar, e.g. ``2*w1^3 - 3*w1^2*w2``."""
-        if not self._terms:
-            return "0"
-        names = [f"w{j + 1}" for j in range(self.nvars)]
         rows = sorted(
             ((_unpack(key, self.nvars), c) for key, c in self._terms.items()),
             key=lambda row: (-sum(row[0]), tuple(-x for x in row[0])),
         )
-        pieces = []
-        for expo, c in rows:
-            factors = []
-            for j, e in enumerate(expo):
-                if e == 1:
-                    factors.append(names[j])
-                elif e > 1:
-                    factors.append(f"{names[j]}^{e}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, text))
-        first_sign, first = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in pieces[1:]:
-            out += f" {sign} {text}"
-        return out
+        return signed_sum((c, _monomial_text(expo)) for expo, c in rows)

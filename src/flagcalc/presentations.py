@@ -165,22 +165,15 @@ class BorelPresentation:
 
 def borel_presentation(ct: CartanType) -> BorelPresentation:
     n = ct.rank
-    if ct.family == "B":
+    if ct.family in ("B", "D"):
+        ks = gamma_degrees(ct)
         gens = tuple((f"t{i}", 1) for i in range(1, n + 1)) + tuple(
-            (f"g{k}", k) for k in range(1, n + 1)
-        )
-        rels = tuple((f"c{i} - 2*g{i}", i) for i in range(1, n + 1)) + tuple(
-            (f"quadratic g{2 * k}", 2 * k) for k in range(1, n + 1)
-        )
-        return BorelPresentation(ct.name, gens, rels)
-    if ct.family == "D":
-        gens = tuple((f"t{i}", 1) for i in range(1, n + 1)) + tuple(
-            (f"g{k}", k) for k in range(1, n)
+            (f"g{k}", k) for k in ks
         )
         rels = (
-            tuple((f"c{i} - 2*g{i}", i) for i in range(1, n))
-            + ((f"c{n}", n),)
-            + tuple((f"quadratic g{2 * k}", 2 * k) for k in range(1, n))
+            tuple((f"c{k} - 2*g{k}", k) for k in ks)
+            + (((f"c{n}", n),) if ct.family == "D" else ())
+            + tuple((f"quadratic g{2 * k}", 2 * k) for k in ks)
         )
         return BorelPresentation(ct.name, gens, rels)
     if ct.family == "G2":
@@ -291,31 +284,27 @@ def _expansion_from_table(calc: SchubertCalc, codim: int, table: dict) -> Schube
     return SchubertExpansion(codim, coeffs)
 
 
+def gamma_degrees(ct: CartanType) -> tuple:
+    """The degrees k of the generators gamma_k: 1..n for B_n, 1..n-1 for D_n,
+    3 for G2, and 3 and 4 for F4."""
+    if ct.family == "G2":
+        return (3,)
+    if ct.family == "F4":
+        return (3, 4)
+    return tuple(range(1, ct.rank + (ct.family == "B")))
+
+
 def gamma_defining_poly(calc: SchubertCalc, k: int) -> tuple:
-    """The polynomial whose class equals m * gamma_k, with the multiplier m."""
+    """The polynomial whose class equals m * gamma_k, with the multiplier m:
+    c_k = 2 gamma_k, except 3 gamma_4 = c_4 - 2t c_3 + 8t^4 in F4."""
     ct = calc.cartan_type
     d = calc.datum
-    n = ct.rank
-    if ct.family == "B":
-        if not 1 <= k <= n:
-            raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
-        return elem_sym_t(d, k, n), 2
-    if ct.family == "D":
-        if not 1 <= k <= n - 1:
-            raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
-        return elem_sym_t(d, k, n), 2
-    if ct.family == "G2":
-        if k != 3:
-            raise OutOfRangeError(f"gamma_{k} does not exist for G2")
-        return elem_sym_t(d, 3, 3), 2
-    if k == 3:
-        return elem_sym_t(d, 3, 4), 2
-    if k == 4:
+    if k not in gamma_degrees(ct):
+        raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
+    if ct.family == "F4" and k == 4:
         t = d.extra_t_poly()
-        c3 = elem_sym_t(d, 3, 4)
-        c4 = elem_sym_t(d, 4, 4)
-        return c4 - t * c3 * 2 + (t**4) * 8, 3
-    raise OutOfRangeError(f"gamma_{k} does not exist for F4")
+        return elem_sym_t(d, 4, 4) - t * elem_sym_t(d, 3, 4) * 2 + (t**4) * 8, 3
+    return elem_sym_t(d, k, d.num_t_classes), 2
 
 
 def gamma_expansion(calc: SchubertCalc, k: int) -> SchubertExpansion:
@@ -337,13 +326,15 @@ def gamma_expansion(calc: SchubertCalc, k: int) -> SchubertExpansion:
 def gamma_word(ct: CartanType, k: int) -> tuple:
     """The reduced word of the Schubert class equal to gamma_k in types B and D."""
     n = ct.rank
+    if ct.family not in ("B", "D"):
+        raise OutOfRangeError("gamma_word is only defined for types B and D")
+    if k not in gamma_degrees(ct):
+        raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
     if ct.family == "B":
         return tuple(range(n - k + 1, n + 1))
-    if ct.family == "D":
-        if k == 1:
-            return (n,)
-        return tuple(range(n - k, n - 1)) + (n,)
-    raise OutOfRangeError(f"gamma_word is only defined for types B and D")
+    if k == 1:
+        return (n,)
+    return tuple(range(n - k, n - 1)) + (n,)
 
 
 def degree2_generator_images(calc: SchubertCalc) -> dict:
@@ -447,8 +438,7 @@ def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
     ct = calc.cartan_type
     d = calc.datum
     g2 = ct.family == "G2"
-    nt = 3 if g2 else 4
-    c3 = elem_sym_t(d, 3, nt)
+    c3 = elem_sym_t(d, 3, d.num_t_classes)
     gamma = _gamma_memo(calc)
 
     def delta_value(word, f, val):
@@ -469,9 +459,7 @@ def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
         report.check(f"Delta_{word}(c3)", lambda: delta_value(word, c3, val))
 
     if not g2:
-        t = d.extra_t_poly()
-        c4 = elem_sym_t(d, 4, 4)
-        f4 = c4 - t * c3 * 2 + (t**4) * 8
+        f4, _ = gamma_defining_poly(calc, 4)
         for word, val in F4_DELTA_C4.items():
             report.check(
                 f"Delta_{word}(c4-2tc3+8t^4)", lambda: delta_value(word, f4, val)
@@ -621,7 +609,7 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
             return Polynomial.zero(n)
         return elem_sym_t(d, l, m)
 
-    kmax = n if odd else n - 1
+    kmax = gamma_degrees(ct)[-1]
 
     def delta_row(i, f, want):
         return want, calc.divided_difference(i, f)

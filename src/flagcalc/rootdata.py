@@ -10,8 +10,10 @@ Conventions (Bourbaki numbering throughout):
   (short roots then have squared length 1 in B/D/F4 and 2/3 in G2).
 
 Each type also carries its standard degree-2 classes t_1, ..., t_n (and the
-extra half-sum class t for F4), hard-coded in weight coordinates so that the
-classical torus descriptions are reproduced exactly.
+extra half-sum class t for F4) in weight coordinates, so that the classical
+torus descriptions are reproduced exactly.  For B and D they are derived from
+their partial sums t_1 + ... + t_k, which are fundamental weights up to the
+last one or two; for G2 and F4 they are listed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import mul, neg
+from operator import mul, neg, sub
 
 from .errors import OutOfRangeError, UnsupportedRankError
 from .polyring import Polynomial, Rational, _norm_coeff
@@ -129,29 +131,14 @@ def _unit(n: int, j: int, c: Rational = 1) -> tuple:
 
 def _t_vectors(family: str, n: int):
     """The classes t_i in weight coordinates, plus the extra class for F4."""
-    if family == "B":
-        ts = [_unit(n, 0)]
-        for i in range(1, n - 1):
-            v = [0] * n
-            v[i - 1], v[i] = -1, 1
-            ts.append(tuple(v))
-        v = [0] * n
-        v[n - 2], v[n - 1] = -1, 2
-        ts.append(tuple(v))
-        return tuple(ts), None
-    if family == "D":
-        ts = [_unit(n, 0)]
-        for i in range(1, n - 2):
-            v = [0] * n
-            v[i - 1], v[i] = -1, 1
-            ts.append(tuple(v))
-        v = [0] * n
-        v[n - 3], v[n - 2], v[n - 1] = -1, 1, 1
-        ts.append(tuple(v))
-        v = [0] * n
-        v[n - 2], v[n - 1] = -1, 1
-        ts.append(tuple(v))
-        return tuple(ts), None
+    if family in ("B", "D"):
+        # The partial sums e_k = t_1 + ... + t_k are the omega_k, except
+        # e_n = 2 omega_n and, in D, e_{n-1} = omega_{n-1} + omega_n.
+        e = [(0,) * n] + [list(_unit(n, k)) for k in range(n)]
+        e[n][n - 1] = 2
+        if family == "D":
+            e[n - 1][n - 1] = 1
+        return tuple(tuple(map(sub, e[i], e[i - 1])) for i in range(1, n + 1)), None
     if family == "G2":
         return ((-1, 0), (-1, 1), (2, -1)), None
     # F4: t_1..t_4 and t = c_1/2

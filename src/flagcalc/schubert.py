@@ -29,6 +29,10 @@ product needs a polynomial representative.
 
 Every cache is filled idempotently with deterministic values, so concurrent
 use only risks duplicated work, never wrong answers.
+
+An expansion prints as a signed sum such as ``Z_12 - 2*Z_21``, its classes
+in ``items_sorted`` order, through the renderer that polynomials use
+(``polyring.signed_sum``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
-from .polyring import Polynomial, Rational, _norm_coeff
+from .polyring import Polynomial, Rational, _norm_coeff, signed_sum
 from .rootdata import CartanType, Weight, build_root_datum
 from .weylgroup import WeylElement, WeylGroup, weyl_order
 
@@ -108,19 +112,7 @@ class SchubertExpansion:
         return self.coeffs.get(w, 0)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for w, c in self.items_sorted():
-            name = f"Z_{w.word_str()}"
-            mag = abs(c)
-            body = name if mag == 1 else f"{mag}*{name}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, first = pieces[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum((c, f"Z_{w.word_str()}") for w, c in self.items_sorted())
 
     def __repr__(self):
         return f"SchubertExpansion({self.codim}, {self})"
@@ -187,10 +179,15 @@ class SchubertCalc:
             self._dd_tables[i] = (table, u, u_pow)
         return table[k]
 
+    def _check_nvars(self, f: Polynomial) -> None:
+        if f.nvars != self.rank:
+            raise ValueError(f"polynomial in {f.nvars} variables, expected {self.rank}")
+
     def divided_difference(self, i: int, f: Polynomial) -> Polynomial:
         """Apply the i-th divided difference (f - s_i f) / alpha_i, exactly."""
         if not 1 <= i <= self.rank:
             raise OutOfRangeError(f"simple index {i} out of range")
+        self._check_nvars(f)
         return f.replace_powers(i - 1, lambda k: self._dd_table(i, k))
 
     def delta_word(self, word, f: Polynomial) -> Polynomial:
@@ -199,6 +196,7 @@ class SchubertCalc:
         The word s_{i_1} ... s_{i_k} acts as Delta_{i_1} o ... o Delta_{i_k},
         so the rightmost letter is applied first.
         """
+        self._check_nvars(f)
         for i in reversed(tuple(word)):
             if f.is_zero():
                 break
@@ -218,6 +216,7 @@ class SchubertCalc:
         s_i w for the first letter i of w's reduced word, so each element costs
         one divided difference and zero layers prune their whole subtree.
         """
+        self._check_nvars(f)
         k = f.degree()
         if k < 0:
             return {}
@@ -267,6 +266,8 @@ class SchubertCalc:
         key = tuple(lam)
         got = self._pairings.get(key)
         if got is None:
+            if len(key) != self.rank:
+                raise ValueError(f"weight {key} does not have {self.rank} coordinates")
             got = self._pairings[key] = tuple(
                 _norm_coeff(sum(map(mul, beta.coroot_on_omega, key)))
                 for beta in self.datum.positive_roots

@@ -254,6 +254,8 @@ class WeylGroup:
         return self.element_from_word(reversed(w.word))
 
     def act(self, w: WeylElement, lam: Weight) -> Weight:
+        if len(lam) != self.rank:
+            raise ValueError(f"weight {tuple(lam)} does not have {self.rank} coordinates")
         return tuple(sum(map(mul, row, lam)) for row in w.matrix)
 
     def descends(self, w: WeylElement, i: int) -> bool:

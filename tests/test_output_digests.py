@@ -3,14 +3,17 @@
 Every verification and Chow-ring result below is recomputed from the root
 data; the sha256 of the JSON stdout pins it byte for byte, so a refactor of
 the suites or the engines that changes a single check name, value or
-ordering fails here.  The rank-6 ``chow`` outputs pin Chow rings whose
-strata are large enough that most pivots come from the unit phase.  The two ``basis`` outputs pin the lex-min word order of
-a middle stratum, the order that ``pos`` indexes.  The ``giambelli`` outputs
-pin representatives whose descents start at different parabolic tops
-w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the descents of the
-B6 and D6 words of lengths 15 and 11 start from the products of 35 of the 36
-and 28 of the 30 positive roots.  The ``structconst`` output pins a product
-of two length-9 classes of B6, in the 3,210-element middle stratum.
+ordering fails here.  ``verify --type all`` holds every check string, so it
+also pins the signed-sum text of polynomials and Schubert expansions.  The
+rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
+most pivots come from the unit phase.  The two ``basis`` outputs pin the
+lex-min word order of a middle stratum, the order that ``pos`` indexes.  The
+``giambelli`` outputs pin representatives whose descents start at different
+parabolic tops w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the
+descents of the B6 and D6 words of lengths 15 and 11 start from the products
+of 35 of the 36 and 28 of the 30 positive roots.  The ``structconst`` output
+pins a product of two length-9 classes of B6, in the 3,210-element middle
+stratum.
 """
 
 import contextlib
@@ -22,6 +25,10 @@ import pytest
 from flagcalc import cli
 
 DIGESTS = [
+    (
+        ("verify", "--type", "all"),
+        "d2f02c51804789b080a853e71c5448d424ae85cf348402a276d2b2bbc062bf81",
+    ),
     (
         ("verify", "--type", "G2,F4"),
         "40d701f4aa9ff359dbb04e25c2209bfbb0f7be31f0469e301c22b3f75ab61858",

@@ -5,13 +5,15 @@ import pytest
 
 from flagcalc.errors import OutOfRangeError, ParseError
 from flagcalc.exprparse import parse_polynomial
-from flagcalc.polyring import _W, Polynomial
+from flagcalc.polyring import _W, Polynomial, signed_sum
+from flagcalc.schubert import SchubertExpansion
 
 from conftest import (
     NotDivisibleError,
     exact_div_linear,
     substitute_linear,
     weyl_substitute,
+    word,
 )
 
 
@@ -71,6 +73,72 @@ def test_degree_and_homogeneity():
     assert p.degree() == 3 and p.is_homogeneous()
     q = p + Polynomial.one(2)
     assert not q.is_homogeneous()
+
+
+class TestVariableCount:
+    """A sum of polynomials in different numbers of variables is refused."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: b.__radd__(a),
+            lambda a, b: b.__rsub__(a),
+        ],
+        ids=["add", "sub", "radd", "rsub"],
+    )
+    def test_mismatch_raises(self, op):
+        two, three = Polynomial.variable(2, 0), Polynomial.variable(3, 0)
+        for a, b in ((two, three), (three, two)):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                op(a, b)
+
+    def test_constants_still_combine(self):
+        w1 = Polynomial.variable(2, 0)
+        assert (1 + w1) - 1 == w1
+        assert 1 - w1 == Polynomial.constant(2, 1) - w1
+        assert str(2 - w1) == "-w1 + 2"
+
+
+class TestSignedSum:
+    """The one renderer behind polynomials and Schubert expansions."""
+
+    @pytest.mark.parametrize(
+        "pairs,text",
+        [
+            ([], "0"),
+            ([(-1, "w1"), (2, "w2")], "-w1 + 2*w2"),
+            ([(2, "")], "2"),
+            ([(-1, "")], "-1"),
+            ([(Fraction(1, 2), "w2")], "1/2*w2"),
+            ([(1, "Z_e")], "Z_e"),
+            ([(1, "a"), (-3, "b"), (1, "")], "a - 3*b + 1"),
+        ],
+    )
+    def test_pairs(self, pairs, text):
+        assert signed_sum(pairs) == text
+
+    @pytest.mark.parametrize(
+        "build,text",
+        [
+            (lambda c: Polynomial.zero(2), "0"),
+            (lambda c: Polynomial.linear_form((-1, 2)), "-w1 + 2*w2"),
+            (lambda c: Polynomial.constant(2, 2), "2"),
+            (lambda c: Polynomial.constant(2, -1), "-1"),
+            (lambda c: Polynomial.monomial(2, (0, 1), Fraction(1, 2)), "1/2*w2"),
+            (lambda c: Polynomial.monomial(2, (2, 1), -3) + 1, "-3*w1^2*w2 + 1"),
+            (lambda c: c.indicator(c.group.identity), "Z_e"),
+            (lambda c: SchubertExpansion(2), "0"),
+            (lambda c: c.chevalley_weight((1, 0), c.indicator(c.group.identity)), "Z_1"),
+            (
+                lambda c: c.indicator(word(c, "12")).scale(-2) + c.indicator(word(c, "21")),
+                "-2*Z_12 + Z_21",
+            ),
+        ],
+    )
+    def test_polynomials_and_expansions(self, calc_g2, build, text):
+        assert str(build(calc_g2)) == text
 
 
 class TestPackedWidth:

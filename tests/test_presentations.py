@@ -3,18 +3,21 @@ import json
 import pytest
 
 import flagcalc.presentations as pres
+from flagcalc.chowring import VARIANTS, chow_presentation
 from flagcalc.errors import OutOfRangeError
 from flagcalc.presentations import (
     VerificationReport,
     borel_presentation,
     degree2_generator_images,
     expected_degree2_table,
+    gamma_defining_poly,
+    gamma_degrees,
     gamma_expansion,
     gamma_word,
     verify_presentations,
 )
 from flagcalc.rootdata import cartan_type
-from flagcalc.schubert import SchubertExpansion
+from flagcalc.schubert import SchubertExpansion, calculus_for
 
 from conftest import word
 
@@ -60,6 +63,47 @@ class TestGammaExpansion:
         assert gamma_word(cartan_type("B", 4), 4) == (1, 2, 3, 4)
         assert gamma_word(cartan_type("D", 5), 1) == (5,)
         assert gamma_word(cartan_type("D", 5), 3) == (2, 3, 5)
+
+
+GAMMA_TYPES = (
+    [cartan_type("B", n) for n in range(2, 13)]
+    + [cartan_type("D", n) for n in range(4, 13)]
+    + [cartan_type("G2"), cartan_type("F4")]
+)
+
+
+@pytest.mark.parametrize("ct", GAMMA_TYPES, ids=str)
+def test_gamma_degrees_agree_with_every_reader(ct):
+    """gamma_degrees names the gamma_k that the Borel presentation lists,
+    that give the Chow generators, and that gamma_defining_poly accepts."""
+    ks = gamma_degrees(ct)
+    n = ct.rank
+    want = {"B": range(1, n + 1), "D": range(1, n), "G2": (3,), "F4": (3, 4)}
+    assert ks == tuple(want[ct.family])
+    gens = borel_presentation(ct).generators
+    assert tuple(c for s, c in gens if s.startswith("g")) == ks
+    assert [s for s, _ in gens if s.startswith("g")] == [f"g{k}" for k in ks]
+    for variant in VARIANTS:
+        codims = tuple(g.codim for g in chow_presentation(ct, variant).generators)
+        if ct.family in ("G2", "F4"):
+            assert codims == ks
+        else:
+            skip = 1 if variant == "simply_connected" else 0
+            assert codims == tuple(k for k in ks if k % 2 and k != skip)
+    calc = calculus_for(ct)
+    bd = ct.family in ("B", "D")
+    for k in range(-1, ks[-1] + 3):
+        if k in ks:
+            f, mult = gamma_defining_poly(calc, k)
+            assert f.degree() == k and mult == (3 if (ct.family, k) == ("F4", 4) else 2)
+            if bd:
+                assert len(gamma_word(ct, k)) == k
+        else:
+            with pytest.raises(OutOfRangeError, match=f"gamma_{k} does not exist"):
+                gamma_defining_poly(calc, k)
+            if bd:
+                with pytest.raises(OutOfRangeError, match=f"gamma_{k} does not exist"):
+                    gamma_word(ct, k)
 
 
 class TestDegree2Images:

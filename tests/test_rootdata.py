@@ -117,6 +117,36 @@ def test_t_basis_d5():
     assert d.t_weight(5) == (0, 0, 0, -1, 1)
 
 
+def _t_vectors_by_loops(family, n):
+    """The B and D t-classes written out entry by entry, as a reference."""
+    ts = [(1,) + (0,) * (n - 1)]
+    for i in range(1, n - 1 if family == "B" else n - 2):
+        v = [0] * n
+        v[i - 1], v[i] = -1, 1
+        ts.append(tuple(v))
+    v = [0] * n
+    if family == "B":
+        v[n - 2], v[n - 1] = -1, 2
+        ts.append(tuple(v))
+    else:
+        v[n - 3], v[n - 2], v[n - 1] = -1, 1, 1
+        ts.append(tuple(v))
+        v = [0] * n
+        v[n - 2], v[n - 1] = -1, 1
+        ts.append(tuple(v))
+    return tuple(ts)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("B", n) for n in range(2, 31)] + [("D", n) for n in range(4, 31)]
+)
+def test_bd_t_classes_match_the_written_out_vectors(family, rank):
+    d = build_root_datum(cartan_type(family, rank))
+    assert d.t_vectors == _t_vectors_by_loops(family, rank)
+    assert all(type(x) is int for t in d.t_vectors for x in t)
+    assert d.extra_t is None
+
+
 def test_simple_roots_in_t_coordinates_bd():
     # alpha_i = t_i - t_{i+1} for i < n; alpha_n = t_n (B) or t_{n-1} + t_n (D)
     for family, rank in (("B", 4), ("D", 4)):

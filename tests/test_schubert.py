@@ -434,6 +434,40 @@ class TestExpansion:
             calc_g2.schubert_expand(Polynomial.variable(2, 0) ** 7)
 
 
+class TestRankMismatch:
+    """Weights and polynomials made for another rank are refused, not
+    truncated or read with the wrong variable count."""
+
+    def test_short_or_long_weight(self):
+        calc = SchubertCalc(cartan_type("B", 3))
+        z12 = calc.indicator(word(calc, "12"))
+        for lam in ((1,), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="does not have 3 coordinates"):
+                calc.chevalley_weight(lam, z12)
+            with pytest.raises(ValueError, match="does not have 3 coordinates"):
+                calc.root_pairings(lam)
+            with pytest.raises(ValueError, match="does not have 3 coordinates"):
+                calc.group.act(calc.group.identity, lam)
+            assert tuple(lam) not in calc._pairings
+        assert str(calc.chevalley_weight((1, 0, 0), z12)) == "Z_121"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c, f: c.divided_difference(1, f),
+            lambda c, f: c.delta_w(word(c, "12"), f),
+            lambda c, f: c.delta_word((), f),
+            lambda c, f: c.schubert_expand(f),
+            lambda c, f: c.expand_class_poly(f),
+        ],
+        ids=["divided_difference", "delta_w", "delta_word", "schubert_expand", "expand_class_poly"],
+    )
+    def test_polynomial_in_other_variables(self, calc_b3, call):
+        for f in (Polynomial.variable(2, 0), Polynomial.zero(4)):
+            with pytest.raises(ValueError, match=f"{f.nvars} variables, expected 3"):
+                call(calc_b3, f)
+
+
 class TestChevalley:
     def test_root_pairings_are_memoized_per_weight(self):
         calc = SchubertCalc(cartan_type("B", 3))
