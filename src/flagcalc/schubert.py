@@ -14,18 +14,22 @@ the (immutable) root datum and Weyl group together with its memo caches:
   product.  A step Delta_i multiplies into the polynomial part only the
   roots that s_i moves out of the set, and a value asked for is expanded
   once and stored back expanded;
-* the products Z_u * Z_v of pairs of basis classes, one entry per
-  unordered pair, kept as long as the engine; only products read it;
 * the pairings (beta^vee | lam) with the positive roots, one tuple per
   weight lam, for the Chevalley rule in products and in the Chow rings.
 
-A product Z_u * Z_v comes from shorter pairs by the twisted Leibniz rule of
-the divided differences (Kostant-Kumar): Delta_i of the product gives every
-coefficient at a w with right descent i, and a w whose descents all miss
-those of u and v does not occur.  The recursion walks the lower intervals of
-both factors in the right weak order and bottoms out at Z_e and at the
-Chevalley rule; a product of expansions is the bilinear extension.  No
-product needs a polynomial representative.
+Products keep no cache on the engine: each product memoizes its states for
+that call only.  A product x * y of two expansions comes from lower degrees
+by the twisted Leibniz rule of the divided differences (Kostant-Kumar),
+applied to whole classes: a state (a, b) stands for (Delta_a x)(Delta_b y),
+Delta_i of it gives every coefficient at a w with right descent i, and a w
+whose descents all miss those of both classes does not occur.  The
+recursion bottoms out at degree 0 and at the Chevalley rule in degree 1.  It
+visits only the a with Delta_a x nonzero, not every lower interval of every
+term of x.  No product needs a polynomial representative.
+
+Engine entry points that take Weyl elements (products, the Chevalley rule,
+Giambelli) raise ValueError for an element that another group interned,
+since its id would index this group's tables at some other element.
 
 Every cache is filled idempotently with deterministic values, so concurrent
 use only risks duplicated work, never wrong answers.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
 from .polyring import Polynomial, Rational, _norm_coeff, signed_sum
@@ -147,7 +151,6 @@ class SchubertCalc:
         self._dd_tables: dict = {}
         self._gtable: dict = {}  # element -> factored unscaled Giambelli value
         self._pairings: dict = {}  # tuple(lam) -> root_pairings(lam)
-        self._pairs: dict = {}  # (u, v), u.id <= v.id -> Z_u * Z_v, see _pair
 
     # -- divided differences -------------------------------------------------
 
@@ -275,12 +278,14 @@ class SchubertCalc:
         return got
 
     def _chevalley(self, pairing, coeffs: dict) -> dict:
-        """The Chevalley rule on raw coefficients: c Z_w -> c pairing[b] Z_{w s_beta_b}."""
+        """The Chevalley rule on raw coefficients keyed by element id:
+        c Z_w -> c pairing[b] Z_{w s_beta_b}."""
         out: dict = {}
         get = out.get
-        covers = self.group.covers
+        by_id, cover_ids = self.group._by_id, self.group.cover_ids
         for w, c in coeffs.items():
-            for v, b in covers(w):
+            ids, bs = cover_ids(by_id[w])
+            for v, b in zip(ids, bs):
                 p = pairing[b]
                 if p:
                     out[v] = get(v, 0) + c * p
@@ -292,7 +297,8 @@ class SchubertCalc:
         For each basis class Z_w the product contributes (beta^vee | lam) Z_{w s_beta}
         over the positive roots beta with l(w s_beta) = l(w) + 1.
         """
-        return _integral(x.codim + 1, self._chevalley(self.root_pairings(lam), x.coeffs))
+        got = self._chevalley(self.root_pairings(lam), self._ids(x.coeffs))
+        return _integral(x.codim + 1, self._from_ids(got))
 
     def chevalley_product(self, alpha: int, w: WeylElement) -> SchubertExpansion:
         """Expansion of Z_{s_alpha} * Z_w by the closed degree-1 rule."""
@@ -393,99 +399,170 @@ class SchubertCalc:
 
     def giambelli_poly(self, w: WeylElement) -> Polynomial:
         """A degree-l(w) polynomial whose Schubert expansion is exactly Z_w."""
+        self._own(w)
         return self._giambelli_unscaled(w).scale(Fraction(1, self.weyl_order))
 
     # -- products in the Schubert basis ---------------------------------------
 
-    def _pair(self, u: WeylElement, v: WeylElement) -> dict:
-        """Z_u * Z_v as raw coefficients, memoized per unordered pair.
+    def _own(self, w: WeylElement) -> int:
+        """w's id; ValueError when another group interned w, whose id would
+        index this group's tables at some other element."""
+        by_id = self.group._by_id
+        if w.id >= len(by_id) or by_id[w.id] is not w:
+            raise ValueError(f"Z_{w} is an element of another Weyl group")
+        return w.id
 
-        Z_e and a length-1 factor (the Chevalley rule by omega_i) are the base
-        cases.  Otherwise, for each right descent i of u or v, the twisted
-        Leibniz rule Delta_i(Z_u Z_v) = Delta_i Z_u * Z_v + Z_u * Delta_i Z_v
-        - alpha_i * Delta_i Z_u * Delta_i Z_v, with Delta_i Z_w = Z_{w s_i}
-        for a right descent i of w and 0 otherwise, gives Delta_i of the
-        product from shorter pairs; and [Z_w](Z_u Z_v) = [Z_{w s_i}]
-        Delta_i(Z_u Z_v) for each right descent i of w.  A w with a right
-        descent outside those of u and v has coefficient 0, so every term is
-        read back this way.  Each call shortens the pair, so the recursion is
-        at most N calls deep (900 for B30), below Python's recursion limit.
+    def _ids(self, coeffs: dict) -> dict:
+        """Coefficients keyed by element id, each element checked by ``_own``."""
+        own = self._own
+        return {own(w): c for w, c in coeffs.items()}
+
+    def _from_ids(self, coeffs: dict) -> dict:
+        """Coefficients keyed by element, from coefficients keyed by id."""
+        by_id = self.group._by_id
+        return {by_id[w]: c for w, c in coeffs.items()}
+
+    def _times(self, x: dict, y: dict) -> dict:
+        """x * y on coefficients keyed by element id, by the twisted Leibniz rule.
+
+        A state (a, b) stands for (Delta_a x)(Delta_b y), where Delta_a of
+        Z_u is Z_{u a^-1} when l(u a^-1) = l(u) - l(a) and 0 otherwise.  For
+        each i among the right descents of the terms of Delta_a x or
+        Delta_b y,
+            Delta_i((Delta_a x)(Delta_b y)) = Q(s_i a, b) + Q(a, s_i b)
+                                              - alpha_i * Q(s_i a, s_i b),
+        where Q(s_i a, .) is dropped when i is no descent of Delta_a x (then
+        Delta_i Delta_a x = 0), and likewise for b.  The coefficient of the
+        product at w is [Z_{w s_i}] of Delta_i of the product, for each right
+        descent i of w; a w with a right descent outside those of both
+        classes has coefficient 0, so every term is read back this way.
+        Degree 0 is a scalar, and degree 1, a sum c_j Z_{s_j}, is the
+        Chevalley rule by the weight sum c_j omega_j.
+
+        A state is keyed by the ids of a^-1 and b^-1, so s_i a is one lookup
+        in the right-multiplication table; the derived classes and the
+        states are memoized for this call only.  Each state is one frame
+        deeper and of lower degree, so the recursion is at most N deep (900
+        for B30), below Python's recursion limit.  Coefficients are
+        multiplied as they are, so a Fraction that does not cancel is kept;
+        ``_product`` rejects it at the end.
         """
-        key = (u, v) if u.id <= v.id else (v, u)
-        got = self._pairs.get(key)
-        if got is not None:
-            return got
-        if u.length > v.length:
-            u, v = v, u
-        if not u.length:
-            got = {v: 1}
-        elif u.length == 1:
-            lam = self.datum.fundamental_weights[u.word[0] - 1]
-            got = self._chevalley(self.root_pairings(lam), {v: 1})
-        else:
-            got = {}
-            times_simple, pair = self.group.times_simple, self._pair
-            du, dv = u.descents, v.descents
-            todo = du | dv
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                i = bit.bit_length()
-                if not dv & bit:
-                    terms = pair(times_simple(u, i), v)
-                elif not du & bit:
-                    terms = pair(u, times_simple(v, i))
+        if not x or not y:
+            return {}
+        group, n, d = self.group, self.rank, self.datum
+        right, by_id, times_simple = group._right, group._by_id, group.times_simple
+        fundamental = [self.root_pairings(lam) for lam in d.fundamental_weights]
+        alphas = [self.root_pairings(r.omega) for r in d.simple_roots]
+        chevalley = self._chevalley
+
+        def shift(k: int, i: int) -> int:
+            """The id of w s_i, for w of id k."""
+            j = right[k * n + i - 1]
+            if j is None:
+                j = times_simple(by_id[k], i).id
+            return j
+
+        def derived(coeffs: dict, degree: int) -> tuple:
+            """(coeffs, their right descents as a mask, degree, the pairings of
+            their weight when the degree is 1)."""
+            mask = 0
+            for w in coeffs:
+                mask |= by_id[w].descents
+            if degree != 1:
+                return coeffs, mask, degree, None
+            cs = coeffs.values()
+            rows = [fundamental[by_id[w].word[0] - 1] for w in coeffs]
+            return coeffs, mask, degree, [sum(map(mul, cs, col)) for col in zip(*rows)]
+
+        def step(table: dict, k: int, i: int) -> int:
+            """The key of s_i a (the id of a^-1 s_i) for a of key k, with
+            Delta_{s_i a} of the table's class filled in."""
+            j = shift(k, i)
+            if j not in table:
+                coeffs, _, degree, _ = table[k]
+                bit = 1 << (i - 1)
+                table[j] = derived(
+                    {shift(w, i): c for w, c in coeffs.items() if by_id[w].descents & bit},
+                    degree - 1,
+                )
+            return j
+
+        # key -> derived class of x (y); key 0 is the identity, Delta_e x = x
+        xs = {0: derived(x, by_id[next(iter(x))].length)}
+        ys = xs if y is x else {0: derived(y, by_id[next(iter(y))].length)}
+        memo: dict = {}
+
+        def product(ka: int, kb: int) -> dict:
+            if ys is xs and ka > kb:
+                ka, kb = kb, ka  # (Delta_a x)(Delta_b x) = (Delta_b x)(Delta_a x)
+            key = (ka, kb)
+            got = memo.get(key)
+            if got is not None:
+                return got
+            cx, mx, dx, px = xs[ka]
+            cy, my, dy, py = ys[kb]
+            if min(dx, dy) <= 1:
+                if dx > dy:
+                    cx, dx, px, cy = cy, dy, py, cx
+                if dx:
+                    got = chevalley(px, cy)
                 else:
-                    us, vs = times_simple(u, i), times_simple(v, i)
-                    terms = dict(pair(us, v))
-                    get = terms.get
-                    for x, c in pair(u, vs).items():
-                        terms[x] = get(x, 0) + c
-                    alpha = self.datum.simple_roots[i - 1].omega
-                    for x, c in self._chevalley(self.root_pairings(alpha), pair(us, vs)).items():
-                        terms[x] = get(x, 0) - c
-                    terms = {x: c for x, c in terms.items() if c}
-                got.update({times_simple(x, i): c for x, c in terms.items()})
-        self._pairs[key] = got
+                    (c,) = cx.values()
+                    got = {w: c * v for w, v in cy.items()}
+            else:
+                got = {}
+                todo = mx | my
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    i = bit.bit_length()
+                    if not my & bit:
+                        terms = product(step(xs, ka, i), kb)
+                    elif not mx & bit:
+                        terms = product(ka, step(ys, kb, i))
+                    else:
+                        sa, sb = step(xs, ka, i), step(ys, kb, i)
+                        terms = dict(product(sa, kb))
+                        get = terms.get
+                        for w, c in product(ka, sb).items():
+                            terms[w] = get(w, 0) + c
+                        for w, c in chevalley(alphas[i - 1], product(sa, sb)).items():
+                            terms[w] = get(w, 0) - c
+                    for w, c in terms.items():
+                        if c:
+                            got[shift(w, i)] = c
+            memo[key] = got
+            return got
+
+        got = product(0, 0)
+        del product  # its closure refers to it: free the states now, not at a collection
         return got
-
-    def _times(self, x: SchubertExpansion, y: SchubertExpansion) -> SchubertExpansion:
-        """x * y, the pair products extended bilinearly.
-
-        Coefficients are multiplied as they are, so a Fraction that does not
-        cancel is kept; ``_product`` rejects it at the end.
-        """
-        total: dict = {}
-        get = total.get
-        for u, a in x.coeffs.items():
-            for v, b in y.coeffs.items():
-                ab = a * b
-                for w, c in self._pair(u, v).items():
-                    total[w] = get(w, 0) + ab * c
-        return SchubertExpansion(x.codim + y.codim, total)
 
     def _product(self, factors, codim: int) -> SchubertExpansion:
         """Expansion of the product of (class, exponent) factors, of degree codim.
 
         The degree is checked against N before any work.  The factor of
-        largest codimension is multiplied by each of the others in turn,
-        through the products of basis classes (see ``_times``).  Every
+        largest codimension is multiplied by each of the others in turn, by
+        the Leibniz recursion on whole classes (see ``_times``).  Every
         coefficient of the result must be an integer.
         """
         if codim > self.group.longest_length:
             raise OutOfRangeError(
                 "product degree exceeds the dimension of the flag manifold"
             )
-        pending = sorted((x for x, e in factors for _ in range(e)), key=lambda x: x.codim)
+        pending = []
+        for x, e in factors:
+            pending += [(x.codim, self._ids(x.coeffs))] * e
+        pending.sort(key=itemgetter(0))
         if not pending:
             return self.indicator(self.group.identity)
-        out = pending.pop()
-        for x in pending:
+        _, out = pending.pop()
+        for _, x in pending:
             out = self._times(x, out)
-        return _integral(codim, out.coeffs)
+        return _integral(codim, self._from_ids(out))
 
     def structure_constants(self, u: WeylElement, v: WeylElement) -> SchubertExpansion:
-        """Expansion of Z_u * Z_v, by the Leibniz rule (see ``_pair``)."""
+        """Expansion of Z_u * Z_v, by the Leibniz rule (see ``_times``)."""
         out = self._product(
             ((self.indicator(u), 1), (self.indicator(v), 1)), u.length + v.length
         )
@@ -498,7 +575,8 @@ class SchubertCalc:
 
     def mul_expansions(self, a: SchubertExpansion, b: SchubertExpansion) -> SchubertExpansion:
         """Bilinear extension of structure constants to two expansions."""
-        return self._product(((a, 1), (b, 1)), a.codim + b.codim)
+        factors = ((a, 2),) if a is b else ((a, 1), (b, 1))
+        return self._product(factors, a.codim + b.codim)
 
     def pow_expansion(self, a: SchubertExpansion, p: int) -> SchubertExpansion:
         """p-th power of a class; Z_e for p = 0."""

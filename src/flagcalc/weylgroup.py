@@ -400,15 +400,19 @@ class WeylGroup:
                 bs.append(b)
         return tuple(ids), self._pack(bs)
 
-    def covers(self, w: WeylElement):
-        """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
-
-        beta runs over ``datum.positive_roots`` in order.  The covers are
-        cached on w as ids and packed root indices, integers that the garbage
-        collector does not track.
-        """
+    def cover_ids(self, w: WeylElement) -> tuple:
+        """(ids, packed root indices) of the covers of w, as ``covers`` gives
+        them.  They are cached on w, as integers that the garbage collector
+        does not track."""
         got = w._covers
         if got is None:
             got = w._covers = self._cover_scan(w)
-        ids, bs = got
+        return got
+
+    def covers(self, w: WeylElement):
+        """Iterator of pairs (w s_beta, index of beta) with l(w s_beta) = l(w) + 1.
+
+        beta runs over ``datum.positive_roots`` in order.
+        """
+        ids, bs = self.cover_ids(w)
         return zip(map(self._by_id.__getitem__, ids), bs)

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from flagcalc.errors import NonIntegralExpansionError, OutOfRangeError
 from flagcalc.polyring import Polynomial
+from flagcalc.presentations import gamma_expansion
 from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, SchubertExpansion, _integral
 
@@ -85,7 +87,8 @@ class SolverCalc(SchubertCalc):
             for m, cls in self._monomial_classes(degree - 1).items():
                 for j in range(m[-1] if m else 0, self.rank):
                     omega = self.datum.fundamental_weights[j]
-                    got[m + (j,)] = self._chevalley(self.root_pairings(omega), cls)
+                    pairing = self.root_pairings(omega)
+                    got[m + (j,)] = self._from_ids(self._chevalley(pairing, self._ids(cls)))
             self._monomials[degree] = got
         return got
 
@@ -98,20 +101,24 @@ class SolverCalc(SchubertCalc):
             )
         return got
 
-    def _times(self, x: SchubertExpansion, y: SchubertExpansion) -> SchubertExpansion:
-        """x * y: x written as a polynomial P in the w_j, P applied to y.
+    def _times(self, x: dict, y: dict) -> dict:
+        """x * y on coefficients keyed by element id: x written as a
+        polynomial P in the w_j, P applied to y.
 
         P = sum a_m m / d over the solver's monomials, and each monomial acts
         as one Chevalley operator per variable.  Monomials share prefixes, so
         each prefix is applied to y once.  A coefficient that d does not
         divide is kept as a Fraction; ``_product`` rejects it at the end.
         """
-        solver = self._class_solver(x.codim)
-        den = lcm(1, *(c.denominator for c in x.coeffs.values()))
-        coords, d = solver.solve({w: int(c * den) for w, c in x.coeffs.items()})
+        if not x or not y:
+            return {}
+        x = self._from_ids(x)
+        solver = self._class_solver(next(iter(x)).length)
+        den = lcm(1, *(c.denominator for c in x.values()))
+        coords, d = solver.solve({w: int(c * den) for w, c in x.items()})
         d *= den
         pairings = [self.root_pairings(om) for om in self.datum.fundamental_weights]
-        memo = {(): y.coeffs}
+        memo = {(): y}
 
         def applied(m: tuple) -> dict:
             got = memo.get(m)
@@ -129,7 +136,7 @@ class SolverCalc(SchubertCalc):
         for w, c in total.items():
             q, r = divmod(c, d)
             out[w] = Fraction(c, d) if r else q
-        return SchubertExpansion(x.codim + y.codim, out)
+        return out
 
 
 class _ClassSolver:
@@ -208,6 +215,85 @@ def solver_calc(ct) -> SolverCalc:
     return SolverCalc(ct)
 
 
+# -- the Leibniz rule on pairs of basis classes, kept as the oracle for the
+# -- recursion on whole classes --
+
+
+class PairCalc(SchubertCalc):
+    """The engine with products through the pairs of basis classes.
+
+    Z_u * Z_v is memoized per unordered pair for the engine's life, and a
+    product of expansions is its bilinear extension.  ``_product`` is the
+    engine's.
+    """
+
+    def __init__(self, ct):
+        super().__init__(ct)
+        self._pairs: dict = {}  # (u, v), u.id <= v.id -> Z_u * Z_v, see _pair
+
+    def _pair(self, u, v) -> dict:
+        """Z_u * Z_v as coefficients keyed by element id.
+
+        Z_e and a length-1 factor (the Chevalley rule by omega_i) are the base
+        cases.  Otherwise, for each right descent i of u or v, the twisted
+        Leibniz rule Delta_i(Z_u Z_v) = Delta_i Z_u * Z_v + Z_u * Delta_i Z_v
+        - alpha_i * Delta_i Z_u * Delta_i Z_v, with Delta_i Z_w = Z_{w s_i}
+        for a right descent i of w and 0 otherwise, gives Delta_i of the
+        product from shorter pairs; and [Z_w](Z_u Z_v) = [Z_{w s_i}]
+        Delta_i(Z_u Z_v) for each right descent i of w.
+        """
+        key = (u, v) if u.id <= v.id else (v, u)
+        got = self._pairs.get(key)
+        if got is not None:
+            return got
+        if u.length > v.length:
+            u, v = v, u
+        if not u.length:
+            got = {v.id: 1}
+        elif u.length == 1:
+            lam = self.datum.fundamental_weights[u.word[0] - 1]
+            got = self._chevalley(self.root_pairings(lam), {v.id: 1})
+        else:
+            got = {}
+            times_simple, pair, by_id = self.group.times_simple, self._pair, self.group._by_id
+            du, dv = u.descents, v.descents
+            todo = du | dv
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                i = bit.bit_length()
+                if not dv & bit:
+                    terms = pair(times_simple(u, i), v)
+                elif not du & bit:
+                    terms = pair(u, times_simple(v, i))
+                else:
+                    us, vs = times_simple(u, i), times_simple(v, i)
+                    terms = dict(pair(us, v))
+                    get = terms.get
+                    for x, c in pair(u, vs).items():
+                        terms[x] = get(x, 0) + c
+                    alpha = self.datum.simple_roots[i - 1].omega
+                    for x, c in self._chevalley(self.root_pairings(alpha), pair(us, vs)).items():
+                        terms[x] = get(x, 0) - c
+                    terms = {x: c for x, c in terms.items() if c}
+                got.update({times_simple(by_id[x], i).id: c for x, c in terms.items()})
+        self._pairs[key] = got
+        return got
+
+    def _times(self, x: dict, y: dict) -> dict:
+        """x * y on coefficients keyed by element id, the pair products
+        extended bilinearly."""
+        by_id = self.group._by_id
+        total: dict = {}
+        get = total.get
+        for u, a in x.items():
+            for v, b in y.items():
+                ab = a * b
+                for w, c in self._pair(by_id[u], by_id[v]).items():
+                    total[w] = get(w, 0) + ab * c
+        return total
+
+
 # -- the full descent from the top class, kept as the oracle for the Giambelli start --
 
 
@@ -280,6 +366,13 @@ def assert_tops_are_parabolic(calc, oracle, seen):
         assert roots == sum(1 << b for b in outside), x
         assert part.degree() == 0, x
         assert calc._expand_roots(roots, part) == oracle(x), x
+
+
+def assert_no_product_work(calc):
+    """No product has started on calc: every product reads the pairings of
+    the fundamental weights, and every Chevalley step caches covers."""
+    assert calc._pairings == {}
+    assert all(w._covers is None for w in calc.group._by_id)
 
 
 def random_combination(rng, calc, codim):
@@ -715,7 +808,7 @@ class TestStructureConstants:
             with pytest.raises(OutOfRangeError):
                 product()
         assert calc._gtable == {}
-        assert calc._pairs == {}
+        assert_no_product_work(calc)
 
     def test_pow_expansion_small_exponents(self, calc_g2):
         z = calc_g2.indicator(word(calc_g2, "12"))
@@ -726,13 +819,13 @@ class TestStructureConstants:
         )
 
     def test_pow_expansion_rejects_negative_exponents(self):
-        # checked before any pair product is taken
+        # checked before any product is taken
         calc = SchubertCalc(cartan_type("G2"))
         z = calc.indicator(word(calc, "12"))
         for p in (-1, -3):
             with pytest.raises(ValueError, match="nonnegative integer"):
                 calc.pow_expansion(z, p)
-        assert calc._pairs == {}
+        assert_no_product_work(calc)
 
     @pytest.mark.parametrize("fixture", ["calc_g2", "calc_b2"])
     def test_poincare_duality_pairing(self, fixture, request):
@@ -965,6 +1058,178 @@ class TestLeibnizRouteAgainstClassSolver:
                 assert outcome(calc, "pow_expansion", (a,), p) == want, (a, p)
                 seen.add(want == "not integral")
         assert seen == {True, False}
+
+
+class TestLeibnizRouteAgainstPairRoute:
+    """The recursion on whole classes against the Leibniz rule on pairs of
+    basis classes (``PairCalc``), on fresh engines of both."""
+
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3)])
+    def test_all_pairs(self, family, rank):
+        ct = cartan_type(family, rank)
+        calc, oracle = SchubertCalc(ct), PairCalc(ct)
+        og = oracle.group
+        N = og.longest_length
+        elems = [w for k in range(N + 1) for w in og.sorted_stratum(k)]
+        for i, u in enumerate(elems):
+            for v in elems[i:]:
+                if u.length + v.length <= N:
+                    want = oracle.structure_constants(u, v).to_json_dict()
+                    cu, cv = word(calc, u.word), word(calc, v.word)
+                    assert calc.structure_constants(cu, cv).to_json_dict() == want, (u, v)
+                    assert calc.structure_constants(cv, cu).to_json_dict() == want, (v, u)
+
+    @pytest.mark.parametrize(
+        "family,rank,top", [("G2", None, 6), ("B", 3, 9), ("D", 4, 12), ("F4", None, 16)]
+    )
+    def test_combinations(self, family, rank, top):
+        # integer and Fraction combinations, multiplied and raised to powers
+        # up to degree top; a class times itself is the symmetric case
+        ct = cartan_type(family, rank)
+        calc, oracle = SchubertCalc(ct), PairCalc(ct)
+        rng = random.Random(34)
+        coeffs = [-3, -1, 1, 2, 5, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+        def combination(codim):
+            stratum = oracle.group.sorted_stratum(codim)
+            picks = rng.sample(stratum, min(3, len(stratum)))
+            return {w.word: rng.choice(coeffs) for w in picks}
+
+        def outcome(engine, method, tables, *extra):
+            args = [
+                SchubertExpansion(len(next(iter(t))), {word(engine, w): c for w, c in t.items()})
+                for t in tables
+            ]
+            if len(args) == 2 and tables[0] is tables[1]:
+                args[1] = args[0]
+            try:
+                return getattr(engine, method)(*args, *extra).to_json_dict()
+            except NonIntegralExpansionError:
+                return "not integral"
+
+        seen = set()
+        for _ in range(10):
+            i = rng.randint(1, top // 2)
+            a, b = combination(i), combination(rng.randint(i, top - i))
+            for pair in ((a, b), (b, a), (a, a)):
+                want = outcome(oracle, "mul_expansions", pair)
+                assert outcome(calc, "mul_expansions", pair) == want, pair
+                seen.add(want == "not integral")
+        for codim in range(1, 4):
+            a = combination(codim)
+            for p in range(top // codim + 1):
+                want = outcome(oracle, "pow_expansion", (a,), p)
+                assert outcome(calc, "pow_expansion", (a,), p) == want, (a, p)
+                seen.add(want == "not integral")
+        assert seen == {True, False}
+
+    def test_f4_gamma_products(self):
+        # the products of the F4 relations rho6, rho8 and rho12
+        ct = cartan_type("F4")
+        got = []
+        for engine in (SchubertCalc(ct), PairCalc(ct)):
+            g3, g4 = gamma_expansion(engine, 3), gamma_expansion(engine, 4)
+            g4sq = engine.mul_expansions(g4, g4)
+            got.append([
+                x.to_json_dict()
+                for x in (
+                    engine.mul_expansions(g3, g3),
+                    g4sq,
+                    engine.mul_expansions(g3, g4),
+                    engine.mul_expansions(g4sq, g4),
+                    engine.pow_expansion(g4, 3),
+                )
+            ])
+        assert got[0] == got[1]
+        assert got[0][3] == got[0][4]
+        assert [x["codim"] for x in got[0]] == [6, 8, 7, 12, 12]
+
+    def test_no_product_state_is_kept(self):
+        # the states live for one call: no engine table grows but the
+        # pairings, which hold only the fundamental weights and simple roots,
+        # and the call leaves no reference cycle that would hold its states
+        # until a collection
+        ct = cartan_type("F4")
+        calc = SchubertCalc(ct)
+        g4 = gamma_expansion(calc, 4)
+
+        def sizes():
+            return {
+                k: len(v) for k, v in vars(calc).items()
+                if isinstance(v, dict) and k != "_pairings"
+            }
+
+        before = sizes()
+        gc.collect()
+        gc.disable()
+        try:
+            calc.pow_expansion(g4, 3)
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0
+        assert sizes() == before
+        d = calc.datum
+        weights = [*d.fundamental_weights, *(r.omega for r in d.simple_roots)]
+        assert set(calc._pairings) <= {tuple(lam) for lam in weights}
+
+
+def f4_enumerated_to_9():
+    calc = SchubertCalc(cartan_type("F4"))
+    for k in range(10):
+        calc.group.elements_of_length(k)
+    return calc
+
+
+def b3_enumerated():
+    calc = SchubertCalc(cartan_type("B", 3))
+    calc.group.longest_element()
+    return calc
+
+
+class TestForeignElements:
+    """Every engine entry point that reads the group's tables at an element's
+    id raises ValueError for an element that another group interned: a
+    cross-type one, and one of the same type from another engine, whose id
+    may be that of another element here."""
+
+    CALLS = {
+        "giambelli_poly": lambda calc, w: calc.giambelli_poly(w),
+        "chevalley_product": lambda calc, w: calc.chevalley_product(1, w),
+        "chevalley_weight": lambda calc, w: calc.chevalley_weight(
+            calc.datum.fundamental_weights[0], calc.indicator(w)
+        ),
+        "structure_constants_left": lambda calc, w: calc.structure_constants(
+            w, calc.group.simple_reflection(1)
+        ),
+        "structure_constants_right": lambda calc, w: calc.structure_constants(
+            calc.group.simple_reflection(1), w
+        ),
+        "mul_expansions": lambda calc, w: calc.mul_expansions(
+            calc.indicator(calc.group.simple_reflection(2)), calc.indicator(w)
+        ),
+        "pow_expansion": lambda calc, w: calc.pow_expansion(calc.indicator(w), 1),
+    }
+    ENGINES = {
+        "F4_enumerated_to_9": f4_enumerated_to_9,
+        "F4_fresh": lambda: SchubertCalc(cartan_type("F4")),
+        "B3_fresh": lambda: SchubertCalc(cartan_type("B", 3)),
+        "B3_enumerated": b3_enumerated,
+    }
+
+    @pytest.mark.parametrize("covers_cached", [False, True])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises_value_error(self, call, engine, covers_cached):
+        b3 = SchubertCalc(cartan_type("B", 3))
+        w = b3.group.elements_of_length(2)[1]
+        assert w.word == (1, 3)
+        if covers_cached:
+            b3.chevalley_product(1, w)
+        calc = self.ENGINES[engine]()
+        with pytest.raises(ValueError, match="Z_13 is an element of another Weyl group"):
+            self.CALLS[call](calc, w)
+        assert calc._gtable == {}
 
 
 def greedy_independent(columns: list) -> list:
