@@ -286,9 +286,11 @@ class ChowComputation:
         return got
 
     def vector_of(self, x: SchubertExpansion) -> list:
+        """The coefficients of x at the rows w.pos of its stratum; ValueError
+        for an element that another group interned (see ``SchubertCalc._own``)."""
         vec = [0] * self.stratum(x.codim).rows
         for w, c in x.coeffs.items():
-            vec[w.pos] = c
+            vec[self.calc._own(w).pos] = c
         return vec
 
     def classify(self, x: SchubertExpansion) -> tuple:
@@ -492,16 +494,6 @@ def _chow_setup(family: str, rank, variant, max_codim):
     return ct, calc, runs
 
 
-def _generator_power_class(calc: SchubertCalc, gen: ChowGenerator, e: int):
-    """Class of the e-th power of a generator, as a Schubert expansion.
-
-    Every generator is a Schubert class Z_w, and its power is taken in the
-    Schubert basis by ``pow_expansion``.
-    """
-    w = calc.group.element_from_word(gen.schubert_word)
-    return calc.pow_expansion(calc.indicator(w), e)
-
-
 def verify_chow(
     family: str,
     rank: int | None = None,
@@ -550,12 +542,22 @@ def _check_variant(
         ),
     )
 
-    def power_vanishes(gen, e):
-        zero = comp.is_zero_class(_generator_power_class(calc, gen, e))
+    powers: dict = {}  # (w, e) -> Z_w^e, for the powers that were computed
+
+    def power(w, e):
+        """Z_w^e as Z_w^(e-1) * Z_w; a power whose lower power raised raises
+        again, with the same error."""
+        if (w, e) not in powers:
+            powers[w, e] = calc.mul_expansions(power(w, e - 1), powers[w, 1])
+        return powers[w, e]
+
+    def power_vanishes(gen, w, e):
+        zero = comp.is_zero_class(power(w, e))
         return "zero" if e >= gen.power else "nonzero", "zero" if zero else "nonzero"
 
     for gen in pres.generators:
         w = calc.group.element_from_word(gen.schubert_word)
+        powers[w, 1] = calc.indicator(w)
         report.check(
             f"{label}: order of [Z_{w.word_str()}]",
             lambda: (gen.torsion, comp.class_order(calc.indicator(w))),
@@ -565,7 +567,7 @@ def _check_variant(
                 break
             report.check(
                 f"{label}: {gen.symbol}^{e} {'=' if e >= gen.power else '!='} 0",
-                lambda: power_vanishes(gen, e),
+                lambda: power_vanishes(gen, w, e),
             )
     return groups
 

@@ -11,11 +11,17 @@ the (immutable) root datum and Weyl group together with its memo caches:
   it needs, x = w0 w_{0,J}, whose value is the product of the positive
   roots outside the parabolic subsystem Phi_J times the constant |W_J|.
   The fewer left descents an element has, the lower x and the shorter that
-  product.  A step Delta_i multiplies into the polynomial part only the
-  roots that s_i moves out of the set, and a value asked for is expanded
-  once and stored back expanded;
+  product.  The roots are kept as a frozenset of root indices; a step
+  Delta_i multiplies into the polynomial part only the roots that s_i
+  moves out of the set, and a value asked for is expanded once and stored
+  back expanded, with the empty set;
 * the pairings (beta^vee | lam) with the positive roots, one tuple per
   weight lam, for the Chevalley rule in products and in the Chow rings.
+
+A Schubert expansion of f walks the strata up to deg f and keeps Delta_w f
+keyed by the id of w^{-1}, so each step Delta_i is one ``right_id`` step,
+w^{-1} s_i, in the right-multiplication table that products use too; only
+the nonzero values of the top stratum are inverted back.
 
 Products keep no cache on the engine: each product memoizes its states for
 that call only.  A product x * y of two expansions comes from lower degrees
@@ -213,11 +219,14 @@ class SchubertCalc:
     # -- characteristic homomorphism -----------------------------------------
 
     def _expand_raw(self, f: Polynomial) -> dict:
-        """Coefficients Delta_w(f) over all w of length deg(f); exact rationals.
+        """Coefficients Delta_w(f) over all w of length deg(f); exact rationals,
+        in ``items_sorted`` order.
 
-        Computed layer by layer: the value at w is obtained from the value at
-        s_i w for the first letter i of w's reduced word, so each element costs
-        one divided difference and zero layers prune their whole subtree.
+        Computed layer by layer, each value keyed by the id of v = w^{-1}: for
+        the last letter i of v's word, w = s_i (v s_i)^{-1}, so the value at v
+        is Delta_i of the value at v s_i, one step in the right-multiplication
+        table.  Each element costs one divided difference and zero layers
+        prune their whole subtree; the top layer is inverted once.
         """
         self._check_nvars(f)
         k = f.degree()
@@ -232,20 +241,23 @@ class SchubertCalc:
                 f"degree {k} exceeds the number of positive roots"
             )
         group = self.group
-        level = {group.identity: f}
+        level = {group.identity.id: f}
         for step in range(1, k + 1):
             nxt = {}
             for v in group.elements_of_length(step):
-                g = level.get(group.left_parent(v))
+                i = v.word[-1]
+                g = level.get(group.right_id(v.id, i))
                 if g is None:
                     continue
-                h = self.divided_difference(v.word[0], g)
+                h = self.divided_difference(i, g)
                 if not h.is_zero():
-                    nxt[v] = h
+                    nxt[v.id] = h
             level = nxt
             if not level:
-                break
-        return {w: g.constant_term() for w, g in level.items()}
+                return {}
+        by_id = group._by_id
+        out = [(group.inverse(by_id[v]), g.constant_term()) for v, g in level.items()]
+        return dict(sorted(out, key=lambda wc: wc[0].pos))
 
     def schubert_expand(self, f: Polynomial) -> SchubertExpansion:
         """Expansion of the class of f in the Schubert basis.
@@ -351,27 +363,27 @@ class SchubertCalc:
         roots, g = memo[w]
         if roots:
             g = self._expand_roots(roots, g)
-            memo[w] = (0, g)
+            memo[w] = (frozenset(), g)
         return g
 
     def _parabolic_top(self, x: WeylElement) -> tuple:
         """The factored unscaled Giambelli value at x = w0 w_{0,J}, J the
-        right ascents of x: the positive roots outside Phi_J, as a bit mask
-        over root indices, and the constant |W_J|."""
-        roots, inside = 0, []
+        right ascents of x: the positive roots outside Phi_J, as a frozenset
+        of root indices, and the constant |W_J|."""
+        roots, inside = [], []
         for b, r in enumerate(self.datum.positive_roots):
             if any(c and x.descents >> j & 1 for j, c in enumerate(r.simple_coords)):
-                roots |= 1 << b
+                roots.append(b)
             else:
                 inside.append(r)
-        return roots, Polynomial.constant(self.rank, weyl_order(inside))
+        return frozenset(roots), Polynomial.constant(self.rank, weyl_order(inside))
 
     def _descend(self, i: int, state: tuple) -> tuple:
         """Delta_i of a factored value (roots, g), the product of the positive
-        roots in the mask times g.
+        roots in the set times g.
 
         s_i permutes the positive roots other than alpha_i and negates
-        alpha_i, so the roots beta whose image s_i beta is in the mask too
+        alpha_i, so the roots beta whose image s_i beta is in the set too
         (s_i beta = beta, or a pair {beta, s_i beta}) have an s_i-invariant
         product f, and Delta_i(f h) = f Delta_i(h) by the Leibniz rule.  Only
         the other roots are multiplied into g before Delta_i is applied.  The
@@ -380,21 +392,15 @@ class SchubertCalc:
         """
         roots, g = state
         image = self.datum.simple_reflections[i - 1]
-        moved, rest = 0, roots
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not roots >> image[bit.bit_length() - 1] & 1:
-                moved |= bit
-        return roots ^ moved, self.divided_difference(i, self._expand_roots(moved, g))
+        moved = {b for b in roots if image[b] not in roots}
+        return roots - moved, self.divided_difference(i, self._expand_roots(moved, g))
 
-    def _expand_roots(self, roots: int, g: Polynomial) -> Polynomial:
-        """g times the product of the positive roots in the mask."""
+    def _expand_roots(self, roots, g: Polynomial) -> Polynomial:
+        """g times the product of the positive roots in the set, in increasing
+        index order."""
         positive = self.datum.positive_roots
-        while roots:
-            bit = roots & -roots
-            roots ^= bit
-            g = g * Polynomial.linear_form(positive[bit.bit_length() - 1].omega)
+        for b in sorted(roots):
+            g = g * Polynomial.linear_form(positive[b].omega)
         return g
 
     def giambelli_poly(self, w: WeylElement) -> Polynomial:
@@ -404,18 +410,19 @@ class SchubertCalc:
 
     # -- products in the Schubert basis ---------------------------------------
 
-    def _own(self, w: WeylElement) -> int:
-        """w's id; ValueError when another group interned w, whose id would
-        index this group's tables at some other element."""
+    def _own(self, w: WeylElement) -> WeylElement:
+        """w itself; ValueError when another group interned w, whose id (and
+        row number ``pos``) would index this group's tables at some other
+        element."""
         by_id = self.group._by_id
         if w.id >= len(by_id) or by_id[w.id] is not w:
             raise ValueError(f"Z_{w} is an element of another Weyl group")
-        return w.id
+        return w
 
     def _ids(self, coeffs: dict) -> dict:
         """Coefficients keyed by element id, each element checked by ``_own``."""
         own = self._own
-        return {own(w): c for w, c in coeffs.items()}
+        return {own(w).id: c for w, c in coeffs.items()}
 
     def _from_ids(self, coeffs: dict) -> dict:
         """Coefficients keyed by element, from coefficients keyed by id."""
@@ -439,9 +446,9 @@ class SchubertCalc:
         Degree 0 is a scalar, and degree 1, a sum c_j Z_{s_j}, is the
         Chevalley rule by the weight sum c_j omega_j.
 
-        A state is keyed by the ids of a^-1 and b^-1, so s_i a is one lookup
-        in the right-multiplication table; the derived classes and the
-        states are memoized for this call only.  Each state is one frame
+        A state is keyed by the ids of a^-1 and b^-1, so s_i a is one
+        ``right_id`` step in the right-multiplication table; the derived
+        classes and the states are memoized for this call only.  Each state is one frame
         deeper and of lower degree, so the recursion is at most N deep (900
         for B30), below Python's recursion limit.  Coefficients are
         multiplied as they are, so a Fraction that does not cancel is kept;
@@ -449,18 +456,10 @@ class SchubertCalc:
         """
         if not x or not y:
             return {}
-        group, n, d = self.group, self.rank, self.datum
-        right, by_id, times_simple = group._right, group._by_id, group.times_simple
+        d, by_id, shift = self.datum, self.group._by_id, self.group.right_id
         fundamental = [self.root_pairings(lam) for lam in d.fundamental_weights]
         alphas = [self.root_pairings(r.omega) for r in d.simple_roots]
         chevalley = self._chevalley
-
-        def shift(k: int, i: int) -> int:
-            """The id of w s_i, for w of id k."""
-            j = right[k * n + i - 1]
-            if j is None:
-                j = times_simple(by_id[k], i).id
-            return j
 
         def derived(coeffs: dict, degree: int) -> tuple:
             """(coeffs, their right descents as a mask, degree, the pairings of

@@ -14,12 +14,13 @@ Elements are interned per group, keyed by the images of the simple roots
 elements of different groups never compare equal, even for the same Cartan
 type.  Each element gets a dense integer ``id`` in interning order, its right
 descent set as a bit mask and, once asked for, its upper Bruhat covers; the
-group keeps, per id, the table row of ids of w s_1, ..., w s_l and the id of
-s_i w for the first letter i of the word.
+group keeps, per id, the table row of ids of w s_1, ..., w s_l.  ``_grow``
+fills the rows between neighbouring strata; ``right_id`` is the one other
+step, and fills a slot and its mirror on first use.
 
 Each length stratum is stored once, as a tuple in lex-min word order, and
 enumerating it sets each element's ``pos``, its index in that tuple (None
-before, also for elements interned earlier by ``covers`` or ``times_simple``).
+before, also for elements interned earlier by ``covers`` or ``right_id``).
 
 Every product and test is an index lookup.  The permutation of w s_i is
 perm composed with s_i, and its key is w applied to s_i(alpha_j); with bytes
@@ -131,10 +132,8 @@ class WeylGroup:
         self._key_of = self._composer(self._alpha)  # the key of a permutation
         self._elements: dict = {}
         self._by_id: list = []
-        # _right[w.id * rank + i - 1] is the id of w s_i; _parents[w.id] the id
-        # of s_i w for the first letter i of w's word; None until known.
+        # _right[w.id * rank + i - 1] is the id of w s_i, None until known
         self._right: list = []
-        self._parents: list = []
         pack = self._pack
         self.identity = self._new(pack(range(2 * n_pos)), pack(self._alpha), ())
         self.identity.pos = 0
@@ -162,7 +161,6 @@ class WeylGroup:
         self._elements[key] = el
         self._by_id.append(el)
         self._right.extend([None] * self.rank)
-        self._parents.append(None)
         return el
 
     def _element(self, perm, key) -> WeylElement:
@@ -226,29 +224,27 @@ class WeylGroup:
             w = self.times_simple(w, i)
         return w
 
-    def times_simple(self, w: WeylElement, i: int) -> WeylElement:
-        """w s_i, read from w's table row (filled in on first use)."""
-        slot = w.id * self.rank + i - 1
-        j = self._right[slot]
-        if j is not None:
-            return self._by_id[j]
-        t = w.perm + self._pad
-        key = self._times_key[i - 1](t)
-        v = self._elements.get(key)
-        if v is None:
-            v = self._element(self._times[i - 1](t), key)
-        self._right[slot] = v.id
-        self._right[v.id * self.rank + i - 1] = w.id
-        return v
+    def right_id(self, k: int, i: int) -> int:
+        """The id of w s_i for the element w of id k, read from w's table row.
 
-    def left_parent(self, w: WeylElement) -> WeylElement:
-        """s_i w for the first letter i of w's word; its word is w.word[1:]."""
-        j = self._parents[w.id]
-        if j is not None:
-            return self._by_id[j]
-        p = self.element_from_word(w.word[1:])
-        self._parents[w.id] = p.id
-        return p
+        On first use the slot of w s_i and its mirror, the slot of w in the
+        row of w s_i, are both filled, and only w s_i is interned.
+        """
+        slot = k * self.rank + i - 1
+        j = self._right[slot]
+        if j is None:
+            t = self._by_id[k].perm + self._pad
+            key = self._times_key[i - 1](t)
+            v = self._elements.get(key)
+            if v is None:
+                v = self._element(self._times[i - 1](t), key)
+            j = self._right[slot] = v.id
+            self._right[j * self.rank + i - 1] = k
+        return j
+
+    def times_simple(self, w: WeylElement, i: int) -> WeylElement:
+        """w s_i (see ``right_id``)."""
+        return self._by_id[self.right_id(w.id, i)]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.element_from_word(reversed(w.word))
@@ -280,9 +276,8 @@ class WeylGroup:
         carries v's lex-min word, min(word(v s_i) + (i,)) over its descents,
         and the new stratum comes out already sorted.
         """
-        k = len(self._levels)
         n = self.rank
-        right, parents, by_id = self._right, self._parents, self._by_id
+        right, by_id = self._right, self._by_id
         elements, pad = self._elements, self._pad
         times, times_key = self._times, self._times_key
         found: list = []
@@ -305,8 +300,6 @@ class WeylGroup:
                 if v.pos is None:
                     v.pos = len(found)
                     found.append(v)
-                    # s_j v = (s_j w) s_i for the first letter j of w's word
-                    parents[v.id] = 0 if k == 1 else right[parents[w.id] * n + i]
         self._levels.append(tuple(found))
 
     def elements_of_length(self, k: int) -> tuple:

@@ -538,6 +538,26 @@ class TestIdealStrata:
             ChowComputation(calc_g2, "adjoint")
 
 
+class TestForeignClasses:
+    """Classification reads the stratum row w.pos, so a class of another
+    group's elements is refused: one of another type (D4, whose Z_3 has a
+    row number that B3's stratum also has) and one of another B3 engine,
+    from a group enumerated to its length or cold (no row number)."""
+
+    @pytest.mark.parametrize("enumerated", [False, True])
+    @pytest.mark.parametrize("family,rank", [("D", 4), ("B", 3)])
+    @pytest.mark.parametrize("method", ["classify", "class_order", "is_zero_class"])
+    def test_raises_value_error(self, method, family, rank, enumerated):
+        other = SchubertCalc(cartan_type(family, rank))
+        if enumerated:
+            other.group.elements_of_length(1)
+        w = other.group.simple_reflection(3)
+        assert (w.pos is None) == (not enumerated)
+        comp = ChowComputation(SchubertCalc(cartan_type("B", 3)), "special_orthogonal")
+        with pytest.raises(ValueError, match="Z_3 is an element of another Weyl group"):
+            getattr(comp, method)(other.indicator(w))
+
+
 def _warmed(ct):
     """A fresh engine whose covers were cached by products before enumeration."""
     calc = SchubertCalc(ct)
@@ -709,19 +729,17 @@ class TestVerifyChow:
         assert all(c["pass"] for c in payload["checks"])
 
     @pytest.mark.parametrize(
-        "target", ["_generator_power_class", "chow_groups", "_stratum_factors"]
+        "target", ["SchubertCalc.mul_expansions", "chow_groups", "_stratum_factors"]
     )
     @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3)])
     def test_fault_keeps_every_check(self, monkeypatch, target, family, rank):
-        import flagcalc.chowring as chowring
-
         passing = verify_chow(family, rank)
         assert passing.all_passed
 
         def boom(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(chowring, target, boom)
+        monkeypatch.setattr(f"flagcalc.chowring.{target}", boom)
         rep = verify_chow(family, rank)
         assert [c.name for c in rep.checks] == [c.name for c in passing.checks]
         if family == "G2":
@@ -730,6 +748,46 @@ class TestVerifyChow:
         assert failed
         for c in failed:
             assert (c.expected, c.got) == ("no error", "RuntimeError: injected")
+
+    def test_generator_powers_are_chained(self, monkeypatch):
+        # X^e is X^(e-1) * X: one product per power check, none from scratch
+        calls = []
+        real = SchubertCalc.mul_expansions
+
+        def counting(calc, a, b):
+            calls.append((a.codim, b.codim))
+            return real(calc, a, b)
+
+        monkeypatch.setattr(SchubertCalc, "mul_expansions", counting)
+        rep = verify_chow("B", 3)
+        assert rep.all_passed
+        powers = [c.name for c in rep.checks if "^" in c.name]
+        assert len(calls) == len(powers) == 5
+        # Spin(7): X3^2; SO(7): X1^2, X1^3, X1^4 and X3^2 (X1 of codim 1, X3 of 3)
+        assert calls == [(3, 3), (1, 1), (2, 1), (3, 1), (3, 3)]
+
+    def test_a_power_fails_with_the_error_of_its_lower_power(self, monkeypatch):
+        # squares raise: every power check fails under its own name with that
+        # error, X1^3 and X1^4 because X1^2 raised, and nothing else fails
+        real = SchubertCalc.mul_expansions
+
+        def squares_raise(calc, a, b):
+            if a is b:
+                raise RuntimeError("injected square")
+            return real(calc, a, b)
+
+        monkeypatch.setattr(SchubertCalc, "mul_expansions", squares_raise)
+        rep = verify_chow("B", 3)
+        failed = rep.failures()
+        assert [c.name for c in failed] == [
+            "Spin(7): X3^2 = 0",
+            "SO(7): X1^2 != 0",
+            "SO(7): X1^3 != 0",
+            "SO(7): X1^4 = 0",
+            "SO(7): X3^2 = 0",
+        ]
+        for c in failed:
+            assert (c.expected, c.got) == ("no error", "RuntimeError: injected square")
 
     def test_json_payload_raises_when_the_strata_fail(self, monkeypatch):
         import flagcalc.chowring as chowring

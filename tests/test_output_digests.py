@@ -13,7 +13,8 @@ parabolic tops w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the
 descents of the B6 and D6 words of lengths 15 and 11 start from the products
 of 35 of the 36 and 28 of the 30 positive roots.  The ``structconst`` output
 pins a product of two length-9 classes of B6, in the 3,210-element middle
-stratum.
+stratum.  The ``expand`` outputs pin whole Schubert expansions of powers of
+the sum of the fundamental weights, in F4 and B5, in their printed order.
 """
 
 import contextlib
@@ -88,6 +89,14 @@ DIGESTS = [
     (
         ("structconst", "--type", "B", "--rank", "6", "--u", "121321432", "--v", "654365465"),
         "9a58fe502e054de8ab636730c2d3f4132ce690c4dae784f0e0ec5a40685888d7",
+    ),
+    (
+        ("expand", "--type", "F4", "--expr", "(w1+w2+w3+w4)^10"),
+        "b7bce807698869dd710cab5925d5f104d23d68fff482bb303242dc7baafc6952",
+    ),
+    (
+        ("expand", "--type", "B", "--rank", "5", "--expr", "(w1+w2+w3+w4+w5)^8"),
+        "a9a482af34be119b2ec598f4a1d834b417109f178d90344e082a0a97c50b5166",
     ),
 ]
 

@@ -217,8 +217,45 @@ def test_right_table_and_parent_match_matrices(family, rank):
             assert v.matrix == _matmul(w.matrix, simple[i])
             assert v is g.compose(w, g.simple_reflection(i))
         if w.length:
-            s = simple[w.word[0]]
-            assert g.left_parent(w).matrix == _matmul(s, w.matrix)
+            i = w.word[-1]
+            parent = g._by_id[g.right_id(w.id, i)]
+            assert _matmul(parent.matrix, simple[i]) == w.matrix
+            assert parent.word == w.word[:-1]
+
+
+@pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("F4", None)])
+def test_right_id_is_times_simple(family, rank):
+    # on an enumerated group every slot was filled by enumeration; a cold
+    # group finds the same steps one right_id at a time
+    g, cold = _fresh_group(family, rank), _fresh_group(family, rank)
+    elements = _enumerate(g)
+    for k in range(len(g._by_id)):
+        w = g._by_id[k]
+        for i in range(1, g.rank + 1):
+            j = g.right_id(k, i)
+            assert j == g.times_simple(w, i).id
+            assert g._by_id[j].word == cold.times_simple(cold.element_from_word(w.word), i).word
+    assert len(g._by_id) == len(elements) == g.order()
+
+
+@pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("F4", None)])
+def test_right_id_on_a_cold_group(family, rank):
+    # the first step w s_i fills the slot of w s_i in w's row and the slot of
+    # w in the row of w s_i, and interns w s_i and nothing else
+    g = _fresh_group(family, rank)
+    n = g.rank
+    w = g.element_from_word(range(1, n + 1))
+    before = len(g._by_id)
+    i = 1
+    assert g._right[w.id * n + i - 1] is None
+    j = g.right_id(w.id, i)
+    assert len(g._by_id) == before + 1 and j == before
+    assert g._right[w.id * n + i - 1] == j
+    assert g._right[j * n + i - 1] == w.id
+    assert g._right[j * n:(j + 1) * n].count(None) == n - 1
+    assert g.right_id(j, i) == w.id
+    assert g._by_id[j] is g.element_from_word(w.word + (i,))
+    assert g._by_id[j].length == n + 1 and len(g._by_id) == before + 1
 
 
 @pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
@@ -244,7 +281,7 @@ def test_elements_met_before_enumeration(family, rank):
     met = [cold.element_from_word([rng.randint(1, n) for _ in range(rng.randint(1, N))])
            for _ in range(30)]
     early = {w: list(cold.covers(w)) for w in met}
-    parents = {w: cold.left_parent(w) for w in met if w.length}
+    parents = {w: cold._by_id[cold.right_id(w.id, w.word[-1])] for w in met if w.length}
     ranked = {w.word: w for w in _enumerate(warm)}
     for w in met:
         assert ranked[w.word].matrix == w.matrix
@@ -256,7 +293,7 @@ def test_elements_met_before_enumeration(family, rank):
     for w in met:
         assert stratum[w.word] is w
         if w.length:
-            assert parents[w].word == w.word[1:]
+            assert parents[w].word == w.word[:-1]
     for w in stratum.values():
         for i in range(1, n + 1):
             assert cold.times_simple(w, i).word == warm.times_simple(ranked[w.word], i).word
@@ -553,5 +590,6 @@ def test_group_paths_use_no_matrices(monkeypatch):
     for w in _enumerate(warm):
         warm.covers(w)
         cold.covers(cold.inverse(w))
-        warm.left_parent(w)
+        for i in range(1, warm.rank + 1):
+            warm.right_id(w.id, i)
     assert len(cold._by_id) == warm.order()
