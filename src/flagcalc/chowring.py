@@ -3,11 +3,12 @@ manifolds, computed as quotients by the degree-2-generated ideal.
 
 The ideal is generated in degree 2, so its codimension-k piece is spanned by
 the products lambda * Z_w over a basis of the degree-2 lattice and the basis
-classes of length k-1.  Each stratum of the quotient is the cokernel of a
-sparse integer matrix built by the Chevalley rule from the cached Bruhat
-covers.  It is diagonalised in two phases: closed substitutions take the unit
-pivots, nearly every row, and a dense Smith step the few rows left; the
-pivots give the invariant factors.  All arithmetic stays in exact integers.
+classes of length k-1 (and is 0 for k = 0).  Each stratum of the quotient is
+the cokernel of a sparse integer matrix built by the Chevalley rule from the
+lower Bruhat covers of the stratum.  It is diagonalised in two phases:
+closed substitutions take the unit pivots, nearly every row, and a dense
+Smith step the few rows left; the pivots give the invariant factors.  All
+arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -90,7 +91,7 @@ class CokernelStratum:
 
     def __init__(self, rows: int, columns: list):
         self.rows = rows
-        subs, rest = self._unit_phase(columns)
+        subs, rest = self._unit_phase(rows, columns)
         self._left = [r for r in range(rows) if r not in subs]
         self._subs = {s: sub for s, sub in subs.items() if sub}
         self._rowops = []
@@ -107,7 +108,7 @@ class CokernelStratum:
         self.free_rank = len(self._free_rows)
 
     @staticmethod
-    def _unit_phase(columns) -> tuple:
+    def _unit_phase(rows: int, columns) -> tuple:
         """(substitution per unit pivot row, iterator of the reduced columns left).
 
         The substitution of pivot row s pairs each row t with its multiplier
@@ -115,13 +116,17 @@ class CokernelStratum:
         its own, so they stay closed.  Among the units of a column, the pivot
         goes to the row that the fewest columns meet, so that its substitution
         reaches few of them.  Tuples, not dicts, keep the substitutions small:
-        most are empty, and a stratum keeps the rest.
+        most are empty, and a stratum keeps the rest.  Once each of the rows
+        holds a pivot, all are empty and the columns not yet taken reduce to
+        0, so the phase stops there.
         """
         subs: dict = {}  # pivot row -> ((t, q), ...)
         users: dict = {}  # row -> pivot rows whose substitution may name it
         rest = []
         count = None  # row -> number of columns that meet it, once a choice needs it
         for col in sorted(columns, key=len):
+            if len(subs) == rows:
+                break
             d = _reduce(subs, col.items())
             for s, u in d.items():
                 if u == 1 or u == -1:
@@ -242,26 +247,23 @@ class CokernelStratum:
 def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
     """Sparse columns (dicts row -> entry) of the codim-k ideal stratum.
 
-    Column (lam, w) holds the Chevalley rule lam * Z_w = sum (beta^vee | lam)
-    Z_{w s_beta} over the covers of w, in positive-root order; row v.pos is
-    Z_v.  Columns run over w within lam; one pass over the cached covers of
-    the stratum k - 1 fills them all.  Returns (number of rows, columns).
+    Column (lam, y) holds the Chevalley rule lam * Z_y = sum (beta^vee | lam)
+    Z_{y s_beta} over the covers of y; row v.pos is Z_v.  Columns run over y
+    within lam; one pass over ``WeylGroup.lower_covers(k)`` fills them all.
+    Returns (number of rows, columns).
     """
     group = calc.group
     rows = len(group.elements_of_length(k))
-    lower = group.elements_of_length(k - 1)
+    m = len(group.elements_of_length(k - 1))
     pairings = [calc.root_pairings(lam) for lam in calc.datum.degree2_lattice_basis(variant)]
-    m = len(lower)
     nonzero = [  # per root beta: (j * m, (beta^vee | lam_j)) where that is nonzero
         [(j * m, x) for j, pairing in enumerate(pairings) if (x := pairing[b])]
         for b in range(group.longest_length)
     ]
     columns = [{} for _ in range(len(pairings) * m)]
-    for i, w in enumerate(lower):  # i = w.pos
-        for v, b in group.covers(w):
-            p = v.pos
-            for jm, x in nonzero[b]:
-                columns[jm + i][p] = x
+    for p, i, b in zip(*group.lower_covers(k)):  # i = y.pos
+        for jm, x in nonzero[b]:
+            columns[jm + i][p] = x
     return rows, columns
 
 
@@ -279,9 +281,10 @@ class ChowComputation:
         """The cokernel of the ideal stratum in codimension k; row w.pos is Z_w."""
         got = self._strata.get(k)
         if got is None:
-            if not 1 <= k <= self.calc.group.longest_length:
+            if not 0 <= k <= self.calc.group.longest_length:
                 raise OutOfRangeError(f"codimension {k} out of range")
-            got = CokernelStratum(*_stratum_columns(self.calc, self.variant, k))
+            # codimension 0 holds nothing of the ideal: Z, one row for Z_e
+            got = CokernelStratum(*_stratum_columns(self.calc, self.variant, k) if k else (1, []))
             self._strata[k] = got
         return got
 
@@ -348,8 +351,8 @@ def chow_groups(
     """
     _check_max_codim(calc, max_codim)
     comp = comp or ChowComputation(calc, variant)
-    strata = [(0, (0,))]
-    for k in range(1, max_codim + 1):
+    strata = []
+    for k in range(max_codim + 1):
         fs = _stratum_factors(comp.stratum(k))
         if fs:
             strata.append((k, fs))

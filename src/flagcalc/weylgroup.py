@@ -29,14 +29,17 @@ w s_beta lies above w exactly when w(beta) is positive, and its key is w
 applied to s_beta(alpha_j).  The reflections s_beta are built once per group,
 on first use, by conjugation s_j s_gamma s_j down to the simple ones.
 
-The upper Bruhat covers w s_beta of w (l(w s_beta) = l(w) + 1) are found
-once per element and kept on it, as ids and packed root indices; the
-Chevalley rule reads them, in products and in the Chow rings.  Before the
-stratum l(w) + 1 is enumerated, a candidate w s_beta missing from the intern
-table has its length counted from its permutation (the positive roots it
-sends to negative ones) and is interned, with a lex-min word, only when it
-is a cover; a candidate several steps above w is dropped.  So high-rank
-groups are never enumerated just to find covers.
+Bruhat covers take two routes.  The upper covers w s_beta of any element w
+(l(w s_beta) = l(w) + 1), which the Chevalley rule reads in products, are
+found by a scan over the positive roots and kept on w, as ids and packed
+root indices.  Before the stratum l(w) + 1 is enumerated, a candidate
+w s_beta missing from the intern table has its length counted from its
+permutation (the positive roots it sends to negative ones) and is interned,
+with a lex-min word, only when it is a cover; a candidate several steps
+above w is dropped.  So high-rank groups are never enumerated just to find
+covers.  The Chow rings read the lower covers of a whole enumerated stratum
+instead, built from those of the stratum below by the lifting property (see
+``lower_covers``) and kept flat, per stratum, on the group.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -46,6 +49,7 @@ reference cycles and are freed as soon as the group is.
 
 from __future__ import annotations
 
+from array import array
 from math import prod
 from operator import itemgetter, mul
 
@@ -139,6 +143,8 @@ class WeylGroup:
         self.identity.pos = 0
         self._levels: list = [(self.identity,)]  # strata in lex-min word order
         self._reflections = None  # s_beta permutations and keys, on first use
+        # per stratum: lower_covers' three arrays, and where the run of each v starts
+        self._lower: list = [(array("I"), array("I"), self._pack(()), array("I", (0, 0)))]
 
     # -- element interning ---------------------------------------------------
 
@@ -409,3 +415,37 @@ class WeylGroup:
         """
         ids, bs = self.cover_ids(w)
         return zip(map(self._by_id.__getitem__, ids), bs)
+
+    def lower_covers(self, k: int) -> tuple:
+        """The covers y < v with l(v) = k, as three flat sequences over the
+        pairs, v by v: v.pos, y.pos and the packed index of beta, v = y s_beta.
+
+        By the lifting property (Bjorner-Brenti, Prop. 2.2.7), for the first
+        right descent i of v and u = v s_i, they are u, with root alpha_i, and
+        y s_i, with root s_i(gamma), for each lower cover y = u s_gamma of u
+        with y s_i > y: only the right table and stratum k - 1 are read.
+        """
+        levels, lower = self._levels, self._lower
+        self.elements_of_length(k)
+        n, right, by_id = self.rank, self._right, self._by_id
+        simple, alpha = self.datum.simple_reflections, self._alpha
+        for j in range(len(lower), k + 1):
+            below = levels[j - 2] if j > 1 else ()
+            _, ys_below, bs_below, starts_below = lower[j - 1]
+            vs, ys, bs, starts = array("I"), array("I"), [], array("I", (0,))
+            for p, v in enumerate(levels[j]):
+                i = (v.descents & -v.descents).bit_length() - 1
+                q = by_id[right[v.id * n + i]].pos
+                vs.append(p)
+                ys.append(q)
+                bs.append(alpha[i])
+                s = simple[i]
+                for t in range(starts_below[q], starts_below[q + 1]):
+                    y = below[ys_below[t]]
+                    if not y.descents >> i & 1:
+                        vs.append(p)
+                        ys.append(by_id[right[y.id * n + i]].pos)
+                        bs.append(s[bs_below[t]])
+                starts.append(len(ys))
+            lower.append((vs, ys, self._pack(bs), starts))
+        return lower[k][:3]

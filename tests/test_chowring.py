@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from flagcalc import chowring
 from flagcalc.chowring import (
     ChowComputation,
     CokernelStratum,
@@ -15,7 +16,7 @@ from flagcalc.chowring import (
 )
 from flagcalc.errors import OutOfRangeError
 from flagcalc.rootdata import cartan_type
-from flagcalc.schubert import SchubertCalc, calculus_for
+from flagcalc.schubert import SchubertCalc, SchubertExpansion, calculus_for
 
 from conftest import word
 
@@ -432,7 +433,7 @@ class GeneralPhaseOnly(CokernelStratum):
     """
 
     @staticmethod
-    def _unit_phase(columns):
+    def _unit_phase(rows, columns):
         return {}, [{r: v for r, v in col.items() if v} for col in columns]
 
     _eliminate = staticmethod(sparse_eliminate)
@@ -498,6 +499,30 @@ class TestUnitPhase:
             assert coker.class_order(vec) == ref.class_order(vec)
             assert coker.is_zero_class(vec) == ref.is_zero_class(vec)
 
+    def test_stops_once_every_row_holds_a_pivot(self, monkeypatch):
+        # both rows pivot on the two shortest columns; the last column would
+        # reduce to zero, so it is never reduced, and still classifies to zero
+        late = {0: 4, 1: 6}
+        cols = [{0: 1}, {1: -1}, late]
+        reduced = []
+        reduce = chowring._reduce
+
+        def counting_reduce(subs, entries):
+            entries = list(entries)
+            reduced.append(dict(entries))
+            return reduce(subs, entries)
+
+        monkeypatch.setattr(chowring, "_reduce", counting_reduce)
+        coker = CokernelStratum(2, cols)
+        assert reduced == [{0: 1}, {1: -1}]
+        assert coker.invariant_factors == [1, 1]
+        assert (coker.torsion, coker.free_rank) == ([], 0)
+        assert coker.is_zero_class([4, 6])
+        ref = GeneralPhaseOnly(2, cols)
+        assert ref.invariant_factors == coker.invariant_factors
+        for vec in ([1, 0], [0, 1], [4, 6], [-3, 5]):
+            assert coker.classify(vec) == ref.classify(vec) == ((), ())
+
     def test_zero_entries_and_empty_columns(self):
         coker = CokernelStratum(2, [{0: 0}, {}, {0: 2, 1: 0}])
         assert coker.torsion == [2]
@@ -529,9 +554,23 @@ class TestIdealStrata:
         assert coker.torsion == [2]
         assert coker.free_rank == 0
 
+    def test_codim0_is_z(self, calc_b3):
+        # nothing of the ideal lies in codimension 0: Z_e has infinite order
+        # and only the empty class is zero
+        comp = ChowComputation(calc_b3, "special_orthogonal")
+        coker = comp.stratum(0)
+        assert (coker.rows, coker.invariant_factors) == (1, [])
+        assert (coker.torsion, coker.free_rank) == ([], 1)
+        unit = calc_b3.indicator(calc_b3.group.identity)
+        assert comp.class_order(unit) == 0
+        assert not comp.is_zero_class(unit)
+        assert comp.classify(unit) == ((), (1,))
+        assert comp.is_zero_class(SchubertExpansion(0, {}))
+        assert comp.classify(SchubertExpansion(0, {})) == ((), (0,))
+
     def test_out_of_range(self, calc_g2):
         comp = ChowComputation(calc_g2, "simply_connected")
-        for k in (0, 7):
+        for k in (-1, 7):
             with pytest.raises(OutOfRangeError):
                 comp.stratum(k)
         with pytest.raises(ValueError):
@@ -603,6 +642,23 @@ def test_stratum_columns_are_chevalley_weights(family, rank, variant):
                     want = calc.chevalley_weight(lam, calc.indicator(w))
                     got = columns[j * len(lower) + w.pos]
                     assert got == {v.pos: c for v, c in want.coeffs.items()}
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("G2", None), ("B", 3), ("B", 4), ("D", 4), ("D", 5), ("F4", None), ("B", 6),
+])
+def test_lower_covers_are_the_transposed_upper_covers(family, rank):
+    # the lifting-property recursion against the scan, on every stratum, on a
+    # cold engine and on one whose covers were cached before enumeration
+    ct = cartan_type(family, rank)
+    for calc in (SchubertCalc(ct), _warmed(ct)):
+        g = calc.group
+        for k in range(1, g.longest_length + 1):
+            vpos, ypos, roots = g.lower_covers(k)
+            assert len(vpos) == len(ypos) == len(roots)
+            want = [(v.pos, w.pos, b) for w in g.elements_of_length(k - 1) for v, b in g.covers(w)]
+            assert sorted(zip(vpos, ypos, roots)) == sorted(want), k
+        assert [len(x) for x in g.lower_covers(0)] == [0, 0, 0]
 
 
 class TestChowGroups:
