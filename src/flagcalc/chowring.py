@@ -26,6 +26,7 @@ from .errors import OutOfRangeError
 from .presentations import VerificationReport, gamma_degrees, gamma_word
 from .rootdata import CartanType, cartan_type
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
+from .weylgroup import word_str
 
 VARIANTS = ("simply_connected", "special_orthogonal")
 
@@ -387,7 +388,7 @@ class ChowPresentation:
                     "codim": g.codim,
                     "torsion": g.torsion,
                     "power": g.power,
-                    "schubert_word": "".join(str(i) for i in g.schubert_word),
+                    "schubert_word": word_str(g.schubert_word),
                 }
                 for g in self.generators
             ],

@@ -40,17 +40,22 @@ def _calc(args):
 def _parse_word(calc, text: str):
     """Resolve a word given as digits (or comma-separated letters) to an element.
 
-    Letters are ASCII digits; a comma-separated word has no empty item.  Any
-    reduced word for the element is accepted, so printed table words and
-    lex-min words are interchangeable; non-reduced words are rejected naming
-    the element they evaluate to.
+    Letters are ASCII digits; a comma-separated word has no empty item, except
+    that a word of one letter above 9 ends in a comma ("10,"), as ``word_str``
+    prints it.  Any reduced word for the element is accepted, so printed table
+    words and lex-min words are interchangeable; non-reduced words are
+    rejected naming the element they evaluate to.
     """
     text = text.strip()
     if text in ("", "e"):
         return calc.group.identity
     if "," in text:
         items = [p.strip() for p in text.split(",")]
-        if not all(p.isascii() and p.isdigit() for p in items):
+        if len(items) == 2 and not items[1]:
+            items.pop()
+        if not all(p.isascii() and p.isdigit() for p in items) or (
+            len(items) == 1 and int(items[0]) <= 9
+        ):
             raise InvalidWordError(f"word {text!r} must be comma-separated integers")
         letters = list(map(int, items))
     else:

@@ -67,6 +67,18 @@ def weyl_order(roots) -> int:
     return prod(h + 1 for h in heights) // prod(heights)
 
 
+def word_str(word) -> str:
+    """A word as printed and as ``--word`` reads it back: "e" when empty, the
+    letters run together while all are digits, comma-separated once one is
+    above 9, and a single letter above 9 with a trailing comma ("10,"), since
+    "10" reads as the letters 1 and 0."""
+    if not word:
+        return "e"
+    if max(word) <= 9:
+        return "".join(map(str, word))
+    return ",".join(map(str, word)) + ("," if len(word) == 1 else "")
+
+
 class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
@@ -98,11 +110,7 @@ class WeylElement:
         )
 
     def word_str(self) -> str:
-        if not self.word:
-            return "e"
-        if max(self.word) <= 9:
-            return "".join(str(i) for i in self.word)
-        return ",".join(str(i) for i in self.word)
+        return word_str(self.word)
 
     def __str__(self):
         return self.word_str()

@@ -3,8 +3,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from flagcalc import chowring
+from flagcalc import chowring, cli
 from flagcalc.chowring import (
+    VARIANTS,
     ChowComputation,
     CokernelStratum,
     _stratum_columns,
@@ -722,6 +723,22 @@ class TestPresentations:
         assert str(f4) == "A(F4) = Z[X3, X4]/(2X3, X3^2, 3X4, X4^3)"
         g2 = chow_presentation(cartan_type("G2"), "simply_connected")
         assert [(g.torsion, g.power) for g in g2.generators] == [(2, 2)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("family,rank", [("B", 10), ("B", 30), ("D", 12)])
+    def test_json_words_read_back(self, family, rank, variant):
+        """Above rank 9 the JSON words are comma-separated, as the check names
+        print them, so ``--word`` reads each one back."""
+        calc = calculus_for(cartan_type(family, rank))
+        pres = chow_presentation(calc.cartan_type, variant)
+        rows = pres.to_json_dict()["generators"]
+        assert len(rows) == len(pres.generators)
+        for gen, row in zip(pres.generators, rows):
+            w = calc.group.element_from_word(gen.schubert_word)
+            assert row["schubert_word"] == w.word_str()
+            assert cli._parse_word(calc, row["schubert_word"]) is w
+        if rank >= 10:
+            assert "," in rows[-1]["schubert_word"]
 
 
 class TestMonomialOracle:

@@ -187,6 +187,27 @@ class TestWordHandling:
         assert code == 2 and out == ""
         assert "Traceback" not in err and repr(text) in err
 
+    def test_printed_words_above_9_read_back(self, capsys):
+        # "12" is s1 s2; the one-letter word s12 prints, and reads, as "12,"
+        code, out, _ = run(
+            capsys, "basis", "--type", "D", "--rank", "12", "--codim", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        words = json.loads(out)["words"]
+        assert words[8:] == ["9", "10,", "11,", "12,"]
+        for i, w in enumerate(words, 1):  # Delta_{s_i} w_i = 1
+            code, out, _ = run(
+                capsys, "delta", "--type", "D", "--rank", "12", "--word", w,
+                "--expr", f"w{i}",
+            )
+            assert (code, out.strip()) == (0, "1")
+        code, out, _ = run(
+            capsys, "chevalley", "--type", "D", "--rank", "12", "--u", "1",
+            "--word", "12",
+        )
+        assert code == 0 and "Z_1,12" not in out
+
     def test_letter_out_of_range(self, capsys):
         code, _, err = run(capsys, "basis", "--type", "G2", "--codim", "9")
         assert code == 2

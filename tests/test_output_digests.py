@@ -6,7 +6,8 @@ the suites or the engines that changes a single check name, value or
 ordering fails here.  ``verify --type all`` holds every check string, so it
 also pins the signed-sum text of polynomials and Schubert expansions.  The
 rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
-most pivots come from the unit phase.  The two ``basis`` outputs pin the
+most pivots come from the unit phase, and the B10 one pins Schubert words
+with letters above 9, which are comma-separated.  The two ``basis`` outputs pin the
 lex-min word order of a middle stratum, the order that ``pos`` indexes.  The
 ``giambelli`` outputs pin representatives whose descents start at different
 parabolic tops w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the
@@ -53,6 +54,10 @@ DIGESTS = [
     (
         ("chow", "--type", "B", "--rank", "6", "--variant", "so"),
         "c6653419fc9406ca645547426c57b9fc49e244d0085f44cf257a47ccb8dd46ec",
+    ),
+    (
+        ("chow", "--type", "B", "--rank", "10", "--max-codim", "3"),
+        "902f09b7aafad155dfa1764cfcdbf76afa4b1ff6766b82585ef9b0bbc5cc705b",
     ),
     (
         ("basis", "--type", "D", "--rank", "5", "--codim", "10"),

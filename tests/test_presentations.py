@@ -1,4 +1,6 @@
+import gc
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,7 @@ from flagcalc.presentations import (
     verify_presentations,
 )
 from flagcalc.rootdata import cartan_type
-from flagcalc.schubert import SchubertExpansion, calculus_for
+from flagcalc.schubert import SchubertCalc, SchubertExpansion, calculus_for
 
 from conftest import word
 
@@ -207,6 +209,18 @@ class TestCheckRunner:
             ("differs", "1", "2", False),
         ]
 
+    def test_repeated_passing_check_shares_one_record(self):
+        a, b = VerificationReport("a", []), VerificationReport("b", [])
+        for rep in (a, b):
+            rep.check("same 7", lambda: (1, "1"))
+            rep.check("differs 7", lambda: (1, 2))
+        assert a.checks[0] is b.checks[0]
+        assert a.checks[1] is not b.checks[1]
+        assert a.checks == b.checks
+        assert ("same 7", "1") in pres._PASSED
+        del a, b, rep
+        assert ("same 7", "1") not in pres._PASSED  # held by no report
+
     def test_raise_becomes_failed_check_under_its_name(self):
         rep = VerificationReport("t", [])
 
@@ -289,3 +303,115 @@ class TestGammaCalls:
         # B2..B5 have gamma_1..gamma_n, D4 and D5 gamma_1..gamma_{n-1}
         assert sorted(calls) == sorted(set(calls))
         assert len(calls) == (2 + 3 + 4 + 5) + (3 + 4)
+
+
+class TestElemSymFailure:
+    """A failure while building c_k or one of its partial sums fails exactly
+    the checks that read it, and the suite goes on."""
+
+    @pytest.mark.parametrize(
+        "family,rank,lm",
+        [("B", 3, (2, 3)), ("B", 3, (1, 2)), ("D", 4, (2, 4)), ("D", 4, (1, 2))],
+    )
+    def test_failure_keeps_every_check(self, monkeypatch, family, rank, lm):
+        passing = verify_presentations(family, rank)
+        real = pres.elem_sym_t
+
+        def elem_sym_t(datum, l, m):
+            if (l, m) == lm:
+                raise RuntimeError("injected")
+            return real(datum, l, m)
+
+        monkeypatch.setattr(pres, "elem_sym_t", elem_sym_t)
+        rep = verify_presentations(family, rank)
+        assert [c.name for c in rep.checks] == [c.name for c in passing.checks]
+        failed = rep.failures()
+        assert failed
+        for c in failed:
+            assert (c.expected, c.got) == ("no error", "RuntimeError: injected")
+
+
+def _chevalley_power(calc, lam, x, times):
+    """x multiplied ``times`` times by the degree-2 class of the weight lam."""
+    for _ in range(times):
+        x = calc.chevalley_weight(lam, x)
+    return x
+
+
+def _f4_high_relations_by_polynomials(calc):
+    """rho6, rho8 and rho12 of F4 as (right side, left side), with the pure
+    t-powers expanded as polynomials and t^j * x as j Chevalley steps."""
+    d = calc.datum
+    t = d.extra_t_poly()
+    g3, g4 = gamma_expansion(calc, 3), gamma_expansion(calc, 4)
+
+    def chev_t(x, times):
+        return _chevalley_power(calc, d.extra_t, x, times)
+
+    g4sq = calc.mul_expansions(g4, g4)
+    return {
+        "rho6: gamma3^2 relation": (
+            chev_t(g4, 2).scale(3)
+            + chev_t(g3, 3).scale(4)
+            - calc.schubert_expand((t**6) * 8),
+            calc.mul_expansions(g3, g3),
+        ),
+        "rho8: gamma4^2 relation": (
+            chev_t(g4, 4).scale(3) + calc.schubert_expand((t**8) * 13),
+            g4sq.scale(3) + chev_t(calc.mul_expansions(g3, g4), 1).scale(6),
+        ),
+        "rho12: gamma4^3 relation": (
+            chev_t(g4sq, 4).scale(6) + calc.schubert_expand((t**12) * 8),
+            calc.mul_expansions(g4sq, g4) + chev_t(g4, 8).scale(12),
+        ),
+    }
+
+
+class TestClassMemo:
+    """The class memo against the polynomial route it replaces in the
+    relations."""
+
+    def test_t_powers_are_the_polynomial_expansions(self, calc_f4):
+        d = calc_f4.datum
+        t1, t = d.t_poly(1), d.extra_t_poly()
+        cls = pres._Classes(calc_f4)
+        for i in range(13):
+            for j in range(13 - i):
+                want = calc_f4.schubert_expand((t1**i) * (t**j))
+                assert cls(i, j, ()) == want, (i, j)
+
+    def test_f4_high_relations_match_the_polynomial_route(self, calc_f4):
+        cls = pres._Classes(calc_f4)
+        want = _f4_high_relations_by_polynomials(calc_f4)
+        assert want.keys() == pres.F4_HIGH_RELATIONS.keys()
+        for name, (rhs, lhs) in pres.F4_HIGH_RELATIONS.items():
+            assert (cls.sum(rhs), cls.sum(lhs)) == want[name], name
+            assert want[name][0] == want[name][1]
+
+    def test_each_product_is_taken_once(self, monkeypatch):
+        """A default G2+F4+B+D pass multiplies each gamma monomial once: the
+        quadratic relations take gamma_i gamma_{2k-i} once per unordered
+        pair, and F4's gamma3*gamma4 and gamma4^2 serve every relation."""
+        calls = []
+        real = SchubertCalc.mul_expansions
+
+        def counting(calc, a, b):
+            calls.append(calc.cartan_type.family)
+            return real(calc, a, b)
+
+        monkeypatch.setattr(SchubertCalc, "mul_expansions", counting)
+        for family in ("G2", "F4", "B", "D"):
+            assert verify_presentations(family).all_passed
+        assert Counter(calls) == {"F4": 4, "B": 21, "D": 10}
+
+    @pytest.mark.parametrize("family,rank", [("F4", None), ("B", 3)])
+    def test_class_memo_is_freed_with_its_suite(self, family, rank):
+        """With the collector off, a memo left in a reference cycle would
+        still be alive after the suite returns."""
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify_presentations(family, rank).all_passed
+            assert not [o for o in gc.get_objects() if type(o) is pres._Classes]
+        finally:
+            gc.enable()
