@@ -86,7 +86,8 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}")
+            found = "end of expression" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}")
         return tok
 
     def check_degree(self, degree: int) -> None:
@@ -172,7 +173,8 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return p
-        raise ParseError(f"unexpected token {value!r}")
+        what = "end of expression" if kind == "end" else f"token {value!r}"
+        raise ParseError(f"unexpected {what}")
 
     def variable(self, name: str) -> Polynomial:
         if name == "t":

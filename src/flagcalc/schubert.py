@@ -18,10 +18,13 @@ the (immutable) root datum and Weyl group together with its memo caches:
 * the pairings (beta^vee | lam) with the positive roots, one tuple per
   weight lam, for the Chevalley rule in products and in the Chow rings.
 
-A Schubert expansion of f walks the strata up to deg f and keeps Delta_w f
-keyed by the id of w^{-1}, so each step Delta_i is one ``right_id`` step,
-w^{-1} s_i, in the right-multiplication table that products use too; only
-the nonzero values of the top stratum are inverted back.
+A Schubert expansion of f walks the support of Delta_w f, the w of length
+up to deg f where it is nonzero, and enumerates no stratum.  Values are keyed
+by the id of w^{-1}, so each step Delta_i is one ``right_id`` step,
+w^{-1} s_i, in the right-multiplication table that products use too.  An
+element costs one Delta_i only when all its lower neighbours are in the
+support, and only the nonzero values of the top layer are inverted back and
+sorted.
 
 Products keep no cache on the engine: each product memoizes its states for
 that call only.  A product x * y of two expansions comes from lower degrees
@@ -219,14 +222,20 @@ class SchubertCalc:
     # -- characteristic homomorphism -----------------------------------------
 
     def _expand_raw(self, f: Polynomial) -> dict:
-        """Coefficients Delta_w(f) over all w of length deg(f); exact rationals,
+        """The nonzero coefficients Delta_w(f), l(w) = deg(f); exact rationals,
         in ``items_sorted`` order.
 
-        Computed layer by layer, each value keyed by the id of v = w^{-1}: for
-        the last letter i of v's word, w = s_i (v s_i)^{-1}, so the value at v
-        is Delta_i of the value at v s_i, one step in the right-multiplication
-        table.  Each element costs one divided difference and zero layers
-        prune their whole subtree; the top layer is inverted once.
+        Computed layer by layer over the support only, each value keyed by
+        the id of v = w^{-1}: for every right descent i of u, Delta_{u^{-1}}
+        = Delta_i Delta_{(u s_i)^{-1}}, so the value at u is Delta_i of the
+        value at its lower neighbour u s_i, whichever i is taken, and it is 0
+        when any lower neighbour has value 0.  From each nonzero value at v
+        the walk steps to u = v s_i along the ascents i of v, one
+        ``right_id`` step each, and so reaches u once from each lower
+        neighbour in the support.  A u reached from all of them, one per
+        right descent, costs one divided difference; any other u is 0.  No
+        stratum is enumerated; the top layer is inverted once and sorted by
+        ``sort_key``, which is the stratum order.
         """
         self._check_nvars(f)
         k = f.degree()
@@ -240,24 +249,22 @@ class SchubertCalc:
             raise OutOfRangeError(
                 f"degree {k} exceeds the number of positive roots"
             )
-        group = self.group
-        level = {group.identity.id: f}
-        for step in range(1, k + 1):
-            nxt = {}
-            for v in group.elements_of_length(step):
-                i = v.word[-1]
-                g = level.get(group.right_id(v.id, i))
-                if g is None:
-                    continue
-                h = self.divided_difference(i, g)
-                if not h.is_zero():
-                    nxt[v.id] = h
-            level = nxt
-            if not level:
-                return {}
-        by_id = group._by_id
-        out = [(group.inverse(by_id[v]), g.constant_term()) for v, g in level.items()]
-        return dict(sorted(out, key=lambda wc: wc[0].pos))
+        by_id, shift, full = self.group._by_id, self.group.right_id, (1 << self.rank) - 1
+        level = {0: f}  # the identity has id 0
+        for _ in range(k):
+            reached = {}  # u -> (its lower neighbours in the support, i, value at u s_i)
+            for v, g in level.items():
+                todo = full & ~by_id[v].descents  # the ascents of v
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    u = shift(v, bit.bit_length())
+                    reached[u] = (reached.get(u, (0,))[0] + 1, bit.bit_length(), g)
+            nxt = {u: self.divided_difference(i, g) for u, (n, i, g) in reached.items()
+                   if n == by_id[u].descents.bit_count()}
+            level = {u: h for u, h in nxt.items() if not h.is_zero()}
+        out = [(self.group.inverse(by_id[v]), g.constant_term()) for v, g in level.items()]
+        return dict(sorted(out, key=lambda wc: wc[0].sort_key()))
 
     def schubert_expand(self, f: Polynomial) -> SchubertExpansion:
         """Expansion of the class of f in the Schubert basis.
@@ -469,8 +476,8 @@ class SchubertCalc:
                 mask |= by_id[w].descents
             if degree != 1:
                 return coeffs, mask, degree, None
-            cs = coeffs.values()
-            rows = [fundamental[by_id[w].word[0] - 1] for w in coeffs]
+            cs = coeffs.values()  # on the Z_{s_j}; s_j has the one descent j
+            rows = [fundamental[by_id[w].descents.bit_length() - 1] for w in coeffs]
             return coeffs, mask, degree, [sum(map(mul, cs, col)) for col in zip(*rows)]
 
         def step(table: dict, k: int, i: int) -> int:

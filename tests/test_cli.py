@@ -67,6 +67,20 @@ class TestExpand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("", "unexpected end of expression"),
+            ("w1+", "unexpected end of expression"),
+            ("(w1", "expected ')', found end of expression"),
+        ],
+    )
+    def test_truncated_input_names_the_end(self, capsys, expr, message):
+        code, out, err = run(capsys, "expand", "--type", "G2", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_non_integral_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "--type", "G2", "--expr", "1/2*w1")
         assert code == 2

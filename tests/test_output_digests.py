@@ -16,6 +16,12 @@ of 35 of the 36 and 28 of the 30 positive roots.  The ``structconst`` output
 pins a product of two length-9 classes of B6, in the 3,210-element middle
 stratum.  The ``expand`` outputs pin whole Schubert expansions of powers of
 the sum of the fundamental weights, in F4 and B5, in their printed order.
+The B12 and B30 ``expand`` outputs pin expansions that walk only their
+support, at ranks where enumerating the strata up to the degree is slow
+(B12) or out of reach (B30).  Their words use no letter above 9, far from
+the end of the B diagram, so B30 prints the bytes of B12: the B30 ``w2^6``
+digest is that of B12 ``w2^6`` as the stratum walk computed it, and the
+B12 ``(w1+w2)^8`` digest is the stratum walk's too.
 """
 
 import contextlib
@@ -102,6 +108,14 @@ DIGESTS = [
     (
         ("expand", "--type", "B", "--rank", "5", "--expr", "(w1+w2+w3+w4+w5)^8"),
         "a9a482af34be119b2ec598f4a1d834b417109f178d90344e082a0a97c50b5166",
+    ),
+    (
+        ("expand", "--type", "B", "--rank", "12", "--expr", "(w1+w2)^8"),
+        "183f956aa96f3e5341d22209b985c8e8eb53f34e86f70eaa8e4e46eb50401aa9",
+    ),
+    (
+        ("expand", "--type", "B", "--rank", "30", "--expr", "w2^6"),
+        "e5906a02e7da9d4c6d2037fe7ab84e48f0c3d194f43e1486a6dd04ded0c5ec97",
     ),
 ]
 

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import lcm
 
 import pytest
@@ -383,6 +384,41 @@ def random_combination(rng, calc, codim):
     return SchubertExpansion(codim, {w: rng.choice([-3, -1, 1, 2, 5]) for w in picks})
 
 
+# -- the stratum walk that the support walk of ``_expand_raw`` replaced, kept
+# -- as its oracle --
+
+
+def stratum_expand(calc, f):
+    """Delta_w(f) over every w of length deg f, by the stratum walk.
+
+    Every element of every stratum up to deg f is visited.  Each value is
+    keyed by the id of v = w^{-1}: for the last letter i of v's word, the
+    value at v is Delta_i of the value at v s_i.  The top stratum comes out
+    in ``pos`` order.
+    """
+    group = calc.group
+    k = f.degree()
+    if k < 0:
+        return {}
+    level = {group.identity.id: f}
+    for step in range(1, k + 1):
+        nxt = {}
+        for v in group.elements_of_length(step):
+            i = v.word[-1]
+            g = level.get(group.right_id(v.id, i))
+            if g is None:
+                continue
+            h = calc.divided_difference(i, g)
+            if not h.is_zero():
+                nxt[v.id] = h
+        level = nxt
+        if not level:
+            return {}
+    by_id = group._by_id
+    out = [(group.inverse(by_id[v]), g.constant_term()) for v, g in level.items()]
+    return dict(sorted(out, key=lambda wc: wc[0].pos))
+
+
 class TestDividedDifference:
     def test_on_fundamental_weights(self, calc_f4):
         # Delta_i(omega_j) = delta_ij
@@ -559,6 +595,84 @@ class TestExpansion:
     def test_degree_too_large(self, calc_g2):
         with pytest.raises(OutOfRangeError):
             calc_g2.schubert_expand(Polynomial.variable(2, 0) ** 7)
+
+
+class TestSupportWalk:
+    """``_expand_raw`` walks the support of Delta_w f only, and agrees with
+    the stratum walk (``stratum_expand``) wherever that can run."""
+
+    @staticmethod
+    def assert_walks_agree(calc, polys):
+        """The support walk on a cold engine, then the stratum walk on the
+        same engine: the same classes, values and order."""
+        got = [list(calc._expand_raw(f).items()) for f in polys]
+        assert len(calc.group._levels) == 1  # the walk enumerated no stratum
+        for f, items in zip(polys, got):
+            assert items == list(stratum_expand(calc, f).items()), f
+
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
+    def test_every_monomial_up_to_degree_4(self, family, rank):
+        calc = SchubertCalc(cartan_type(family, rank))
+        n = calc.rank
+        polys = []
+        for d in range(5):
+            for m in combinations_with_replacement(range(n), d):
+                f = Polynomial.one(n)
+                for j in m:
+                    f = f * Polynomial.variable(n, j)
+                polys.append(f)
+        self.assert_walks_agree(calc, polys)
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_b_series_c_k(self, rank):
+        calc = SchubertCalc(cartan_type("B", rank))
+        self.assert_walks_agree(
+            calc, [elem_sym_t(calc.datum, k, rank) for k in range(1, rank + 1)]
+        )
+
+    @pytest.mark.parametrize(
+        "family,rank,j,e",
+        [("B", 12, 2, 6), ("B", 12, 1, 8), ("D", 12, 2, 6), ("D", 12, 12, 4), ("B", 30, 2, 6)],
+    )
+    def test_weight_powers_at_high_rank_are_the_product_powers(self, family, rank, j, e):
+        # w_j^e against (Z_{s_j})^e by the Leibniz route, where the stratum
+        # walk cannot run; neither route enumerates a stratum
+        calc = SchubertCalc(cartan_type(family, rank))
+        got = calc.schubert_expand(Polynomial.variable(rank, j - 1) ** e)
+        want = calc.pow_expansion(calc.indicator(calc.group.simple_reflection(j)), e)
+        assert got.codim == e and not got.is_zero()
+        assert got == want
+        assert len(calc.group._levels) == 1
+
+    @staticmethod
+    def expand_counting_deltas(monkeypatch, calc, f):
+        """The expansion of f, and the number of Delta_i it applied."""
+        seen = []
+        dd = calc.divided_difference
+        monkeypatch.setattr(calc, "divided_difference", lambda i, g: seen.append(i) or dd(i, g))
+        return calc.schubert_expand(f), len(seen)
+
+    def test_cold_b5_t_product_interns_only_its_walk(self, monkeypatch):
+        # ``stratum_expand`` interns all 190 elements of length up to 5 here
+        # and applies 12 Delta_i
+        calc = SchubertCalc(cartan_type("B", 5))
+        f = Polynomial.one(5)
+        for i in range(1, 6):
+            f = f * calc.datum.t_poly(i)
+        got, deltas = self.expand_counting_deltas(monkeypatch, calc, f)
+        assert str(got) == "2*Z_12345"
+        assert deltas == 10
+        assert len(calc.group._levels) == 1
+        assert len(calc.group._by_id) <= 26
+
+    def test_each_element_is_computed_once(self, monkeypatch):
+        # a dense input: every w of length up to 6 has Delta_w f nonzero,
+        # and each costs one Delta_i
+        calc = SchubertCalc(cartan_type("F4"))
+        omega = sum((Polynomial.variable(4, j) for j in range(4)), Polynomial.zero(4))
+        got, deltas = self.expand_counting_deltas(monkeypatch, calc, omega**6)
+        assert len(got.coeffs) == len(calc.group.elements_of_length(6))
+        assert deltas == sum(len(calc.group.elements_of_length(k)) for k in range(1, 7))
 
 
 class TestRankMismatch:
