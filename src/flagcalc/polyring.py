@@ -136,6 +136,30 @@ def _dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def power_quotients(u: "Polynomial", j: int, rows: tuple, k: int) -> tuple:
+    """``rows`` extended through row k, where row m is the quotient
+    (w_j^m - u^m) / (w_j - u) = sum_{a<m} w_j^a u^(m-1-a) for a linear form u
+    with integer coefficients, as the (packed key, coefficient) pairs of its
+    nonzero terms that ``Polynomial.replace_powers`` reads.
+
+    Row 0 is empty, and row m is w_j^(m-1) plus u times row m-1: one
+    convolution with the terms of u per row, on packed keys.
+    """
+    unit = _unit(j, u.nvars)
+    u_terms = tuple(u._terms.items())
+    rows = list(rows) or [()]
+    while len(rows) <= k:
+        m = len(rows)
+        out = {(m - 1) * unit: 1}
+        get = out.get
+        for e, c in rows[-1]:
+            for f, d in u_terms:
+                key = e + f
+                out[key] = get(key, 0) + c * d
+        rows.append(tuple(kv for kv in out.items() if kv[1]))
+    return tuple(rows)
+
+
 class _TermsView(Mapping):
     """Read-only map from exponent tuples to coefficients of one polynomial."""
 
@@ -312,7 +336,9 @@ class Polynomial:
         return result
 
     def replace_powers(self, j: int, table) -> "Polynomial":
-        """Replace each power w_j^k by ``table(k)``, a polynomial of degree at most k.
+        """Replace each power w_j^k by the row ``table(k)``: the (packed key,
+        coefficient) pairs of a polynomial of degree at most k, as
+        ``power_quotients`` makes them.
 
         A term m * w_j^k, with m free of w_j, goes to m * table(k).  The map is
         linear, not a ring homomorphism; with table(k) the divided difference
@@ -329,10 +355,7 @@ class Polynomial:
             k = (key >> shift) & _MASK
             row = rows.get(k)
             if row is None:
-                image = table(k)
-                if image.degree() > k:
-                    raise ValueError(f"image of w{j + 1}^{k} has degree above {k}")
-                row = rows[k] = tuple(image._terms.items())
+                row = rows[k] = table(k)
             rest = key - k * unit
             for e, v in row:
                 e += rest

@@ -20,17 +20,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import mul, neg, sub
+from operator import neg, sub
 
 from .errors import OutOfRangeError, UnsupportedRankError
 from .polyring import Polynomial, Rational, _norm_coeff
 
 FAMILIES = ("B", "D", "G2", "F4")
 
-# Largest supported rank for B and D.  The root closure takes about 2 rank^4
-# steps (B30 builds in 0.1 s, B50 in 0.8 s, and B120 would take about 30 s),
-# so larger ranks are refused before any root is built.
+# Largest supported rank for B and D.  The root closure takes about rank^3
+# steps (on a 2-CPU x86-64 host with Python 3.11, B30 builds in 0.03 s, B50
+# in 0.11 s and B120 in 1.2 s), and larger ranks are refused before any root
+# is built.
 MAX_CLASSICAL_RANK = 30
 
 Weight = tuple  # coordinate vector in the fundamental-weight basis
@@ -187,29 +189,38 @@ class RootDatum:
     def _close_roots(self):
         """All roots, and each simple reflection as a permutation of root indices.
 
-        The closure runs breadth-first from the simple roots in simple-root
-        coordinates, where s_i changes only the i-th coordinate.  The image of
-        every root under every s_i is met on the way, so the permutations cost
-        no extra pass.  Roots are numbered with the positive roots first, in
-        ``positive_roots`` order (0..N-1), and -beta_b at N + b.
+        The closure runs breadth-first over the positive roots only, from the
+        simple roots.  For beta with weight coordinates omega, s_i beta =
+        beta - omega_i alpha_i changes only the i-th simple coordinate, and
+        its weight coordinates are omega minus omega_i times column i of the
+        Cartan matrix; it is positive unless beta = alpha_i.  The image of
+        every positive root under every s_i is met on the way, and the
+        negative roots are mirrored: s_i(-beta) = -s_i(beta).  Roots are
+        numbered with the positive roots first, in ``positive_roots`` order
+        (0..N-1), and -beta_b at N + b.
         """
         n = self.rank
         M = self.cartan_matrix
+        cols = [tuple(row[j] for row in M) for j in range(n)]  # alpha_j as a weight
         order = [_unit(n, j) for j in range(n)]  # simple coordinates, as found
+        omegas = cols[:]  # weight coordinates, in the same order
         found = {m: p for p, m in enumerate(order)}
-        omegas = []  # weight coordinates, in the same order
-        images = [[] for _ in range(n)]  # images[i][p]: position of s_i(order[p])
+        # images[i][p]: position of s_i(order[p]), or -1 for s_i(alpha_i) = -alpha_i
+        images = [[] for _ in range(n)]
         for p, m in enumerate(order):  # order grows while it is walked
-            omega = tuple(sum(map(mul, row, m)) for row in M)
-            omegas.append(omega)
+            omega = omegas[p]
             for i, c in enumerate(omega):
                 q = p
                 if c:
-                    m2 = m[:i] + (m[i] - c,) + m[i + 1:]
-                    q = found.get(m2)
-                    if q is None:
-                        q = found[m2] = len(order)
-                        order.append(m2)
+                    if p == i:
+                        q = -1
+                    else:
+                        m2 = m[:i] + (m[i] - c,) + m[i + 1:]
+                        q = found.get(m2)
+                        if q is None:
+                            q = found[m2] = len(order)
+                            order.append(m2)
+                            omegas.append(tuple(x - c * y for x, y in zip(omega, cols[i])))
                 images[i].append(q)
 
         # Integer symmetrizer d_i = D |alpha_i|^2, D the least common
@@ -229,25 +240,34 @@ class RootDatum:
             cvec = tuple(2 * a * d // norm for a, d in zip(m, sym))
             return Root(m, omega, lsq, cvec)
 
-        roots = list(map(make_root, order, omegas))
-        self.all_roots = tuple(sorted(roots, key=lambda r: r.simple_coords))
-        # where[k]: position in ``order`` of the root numbered k
-        positive = sorted(
-            (p for p, m in enumerate(order) if max(m) > 0),
-            key=lambda p: (sum(order[p]), order[p]),
-        )
-        where = positive + [found[tuple(map(neg, order[p]))] for p in positive]
-        index = [0] * len(order)
+        def negated(r: Root) -> Root:
+            return Root(
+                tuple(map(neg, r.simple_coords)), tuple(map(neg, r.omega)),
+                r.length_sq, tuple(map(neg, r.coroot_on_omega)),
+            )
+
+        # where[k]: position in ``order`` of the positive root numbered k
+        where = sorted(range(len(order)), key=lambda p: (sum(order[p]), order[p]))
+        N = len(where)
+        index = [0] * N
         for k, p in enumerate(where):
             index[p] = k
-        self.indexed_roots = tuple(map(roots.__getitem__, where))
-        self.positive_roots = self.indexed_roots[: len(positive)]
+        self.positive_roots = tuple(make_root(order[p], omegas[p]) for p in where)
+        self.indexed_roots = self.positive_roots + tuple(map(negated, self.positive_roots))
         self.root_index = {r.omega: k for k, r in enumerate(self.indexed_roots)}
         self.simple_indices = tuple(index[:n])
         self.simple_roots = tuple(map(self.indexed_roots.__getitem__, self.simple_indices))
-        self.simple_reflections = tuple(
-            tuple(map(index.__getitem__, map(row.__getitem__, where))) for row in images
-        )
+        reflections = []
+        for row in images:
+            # s_i(beta_k) is positive unless beta_k = alpha_i, and s_i(-beta) = -s_i(beta)
+            up = [N + k if q < 0 else index[q] for k, q in enumerate(map(row.__getitem__, where))]
+            reflections.append(tuple(up + [r - N if r >= N else r + N for r in up]))
+        self.simple_reflections = tuple(reflections)
+
+    @cached_property
+    def all_roots(self) -> tuple:
+        """Every root, sorted by simple coordinates (built on first access)."""
+        return tuple(sorted(self.indexed_roots, key=lambda r: r.simple_coords))
 
     # -- lookups -----------------------------------------------------------
 

@@ -4,7 +4,8 @@ Giambelli representatives and structure constants.
 The central object is :class:`SchubertCalc`, one per Cartan type.  It owns
 the (immutable) root datum and Weyl group together with its memo caches:
 
-* per-variable tables for the divided difference kernel;
+* per-variable tables for the divided difference kernel, the packed rows
+  Delta_i(w_i^k) that ``Polynomial.replace_powers`` reads;
 * the table of |W|-scaled Giambelli representatives, each in factored
   form: a set of positive roots times a polynomial part; only
   ``giambelli_poly`` reads it.  Each descent starts at the highest element
@@ -14,7 +15,8 @@ the (immutable) root datum and Weyl group together with its memo caches:
   product.  The roots are kept as a frozenset of root indices; a step
   Delta_i multiplies into the polynomial part only the roots that s_i
   moves out of the set, and a value asked for is expanded once and stored
-  back expanded, with the empty set;
+  back expanded, with the empty set.  A descent whose polynomial part could
+  outgrow GIAMBELLI_MAX_TERMS is refused before its first step;
 * the pairings (beta^vee | lam) with the positive roots, one tuple per
   weight lam, for the Chevalley rule in products and in the Chow rings.
 
@@ -52,20 +54,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import itemgetter, mul
 
 from .errors import NonHomogeneousError, NonIntegralExpansionError, OutOfRangeError
-from .polyring import Polynomial, Rational, _norm_coeff, signed_sum
+from .polyring import Polynomial, Rational, _norm_coeff, power_quotients, signed_sum
 from .rootdata import CartanType, Weight, build_root_datum
 from .weylgroup import WeylElement, WeylGroup, weyl_order
 
-# Giambelli is refused for more positive roots than this (B7, D7 and up),
-# before any walk.  The descent keeps its root product factored, so the cap
-# bounds the size of the representative rather than the walk: on B6
-# (N = 36) the class 121321432154321 has 5,553 terms and takes under a
-# second, while on B7 121321432154321654321 has 113,745 terms and takes
-# about 27 s and 325 MB.
-GIAMBELLI_MAX_ROOTS = 36
+# Giambelli is refused before any divided difference when its polynomial
+# part could have more terms than this: C(t + r - 1, r - 1), the monomials of
+# degree t in r variables, for t the highest degree the factored descent
+# reaches (see ``_giambelli_unscaled``).  The cap is B6's w0, the product of
+# all 36 positive roots in 6 variables.  B7 121321432154321654321 (t = 27,
+# 1,107,568) took about 27 s and 325 MB, and B10 1 (t = 18, 4,686,825)
+# 5.1 s and 121 MB.
+GIAMBELLI_MAX_TERMS = comb(41, 5)
 
 
 class SchubertExpansion:
@@ -163,33 +167,23 @@ class SchubertCalc:
 
     # -- divided differences -------------------------------------------------
 
-    def _dd_table(self, i: int, k: int) -> Polynomial:
-        """Divided difference of w_i^k, filled by the Leibniz recurrence.
+    def _dd_table(self, i: int, k: int) -> tuple:
+        """Divided difference of w_i^k, as the row ``replace_powers`` reads.
 
-        With u = s_i(w_i) = w_i - alpha_i the entry for exponent m is
-        sum_{j=0}^{m-1} w_i^j u^{m-1-j}, which times alpha_i equals
-        w_i^m - u^m exactly; so entry m is entry m-1 times w_i plus u^{m-1}.
-        The state per index is one tuple (entries, u, u^(len(entries) - 1)),
-        replaced whole when it grows, so concurrent callers can only
-        duplicate work.
+        With u = s_i(w_i) = w_i - alpha_i, Delta_i(w_i^m) = (w_i^m - u^m) /
+        alpha_i is the quotient that ``power_quotients`` builds row by row
+        on packed term maps, one convolution with the 2-4 terms of u per
+        row.  The rows per index are one tuple, replaced whole when it
+        grows, so concurrent callers can only duplicate work.
         """
-        state = self._dd_tables.get(i)
-        if state is None:
-            n = self.rank
+        rows = self._dd_tables.get(i, ())
+        if len(rows) <= k:
             alpha = self.datum.simple_roots[i - 1].omega
             u = Polynomial.linear_form(
-                tuple((1 if r == i - 1 else 0) - alpha[r] for r in range(n))
+                tuple((1 if r == i - 1 else 0) - a for r, a in enumerate(alpha))
             )
-            state = ([Polynomial.zero(n)], u, Polynomial.one(n))
-        table, u, u_pow = state
-        if len(table) <= k:
-            table = table[:]
-            w_i = Polynomial.variable(self.rank, i - 1)
-            while len(table) <= k:
-                table.append(table[-1] * w_i + u_pow)
-                u_pow = u_pow * u
-            self._dd_tables[i] = (table, u, u_pow)
-        return table[k]
+            rows = self._dd_tables[i] = power_quotients(u, i - 1, rows, k)
+        return rows[k]
 
     def _check_nvars(self, f: Polynomial) -> None:
         if f.nvars != self.rank:
@@ -335,43 +329,64 @@ class SchubertCalc:
         The value is Delta_{w^{-1} w0} of the product of the positive roots
         (Bernstein-Gelfand-Gelfand), but the chain starts lower.  From w the
         walk ascends on the right only by s_i that keep the left descent set
-        D of w, so it ends at x = w_{0,K} w0 for K the complement of D.  With
+        D of w (``WeylGroup.parabolic_ascent``, which interns only its end),
+        so it ends at x = w_{0,K} w0 for K the complement of D.  With
         J the right ascents of x, x = w0 w_{0,J}; the product of the roots
         outside Phi_J is W_J-invariant and Delta_{w_{0,J}} of the product of
         Phi_J^+ is |W_J|, so the value at x is |W_J| times the product of the
         positive roots outside Phi_J.  One divided difference per step leads
-        back down to w, on the factored value (see ``_descend``), which is
-        expanded once here and stored back.  Types with more than
-        GIAMBELLI_MAX_ROOTS positive roots are refused before any walk.
+        back down to w, on the factored value (see ``_descend``), from the
+        lowest value on the way that is memoized.  It is expanded once here
+        and stored back.  Before any step or any element of the path is
+        interned, the whole descent from x is sized by ``_check_size``.
         """
-        group = self.group
-        if group.longest_length > GIAMBELLI_MAX_ROOTS:
-            raise OutOfRangeError(
-                f"Giambelli needs the product of all {group.longest_length} positive"
-                f" roots; at most {GIAMBELLI_MAX_ROOTS} are supported"
-            )
         memo = self._gtable
-        d = group.left_descents(w.perm)
+        got = memo.get(w)
+        if got is not None and not got[0]:
+            return got[1]
+        group = self.group
+        letters, top = group.parabolic_ascent(w)
+        state = self._parabolic_top(top)
+        self._check_size(w, letters, state[0])
+        memo.setdefault(top, state)
         path = []
         cur = w
-        while cur not in memo:
-            for i in range(1, self.rank + 1):
-                if not group.descends(cur, i):
-                    up = group.times_simple(cur, i)
-                    if group.left_descents(up.perm) == d:
-                        break
-            else:
-                memo[cur] = self._parabolic_top(cur)
-                break
+        for i in letters:
             path.append((cur, i))
-            cur = up
-        for v, i in reversed(path):
+            cur = group.times_simple(cur, i)
+        k = next((k for k, (v, _) in enumerate(path) if v in memo), len(path))
+        for v, i in reversed(path[:k]):
             memo[v] = self._descend(i, memo[group.times_simple(v, i)])
         roots, g = memo[w]
         if roots:
             g = self._expand_roots(roots, g)
             memo[w] = (frozenset(), g)
         return g
+
+    def _check_size(self, w: WeylElement, letters: list, roots: frozenset) -> None:
+        """Raise OutOfRangeError when the descent from the top roots down
+        along the letters to w could hold more than GIAMBELLI_MAX_TERMS terms.
+
+        The roots are followed as ``_descend`` follows them, without any
+        polynomial: the part multiplied in at a step has the degree of the
+        part so far plus the moved roots, and a divided difference lowers it
+        by one.  The value at w is expanded at degree l(w).
+        """
+        image = self.datum.simple_reflections
+        t = degree = 0
+        for i in reversed(letters):
+            s = image[i - 1]
+            kept = {b for b in roots if s[b] in roots}
+            t = max(t, degree + len(roots) - len(kept))
+            degree += len(roots) - len(kept) - 1
+            roots = kept
+        t = max(t, w.length)
+        size = comb(t + self.rank - 1, self.rank - 1)
+        if size > GIAMBELLI_MAX_TERMS:
+            raise OutOfRangeError(
+                f"Giambelli of Z_{w} reaches degree {t} in {self.rank} variables, up to"
+                f" {size:,} terms; at most {GIAMBELLI_MAX_TERMS:,} are supported"
+            )
 
     def _parabolic_top(self, x: WeylElement) -> tuple:
         """The factored unscaled Giambelli value at x = w0 w_{0,J}, J the

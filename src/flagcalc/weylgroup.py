@@ -7,7 +7,12 @@ order (0..N-1), and -beta_b at N + b.  The permutation ``perm`` sends root r
 to root perm[r]; it is stored as ``bytes`` when 2N <= 256 (every rank up to
 11) and as a tuple above that.  Each element also carries its length and its
 lexicographically minimal reduced word; words use 1-based simple-root
-indices, matching the usual s_1, ..., s_l labels.
+indices, matching the usual s_1, ..., s_l labels.  Enumeration sets the word
+of each element of a stratum it fills.  An element interned outside it (by
+``right_id``, a cover scan, ``root_reflection`` or ``inverse``) takes its
+length from the caller and computes its word from its own permutation the
+first time ``word`` or ``sort_key`` is read, so words that are never printed
+or sorted cost nothing.
 
 Elements are interned per group, keyed by the images of the simple roots
 (rank entries, which determine the element), so equality is identity:
@@ -34,16 +39,17 @@ Bruhat covers take two routes.  The upper covers w s_beta of any element w
 found by a scan over the positive roots and kept on w, as ids and packed
 root indices.  Before the stratum l(w) + 1 is enumerated, a candidate
 w s_beta missing from the intern table has its length counted from its
-permutation (the positive roots it sends to negative ones) and is interned,
-with a lex-min word, only when it is a cover; a candidate several steps
-above w is dropped.  So high-rank groups are never enumerated just to find
-covers.  The Chow rings read the lower covers of a whole enumerated stratum
-instead, built from those of the stratum below by the lifting property (see
-``lower_covers``) and kept flat, per stratum, on the group.
+permutation (the positive roots it sends to negative ones) and is interned
+only when it is a cover; a candidate several steps above w is dropped.  So
+high-rank groups are never enumerated just to find covers.  The Chow rings
+read the lower covers of a whole enumerated stratum instead, built from
+those of the stratum below by the lifting property (see ``lower_covers``)
+and kept flat, per stratum, on the group.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
-it.  The tables hold ids rather than elements, so a group's elements form no
+it.  The tables hold ids rather than elements, and an element refers to no
+group, only to the datum and its word tables, so a group's elements form no
 reference cycles and are freed as soon as the group is.
 """
 
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 from array import array
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter, methodcaller, mul
 
 from .errors import InvalidWordError, NotARootError, OutOfRangeError
 from .rootdata import Root, RootDatum, Weight
@@ -79,22 +85,69 @@ def word_str(word) -> str:
     return ",".join(map(str, word)) + ("," if len(word) == 1 else "")
 
 
+class _LexMin:
+    """Lex-min reduced words of one group's elements, from their permutations.
+
+    Called on a root permutation, it takes the smallest left descent i
+    (alpha_i is the image of a negative root) and goes on with s_i w, whose
+    permutation is s_i after perm: one ``bytes.translate`` with s_i as the
+    table for bytes permutations.  The group's elements share it; it holds
+    the datum and the simple reflections, never the group or an element, so
+    elements form no reference cycle.
+    """
+
+    __slots__ = ("datum", "_n_pos", "_alpha", "_left")
+
+    def __init__(self, datum: RootDatum, pack):
+        self.datum = datum
+        self._n_pos = n_pos = datum.num_positive_roots
+        self._alpha = datum.simple_indices
+        simple = datum.simple_reflections
+        if pack is bytes:
+            pad = bytes(256 - 2 * n_pos)
+            self._left = [methodcaller("translate", bytes(s) + pad) for s in simple]
+        else:
+            self._left = [lambda perm, s=s: tuple(map(s.__getitem__, perm)) for s in simple]
+
+    def __call__(self, perm) -> tuple:
+        word = []
+        n_pos, alpha, left = self._n_pos, self._alpha, self._left
+        while True:
+            neg = perm[n_pos:]
+            for i, a in enumerate(alpha):
+                if a in neg:
+                    break
+            else:
+                return tuple(word)
+            word.append(i + 1)
+            perm = left[i](perm)
+
+
 class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
     __slots__ = (
-        "perm", "length", "word", "id", "pos", "descents", "_covers", "_datum"
+        "perm", "length", "_word", "id", "pos", "descents", "_covers", "_lexmin"
     )
 
-    def __init__(self, perm, length: int, word: tuple, id: int, descents: int, datum):
+    def __init__(self, perm, length: int, id: int, descents: int, lexmin: _LexMin):
         self.perm = perm
         self.length = length
-        self.word = word
+        self._word = None  # set by enumeration, or on first read of ``word``
         self.id = id
         self.pos = None  # index in the stratum tuple, once it is enumerated
         self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
         self._covers = None  # (ids, packed root indices), see covers
-        self._datum = datum
+        self._lexmin = lexmin
+
+    @property
+    def word(self) -> tuple:
+        """The lex-min reduced word: set when the element is enumerated, and
+        otherwise computed from ``perm`` on first read."""
+        got = self._word
+        if got is None:
+            got = self._word = self._lexmin(self.perm)
+        return got
 
     @property
     def matrix(self) -> tuple:
@@ -104,7 +157,7 @@ class WeylElement:
         <w(lam), alpha_i^vee> = <lam, w^{-1}(alpha_i)^vee>.  ``act`` applies
         it to a weight; the tests substitute it into polynomials.
         """
-        d, perm = self._datum, self.perm
+        d, perm = self._lexmin.datum, self.perm
         return tuple(
             d.indexed_roots[perm.index(a)].coroot_on_omega for a in d.simple_indices
         )
@@ -142,13 +195,15 @@ class WeylGroup:
         self._times = [self._composer(s) for s in simple]
         self._times_key = [self._composer([s[a] for a in self._alpha]) for s in simple]
         self._key_of = self._composer(self._alpha)  # the key of a permutation
+        self._lexmin_word = _LexMin(datum, self._pack)
         self._elements: dict = {}
         self._by_id: list = []
         # _right[w.id * rank + i - 1] is the id of w s_i, None until known
         self._right: list = []
         pack = self._pack
-        self.identity = self._new(pack(range(2 * n_pos)), pack(self._alpha), ())
+        self.identity = self._new(pack(range(2 * n_pos)), pack(self._alpha), 0)
         self.identity.pos = 0
+        self.identity._word = ()
         self._levels: list = [(self.identity,)]  # strata in lex-min word order
         self._reflections = None  # s_beta permutations and keys, on first use
         # per stratum: lower_covers' three arrays, and where the run of each v starts
@@ -165,57 +220,25 @@ class WeylGroup:
             return bytes(indices).translate
         return itemgetter(*indices)
 
-    def _new(self, perm, key, word: tuple) -> WeylElement:
+    def _new(self, perm, key, length: int) -> WeylElement:
         n_pos = self._n_pos
         descents = 0
         for j, x in enumerate(key):
             if x >= n_pos:
                 descents |= 1 << j
-        el = WeylElement(perm, len(word), word, len(self._by_id), descents, self.datum)
+        el = WeylElement(perm, length, len(self._by_id), descents, self._lexmin_word)
         self._elements[key] = el
         self._by_id.append(el)
         self._right.extend([None] * self.rank)
         return el
 
-    def _element(self, perm, key) -> WeylElement:
-        """Intern an element met outside enumeration, computing its word directly."""
+    def _element(self, perm, key, length: int) -> WeylElement:
+        """Intern an element met outside enumeration, of a length the caller
+        knows; its word is computed when first read."""
         el = self._elements.get(key)
         if el is None:
-            el = self._new(perm, key, self._lexmin_word(perm))
+            el = self._new(perm, key, length)
         return el
-
-    def left_descents(self, perm) -> int:
-        """Left descent set of the element with root permutation perm, as a mask.
-
-        Bit i-1 is set when l(s_i w) < l(w), i.e. when w^{-1}(alpha_i) is
-        negative: alpha_i is the image of a root of index N or more.
-        """
-        neg = perm[self._n_pos:]
-        d = 0
-        for i, a in enumerate(self._alpha):
-            if a in neg:
-                d |= 1 << i
-        return d
-
-    def _lexmin_word(self, perm) -> tuple:
-        """Lex-min reduced word, by greedy smallest left descent.
-
-        s_i w permutes the roots by s_i after perm.  The walk stops at the
-        first interned s_i ... w, whose stored word is its lex-min word.
-        """
-        word = []
-        simple, pack, pad = self.datum.simple_reflections, self._pack, self._pad
-        elements, key_of = self._elements, self._key_of
-        while True:
-            d = self.left_descents(perm)
-            if not d:
-                return tuple(word)
-            i = (d & -d).bit_length() - 1
-            word.append(i + 1)
-            perm = pack(map(simple[i].__getitem__, perm))
-            known = elements.get(key_of(perm + pad))
-            if known is not None:
-                return tuple(word) + known.word
 
     # -- basic operations ------------------------------------------------------
 
@@ -247,11 +270,13 @@ class WeylGroup:
         slot = k * self.rank + i - 1
         j = self._right[slot]
         if j is None:
-            t = self._by_id[k].perm + self._pad
+            w = self._by_id[k]
+            t = w.perm + self._pad
             key = self._times_key[i - 1](t)
             v = self._elements.get(key)
             if v is None:
-                v = self._element(self._times[i - 1](t), key)
+                length = w.length - 1 if w.descents >> (i - 1) & 1 else w.length + 1
+                v = self._new(self._times[i - 1](t), key, length)
             j = self._right[slot] = v.id
             self._right[j * self.rank + i - 1] = k
         return j
@@ -261,7 +286,36 @@ class WeylGroup:
         return self._by_id[self.right_id(w.id, i)]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        return self.element_from_word(reversed(w.word))
+        """w^{-1}, from the inverse permutation; only it is interned."""
+        inv = [0] * len(w.perm)
+        for r, x in enumerate(w.perm):
+            inv[x] = r
+        inv = self._pack(inv)
+        return self._element(inv, self._key_of(inv + self._pad), w.length)
+
+    def parabolic_ascent(self, w: WeylElement) -> tuple:
+        """(letters, x): the walk from w up on the right by the smallest s_i
+        that keeps the left descent set D of w, and its end x = w_{0,K} w0,
+        K the complement of D.
+
+        For an ascent i of v, the left descents of v s_i are those of v plus
+        the j with v(alpha_i) = alpha_j, so s_i keeps D exactly when
+        v(alpha_i) is a positive root and not a simple one.  The walk reads
+        permutations only, and interns x alone.
+        """
+        n_pos, alpha, pad = self._n_pos, self._alpha, self._pad
+        simple = frozenset(alpha)
+        perm, letters = w.perm, []
+        while True:
+            t = perm + pad
+            for i, a in enumerate(alpha):
+                b = t[a]
+                if b < n_pos and b not in simple:
+                    break
+            else:
+                return letters, self._element(perm, self._key_of(t), w.length + len(letters))
+            letters.append(i + 1)
+            perm = self._times[i](t)
 
     def act(self, w: WeylElement, lam: Weight) -> Weight:
         if len(lam) != self.rank:
@@ -306,13 +360,14 @@ class WeylGroup:
                     key = times_key[i](t)
                     v = elements.get(key)
                     if v is None:
-                        v = self._new(times[i](t), key, w.word + (i + 1,))
+                        v = self._new(times[i](t), key, w.length + 1)
                     right[base + i] = v.id
                     right[v.id * n + i] = w.id
                 else:
                     v = by_id[j]
                 if v.pos is None:
                     v.pos = len(found)
+                    v._word = w._word + (i + 1,)
                     found.append(v)
         self._levels.append(tuple(found))
 
@@ -373,7 +428,8 @@ class WeylGroup:
         perms, keys = self._reflection_tables()
         b = self.datum.root_index[beta.omega]
         t = self.identity.perm + self._pad
-        return self._element(perms[b](t), keys[b](t))
+        p = perms[b](t)
+        return self._element(p, keys[b](t), sum(map(self._n_pos.__le__, p[: self._n_pos])))
 
     def _cover_scan(self, w: WeylElement) -> tuple:
         """(ids, packed root indices) of the covers w s_beta of w.
@@ -401,7 +457,7 @@ class WeylGroup:
                 p = perms[b](t)
                 if sum(map(n_pos.__le__, p[:n_pos])) != k:
                     continue
-                v = self._element(p, key)
+                v = self._element(p, key, k)
             if v.length == k:
                 ids.append(v.id)
                 bs.append(b)

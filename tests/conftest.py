@@ -65,6 +65,14 @@ def calc_d5():
     return calculus_for(cartan_type("D", 5))
 
 
+def left_descents(g, perm) -> int:
+    """Left descent set of the element of g with root permutation perm, as a
+    mask: bit i-1 is set when l(s_i w) < l(w), i.e. when w^{-1}(alpha_i) is
+    negative, so alpha_i is the image of a root of index N or more."""
+    neg = perm[g.datum.num_positive_roots:]
+    return sum(1 << i for i, a in enumerate(g.datum.simple_indices) if a in neg)
+
+
 def word(calc, text):
     """Resolve a digit-string word to a group element."""
     if not text:

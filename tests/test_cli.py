@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -276,15 +277,30 @@ class TestGiambelli:
         assert code2 == 0
         assert out2.strip() == "Z_21"
 
-    @pytest.mark.parametrize("family", ["B", "D"])
-    def test_more_than_36_positive_roots_exits_2_at_once(self, capsys, family):
-        # B7 and D7 have 49 and 42 positive roots; their product is never built
+    @pytest.mark.parametrize("word", ["1", "7"])
+    def test_b7_under_the_size_cap_exits_0(self, capsys, word):
+        # B7 has 49 positive roots; these descents reach degree 12 and 16
+        code, out, err = run(capsys, "giambelli", "--type", "B", "--rank", "7", "--word", word)
+        assert code == 0 and err == ""
+        assert out.strip() == f"w{word}"
+
+    @pytest.mark.parametrize(
+        "rank,word,degree,size",
+        [
+            (7, "121321432154321654321", 27, "1,107,568"),
+            (10, "1", 18, "4,686,825"),
+            # a walk of 569 steps up from s_15, on 1800-root permutations
+            (30, "15,", 296, f"{math.comb(296 + 29, 29):,}"),
+        ],
+    )
+    def test_over_the_size_cap_exits_2_at_once(self, capsys, rank, word, degree, size):
         start = time.perf_counter()
         code, out, err = run(
-            capsys, "giambelli", "--type", family, "--rank", "7", "--word", "1"
+            capsys, "giambelli", "--type", "B", "--rank", str(rank), "--word", word
         )
         assert code == 2 and out == ""
-        assert "at most 36 are supported" in err
+        assert f"reaches degree {degree} in {rank} variables, up to {size} terms" in err
+        assert "at most 749,398 are supported" in err
         assert time.perf_counter() - start < 1.0
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -6,6 +7,7 @@ from flagcalc.errors import NotARootError, OutOfRangeError, UnsupportedRankError
 from flagcalc.polyring import Polynomial
 from flagcalc.rootdata import (
     MAX_CLASSICAL_RANK,
+    Root,
     build_root_datum,
     cartan_type,
     elem_sym_t,
@@ -247,6 +249,86 @@ def test_roots_built_once_with_integer_coroots(family, rank):
         )
         assert all(type(c) is int for c in r.coroot_on_omega)
         assert sum(c * o for c, o in zip(r.coroot_on_omega, r.omega)) == 2
+
+
+def _bfs_closure(d):
+    """The root tables by the breadth-first closure over all roots, as a
+    reference: every root from the simple roots in simple coordinates, with
+    its weight coordinates by a full Cartan-matrix product and each image
+    under each s_i met on the way.
+
+    Returns (indexed_roots, root_index, simple_reflections, all_roots), each
+    numbered and ordered as ``RootDatum`` numbers and orders them.
+    """
+    n, M = d.rank, d.cartan_matrix
+    order = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    found = {m: p for p, m in enumerate(order)}
+    omegas, images = [], [[] for _ in range(n)]
+    for p, m in enumerate(order):
+        omega = tuple(sum(a * b for a, b in zip(row, m)) for row in M)
+        omegas.append(omega)
+        for i, c in enumerate(omega):
+            q = p
+            if c:
+                m2 = m[:i] + (m[i] - c,) + m[i + 1:]
+                q = found.get(m2)
+                if q is None:
+                    q = found[m2] = len(order)
+                    order.append(m2)
+            images[i].append(q)
+    denom = 1
+    for x in d.simple_length_sq:
+        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
+    sym = [int(x * denom) for x in d.simple_length_sq]
+
+    def make_root(m, omega):
+        norm = sum(a * b * s for a, b, s in zip(m, omega, sym))
+        lsq = Fraction(norm, 2 * denom)
+        lsq = int(lsq) if lsq.denominator == 1 else lsq
+        return Root(m, omega, lsq, tuple(2 * a * s // norm for a, s in zip(m, sym)))
+
+    roots = [make_root(m, o) for m, o in zip(order, omegas)]
+    positive = sorted(
+        (p for p, m in enumerate(order) if max(m) > 0), key=lambda p: (sum(order[p]), order[p])
+    )
+    where = positive + [found[tuple(-x for x in order[p])] for p in positive]
+    index = [0] * len(order)
+    for k, p in enumerate(where):
+        index[p] = k
+    indexed = tuple(roots[p] for p in where)
+    reflections = tuple(tuple(index[row[p]] for p in where) for row in images)
+    return (
+        indexed,
+        {r.omega: k for k, r in enumerate(indexed)},
+        reflections,
+        tuple(sorted(roots, key=lambda r: r.simple_coords)),
+    )
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("G2", None), ("F4", None)]
+    + [("B", n) for n in range(2, 13)]
+    + [("D", n) for n in range(4, 13)],
+)
+def test_positive_closure_matches_the_full_bfs_closure(family, rank):
+    d = build_root_datum(cartan_type(family, rank))
+    indexed, root_index, reflections, all_roots = _bfs_closure(d)
+    assert d.indexed_roots == indexed
+    assert [type(r.length_sq) for r in d.indexed_roots] == [type(r.length_sq) for r in indexed]
+    assert [r.coroot_on_omega for r in d.indexed_roots] == [r.coroot_on_omega for r in indexed]
+    assert d.root_index == root_index
+    assert d.simple_reflections == reflections
+    assert d.all_roots == all_roots
+    assert d.positive_roots == indexed[: d.num_positive_roots]
+    assert d.simple_indices == tuple(root_index[r.omega] for r in d.simple_roots)
+
+
+def test_all_roots_is_built_on_first_access():
+    d = build_root_datum(cartan_type("B", 5))
+    assert "all_roots" not in vars(d)
+    assert len(d.all_roots) == 50
+    assert vars(d)["all_roots"] is d.all_roots
 
 
 class TestCorootPairing:

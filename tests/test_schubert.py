@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -15,7 +15,14 @@ from flagcalc.presentations import gamma_expansion
 from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, SchubertExpansion, _integral
 
-from conftest import coroot_pairing, exact_div_linear, reduced_words, weyl_substitute, word
+from conftest import (
+    coroot_pairing,
+    exact_div_linear,
+    left_descents,
+    reduced_words,
+    weyl_substitute,
+    word,
+)
 from test_polyring import random_poly
 
 
@@ -487,6 +494,23 @@ class TestDividedDifference:
                 assert calc.divided_difference(i, w_k) * alpha == w_k - u_k
                 w_k, u_k = w_k * w, u_k * u
 
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("F4", None), ("B", 5), ("D", 5)])
+    def test_packed_rows_match_the_polynomial_recurrence(self, family, rank):
+        # the rows of ``power_quotients`` against entry m = entry m-1 times
+        # w_i plus u^(m-1), u = w_i - alpha_i, in Polynomial arithmetic
+        calc = SchubertCalc(cartan_type(family, rank))
+        n, top = calc.rank, calc.group.longest_length
+        for i in range(1, n + 1):
+            w = Polynomial.variable(n, i - 1)
+            u = w - Polynomial.linear_form(calc.datum.simple_roots[i - 1].omega)
+            entry, u_pow = Polynomial.zero(n), Polynomial.one(n)
+            for k in range(top + 1):
+                row = calc._dd_table(i, k)
+                assert all(c for _, c in row)
+                assert Polynomial._raw(n, dict(row)) == entry, (i, k)
+                entry, u_pow = entry * w + u_pow, u_pow * u
+            assert len(calc._dd_tables[i]) == top + 1
+
     def test_power_table_is_fast_when_cold(self):
         calc = SchubertCalc(cartan_type("G2"))
         t0 = time.monotonic()
@@ -843,6 +867,58 @@ class TestGiambelli:
         assert calc._gtable[w] == (frozenset(), p.scale(calc.weyl_order))
 
 
+class TestGiambelliSizeCap:
+    """The size check against the degrees the descent really reaches."""
+
+    @staticmethod
+    def observed_degree(calc, w) -> int:
+        seen = [w.length]
+        dd = calc.divided_difference
+        calc.divided_difference = lambda i, f: seen.append(f.degree()) or dd(i, f)
+        calc._giambelli_unscaled(w)
+        del calc.divided_difference
+        return max(seen)
+
+    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4)])
+    def test_the_cap_is_exact_on_fresh_engines(self, monkeypatch, family, rank):
+        import flagcalc.schubert as schubert
+
+        ct = cartan_type(family, rank)
+        g = SchubertCalc(ct).group
+        words = [w.word for k in range(g.longest_length + 1) for w in g.elements_of_length(k)]
+        observed = []
+        for word in words:
+            calc = SchubertCalc(ct)
+            observed.append(self.observed_degree(calc, calc.group.element_from_word(word)))
+        for word, t in zip(words, observed):
+            size = comb(t + g.rank - 1, g.rank - 1)
+            monkeypatch.setattr(schubert, "GIAMBELLI_MAX_TERMS", size - 1)
+            cold = SchubertCalc(ct)
+            with pytest.raises(OutOfRangeError, match=f"reaches degree {t} "):
+                cold._giambelli_unscaled(cold.group.element_from_word(word))
+            monkeypatch.setattr(schubert, "GIAMBELLI_MAX_TERMS", size)
+            cold._giambelli_unscaled(cold.group.element_from_word(word))
+
+    def test_refused_before_any_divided_difference(self):
+        calc = SchubertCalc(cartan_type("B", 7))
+        calc.divided_difference = None  # any Delta_i would raise TypeError
+        w = word(calc, "121321432154321654321")
+        with pytest.raises(OutOfRangeError, match="reaches degree 27 in 7 variables"):
+            calc.giambelli_poly(w)
+        assert not calc._gtable
+
+    def test_a_warm_engine_still_sizes_the_whole_walk(self):
+        # the walk of s_7 leaves a factored value on an element of length
+        # 26; expanding it is itself a degree-26 product, over the cap
+        calc = SchubertCalc(cartan_type("B", 7))
+        assert str(calc.giambelli_poly(word(calc, "7"))) == "w7"
+        (high,) = [v for v, (roots, _) in calc._gtable.items() if v.length == 26]
+        assert calc._gtable[high][0]
+        calc.divided_difference = None
+        with pytest.raises(OutOfRangeError, match="reaches degree 26 in 7 variables"):
+            calc.giambelli_poly(high)
+
+
 class TestParabolicStart:
     """The Giambelli descent from w0 w_{0,J} against the full descent."""
 
@@ -893,7 +969,7 @@ class TestParabolicStart:
         checked = 0
         for k in range(g.longest_length + 1):
             for w in g.elements_of_length(k):
-                if bin(full & ~g.left_descents(w.perm)).count("1") != 1:
+                if bin(full & ~left_descents(g, w.perm)).count("1") != 1:
                     continue
                 cold = SchubertCalc(ct)
                 seen = recording_tops(cold)

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from operator import mul
@@ -8,7 +9,7 @@ from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
 from flagcalc.weylgroup import WeylElement, WeylGroup
 
-from conftest import reduced_words, word
+from conftest import left_descents, reduced_words, word
 
 
 def test_simple_reflection_action(calc_g2):
@@ -205,6 +206,99 @@ def test_enumerated_words_match_greedy_words(family, rank):
         assert w.word == _greedy_word(g, w.matrix)
         assert w.length == len(w.word)
         assert g._lexmin_word(w.perm) == w.word
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_lazy_words_match_the_enumerated_words(family, rank):
+    # every element interned by right_id steps or cover scans, none by
+    # enumeration; each word is computed from the permutation when read
+    cold, warm = _fresh_group(family, rank), _fresh_group(family, rank)
+    todo, seen = [cold.identity], {cold.identity.id}
+    while todo:
+        w = todo.pop()
+        if w.length % 2:
+            cold.cover_ids(w)
+        for i in range(1, cold.rank + 1):
+            j = cold.right_id(w.id, i)
+            if j not in seen:
+                seen.add(j)
+                todo.append(cold._by_id[j])
+    assert len(cold._levels) == 1 and len(cold._by_id) == cold.order()
+    assert [w for w in cold._by_id if w._word is not None] == [cold.identity]
+    enumerated = {w.perm: w for w in _enumerate(warm)}
+    for w in cold._by_id:
+        want = enumerated[w.perm]
+        assert (w.word, w.length, w.descents) == (want.word, want.length, want.descents)
+        assert len(w.word) == w.length
+    words = [w.word for w in cold._by_id]
+    assert [w.word for w in _enumerate(cold)] == [w.word for w in _enumerate(warm)]
+    assert [w.word for w in cold._by_id] == words
+
+
+def test_elements_hold_no_reference_to_their_group():
+    g = _fresh_group("F4", None)
+    w = g.element_from_word([1, 2, 3, 4])
+    g.cover_ids(w)
+    reachable, todo = set(), [w]
+    while todo:
+        o = todo.pop()
+        if id(o) not in reachable:
+            reachable.add(id(o))
+            todo.extend(gc.get_referents(o))
+    assert id(g) not in reachable
+    assert not {id(v) for v in g._by_id} - {id(w)} & reachable
+
+
+def _ascent_by_candidates(g, w):
+    """The walk up from w on the right by the smallest s_i after which the
+    left descent set is still that of w, each candidate interned and its
+    descents counted, as a reference."""
+    d = left_descents(g, w.perm)
+    letters = []
+    while True:
+        for i in range(1, g.rank + 1):
+            if not g.descends(w, i):
+                up = g.times_simple(w, i)
+                if left_descents(g, up.perm) == d:
+                    break
+        else:
+            return letters, w
+        letters.append(i)
+        w = up
+
+
+@pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
+def test_parabolic_ascent_reads_permutations_only(family, rank):
+    warm, cold = _fresh_group(family, rank), _fresh_group(family, rank)
+    w0 = warm.longest_element()
+    for w in _enumerate(warm):
+        letters, top = _ascent_by_candidates(warm, w)
+        before = len(cold._by_id)
+        got, x = cold.parabolic_ascent(cold.element_from_word(w.word))
+        assert len(cold._by_id) <= before + w.length + 1
+        assert got == letters and x.word == top.word and x.length == top.length
+        # x = w_{0,K} w0 with K the simple indices outside the left descents
+        # D of w: x keeps D, and w0 x^-1 = w_{0,K} has right descents K
+        d = left_descents(warm, w.perm)
+        assert left_descents(warm, top.perm) == d
+        assert warm.compose(w0, warm.inverse(top)).descents == (1 << warm.rank) - 1 & ~d
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5), ("F4", None)])
+def test_inverse_interns_at_most_one_element(family, rank):
+    g, warm = _fresh_group(family, rank), _fresh_group(family, rank)
+    enumerated = {w.perm: w for w in _enumerate(warm)}
+    rng = random.Random(5)
+    for _ in range(40):
+        w = g.element_from_word([rng.randint(1, g.rank) for _ in range(rng.randint(0, 30))])
+        before = len(g._by_id)
+        inv = g.inverse(w)
+        assert len(g._by_id) <= before + 1
+        assert g.compose(w, inv) is g.identity and inv.length == w.length
+        assert enumerated[inv.perm] is warm.element_from_word(reversed(w.word))
+        assert inv.word == enumerated[inv.perm].word
+        before = len(g._by_id)
+        assert g.inverse(inv) is w and len(g._by_id) == before
 
 
 @pytest.mark.parametrize("family,rank", WHOLE_GROUPS)
