@@ -352,10 +352,11 @@ class SchubertCalc:
         path = []
         cur = w
         for i in letters:
+            if cur in memo:
+                break
             path.append((cur, i))
             cur = group.times_simple(cur, i)
-        k = next((k for k, (v, _) in enumerate(path) if v in memo), len(path))
-        for v, i in reversed(path[:k]):
+        for v, i in reversed(path):
             memo[v] = self._descend(i, memo[group.times_simple(v, i)])
         roots, g = memo[w]
         if roots:
