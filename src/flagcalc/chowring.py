@@ -468,17 +468,24 @@ def presentation_strata(pres: ChowPresentation, max_codim: int) -> GradedAbelian
 # ---------------------------------------------------------------------------
 
 
+def chow_engine(family: str, rank, max_codim) -> SchubertCalc:
+    """The engine of a Chow ring run, once its inputs are checked: max_codim
+    is None for the default limit, or a codimension in [1, N]; anything else
+    raises OutOfRangeError, and a bad family or rank UnsupportedRankError."""
+    calc = calculus_for(cartan_type(family, rank))
+    if max_codim is not None:
+        _check_max_codim(calc, max_codim)
+    return calc
+
+
 def _chow_setup(family: str, rank, variant, max_codim):
     """Engine and one (presentation, computation, limit) per group form.
 
     variant=None means both forms for B/D and the simply connected one for
-    G2/F4.  max_codim is None for the default limit, or a codimension in
-    [1, N]; anything else raises OutOfRangeError before any check runs.
+    G2/F4.  The inputs are checked by ``chow_engine`` before any check runs.
     """
-    ct = cartan_type(family, rank)
-    calc = calculus_for(ct)
-    if max_codim is not None:
-        _check_max_codim(calc, max_codim)
+    calc = chow_engine(family, rank, max_codim)
+    ct = calc.cartan_type
     n_pos = calc.group.longest_length
     if variant:
         variants = (variant,)

@@ -146,15 +146,20 @@ def _cmd_verify(args) -> int:
     families = (
         ["B", "D", "G2", "F4"] if args.type == "all" else args.type.split(",")
     )
-    reports = []
+    suites = []  # (family, its Chow ranks); every input is checked before any suite runs
     for fam in families:
-        reports.append(presentations.verify_presentations(fam, args.rank))
+        presentations.presentation_types(fam, args.rank)
         if fam in ("G2", "F4"):
-            reports.append(chowring.verify_chow(fam, None, None, args.max_codim))
+            ranks = [None]
         else:
             ranks = [args.rank] if args.rank else ([3, 4, 5] if fam == "B" else [4, 5])
-            for r in ranks:
-                reports.append(chowring.verify_chow(fam, r, None, args.max_codim))
+        for r in ranks:
+            chowring.chow_engine(fam, r, args.max_codim)
+        suites.append((fam, ranks))
+    reports = []
+    for fam, ranks in suites:
+        reports.append(presentations.verify_presentations(fam, args.rank))
+        reports += [chowring.verify_chow(fam, r, None, args.max_codim) for r in ranks]
     all_passed = all(r.all_passed for r in reports)
     if args.format == "json":
         print(_json_dumps({"all_passed": all_passed,

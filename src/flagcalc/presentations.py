@@ -674,23 +674,30 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
         report.check(f"quadratic relation at gamma_{2 * k}", lambda: quadratic(k))
 
 
-def verify_presentations(family: str, rank: int | None = None) -> VerificationReport:
-    """Recompute and compare every recorded identity for one family.
-
-    For B and D a missing rank runs the default sweep (B: 2..5, D: 4..5).
-    """
+def presentation_types(family: str, rank: int | None = None) -> list:
+    """The Cartan types that ``verify_presentations`` checks, in order; for
+    B and D a missing rank is the default sweep (B: 2..5, D: 4..5).  A bad
+    family or rank raises UnsupportedRankError."""
     if family in ("G2", "F4"):
-        ct = cartan_type(family)
-        report = VerificationReport(f"{ct.name} presentation checks", [])
-        _verify_exceptional(calculus_for(ct), report)
-        return report
+        return [cartan_type(family)]
     ranks = [rank] if rank is not None else ([2, 3, 4, 5] if family == "B" else [4, 5])
+    return [cartan_type(family, r) for r in ranks]
+
+
+def verify_presentations(family: str, rank: int | None = None) -> VerificationReport:
+    """Recompute and compare every recorded identity for one family, over
+    ``presentation_types``."""
+    types = presentation_types(family, rank)
+    if family in ("G2", "F4"):
+        report = VerificationReport(f"{types[0].name} presentation checks", [])
+        _verify_exceptional(calculus_for(types[0]), report)
+        return report
     report = VerificationReport(
-        f"{family}-series presentation checks (ranks {ranks})", []
+        f"{family}-series presentation checks (ranks {[ct.rank for ct in types]})", []
     )
-    for r in ranks:
+    for ct in types:
         sub = VerificationReport("", [])
-        _verify_bd(calculus_for(cartan_type(family, r)), sub)
+        _verify_bd(calculus_for(ct), sub)
         for c in sub.checks:
-            report.add(f"{family}{r}: {c.name}", c.expected, c.got)
+            report.add(f"{ct.name}: {c.name}", c.expected, c.got)
     return report

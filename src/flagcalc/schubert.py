@@ -6,19 +6,18 @@ the (immutable) root datum and Weyl group together with its memo caches:
 
 * per-variable tables for the divided difference kernel, the packed rows
   Delta_i(w_i^k) that ``Polynomial.replace_powers`` reads;
-* the table of |W|-scaled Giambelli representatives, each in factored
-  form: a set of positive roots times a polynomial part; only
-  ``giambelli_poly`` reads it.  Each descent starts at the highest element
-  it needs, x = w0 w_{0,J}, whose value is the product of the positive
-  roots outside the parabolic subsystem Phi_J times the constant |W_J|.
-  The fewer left descents an element has, the lower x and the shorter that
-  product.  The roots are kept as a frozenset of root indices; a step
-  Delta_i multiplies into the polynomial part only the roots that s_i
-  moves out of the set, and a value asked for is expanded once and stored
-  back expanded, with the empty set.  A descent whose polynomial part could
-  outgrow GIAMBELLI_MAX_TERMS is refused before its first step;
 * the pairings (beta^vee | lam) with the positive roots, one tuple per
   weight lam, for the Chevalley rule in products and in the Chow rings.
+
+A Giambelli representative keeps nothing on the engine: each call is one
+walk.  It starts at the highest element it needs, x = w0 w_{0,J}, whose
+|W|-scaled value is the product of the positive roots outside the parabolic
+subsystem Phi_J times the constant |W_J|.  The fewer left descents an
+element has, the lower x and the shorter that product.  The value stays
+factored on the way down, a set of positive roots times a polynomial part,
+and a step Delta_i multiplies into the polynomial part only the roots that
+s_i moves out of the set.  A descent whose polynomial part could outgrow
+GIAMBELLI_MAX_TERMS is refused before its first step.
 
 A Schubert expansion of f walks the support of Delta_w f, the w of length
 up to deg f where it is nonzero, and enumerates no stratum.  Values are keyed
@@ -162,7 +161,6 @@ class SchubertCalc:
         self.rank = self.datum.rank
         self.weyl_order = self.group.order()
         self._dd_tables: dict = {}
-        self._gtable: dict = {}  # element -> factored unscaled Giambelli value
         self._pairings: dict = {}  # tuple(lam) -> root_pairings(lam)
 
     # -- divided differences -------------------------------------------------
@@ -335,59 +333,47 @@ class SchubertCalc:
         outside Phi_J is W_J-invariant and Delta_{w_{0,J}} of the product of
         Phi_J^+ is |W_J|, so the value at x is |W_J| times the product of the
         positive roots outside Phi_J.  One divided difference per step leads
-        back down to w, on the factored value (see ``_descend``), from the
-        lowest value on the way that is memoized.  It is expanded once here
-        and stored back.  Before any step or any element of the path is
-        interned, the whole descent from x is sized by ``_check_size``.
-        """
-        memo = self._gtable
-        got = memo.get(w)
-        if got is not None and not got[0]:
-            return got[1]
-        group = self.group
-        letters, top = group.parabolic_ascent(w)
-        state = self._parabolic_top(top)
-        self._check_size(w, letters, state[0])
-        memo.setdefault(top, state)
-        path = []
-        cur = w
-        for i in letters:
-            if cur in memo:
-                break
-            path.append((cur, i))
-            cur = group.times_simple(cur, i)
-        for v, i in reversed(path):
-            memo[v] = self._descend(i, memo[group.times_simple(v, i)])
-        roots, g = memo[w]
-        if roots:
-            g = self._expand_roots(roots, g)
-            memo[w] = (frozenset(), g)
-        return g
+        back down to w, on a factored value: a set of positive roots times a
+        polynomial part.
 
-    def _check_size(self, w: WeylElement, letters: list, roots: frozenset) -> None:
-        """Raise OutOfRangeError when the descent from the top roots down
-        along the letters to w could hold more than GIAMBELLI_MAX_TERMS terms.
+        s_i permutes the positive roots other than alpha_i and negates
+        alpha_i, so the roots beta whose image s_i beta is in the set too
+        (s_i beta = beta, or a pair {beta, s_i beta}) have an s_i-invariant
+        product f, and Delta_i(f h) = f Delta_i(h) by the Leibniz rule.  A
+        step multiplies into the polynomial part only the other roots, the
+        ones s_i moves out of the set, before Delta_i is applied.  The top
+        holds each root once and a step only drops roots, so a set is
+        enough; -alpha_i has an index of N or more and is never in it.
 
-        The roots are followed as ``_descend`` follows them, without any
-        polynomial: the part multiplied in at a step has the degree of the
-        part so far plus the moved roots, and a divided difference lowers it
-        by one.  The value at w is expanded at degree l(w).
+        One pass over the root sets alone, with no polynomial, records the
+        moved roots of every step and the highest degree t the polynomial
+        part reaches: the part multiplied in at a step has the degree of the
+        part so far plus the moved roots, a divided difference lowers it by
+        one, and the value at w is expanded at degree l(w).  The descent is
+        refused before any Delta_i when C(t + r - 1, r - 1), the monomials of
+        degree t in r variables, exceeds GIAMBELLI_MAX_TERMS.  Nothing is
+        kept on the engine but the Delta_i tables and the interned top.
         """
+        letters, top = self.group.parabolic_ascent(w)
+        roots, g = self._parabolic_top(top)
         image = self.datum.simple_reflections
-        t = degree = 0
+        steps, t, degree = [], w.length, 0
         for i in reversed(letters):
             s = image[i - 1]
-            kept = {b for b in roots if s[b] in roots}
-            t = max(t, degree + len(roots) - len(kept))
-            degree += len(roots) - len(kept) - 1
-            roots = kept
-        t = max(t, w.length)
+            moved = {b for b in roots if s[b] not in roots}
+            t = max(t, degree + len(moved))
+            degree += len(moved) - 1
+            roots = roots - moved
+            steps.append((i, moved))
         size = comb(t + self.rank - 1, self.rank - 1)
         if size > GIAMBELLI_MAX_TERMS:
             raise OutOfRangeError(
                 f"Giambelli of Z_{w} reaches degree {t} in {self.rank} variables, up to"
                 f" {size:,} terms; at most {GIAMBELLI_MAX_TERMS:,} are supported"
             )
+        for i, moved in steps:
+            g = self.divided_difference(i, self._expand_roots(moved, g))
+        return self._expand_roots(roots, g)
 
     def _parabolic_top(self, x: WeylElement) -> tuple:
         """The factored unscaled Giambelli value at x = w0 w_{0,J}, J the
@@ -400,23 +386,6 @@ class SchubertCalc:
             else:
                 inside.append(r)
         return frozenset(roots), Polynomial.constant(self.rank, weyl_order(inside))
-
-    def _descend(self, i: int, state: tuple) -> tuple:
-        """Delta_i of a factored value (roots, g), the product of the positive
-        roots in the set times g.
-
-        s_i permutes the positive roots other than alpha_i and negates
-        alpha_i, so the roots beta whose image s_i beta is in the set too
-        (s_i beta = beta, or a pair {beta, s_i beta}) have an s_i-invariant
-        product f, and Delta_i(f h) = f Delta_i(h) by the Leibniz rule.  Only
-        the other roots are multiplied into g before Delta_i is applied.  The
-        top holds each root once and a step only drops roots, so a set is
-        enough; -alpha_i has an index of N or more and is never in it.
-        """
-        roots, g = state
-        image = self.datum.simple_reflections[i - 1]
-        moved = {b for b in roots if image[b] not in roots}
-        return roots - moved, self.divided_difference(i, self._expand_roots(moved, g))
 
     def _expand_roots(self, roots, g: Polynomial) -> Polynomial:
         """g times the product of the positive roots in the set, in increasing

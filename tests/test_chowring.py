@@ -599,20 +599,21 @@ class TestForeignClasses:
 
 
 def _warmed(ct):
-    """A fresh engine whose covers were cached by products before enumeration."""
+    """A fresh engine whose covers were cached before enumeration: by a
+    product, and then on every element, by a depth-first sweep of the covers
+    from the identity."""
     calc = SchubertCalc(ct)
     g, n = calc.group, calc.rank
     gens = sum((calc.indicator(g.simple_reflection(i)) for i in range(2, n + 1)),
                calc.indicator(g.simple_reflection(1)))
     calc.pow_expansion(gens, 4)
-    top = []  # a reduced word of w0, by right ascents, without enumeration
-    w = g.identity
-    while w.descents != (1 << n) - 1:
-        top.append(next(i for i in range(1, n + 1) if not g.descends(w, i)))
-        w = g.times_simple(w, top[-1])
-    half = len(top) // 2
-    calc.structure_constants(g.element_from_word(top[:half - 1]),
-                             g.element_from_word(top[half:]))
+    seen, todo = {g.identity}, [g.identity]
+    while todo:
+        for v, _ in g.covers(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    assert len(seen) == calc.weyl_order
     assert len(g._levels) == 1  # no stratum was enumerated
     return calc
 

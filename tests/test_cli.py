@@ -384,6 +384,31 @@ class TestVerifyExitCodes:
         payload = json.loads(out)
         assert payload["all_passed"] is True
 
+    @pytest.mark.parametrize("family,rank,n_pos", [("B", 14, 196), ("B", 12, 144)])
+    def test_bad_max_codim_exits_2_before_any_suite(self, capsys, family, rank, n_pos):
+        # the presentation suites alone take 15 s on B14 and 2.5 s on B12
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--type", family, "--rank", str(rank), "--max-codim", "999"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: max_codim 999 is outside 1..{n_pos}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--type", "B", "--rank", "0", "--max-codim", "999"), "type B requires rank >= 2"),
+            (("--type", "B,X", "--max-codim", "999"), "max_codim 999 is outside 1..9"),
+            (("--type", "X,B", "--max-codim", "999"), "unknown family 'X'"),
+        ],
+    )
+    def test_the_first_bad_input_names_the_error(self, capsys, argv, message):
+        # the inputs are checked in the order the suites would run
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_comma_list_of_types(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--type", "B,G2", "--rank", "2", "--format", "json"

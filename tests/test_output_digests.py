@@ -12,7 +12,8 @@ lex-min word order of a middle stratum, the order that ``pos`` indexes.  The
 ``giambelli`` outputs pin representatives whose descents start at different
 parabolic tops w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the
 descents of the B6 and D6 words of lengths 15 and 11 start from the products
-of 35 of the 36 and 28 of the 30 positive roots.  The ``structconst`` output
+of 35 of the 36 and 28 of the 30 positive roots, and the D7 Coxeter element
+1234567 is a rank-7 descent.  The ``structconst`` output
 pins a product of two length-9 classes of B6, in the 3,210-element middle
 stratum.  The ``expand`` outputs pin whole Schubert expansions of powers of
 the sum of the fundamental weights, in F4 and B5, in their printed order.
@@ -96,6 +97,10 @@ DIGESTS = [
     (
         ("giambelli", "--type", "D", "--rank", "6", "--word", "12132143215"),
         "849b4c49c8e4925575fc8ffef7d94b799fc7b6eac7dd81855b115eb919fa7598",
+    ),
+    (
+        ("giambelli", "--type", "D", "--rank", "7", "--word", "1234567"),
+        "c933950046eeeb73df9cd792935e363c60b27aeb5a8fc9f08338b4e198fa618a",
     ),
     (
         ("structconst", "--type", "B", "--rank", "6", "--u", "121321432", "--v", "654365465"),

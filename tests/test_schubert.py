@@ -345,6 +345,20 @@ def recording_tops(calc) -> dict:
     return seen
 
 
+def recording_ascents(calc) -> list:
+    """The elements whose Giambelli descent started on calc, in call order:
+    every descent starts with the walk up, ``parabolic_ascent``."""
+    seen = []
+    ascent = calc.group.parabolic_ascent
+
+    def recorded(w):
+        seen.append(w)
+        return ascent(w)
+
+    calc.group.parabolic_ascent = recorded
+    return seen
+
+
 def parabolic_longest(g, mask: int):
     """w_{0,J} for J the simple indices in the bit mask, by ascents within J."""
     w = g.identity
@@ -864,7 +878,21 @@ class TestGiambelli:
         assert p.coefficient((11, 4, 0, 0, 0, 0)) == Fraction(1, 12)
         assert min(p.terms.values()) == Fraction(-88, 3)
         assert max(p.terms.values()) == Fraction(1712, 45)
-        assert calc._gtable[w] == (frozenset(), p.scale(calc.weyl_order))
+
+    def test_b6_length_15_class_leaves_only_the_delta_tables(self):
+        # the descent from the product of 35 roots keeps no value on the
+        # engine, and interns no element of its path but the top
+        calc = SchubertCalc(cartan_type("B", 6))
+        g = calc.group
+        w = word(calc, "121321432154321")
+        before = dict(vars(calc))
+        sizes = {k: len(v) for k, v in before.items() if isinstance(v, dict)}
+        calc.giambelli_poly(w)
+        assert vars(calc) == before  # no attribute added or rebound
+        assert {k for k, n in sizes.items() if len(before[k]) != n} <= {"_dd_tables"}
+        prefixes = {g.element_from_word(w.word[:k]) for k in range(w.length + 1)}
+        _, top = g.parabolic_ascent(w)
+        assert set(g._by_id) <= prefixes | {top}
 
 
 class TestGiambelliSizeCap:
@@ -903,17 +931,21 @@ class TestGiambelliSizeCap:
         calc = SchubertCalc(cartan_type("B", 7))
         calc.divided_difference = None  # any Delta_i would raise TypeError
         w = word(calc, "121321432154321654321")
+        interned = len(calc.group._by_id)
         with pytest.raises(OutOfRangeError, match="reaches degree 27 in 7 variables"):
             calc.giambelli_poly(w)
-        assert not calc._gtable
+        assert len(calc.group._by_id) <= interned + 1  # the top, and no path
 
     def test_a_warm_engine_still_sizes_the_whole_walk(self):
-        # the walk of s_7 leaves a factored value on an element of length
-        # 26; expanding it is itself a degree-26 product, over the cap
+        # the walk of s_7 passes an element of length 26 whose own value, the
+        # descent from the same top, is a degree-26 polynomial, over the cap
         calc = SchubertCalc(cartan_type("B", 7))
-        assert str(calc.giambelli_poly(word(calc, "7"))) == "w7"
-        (high,) = [v for v, (roots, _) in calc._gtable.items() if v.length == 26]
-        assert calc._gtable[high][0]
+        g = calc.group
+        s7 = word(calc, "7")
+        assert str(calc.giambelli_poly(s7)) == "w7"
+        letters, _ = g.parabolic_ascent(s7)
+        high = g.element_from_word(s7.word + tuple(letters[:25]))
+        assert high.length == 26
         calc.divided_difference = None
         with pytest.raises(OutOfRangeError, match="reaches degree 26 in 7 variables"):
             calc.giambelli_poly(high)
@@ -936,9 +968,8 @@ class TestParabolicStart:
         for w in elements:
             got = calc._giambelli_unscaled(w)
             assert got == oracle(w), w
-            assert calc._gtable[w] == (frozenset(), got), w
-        # every subset of simple roots is a left descent set, and each seeds
-        # its top once
+        # every subset of simple roots is a left descent set, and so the top
+        # of some walk
         assert len(seen) == 2**calc.rank
         assert_tops_are_parabolic(calc, oracle, seen)
 
@@ -1023,6 +1054,7 @@ class TestStructureConstants:
 
     def test_degree_cap_is_checked_before_any_representative(self):
         calc = SchubertCalc(cartan_type("G2"))
+        started = recording_ascents(calc)
         z3 = calc.indicator(word(calc, "121"))
         for product in (
             lambda: calc.pow_expansion(z3, 3),
@@ -1031,7 +1063,7 @@ class TestStructureConstants:
         ):
             with pytest.raises(OutOfRangeError):
                 product()
-        assert calc._gtable == {}
+        assert not started
         assert_no_product_work(calc)
 
     def test_pow_expansion_small_exponents(self, calc_g2):
@@ -1179,25 +1211,27 @@ class TestChevalleyRouteAgainstTopDown:
         # product of the positive roots
         start = time.monotonic()
         calc = SchubertCalc(cartan_type("B", 6))
+        started = recording_ascents(calc)
         u, v = word(calc, "123"), word(calc, "654")
         got = calc.structure_constants(u, v)
         assert time.monotonic() - start < 10.0
         assert got.to_json_dict() == {"codim": 6, "coeffs": {"123654": 1, "126543": 1}}
         assert calc.structure_constants(v, u) == got
-        assert calc._gtable == {}
+        assert not started
 
     def test_b6_two_length_9_classes_cold(self):
         # 35 s through the dense class solver, which needs all the degree-9
         # monomial classes of B6
         start = time.monotonic()
         calc = SchubertCalc(cartan_type("B", 6))
+        started = recording_ascents(calc)
         u, v = word(calc, "121321432"), word(calc, "654365465")
         got = calc.structure_constants(u, v)
         assert time.monotonic() - start < 5.0
         assert got.codim == 18 and len(got.coeffs) == 35
         assert sum(got.coeffs.values()) == 37
         assert calc.structure_constants(v, u) == got
-        assert calc._gtable == {}
+        assert not started
 
     def test_b5_two_length_12_classes_cold(self):
         # 7 s through the dense class solver
@@ -1451,9 +1485,10 @@ class TestForeignElements:
         if covers_cached:
             b3.chevalley_product(1, w)
         calc = self.ENGINES[engine]()
+        started = recording_ascents(calc)
         with pytest.raises(ValueError, match="Z_13 is an element of another Weyl group"):
             self.CALLS[call](calc, w)
-        assert calc._gtable == {}
+        assert not started
 
 
 def greedy_independent(columns: list) -> list:
