@@ -251,12 +251,15 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
     Column (lam, y) holds the Chevalley rule lam * Z_y = sum (beta^vee | lam)
     Z_{y s_beta} over the covers of y; row v.pos is Z_v.  Columns run over y
     within lam; one pass over ``WeylGroup.lower_covers(k)`` fills them all.
-    Returns (number of rows, columns).
+    The lams run over the degree-2 lattice of the group form: the fundamental
+    weights for ``simply_connected``, the t-classes for
+    ``special_orthogonal``.  Returns (number of rows, columns).
     """
-    group = calc.group
+    group, d = calc.group, calc.datum
     rows = len(group.elements_of_length(k))
     m = len(group.elements_of_length(k - 1))
-    pairings = [calc.root_pairings(lam) for lam in calc.datum.degree2_lattice_basis(variant)]
+    lattice = d.fundamental_weights if variant == "simply_connected" else d.t_classes.values()
+    pairings = [calc.root_pairings(lam) for lam in lattice]
     nonzero = [  # per root beta: (j * m, (beta^vee | lam_j)) where that is nonzero
         [(j * m, x) for j, pairing in enumerate(pairings) if (x := pairing[b])]
         for b in range(group.longest_length)
@@ -323,10 +326,12 @@ class GradedAbelianGroup:
         return [{"codim": k, "factors": list(fs)} for k, fs in self.strata]
 
     def __str__(self):
-        def fmt(fs):
-            return " + ".join("Z" if f == 0 else f"Z/{f}" for f in fs)
+        return "; ".join(f"{k}: {factor_text(fs)}" for k, fs in self.strata) or "trivial"
 
-        return "; ".join(f"{k}: {fmt(fs)}" for k, fs in self.strata) or "trivial"
+
+def factor_text(factors) -> str:
+    """Invariant factors as a sum of cyclic groups: 0 is Z, d is Z/d."""
+    return " + ".join("Z" if f == 0 else f"Z/{f}" for f in factors)
 
 
 def _check_max_codim(calc: SchubertCalc, max_codim: int) -> None:
@@ -518,16 +523,15 @@ def verify_chow(
     the right order, and confirms each generator power vanishes exactly at its
     stated exponent and not before.
     """
-    ct, calc, runs = _chow_setup(family, rank, variant, max_codim)
+    ct, _, runs = _chow_setup(family, rank, variant, max_codim)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
     for pres, comp, limit in runs:
-        _check_variant(report, calc, pres, comp, limit)
+        _check_variant(report, pres, comp, limit)
     return report
 
 
 def _check_variant(
     report: VerificationReport,
-    calc: SchubertCalc,
     pres: ChowPresentation,
     comp: ChowComputation,
     limit: int,
@@ -537,6 +541,7 @@ def _check_variant(
     Returns the additive strata (a GradedAbelianGroup), or None when
     computing them raised.
     """
+    calc = comp.calc
     label = pres.group_name
     groups = report.check(
         f"{label}: additive strata (codim <= {limit})",
@@ -592,7 +597,7 @@ def chow_to_json(
     """JSON payload for the CLI: strata, presentation and check results."""
     ct, calc, [(pres, comp, limit)] = _chow_setup(family, rank, variant, max_codim)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
-    groups = _check_variant(report, calc, pres, comp, limit)
+    groups = _check_variant(report, pres, comp, limit)
     if groups is None:  # the strata check raised; raise its error here
         groups = chow_groups(calc, variant, limit, comp)
     return {

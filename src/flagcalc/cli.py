@@ -14,7 +14,7 @@ import sys
 from . import chowring, presentations
 from .errors import FlagcalcError, InvalidWordError
 from .exprparse import parse_polynomial
-from .rootdata import cartan_type
+from .rootdata import FAMILIES, cartan_type
 from .schubert import calculus_for
 
 _VARIANT = {"spin": "simply_connected", "so": "special_orthogonal"}
@@ -134,8 +134,7 @@ def _cmd_chow(args) -> int:
     else:
         print(f"A({payload['presentation']['group']})  [{payload['type']}]")
         for s in payload["strata"]:
-            fs = " + ".join("Z" if f == 0 else f"Z/{f}" for f in s["factors"])
-            print(f"  codim {s['codim']}: {fs}")
+            print(f"  codim {s['codim']}: {chowring.factor_text(s['factors'])}")
         bad = [c for c in payload["checks"] if not c["pass"]]
         print(f"checks: {len(payload['checks']) - len(bad)} passed, {len(bad)} failed")
     ok = all(c["pass"] for c in payload["checks"])
@@ -143,9 +142,7 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    families = (
-        ["B", "D", "G2", "F4"] if args.type == "all" else args.type.split(",")
-    )
+    families = FAMILIES if args.type == "all" else args.type.split(",")
     suites = []  # (family, its Chow ranks); every input is checked before any suite runs
     for fam in families:
         presentations.presentation_types(fam, args.rank)
@@ -180,7 +177,7 @@ _DESCRIPTION = (
 _REQUIRED = {"required": True}
 _FORMAT = ("--format", {"choices": ["table", "json"], "default": "table"})
 _COMMON = [
-    ("--type", {"required": True, "choices": ["B", "D", "G2", "F4"]}),
+    ("--type", {"required": True, "choices": FAMILIES}),
     ("--rank", {"type": int}),
     _FORMAT,
 ]

@@ -36,7 +36,7 @@ from operator import add
 
 from .errors import NotDivisibleByMultiplierError, OutOfRangeError
 from .polyring import Polynomial
-from .rootdata import CartanType, cartan_type, elem_sym_t
+from .rootdata import CartanType, build_root_datum, cartan_type, elem_sym_t
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
 from .weylgroup import word_str
 
@@ -197,37 +197,21 @@ class BorelPresentation:
 
 
 def borel_presentation(ct: CartanType) -> BorelPresentation:
-    n = ct.rank
+    ks = gamma_degrees(ct)
+    gens = tuple((s, 1) for s in build_root_datum(ct).t_classes) + tuple(
+        (f"g{k}", k) for k in ks
+    )
     if ct.family in ("B", "D"):
-        ks = gamma_degrees(ct)
-        gens = tuple((f"t{i}", 1) for i in range(1, n + 1)) + tuple(
-            (f"g{k}", k) for k in ks
-        )
+        n = ct.rank
         rels = (
             tuple((f"c{k} - 2*g{k}", k) for k in ks)
             + (((f"c{n}", n),) if ct.family == "D" else ())
             + tuple((f"quadratic g{2 * k}", 2 * k) for k in ks)
         )
-        return BorelPresentation(ct.name, gens, rels)
-    if ct.family == "G2":
-        return BorelPresentation(
-            "G2",
-            (("t1", 1), ("t2", 1), ("t3", 1), ("g3", 3)),
-            (("rho1", 1), ("rho2", 2), ("rho3", 3), ("rho6", 6)),
-        )
-    return BorelPresentation(
-        "F4",
-        (("t1", 1), ("t2", 1), ("t3", 1), ("t4", 1), ("t", 1), ("g3", 3), ("g4", 4)),
-        (
-            ("rho1", 1),
-            ("rho2", 2),
-            ("rho3", 3),
-            ("rho4", 4),
-            ("rho6", 6),
-            ("rho8", 8),
-            ("rho12", 12),
-        ),
-    )
+    else:
+        degrees = (1, 2, 3, 6) if ct.family == "G2" else (1, 2, 3, 4, 6, 8, 12)
+        rels = tuple((f"rho{k}", k) for k in degrees)
+    return BorelPresentation(ct.name, gens, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +364,10 @@ def gamma_word(ct: CartanType, k: int) -> tuple:
 
 def degree2_generator_images(calc: SchubertCalc) -> dict:
     """Expansion of every degree-2 generator in the Schubert basis."""
-    d = calc.datum
-    out = {}
-    for i in range(1, d.num_t_classes + 1):
-        out[f"t{i}"] = calc.schubert_expand(d.t_poly(i))
-    if d.extra_t is not None:
-        out["t"] = calc.schubert_expand(d.extra_t_poly())
-    return out
+    return {
+        sym: calc.schubert_expand(Polynomial.linear_form(t))
+        for sym, t in calc.datum.t_classes.items()
+    }
 
 
 def expected_degree2_table(ct: CartanType) -> dict:
@@ -413,12 +394,6 @@ def expected_degree2_table(ct: CartanType) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suites
 # ---------------------------------------------------------------------------
-
-
-def _t_symbol_weight(datum, symbol: str):
-    if symbol == "t":
-        return datum.extra_t
-    return datum.t_weight(int(symbol[1:]))
 
 
 class _Classes:
@@ -463,22 +438,18 @@ class _Classes:
 
 
 def _check_action_table(calc, report, table):
-    d = calc.datum
-    symbols = [f"t{i}" for i in range(1, d.num_t_classes + 1)]
-    if d.extra_t is not None:
-        symbols.append("t")
+    ts = calc.datum.t_classes
 
     def images(i, sym):
         combo = table.get((i, sym), {sym: 1})
         want = tuple(
-            sum(c * _t_symbol_weight(d, s2)[r] for s2, c in combo.items())
-            for r in range(calc.rank)
+            sum(c * ts[s2][r] for s2, c in combo.items()) for r in range(calc.rank)
         )
         s = calc.group.simple_reflection(i)
-        return want, calc.group.act(s, _t_symbol_weight(d, sym))
+        return want, calc.group.act(s, ts[sym])
 
     for i in range(1, calc.rank + 1):
-        for sym in symbols:
+        for sym in ts:
             report.check(f"action s{i}({sym})", lambda: images(i, sym))
 
 

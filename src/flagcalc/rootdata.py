@@ -11,9 +11,11 @@ Conventions (Bourbaki numbering throughout):
 
 Each type also carries its standard degree-2 classes t_1, ..., t_n (and the
 extra half-sum class t for F4) in weight coordinates, so that the classical
-torus descriptions are reproduced exactly.  For B and D they are derived from
-their partial sums t_1 + ... + t_k, which are fundamental weights up to the
-last one or two; for G2 and F4 they are listed.
+torus descriptions are reproduced exactly.  ``RootDatum.t_classes`` maps
+their names ``t1``, ..., ``tn`` (then ``t`` for F4) to their weights, in that
+order; it is the one place that names them.  For B and D they are derived
+from their partial sums t_1 + ... + t_k, which are fundamental weights up to
+the last one or two; for G2 and F4 they are listed.
 """
 
 from __future__ import annotations
@@ -173,6 +175,9 @@ class RootDatum:
         self.cartan_matrix = _cartan_matrix(ct.family, ct.rank)
         self.simple_length_sq = _simple_length_sq(ct.family, ct.rank)
         self.t_vectors, self.extra_t = _t_vectors(ct.family, ct.rank)
+        self.t_classes = {f"t{i}": t for i, t in enumerate(self.t_vectors, 1)}
+        if self.extra_t is not None:
+            self.t_classes["t"] = self.extra_t
         self.fundamental_weights = tuple(_unit(ct.rank, j) for j in range(ct.rank))
 
         self._close_roots()
@@ -278,13 +283,6 @@ class RootDatum:
     def num_t_classes(self) -> int:
         return len(self.t_vectors)
 
-    @property
-    def t_basis(self) -> tuple:
-        """All degree-2 t-classes, including the extra class t for F4."""
-        if self.extra_t is not None:
-            return self.t_vectors + (self.extra_t,)
-        return self.t_vectors
-
     def t_weight(self, i: int) -> Weight:
         """The class t_i (1-based) in weight coordinates."""
         if not 1 <= i <= self.num_t_classes:
@@ -298,18 +296,6 @@ class RootDatum:
         if self.extra_t is None:
             raise OutOfRangeError(f"type {self.cartan_type} has no extra class t")
         return Polynomial.linear_form(self.extra_t)
-
-    def degree2_lattice_basis(self, variant: str) -> tuple:
-        """Weight-coordinate basis of the degree-2 lattice for a group form.
-
-        ``simply_connected`` uses the fundamental weights, ``special_orthogonal``
-        the span of the t-classes.
-        """
-        if variant == "simply_connected":
-            return self.fundamental_weights
-        if variant == "special_orthogonal":
-            return self.t_basis
-        raise ValueError(f"unknown variant {variant!r}")
 
     def __repr__(self):
         return f"RootDatum({self.cartan_type})"

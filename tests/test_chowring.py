@@ -620,7 +620,9 @@ def _warmed(ct):
 
 @pytest.mark.parametrize("family,rank,variant", [
     ("G2", None, "simply_connected"),
+    ("G2", None, "special_orthogonal"),
     ("F4", None, "simply_connected"),
+    ("F4", None, "special_orthogonal"),
     ("B", 3, "simply_connected"),
     ("B", 3, "special_orthogonal"),
     ("D", 4, "simply_connected"),
@@ -632,8 +634,13 @@ def test_stratum_columns_are_chevalley_weights(family, rank, variant):
     # were cached by products before their strata were enumerated
     ct = cartan_type(family, rank)
     for calc in (SchubertCalc(ct), _warmed(ct)):
-        g = calc.group
-        basis = calc.datum.degree2_lattice_basis(variant)
+        g, d = calc.group, calc.datum
+        # the degree-2 lattice of the group form: every weight for Spin, G2
+        # and F4, only the span of the t-classes (F4's t among them) for SO
+        if variant == "simply_connected":
+            basis = [tuple(int(i == j) for i in range(d.rank)) for j in range(d.rank)]
+        else:
+            basis = list(d.t_vectors) + ([d.extra_t] if d.extra_t is not None else [])
         for k in range(1, g.longest_length + 1):
             rows, columns = _stratum_columns(calc, variant, k)
             lower = g.elements_of_length(k - 1)

@@ -7,8 +7,11 @@ ordering fails here.  ``verify --type all`` holds every check string, so it
 also pins the signed-sum text of polynomials and Schubert expansions.  The
 rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
 most pivots come from the unit phase, and the B10 one pins Schubert words
-with letters above 9, which are comma-separated.  The two ``basis`` outputs pin the
-lex-min word order of a middle stratum, the order that ``pos`` indexes.  The
+with letters above 9, which are comma-separated.  The G2 and F4 ``so``
+outputs pin the only Chow rings whose degree-2 lattice is spanned by the
+t-classes of an exceptional type, F4's extra class t among them.  The two
+``basis`` outputs pin the lex-min word order of a middle stratum, the order
+that ``pos`` indexes.  The
 ``giambelli`` outputs pin representatives whose descents start at different
 parabolic tops w0 w_{0,J}, in types B, D (where w0 is not -1) and F4; the
 descents of the B6 and D6 words of lengths 15 and 11 start from the products
@@ -53,6 +56,14 @@ DIGESTS = [
     (
         ("chow", "--type", "B", "--rank", "4", "--variant", "so"),
         "960baeaff070dce0208e1cd1e3a37d72f60a7bce80f967ed410196d12627c9cf",
+    ),
+    (
+        ("chow", "--type", "G2", "--variant", "so"),
+        "97da0e84725e6e03847192aedc7aeb9eb578e36c9091f651bb4c460704e3da8c",
+    ),
+    (
+        ("chow", "--type", "F4", "--variant", "so"),
+        "4033c0798a25d03878a27bbee9df7405103d3670cca26462f921b13c7843e8ae",
     ),
     (
         ("chow", "--type", "D", "--rank", "6"),

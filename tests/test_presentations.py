@@ -85,6 +85,15 @@ def test_gamma_degrees_agree_with_every_reader(ct):
     gens = borel_presentation(ct).generators
     assert tuple(c for s, c in gens if s.startswith("g")) == ks
     assert [s for s, _ in gens if s.startswith("g")] == [f"g{k}" for k in ks]
+    # the degree-1 generators, written out, are the t-classes of the root datum
+    t_names = {
+        "B": [f"t{i}" for i in range(1, n + 1)],
+        "D": [f"t{i}" for i in range(1, n + 1)],
+        "G2": ["t1", "t2", "t3"],
+        "F4": ["t1", "t2", "t3", "t4", "t"],
+    }[ct.family]
+    assert gens == tuple((s, 1) for s in t_names) + tuple((f"g{k}", k) for k in ks)
+    assert list(calculus_for(ct).datum.t_classes) == t_names
     for variant in VARIANTS:
         codims = tuple(g.codim for g in chow_presentation(ct, variant).generators)
         if ct.family in ("G2", "F4"):

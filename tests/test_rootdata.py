@@ -90,6 +90,8 @@ def test_cartan_matrix_columns_are_simple_roots():
 def test_t_basis_b3():
     d = build_root_datum(cartan_type("B", 3))
     assert d.t_vectors == ((1, 0, 0), (-1, 1, 0), (0, -1, 2))
+    assert list(d.t_classes) == ["t1", "t2", "t3"]
+    assert tuple(d.t_classes.values()) == d.t_vectors
 
 
 def test_t_basis_g2():
@@ -97,6 +99,8 @@ def test_t_basis_g2():
     assert d.t_weight(1) == (-1, 0)
     assert d.t_weight(2) == (-1, 1)
     assert d.t_weight(3) == (2, -1)
+    assert d.t_classes == {"t1": (-1, 0), "t2": (-1, 1), "t3": (2, -1)}
+    assert list(d.t_classes) == ["t1", "t2", "t3"]
 
 
 def test_t_basis_f4():
@@ -108,6 +112,8 @@ def test_t_basis_f4():
         (0, -1, 2, -1),
     )
     assert d.extra_t == (0, 0, 1, -2)
+    assert list(d.t_classes) == ["t1", "t2", "t3", "t4", "t"]
+    assert tuple(d.t_classes.values()) == d.t_vectors + (d.extra_t,)
     # t = c_1 / 2
     c1 = elem_sym_t(d, 1, 4)
     assert c1 == d.extra_t_poly() * 2
@@ -117,6 +123,9 @@ def test_t_basis_d5():
     d = build_root_datum(cartan_type("D", 5))
     assert d.t_weight(4) == (0, 0, -1, 1, 1)
     assert d.t_weight(5) == (0, 0, 0, -1, 1)
+    assert list(d.t_classes) == ["t1", "t2", "t3", "t4", "t5"]
+    assert tuple(d.t_classes.values()) == d.t_vectors
+    assert d.t_classes["t4"] == d.t_weight(4)
 
 
 def _t_vectors_by_loops(family, n):
