@@ -1,14 +1,20 @@
 """Chow rings of the complex algebraic groups behind the supported flag
-manifolds, computed as quotients by the degree-2-generated ideal.
+manifolds, computed as quotients by the degree-2-generated ideal
+(Grothendieck, 1958: A(G) is A(G/B) modulo the degree-2 classes).
 
-The ideal is generated in degree 2, so its codimension-k piece is spanned by
-the products lambda * Z_w over a basis of the degree-2 lattice and the basis
-classes of length k-1 (and is 0 for k = 0).  Each stratum of the quotient is
-the cokernel of a sparse integer matrix built by the Chevalley rule from the
-lower Bruhat covers of the stratum.  It is diagonalised in two phases:
-closed substitutions take the unit pivots, nearly every row, and a dense
-Smith step the few rows left; the pivots give the invariant factors.  All
-arithmetic stays in exact integers.
+Each stratum of the quotient is the cokernel of a sparse integer matrix,
+and the family picks where it is taken.  For G2 and F4 it is A(G/B): the
+codimension-k piece of the ideal is spanned by the products lambda * Z_w
+over a basis of the degree-2 lattice and the classes of length k-1, built
+by the Chevalley rule from the lower Bruhat covers of the stratum
+(``_stratum_columns``).  For B_n and D_n it is A(G/P), P the maximal
+parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
+Schubert classes are the rows, and the columns are c_i(S) * Z_mu, plus
+Z_{s_n} * Z_mu for Spin, from the engine's products (``_Grassmannian``).
+Codimension 0 holds nothing of the ideal.  A cokernel is diagonalised in
+two phases: closed substitutions take the unit pivots, nearly every row,
+and a dense Smith step the few rows left; the pivots give the invariant
+factors.  All arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -21,10 +27,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from weakref import WeakKeyDictionary
 
 from .errors import OutOfRangeError
 from .presentations import VerificationReport, gamma_degrees, gamma_word
-from .rootdata import CartanType, cartan_type
+from .rootdata import CartanType, cartan_type, elem_sym_t
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
 from .weylgroup import word_str
 
@@ -246,7 +253,8 @@ class CokernelStratum:
 
 
 def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
-    """Sparse columns (dicts row -> entry) of the codim-k ideal stratum.
+    """Sparse columns (dicts row -> entry) of the codim-k ideal stratum of
+    A(G/B): the route of G2 and F4, and the oracle of the B/D route.
 
     Column (lam, y) holds the Chevalley rule lam * Z_y = sum (beta^vee | lam)
     Z_{y s_beta} over the covers of y; row v.pos is Z_v.  Columns run over y
@@ -271,8 +279,88 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
     return rows, columns
 
 
+class _Grassmannian:
+    """The ideal strata of B_n and D_n on A(G/P), P = P_n the maximal
+    parabolic subgroup that leaves out alpha_n; one per engine, for both
+    group forms.
+
+    G/B is the complete flag bundle of the tautological rank-n bundle S on
+    G/P, so A(G/B) = A(G/P)[t_1..t_n] / (e_i(t) - c_i(S)) (Fulton's
+    flag-bundle formula).  The SO ideal (t_1, ..., t_n) thus leaves
+    A(G/P) / (c_1(S), ..., c_n(S)), and the Spin ideal adds omega_n =
+    Z_{s_n}.  A(G/P) has the basis Z_w, w with right descents in {n}: 2^n
+    classes for B_n, 2^(n-1) for D_n, walked from the identity by
+    ``WeylGroup.parabolic_layer`` and enumerating no stratum.
+
+    Stratum k has one row per class of length k, in ``sort_key`` order;
+    ``row`` maps an element id to it.  Its columns are c_i * Z_mu, with
+    c_i = e_i(t) expanded in the Schubert basis (computed, not taken from
+    the paper), and for Spin Z_{s_n} * Z_mu as well, each from the engine's
+    products.  The classes and columns are kept, keyed by generator and
+    codimension, so the second group form only adds its own.  Nothing here
+    refers to the engine, which ``_grassmannian`` keys it by.
+    """
+
+    def __init__(self, group):
+        self._levels = [(group.identity,)]
+        self.row = {group.identity.id: 0}  # element id -> its row in its stratum
+        self._generators: dict = {}  # i -> c_i (Z_{s_n} for 0), keyed by element id
+        self._columns: dict = {}  # (i, k) -> the columns of generator i in stratum k
+
+    def classes(self, group, k: int) -> tuple:
+        levels = self._levels
+        while len(levels) <= k:
+            layer = group.parabolic_layer(group.rank, levels[-1])
+            self.row.update((w.id, p) for p, w in enumerate(layer))
+            levels.append(layer)
+        return levels[k]
+
+    def stratum_columns(self, calc: SchubertCalc, variant: str, k: int):
+        """(number of rows, columns) of the codim-k stratum, as
+        ``_stratum_columns`` gives them for A(G/B)."""
+        rows = len(self.classes(calc.group, k))
+        if not rows:
+            return 0, []
+        gens = range(0 if variant == "simply_connected" else 1, min(calc.rank, k) + 1)
+        return rows, [col for i in gens for col in self._generator_columns(calc, i, k)]
+
+    def _generator_columns(self, calc: SchubertCalc, i: int, k: int) -> list:
+        got = self._columns.get((i, k))
+        if got is None:
+            g = self._generators.get(i)
+            if g is None:
+                if i:
+                    c = calc.schubert_expand(elem_sym_t(calc.datum, i, calc.rank))
+                    g = calc._ids(c.coeffs)
+                else:
+                    g = {calc.group.simple_reflection(calc.rank).id: 1}
+                self._generators[i] = g
+            row = self.row
+            got = self._columns[i, k] = [
+                {row[v]: c for v, c in calc._times(g, {mu.id: 1}).items()}
+                for mu in self.classes(calc.group, k - max(i, 1))
+            ]
+        return got
+
+
+_GRASSMANNIANS: WeakKeyDictionary = WeakKeyDictionary()  # engine -> its _Grassmannian
+
+
+def _grassmannian(calc: SchubertCalc) -> _Grassmannian:
+    """The B/D strata data of an engine, freed with the engine."""
+    got = _GRASSMANNIANS.get(calc)
+    if got is None:
+        got = _GRASSMANNIANS[calc] = _Grassmannian(calc.group)
+    return got
+
+
 class ChowComputation:
-    """Per-(type, variant) cache of stratum cokernels and class reductions."""
+    """Per-(type, variant) cache of stratum cokernels and class reductions.
+
+    The family picks the route: G2 and F4 take the strata of A(G/B) from
+    ``_stratum_columns``, B_n and D_n those of A(G/P) from the engine's
+    ``_Grassmannian``.
+    """
 
     def __init__(self, calc: SchubertCalc, variant: str):
         if variant not in VARIANTS:
@@ -280,24 +368,44 @@ class ChowComputation:
         self.calc = calc
         self.variant = variant
         self._strata: dict = {}
+        bd = calc.cartan_type.family in ("B", "D")
+        self._grassmannian = _grassmannian(calc) if bd else None
 
     def stratum(self, k: int) -> CokernelStratum:
-        """The cokernel of the ideal stratum in codimension k; row w.pos is Z_w."""
+        """The cokernel of the ideal stratum in codimension k; its rows are
+        the classes that ``vector_of`` reads."""
         got = self._strata.get(k)
         if got is None:
             if not 0 <= k <= self.calc.group.longest_length:
                 raise OutOfRangeError(f"codimension {k} out of range")
+            g = self._grassmannian
+            columns = _stratum_columns if g is None else g.stratum_columns
             # codimension 0 holds nothing of the ideal: Z, one row for Z_e
-            got = CokernelStratum(*_stratum_columns(self.calc, self.variant, k) if k else (1, []))
+            got = CokernelStratum(*columns(self.calc, self.variant, k) if k else (1, []))
             self._strata[k] = got
         return got
 
     def vector_of(self, x: SchubertExpansion) -> list:
-        """The coefficients of x at the rows w.pos of its stratum; ValueError
-        for an element that another group interned (see ``SchubertCalc._own``)."""
+        """The coefficients of x at the rows of its stratum: w.pos for G2 and
+        F4, the row of the class in A(G/P) for B_n and D_n.
+
+        ValueError for an element that another group interned (see
+        ``SchubertCalc._own``), and for a class outside A(G/P): a Z_w with a
+        right descent other than n.
+        """
         vec = [0] * self.stratum(x.codim).rows
+        row = None if self._grassmannian is None else self._grassmannian.row
         for w, c in x.coeffs.items():
-            vec[self.calc._own(w).pos] = c
+            w = self.calc._own(w)
+            if row is None:
+                vec[w.pos] = c
+            elif w.id in row:
+                vec[row[w.id]] = c
+            else:
+                n = self.calc.rank
+                raise ValueError(
+                    f"Z_{w} is outside A(G/P_{n}): it has a right descent other than {n}"
+                )
         return vec
 
     def classify(self, x: SchubertExpansion) -> tuple:

@@ -7,11 +7,12 @@ Grammar:
     factor := '-'* atom ('^' INT)*
     atom   := NUMBER | NAME | '(' expr ')'
     NUMBER := INT | INT '/' INT          (exact rational literal)
-    NAME   := 'w'<digits> | 't'<digits> | 't'
+    NAME   := 'w1' .. 'wl' | a name of RootDatum.t_classes
 
-Variables ``w1..wl`` are the fundamental-weight variables; ``t1..tn`` (and the
-bare ``t``, where the type defines it) are expanded into weight variables at
-parse time through the root datum.
+Variables ``w1..wl`` are the fundamental-weight variables; the t-classes
+``t1..tn`` (and the bare ``t``, where the type defines it) are expanded into
+weight variables at parse time through ``RootDatum.t_classes``.  A name is
+read as written: ``w01`` and ``t01`` are not variables.
 
 No class has degree above N, the number of positive roots, so a power or a
 product whose degree would pass N is rejected before it is computed.
@@ -74,6 +75,7 @@ class _Parser:
         self.depth = 0  # parentheses currently open
         self.datum = datum
         self.nvars = datum.rank
+        self.weight_vars = {f"w{i}": i - 1 for i in range(1, datum.rank + 1)}
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -177,25 +179,15 @@ class _Parser:
         raise ParseError(f"unexpected {what}")
 
     def variable(self, name: str) -> Polynomial:
-        if name == "t":
-            if self.datum.extra_t is None:
-                raise ParseError(
-                    f"variable 't' is not defined for type {self.datum.cartan_type}"
-                )
-            return self.datum.extra_t_poly()
-        m = re.fullmatch(r"([wt])(\d+)", name)
-        if not m:
-            raise ParseError(f"unknown variable {name!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        if kind == "w":
-            if not 1 <= idx <= self.nvars:
-                raise ParseError(f"variable {name!r} out of range (rank {self.nvars})")
-            return Polynomial.variable(self.nvars, idx - 1)
-        if not 1 <= idx <= self.datum.num_t_classes:
-            raise ParseError(
-                f"variable {name!r} out of range for type {self.datum.cartan_type}"
-            )
-        return self.datum.t_poly(idx)
+        """A fundamental-weight variable w1..wl, or a t-class by its name in
+        ``RootDatum.t_classes``; any other name is a ParseError."""
+        t = self.datum.t_classes.get(name)
+        if t is not None:
+            return Polynomial.linear_form(t)
+        i = self.weight_vars.get(name)
+        if i is None:
+            raise ParseError(f"unknown variable {name!r} for type {self.datum.cartan_type}")
+        return Polynomial.variable(self.nvars, i)
 
 
 def parse_polynomial(text: str, datum: RootDatum) -> Polynomial:

@@ -9,10 +9,10 @@ to root perm[r]; it is stored as ``bytes`` when 2N <= 256 (every rank up to
 lexicographically minimal reduced word; words use 1-based simple-root
 indices, matching the usual s_1, ..., s_l labels.  Enumeration sets the word
 of each element of a stratum it fills.  An element interned outside it (by
-``right_id``, a cover scan, ``root_reflection`` or ``inverse``) takes its
-length from the caller and computes its word from its own permutation the
-first time ``word`` or ``sort_key`` is read, so words that are never printed
-or sorted cost nothing.
+``right_id``, a cover scan, ``root_reflection``, ``inverse`` or
+``parabolic_layer``) takes its length from the caller and computes its word
+from its own permutation the first time ``word`` or ``sort_key`` is read, so
+words that are never printed or sorted cost nothing.
 
 Elements are interned per group, keyed by the images of the simple roots
 (rank entries, which determine the element), so equality is identity:
@@ -42,9 +42,12 @@ w s_beta missing from the intern table has its length counted from its
 permutation (the positive roots it sends to negative ones) and is interned
 only when it is a cover; a candidate several steps above w is dropped.  So
 high-rank groups are never enumerated just to find covers.  The Chow rings
-read the lower covers of a whole enumerated stratum instead, built from
-those of the stratum below by the lifting property (see ``lower_covers``)
-and kept flat, per stratum, on the group.
+of G2 and F4 read the lower covers of a whole enumerated stratum instead,
+built from those of the stratum below by the lifting property (see
+``lower_covers``) and kept flat, per stratum, on the group.  Those of B_n
+and D_n enumerate no stratum: they walk the minimal coset representatives
+of a maximal parabolic subgroup by left multiplication
+(``parabolic_layer``).
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -316,6 +319,32 @@ class WeylGroup:
                 return letters, self._element(perm, self._key_of(t), w.length + len(letters))
             letters.append(i + 1)
             perm = self._times[i](t)
+
+    def parabolic_layer(self, j: int, layer) -> tuple:
+        """The next layer of minimal coset representatives of W / W_J, J every
+        simple index but j: the w whose right descents lie in {j}.
+
+        layer holds the representatives of some length k; the result holds
+        those of length k + 1, in ``sort_key`` order.  Each is s_i w for some
+        w of layer, since s_i v is a representative for a left descent i of
+        one, v.  By Deodhar's lemma, for a left ascent i of w (w^{-1}(alpha_i)
+        positive), s_i w is a representative unless w^{-1}(alpha_i) is a
+        simple root alpha_m, m != j, and then s_i w = w s_m.  So one lookup in
+        w.perm tells which s_i w to take, and only those are interned, from
+        the permutation s_i after w.perm.
+        """
+        n_pos, alpha, pad = self._n_pos, self._alpha, self._pad
+        others = {a for m, a in enumerate(alpha, 1) if m != j}
+        left = self._lexmin_word._left
+        found = {}
+        for w in layer:
+            perm = w.perm
+            for i, a in enumerate(alpha):
+                r = perm.index(a)  # w^{-1}(alpha_i)
+                if r < n_pos and r not in others:
+                    p = left[i](perm)
+                    found[self._element(p, self._key_of(p + pad), w.length + 1)] = None
+        return tuple(sorted(found, key=WeylElement.sort_key))
 
     def act(self, w: WeylElement, lam: Weight) -> Weight:
         if len(lam) != self.rank:

@@ -1,4 +1,7 @@
+import gc
 import random
+import re
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -579,10 +582,12 @@ class TestIdealStrata:
 
 
 class TestForeignClasses:
-    """Classification reads the stratum row w.pos, so a class of another
-    group's elements is refused: one of another type (D4, whose Z_3 has a
-    row number that B3's stratum also has) and one of another B3 engine,
-    from a group enumerated to its length or cold (no row number)."""
+    """Classification reads the row of a class in its stratum (w.pos for G2
+    and F4, the row map of A(G/P) keyed by element id for B and D), so a
+    class of another group's elements is refused before its row is read:
+    one of another type (D4, whose Z_3 has an id and a row number that B3's
+    stratum also has) and one of another B3 engine, from a group enumerated
+    to its length or cold (no row number)."""
 
     @pytest.mark.parametrize("enumerated", [False, True])
     @pytest.mark.parametrize("family,rank", [("D", 4), ("B", 3)])
@@ -596,6 +601,101 @@ class TestForeignClasses:
         comp = ChowComputation(SchubertCalc(cartan_type("B", 3)), "special_orthogonal")
         with pytest.raises(ValueError, match="Z_3 is an element of another Weyl group"):
             getattr(comp, method)(other.indicator(w))
+
+
+class TestClassesOutsideAGP:
+    """For B and D the strata are those of A(G/P): a class with a right
+    descent other than n has no row, and is refused by name."""
+
+    @pytest.mark.parametrize("method", ["classify", "class_order", "is_zero_class"])
+    @pytest.mark.parametrize("family,rank,text", [("B", 3, "12"), ("D", 4, "1"), ("B", 3, "121")])
+    def test_raises_value_error(self, method, family, rank, text):
+        calc = SchubertCalc(cartan_type(family, rank))
+        comp = ChowComputation(calc, "special_orthogonal")
+        x = calc.indicator(word(calc, text))
+        message = f"Z_{text} is outside A(G/P_{rank}): it has a right descent other than {rank}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(comp, method)(x)
+
+
+def _grassmannian_rows(calc) -> list:
+    """The minimal coset representatives of W/W_J, J = {1..n-1}, by length,
+    filtered from the enumerated strata."""
+    g, rest = calc.group, ~(1 << (calc.rank - 1))
+    strata = [g.elements_of_length(k) for k in range(g.longest_length + 1)]
+    return [tuple(w for w in stratum if not w.descents & rest) for stratum in strata]
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("D", 4), ("D", 5), ("D", 6),
+])
+def test_grassmannian_route_matches_the_full_strata(family, rank):
+    # the A(G/P) strata against the A(G/B) ones of _stratum_columns, up to the
+    # default limit of each form: the same nontrivial invariant factors (the
+    # row counts differ, and so do the unit factors), the same order for each
+    # generator class and the same answer to each power check
+    _, _, runs = chowring._chow_setup(family, rank, None, None)
+    calc = SchubertCalc(cartan_type(family, rank))
+    g, n = calc.group, rank
+    want_rows = _grassmannian_rows(calc)
+    assert sum(map(len, want_rows)) == 2 ** (n if family == "B" else n - 1)
+    full: dict = {}  # (variant, k) -> the A(G/B) cokernel
+
+    def old(variant, k):
+        if (variant, k) not in full:
+            shape = _stratum_columns(calc, variant, k) if k else (1, [])
+            full[variant, k] = CokernelStratum(*shape)
+        return full[variant, k]
+
+    def old_class(variant, x):
+        ref = old(variant, x.codim)
+        vec = [0] * ref.rows
+        for w, c in x.coeffs.items():
+            vec[w.pos] = c
+        return ref, vec
+
+    for pres, shared, limit in runs:
+        variant = shared.variant
+        comp = ChowComputation(calc, variant)
+        for k in range(limit + 1):
+            new, ref = comp.stratum(k), old(variant, k)
+            assert new.rows == len(want_rows[k])
+            assert [d for d in new.invariant_factors if d != 1] == [
+                d for d in ref.invariant_factors if d != 1
+            ], (variant, k)
+            assert (new.torsion, new.free_rank) == (ref.torsion, ref.free_rank), (variant, k)
+        for gen in pres.generators:
+            z = calc.indicator(g.element_from_word(gen.schubert_word))
+            ref, vec = old_class(variant, z)
+            assert comp.class_order(z) == ref.class_order(vec) == gen.torsion
+            power = z
+            for e in range(2, gen.power + 1):
+                if e * gen.codim > limit:
+                    break
+                power = calc.mul_expansions(power, z)
+                ref, vec = old_class(variant, power)
+                assert comp.is_zero_class(power) == ref.is_zero_class(vec) == (e >= gen.power)
+                assert comp.class_order(power) == ref.class_order(vec)
+    grass = chowring._grassmannian(calc)
+    for k, want in enumerate(want_rows):
+        assert grass.classes(g, k) == want  # the same elements, in sort_key order
+        for p, w in enumerate(want):
+            assert grass.row[w.id] == p
+
+
+def test_grassmannian_data_dies_with_its_engine():
+    # the classes, c_i and columns of A(G/P) live as long as the engine: once
+    # calculus_for forgets it, nothing keeps them
+    calculus_for.cache_clear()
+    calc = calculus_for(cartan_type("D", 5))
+    assert verify_chow("D", 5).all_passed
+    data = chowring._grassmannian(calc)
+    assert data._columns and data._generators
+    ref = weakref.ref(data)
+    del calc, data
+    calculus_for.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def _warmed(ct):

@@ -82,6 +82,45 @@ class TestExpand:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "family,rank,name",
+        [
+            ("B", "3", "t01"),
+            ("B", "3", "w01"),
+            ("B", "3", "w4"),
+            ("B", "3", "t4"),
+            ("B", "3", "t"),
+            ("G2", None, "t4"),
+            ("B", "3", "w" + "1" * 5000),
+        ],
+        ids=[
+            "t01", "w01", "w-above-rank", "t-above-count", "bare-t-on-B", "t4-on-G2",
+            "w-5000-digits",
+        ],
+    )
+    def test_names_outside_the_variables_exit_2(self, capsys, family, rank, name):
+        # a name is read as written, against w1..wl and RootDatum.t_classes
+        argv = ["expand", "--type", family] + (["--rank", rank] if rank else [])
+        code, out, err = run(capsys, *argv, "--expr", name)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown variable '{name[:20]}")
+
+    @pytest.mark.parametrize(
+        "family,rank,expr,want",
+        [
+            ("B", "3", "t1", "Z_1"),
+            ("B", "3", "w3", "Z_3"),
+            ("B", "12", "t12", "-Z_11, + 2*Z_12,"),
+            ("F4", None, "t", "Z_3 - 2*Z_4"),
+            ("G2", None, "t3", "2*Z_1 - Z_2"),
+        ],
+    )
+    def test_every_variable_name_reads(self, capsys, family, rank, expr, want):
+        argv = ["expand", "--type", family] + (["--rank", rank] if rank else [])
+        code, out, _ = run(capsys, *argv, "--expr", expr)
+        assert code == 0
+        assert out.strip() == want
+
     def test_non_integral_exits_2(self, capsys):
         code, _, err = run(capsys, "expand", "--type", "G2", "--expr", "1/2*w1")
         assert code == 2

@@ -7,7 +7,7 @@ import pytest
 
 from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
-from flagcalc.weylgroup import WeylElement, WeylGroup
+from flagcalc.weylgroup import WeylElement, WeylGroup, weyl_order
 
 from conftest import left_descents, reduced_words, word
 
@@ -433,6 +433,29 @@ def _closed_order(family, rank):
 )
 def test_order_from_root_heights_matches_closed_formulas(family, rank):
     assert _fresh_group(family, rank).order() == _closed_order(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", [("G2", None), ("B", 4), ("D", 5), ("F4", None)])
+def test_parabolic_layers_are_the_minimal_coset_representatives(family, rank):
+    # for each j, the layers walked from the identity on a cold group are the
+    # w with right descents in {j}, in stratum order, |W| / |W_J| of them;
+    # the walk enumerates no stratum
+    for j in range(1, build_root_datum(cartan_type(family, rank)).rank + 1):
+        cold, warm = _fresh_group(family, rank), _fresh_group(family, rank)
+        rest = ~(1 << (j - 1))
+        layers = [(cold.identity,)]
+        while layers[-1]:
+            layers.append(cold.parabolic_layer(j, layers[-1]))
+        assert len(cold._levels) == 1
+        total = 0
+        for k in range(warm.longest_length + 1):
+            want = [w.word for w in warm.elements_of_length(k) if not w.descents & rest]
+            got = layers[k] if k < len(layers) else ()
+            assert [w.word for w in got] == want, (j, k)
+            assert all(w.length == k for w in got)
+            total += len(got)
+        levi = [r for r in cold.datum.positive_roots if not r.simple_coords[j - 1]]
+        assert total == cold.order() // weyl_order(levi)
 
 
 @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
