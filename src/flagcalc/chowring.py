@@ -10,7 +10,7 @@ by the Chevalley rule from the lower Bruhat covers of the stratum
 (``_stratum_columns``).  For B_n and D_n it is A(G/P), P the maximal
 parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
 Schubert classes are the rows, and the columns are c_i(S) * Z_mu, plus
-Z_{s_n} * Z_mu for Spin, from the engine's products (``_Grassmannian``).
+Z_{s_n} * Z_mu for Spin, from Chevalley steps alone (``_Grassmannian``).
 Codimension 0 holds nothing of the ideal.  A cokernel is diagonalised in
 two phases: closed substitutions take the unit pivots, nearly every row,
 and a dense Smith step the few rows left; the pivots give the invariant
@@ -31,7 +31,7 @@ from weakref import WeakKeyDictionary
 
 from .errors import OutOfRangeError
 from .presentations import VerificationReport, gamma_degrees, gamma_word
-from .rootdata import CartanType, cartan_type, elem_sym_t
+from .rootdata import CartanType, cartan_type
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
 from .weylgroup import word_str
 
@@ -293,19 +293,24 @@ class _Grassmannian:
     ``WeylGroup.parabolic_layer`` and enumerating no stratum.
 
     Stratum k has one row per class of length k, in ``sort_key`` order;
-    ``row`` maps an element id to it.  Its columns are c_i * Z_mu, with
-    c_i = e_i(t) expanded in the Schubert basis (computed, not taken from
-    the paper), and for Spin Z_{s_n} * Z_mu as well, each from the engine's
-    products.  The classes and columns are kept, keyed by generator and
-    codimension, so the second group form only adds its own.  Nothing here
-    refers to the engine, which ``_grassmannian`` keys it by.
+    ``row`` maps an element id to it.  Its columns are c_i * Z_mu =
+    e_i(t_1..t_n) * Z_mu (computed, not taken from the paper), and for Spin
+    Z_{s_n} * Z_mu as well, one Chevalley step by omega_n.  The c_i columns
+    come from Chevalley steps alone, by e_l(t_1..t_m) = e_l(t_1..t_(m-1)) +
+    t_m e_(l-1)(t_1..t_(m-1)): level l of mu holds e_l(t_1..t_m) * Z_mu for
+    m = 0..n, classes of A(G/B) keyed by element id, and level l + 1 takes
+    one step by each t_m from it.  Each mu is raised one level at a time,
+    only as far as a stratum asks, and keeps only its highest level; every
+    column is kept, keyed by generator and mu, so strata come out the same
+    in any request order and the second group form only adds its own.
+    Nothing here refers to the engine, which ``_grassmannian`` keys it by.
     """
 
     def __init__(self, group):
         self._levels = [(group.identity,)]
         self.row = {group.identity.id: 0}  # element id -> its row in its stratum
-        self._generators: dict = {}  # i -> c_i (Z_{s_n} for 0), keyed by element id
-        self._columns: dict = {}  # (i, k) -> the columns of generator i in stratum k
+        self._columns: dict = {}  # (i, mu id) -> c_i * Z_mu (Z_{s_n} * Z_mu for i = 0)
+        self._raised: dict = {}  # mu id -> (l, [e_l(t_1..t_m) * Z_mu for m = 0..n])
 
     def classes(self, group, k: int) -> tuple:
         levels = self._levels
@@ -322,25 +327,60 @@ class _Grassmannian:
         if not rows:
             return 0, []
         gens = range(0 if variant == "simply_connected" else 1, min(calc.rank, k) + 1)
-        return rows, [col for i in gens for col in self._generator_columns(calc, i, k)]
+        return rows, [
+            self._column(calc, i, mu)
+            for i in gens
+            for mu in self.classes(calc.group, k - max(i, 1))
+        ]
 
-    def _generator_columns(self, calc: SchubertCalc, i: int, k: int) -> list:
-        got = self._columns.get((i, k))
-        if got is None:
-            g = self._generators.get(i)
-            if g is None:
-                if i:
-                    c = calc.schubert_expand(elem_sym_t(calc.datum, i, calc.rank))
-                    g = calc._ids(c.coeffs)
+    def _column(self, calc: SchubertCalc, i: int, mu) -> dict:
+        """c_i * Z_mu (Z_{s_n} * Z_mu for i = 0), as a dict row -> entry."""
+        got = self._columns.get((i, mu.id))
+        if got is not None:
+            return got
+        d, n = calc.datum, calc.rank
+        if not i:
+            pairing = calc.root_pairings(d.fundamental_weights[n - 1])
+            got = self._columns[0, mu.id] = self._rows(calc, calc._chevalley(pairing, {mu.id: 1}))
+            return got
+        pairings = [calc.root_pairings(t) for t in d.t_classes.values()]
+        l, level = self._raised.get(mu.id) or (0, [{mu.id: 1}] * (n + 1))
+        while l < i:
+            level, l = _raise_level(calc, pairings, level), l + 1
+            self.classes(calc.group, mu.length + l)  # the rows of c_l * Z_mu
+            self._columns[l, mu.id] = self._rows(calc, level[n])
+        self._raised[mu.id] = l, level
+        return self._columns[i, mu.id]
+
+    def _rows(self, calc: SchubertCalc, coeffs: dict) -> dict:
+        """Coefficients keyed by element id, as a column keyed by row; a class
+        outside A(G/P) is a fault, never dropped."""
+        row, out = self.row, {}
+        for v, c in coeffs.items():
+            r = row.get(v)
+            if r is None:
+                raise AssertionError(f"Z_{calc.group._by_id[v]} is not a class of A(G/P)")
+            out[r] = c
+        return out
+
+
+def _raise_level(calc: SchubertCalc, pairings: list, level: list) -> list:
+    """[e_l(t_1..t_m) * Z_mu for m = 0..n] from level = [e_(l-1)(t_1..t_m) *
+    Z_mu for m = 0..n], one Chevalley step by each t_m: the partial sums of
+    t_m e_(l-1)(t_1..t_(m-1)) * Z_mu over m."""
+    out, acc = [{}], {}
+    for pairing, below in zip(pairings, level):
+        step = calc._chevalley(pairing, below)
+        if step:
+            acc = dict(acc)
+            for v, c in step.items():
+                c += acc.get(v, 0)
+                if c:
+                    acc[v] = c
                 else:
-                    g = {calc.group.simple_reflection(calc.rank).id: 1}
-                self._generators[i] = g
-            row = self.row
-            got = self._columns[i, k] = [
-                {row[v]: c for v, c in calc._times(g, {mu.id: 1}).items()}
-                for mu in self.classes(calc.group, k - max(i, 1))
-            ]
-        return got
+                    del acc[v]
+        out.append(acc)
+    return out
 
 
 _GRASSMANNIANS: WeakKeyDictionary = WeakKeyDictionary()  # engine -> its _Grassmannian

@@ -38,16 +38,18 @@ Bruhat covers take two routes.  The upper covers w s_beta of any element w
 (l(w s_beta) = l(w) + 1), which the Chevalley rule reads in products, are
 found by a scan over the positive roots and kept on w, as ids and packed
 root indices.  Before the stratum l(w) + 1 is enumerated, a candidate
-w s_beta missing from the intern table has its length counted from its
-permutation (the positive roots it sends to negative ones) and is interned
-only when it is a cover; a candidate several steps above w is dropped.  So
-high-rank groups are never enumerated just to find covers.  The Chow rings
-of G2 and F4 read the lower covers of a whole enumerated stratum instead,
-built from those of the stratum below by the lifting property (see
-``lower_covers``) and kept flat, per stratum, on the group.  Those of B_n
-and D_n enumerate no stratum: they walk the minimal coset representatives
-of a maximal parabolic subgroup by left multiplication
-(``parabolic_layer``).
+w s_beta missing from the intern table is tested before its permutation is
+built: l(w s_beta) - l(w) = |F_beta| - 2 #{delta in F_beta : w(delta) < 0},
+F_beta the positive roots that s_beta negates, a count over F_beta alone.
+It is interned only when it is a cover; a candidate several steps above w
+is dropped.  So high-rank groups are never enumerated just to find covers.
+The Chow rings of G2 and F4 read the lower covers of a whole enumerated
+stratum instead, built from those of the stratum below by the lifting
+property (see ``lower_covers``) and kept flat, per stratum, on the group.
+Those of B_n and D_n enumerate no stratum: they walk the minimal coset
+representatives of a maximal parabolic subgroup by left multiplication
+(``parabolic_layer``), and their columns are Chevalley steps, which scan
+the upper covers of elements met outside enumeration.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -198,6 +200,11 @@ class WeylGroup:
         self._times = [self._composer(s) for s in simple]
         self._times_key = [self._composer([s[a] for a in self._alpha]) for s in simple]
         self._key_of = self._composer(self._alpha)  # the key of a permutation
+        # _signs(w.perm + _pad)[r] is 1 when w sends root r to a negative root
+        if self._pack is bytes:
+            self._signs = methodcaller("translate", bytes(n_pos) + bytes([1]) * n_pos + self._pad)
+        else:
+            self._signs = lambda perm: bytes(map(n_pos.__le__, perm))
         self._lexmin_word = _LexMin(datum, self._pack)
         self._elements: dict = {}
         self._by_id: list = []
@@ -421,12 +428,15 @@ class WeylGroup:
     # -- reflections and the Bruhat cover graph -----------------------------
 
     def _reflection_tables(self) -> tuple:
-        """(perms, keys): composers (see ``_composer``) for w s_beta and its key.
+        """(perms, keys, flips): composers (see ``_composer``) for w s_beta
+        and its key, and the positive roots that s_beta negates.
 
         Applied to w.perm + _pad, perms[b] gives the root permutation of
         w s_beta and keys[b] the images under w of s_beta(alpha_j).  Positive
         roots are numbered by height, so for beta not simple some s_j(beta) =
-        gamma has a smaller index, and s_beta = s_j s_gamma s_j.
+        gamma has a smaller index, and s_beta = s_j s_gamma s_j.  flips[b]
+        holds the indices of F_beta, the positive roots that s_beta sends to
+        negative ones, as bytes when the group packs bytes; |F_beta| = l(s_beta).
         """
         got = self._reflections
         if got is None:
@@ -445,6 +455,7 @@ class WeylGroup:
             got = self._reflections = (
                 [self._composer(p) for p in perms],
                 [self._composer([p[a] for a in self._alpha]) for p in perms],
+                [self._pack(d for d in range(n_pos) if p[d] >= n_pos) for p in perms],
             )
         return got
 
@@ -454,26 +465,33 @@ class WeylGroup:
             raise NotARootError(f"{beta} is not a root")
         if not beta.is_positive:
             raise NotARootError("root reflection expects a positive root")
-        perms, keys = self._reflection_tables()
+        perms, keys, flips = self._reflection_tables()
         b = self.datum.root_index[beta.omega]
         t = self.identity.perm + self._pad
-        p = perms[b](t)
-        return self._element(p, keys[b](t), sum(map(self._n_pos.__le__, p[: self._n_pos])))
+        return self._element(perms[b](t), keys[b](t), len(flips[b]))
 
     def _cover_scan(self, w: WeylElement) -> tuple:
         """(ids, packed root indices) of the covers w s_beta of w.
 
         w s_beta lies above w exactly when w(beta) is positive, and is looked
         up by its key.  A candidate missing from the intern table is no cover
-        once the stratum l(w) + 1 is enumerated; before that, its length is
-        counted from its permutation, and it is interned only if a cover.
+        once the stratum l(w) + 1 is enumerated.  Before that, l(w s_beta) -
+        l(w) = |F_beta| - 2 #{delta in F_beta : w(delta) < 0}, F_beta the
+        positive roots that s_beta negates: s_beta permutes the other positive
+        roots, and delta -> -s_beta(delta) pairs F_beta with itself.  So one
+        ``translate`` of F_beta through the signs of w (a map over it for
+        tuples) tells a cover before any permutation is built, and only
+        covers are interned.  The key lookup stays first: on an enumerated
+        group it settles every candidate.
         """
         k = w.length + 1
         enumerated = k < len(self._levels)
         n_pos, elements = self._n_pos, self._elements
-        perms, keys = self._reflection_tables()
+        perms, keys, flips = self._reflection_tables()
+        packed = self._pack is bytes
         perm = w.perm
         t = perm + self._pad
+        signs = None  # signs[d] = 1 when w(delta_d) < 0, once a candidate needs it
         ids, bs = [], []
         for b in range(n_pos):
             if perm[b] >= n_pos:
@@ -483,10 +501,16 @@ class WeylGroup:
             if v is None:
                 if enumerated:
                     continue
-                p = perms[b](t)
-                if sum(map(n_pos.__le__, p[:n_pos])) != k:
+                if signs is None:
+                    signs = self._signs(t)
+                f = flips[b]
+                if packed:
+                    negated = f.translate(signs).count(1)
+                else:
+                    negated = sum(map(signs.__getitem__, f))
+                if len(f) != 2 * negated + 1:
                     continue
-                v = self._element(p, key, k)
+                v = self._new(perms[b](t), key, k)
             if v.length == k:
                 ids.append(v.id)
                 bs.append(b)

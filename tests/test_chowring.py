@@ -19,7 +19,7 @@ from flagcalc.chowring import (
     verify_chow,
 )
 from flagcalc.errors import OutOfRangeError
-from flagcalc.rootdata import cartan_type
+from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, SchubertExpansion, calculus_for
 
 from conftest import word
@@ -618,6 +618,22 @@ class TestClassesOutsideAGP:
             getattr(comp, method)(x)
 
 
+def test_a_column_term_outside_agp_raises(monkeypatch):
+    # c_i * Z_mu lies in A(G/P); a term without a row is a fault, not dropped
+    calc = SchubertCalc(cartan_type("B", 3))
+    s1 = calc.group.simple_reflection(1)
+    real = chowring._raise_level
+
+    def raise_level(calc, pairings, level):
+        out = real(calc, pairings, level)
+        out[-1] = {**out[-1], s1.id: 1}
+        return out
+
+    monkeypatch.setattr(chowring, "_raise_level", raise_level)
+    with pytest.raises(AssertionError, match=re.escape("Z_1 is not a class of A(G/P)")):
+        ChowComputation(calc, "special_orthogonal").stratum(1)
+
+
 def _grassmannian_rows(calc) -> list:
     """The minimal coset representatives of W/W_J, J = {1..n-1}, by length,
     filtered from the enumerated strata."""
@@ -690,12 +706,92 @@ def test_grassmannian_data_dies_with_its_engine():
     calc = calculus_for(cartan_type("D", 5))
     assert verify_chow("D", 5).all_passed
     data = chowring._grassmannian(calc)
-    assert data._columns and data._generators
+    assert data._columns and data._raised
     ref = weakref.ref(data)
     del calc, data
     calculus_for.cache_clear()
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("D", 4), ("D", 5), ("D", 6),
+])
+def test_grassmannian_columns_match_the_products(family, rank):
+    # every column c_i * Z_mu from the e_l(t) recursion against the Leibniz
+    # product of the Schubert expansion of e_i(t_1..t_n) with Z_mu, and every
+    # Spin column Z_{s_n} * Z_mu against the product with Z_{s_n}, for each
+    # Grassmannian mu and i up to the default limit of each form
+    _, _, runs = chowring._chow_setup(family, rank, None, None)
+    calc = SchubertCalc(cartan_type(family, rank))
+    g, n = calc.group, rank
+    grass = chowring._grassmannian(calc)
+    gens = {i: calc._ids(calc.schubert_expand(elem_sym_t(calc.datum, i, n)).coeffs)
+            for i in range(1, n + 1)}
+    gens[0] = {g.simple_reflection(n).id: 1}
+    checked = 0
+    for _, comp, limit in runs:
+        first = 0 if comp.variant == "simply_connected" else 1
+        for k in range(1, limit + 1):
+            rows, columns = grass.stratum_columns(calc, comp.variant, k)
+            want = [
+                {grass.row[v]: c for v, c in calc._times(gens[i], {mu.id: 1}).items()}
+                for i in range(first, min(n, k) + 1)
+                for mu in grass.classes(g, k - max(i, 1))
+            ] if rows else []
+            assert columns == want, (comp.variant, k)
+            checked += len(columns)
+    assert checked
+
+
+def _chow_answers(family, rank, order):
+    """Per group form: the invariant factors of every stratum up to the
+    default limit, the order of each generator class and the answers to the
+    power checks, with the strata first built in order(limit) on a fresh
+    engine that both forms share."""
+    _, _, runs = chowring._chow_setup(family, rank, None, None)
+    calc = SchubertCalc(cartan_type(family, rank))
+    g, out = calc.group, []
+    for pres, shared, limit in runs:
+        comp = ChowComputation(calc, shared.variant)
+        for k in order(shared.variant, limit):
+            comp.stratum(k)
+        factors = [comp.stratum(k).invariant_factors for k in range(limit + 1)]
+        checks = []
+        for gen in pres.generators:
+            z = calc.indicator(g.element_from_word(gen.schubert_word))
+            checks.append(comp.class_order(z))
+            power = z
+            for e in range(2, gen.power + 1):
+                if e * gen.codim > limit:
+                    break
+                power = calc.mul_expansions(power, z)
+                checks.append((comp.is_zero_class(power), comp.class_order(power)))
+        out.append((shared.variant, factors, checks))
+    return out
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5)])
+def test_strata_do_not_depend_on_the_request_order(family, rank):
+    # each mu keeps only its highest level of the e_l(t) recursion, so a
+    # stratum asked for after a higher one must still find its columns
+    want = _chow_answers(family, rank, lambda variant, limit: range(limit + 1))
+
+    def shuffled(seed):
+        def order(variant, limit):
+            ks = list(range(limit + 1))
+            random.Random(seed).shuffle(ks)
+            return ks
+        return order
+
+    orders = [
+        lambda variant, limit: range(limit, -1, -1),
+        shuffled(1),
+        shuffled(2),
+        lambda variant, limit: [6, 3] if variant == "special_orthogonal" else [],
+    ]
+    for order in orders:
+        assert _chow_answers(family, rank, order) == want
 
 
 def _warmed(ct):

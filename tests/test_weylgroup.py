@@ -652,6 +652,44 @@ def test_covers_before_enumeration_intern_only_covers(family, rank):
     assert len(g._levels) == 1
 
 
+def _covers_by_length(g, w) -> list:
+    """The covers of w by the rule the inversion count replaced: the length
+    of w s_beta counted from its permutation, as (permutation, beta) pairs."""
+    n_pos, (perms, _, _) = g.longest_length, g._reflection_tables()
+    t = w.perm + g._pad
+    found = []
+    for b in range(n_pos):
+        p = perms[b](t)
+        if sum(x >= n_pos for x in p[:n_pos]) == w.length + 1:
+            found.append((p, b))
+    return found
+
+
+@pytest.mark.parametrize("family,rank,top", [
+    ("G2", None, None), ("B", 4, None), ("D", 5, None), ("F4", None, None),
+    ("B", 12, 3), ("D", 12, 3),
+])
+def test_lazy_covers_match_the_length_count(family, rank, top):
+    # on a cold group, lazy cover scans of every element up to length top
+    # (the whole group for None), walked length by length from the identity,
+    # against the covers whose length is counted from the permutation; B12
+    # and D12 pack tuples, the others bytes
+    g = _fresh_group(family, rank)
+    assert (g._pack is tuple) == (top is not None)
+    layer, seen = [g.identity], 1
+    while layer and (top is None or layer[0].length <= top):
+        above = {}
+        for w in layer:
+            got = list(g.covers(w))
+            assert [(v.perm, b) for v, b in got] == _covers_by_length(g, w), w.word
+            above.update((v, None) for v, _ in got)
+        layer = list(above)
+        seen += len(layer)
+    assert len(g._levels) == 1  # no stratum was enumerated
+    if top is None:
+        assert seen == g.order()
+
+
 def test_b12_low_strata_use_tuple_permutations():
     # 2N = 288 roots do not fit in bytes
     g = _fresh_group("B", 12)
