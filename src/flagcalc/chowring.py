@@ -6,7 +6,7 @@ Each stratum of the quotient is the cokernel of a sparse integer matrix,
 and the family picks where it is taken.  For G2 and F4 it is A(G/B): the
 codimension-k piece of the ideal is spanned by the products lambda * Z_w
 over a basis of the degree-2 lattice and the classes of length k-1, built
-by the Chevalley rule from the lower Bruhat covers of the stratum
+by the Chevalley rule from the upper Bruhat covers of the stratum below
 (``_stratum_columns``).  For B_n and D_n it is A(G/P), P the maximal
 parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
 Schubert classes are the rows, and the columns are c_i(S) * Z_mu, plus
@@ -258,14 +258,17 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
 
     Column (lam, y) holds the Chevalley rule lam * Z_y = sum (beta^vee | lam)
     Z_{y s_beta} over the covers of y; row v.pos is Z_v.  Columns run over y
-    within lam; one pass over ``WeylGroup.lower_covers(k)`` fills them all.
+    within lam, and one pass over the stratum k - 1 fills them all, y by y,
+    from the upper covers of ``WeylGroup.cover_ids``; stratum k is enumerated
+    first, so every cover has its ``pos``.
     The lams run over the degree-2 lattice of the group form: the fundamental
     weights for ``simply_connected``, the t-classes for
     ``special_orthogonal``.  Returns (number of rows, columns).
     """
     group, d = calc.group, calc.datum
-    rows = len(group.elements_of_length(k))
-    m = len(group.elements_of_length(k - 1))
+    rows = len(group.elements_of_length(k))  # first, so every cover has its pos
+    below = group.elements_of_length(k - 1)
+    m = len(below)
     lattice = d.fundamental_weights if variant == "simply_connected" else d.t_classes.values()
     pairings = [calc.root_pairings(lam) for lam in lattice]
     nonzero = [  # per root beta: (j * m, (beta^vee | lam_j)) where that is nonzero
@@ -273,9 +276,12 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
         for b in range(group.longest_length)
     ]
     columns = [{} for _ in range(len(pairings) * m)]
-    for p, i, b in zip(*group.lower_covers(k)):  # i = y.pos
-        for jm, x in nonzero[b]:
-            columns[jm + i][p] = x
+    by_id = group._by_id
+    for i, y in enumerate(below):
+        for v, b in zip(*group.cover_ids(y)):
+            p = by_id[v].pos
+            for jm, x in nonzero[b]:
+                columns[jm + i][p] = x
     return rows, columns
 
 

@@ -12,12 +12,17 @@ import json
 import sys
 
 from . import chowring, presentations
-from .errors import FlagcalcError, InvalidWordError
+from .errors import FlagcalcError, InvalidWordError, OutOfRangeError
 from .exprparse import parse_polynomial
 from .rootdata import FAMILIES, cartan_type
 from .schubert import calculus_for
+from .weylgroup import length_counts
 
 _VARIANT = {"spin": "simply_connected", "so": "special_orthogonal"}
+
+# ``basis`` enumerates every element up to its length; B7 up to length 28
+# needs 461,454
+BASIS_MAX_ELEMENTS = 500_000
 
 
 def _json_dumps(payload) -> str:
@@ -72,7 +77,16 @@ def _parse_word(calc, text: str):
 
 def _cmd_basis(args) -> int:
     calc = _calc(args)
-    words = [w.word_str() for w in calc.group.sorted_stratum(args.codim)]
+    k = args.codim
+    if 0 <= k <= calc.group.longest_length:
+        # enumerating stratum k interns every element of length at most k
+        size = sum(length_counts(calc.datum.positive_roots)[: k + 1])
+        if size > BASIS_MAX_ELEMENTS:
+            raise OutOfRangeError(
+                f"codimension {k} of {calc.cartan_type.name} needs {size:,} elements "
+                f"of length at most {k}, above the cap of {BASIS_MAX_ELEMENTS:,}"
+            )
+    words = [w.word_str() for w in calc.group.sorted_stratum(k)]
     _emit(
         args,
         {"type": calc.cartan_type.name, "codim": args.codim, "words": words},

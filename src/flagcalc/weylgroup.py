@@ -34,20 +34,19 @@ w s_beta lies above w exactly when w(beta) is positive, and its key is w
 applied to s_beta(alpha_j).  The reflections s_beta are built once per group,
 on first use, by conjugation s_j s_gamma s_j down to the simple ones.
 
-Bruhat covers take two routes.  The upper covers w s_beta of any element w
-(l(w s_beta) = l(w) + 1), which the Chevalley rule reads in products, are
-found by a scan over the positive roots and kept on w, as ids and packed
-root indices.  Before the stratum l(w) + 1 is enumerated, a candidate
-w s_beta missing from the intern table is tested before its permutation is
-built: l(w s_beta) - l(w) = |F_beta| - 2 #{delta in F_beta : w(delta) < 0},
-F_beta the positive roots that s_beta negates, a count over F_beta alone.
-It is interned only when it is a cover; a candidate several steps above w
-is dropped.  So high-rank groups are never enumerated just to find covers.
-The Chow rings of G2 and F4 read the lower covers of a whole enumerated
-stratum instead, built from those of the stratum below by the lifting
-property (see ``lower_covers``) and kept flat, per stratum, on the group.
-Those of B_n and D_n enumerate no stratum: they walk the minimal coset
-representatives of a maximal parabolic subgroup by left multiplication
+Bruhat covers take one route.  The upper covers w s_beta of any element w
+(l(w s_beta) = l(w) + 1), which the Chevalley rule reads in products and in
+every Chow-ring column, are found by a scan over the positive roots and
+kept on w, as ids and packed root indices.  Before the stratum l(w) + 1 is
+enumerated, a candidate w s_beta missing from the intern table is tested
+before its permutation is built: l(w s_beta) - l(w) = |F_beta| -
+2 #{delta in F_beta : w(delta) < 0}, F_beta the positive roots that s_beta
+negates, a count over F_beta alone.  It is interned only when it is a
+cover; a candidate several steps above w is dropped.  So high-rank groups
+are never enumerated just to find covers.  The Chow rings of G2 and F4
+scan the covers of each element of an enumerated stratum.  Those of B_n
+and D_n enumerate no stratum: they walk the minimal coset representatives
+of a maximal parabolic subgroup by left multiplication
 (``parabolic_layer``), and their columns are Chevalley steps, which scan
 the upper covers of elements met outside enumeration.
 
@@ -60,7 +59,8 @@ reference cycles and are freed as soon as the group is.
 
 from __future__ import annotations
 
-from array import array
+from collections import Counter
+from itertools import accumulate
 from math import prod
 from operator import itemgetter, methodcaller, mul
 
@@ -76,6 +76,26 @@ def weyl_order(roots) -> int:
     """
     heights = [sum(beta.simple_coords) for beta in roots]
     return prod(h + 1 for h in heights) // prod(heights)
+
+
+def length_counts(roots) -> list:
+    """[|W_0|, ..., |W_N|]: how many elements of each length the Weyl group
+    whose positive roots are ``roots`` has, with no enumeration.
+
+    They are the coefficients of the Poincare polynomial, the product of
+    1 + q + ... + q^m over the exponents m (Humphreys, Reflection Groups and
+    Coxeter Groups, 3.15).  As many exponents are >= h as there are roots of
+    height h (Kostant), so exponent m occurs #(height m) - #(height m + 1)
+    times.
+    """
+    heights = Counter(sum(beta.simple_coords) for beta in roots)
+    counts = [1]
+    for m in range(1, max(heights) + 1):
+        for _ in range(heights[m] - heights[m + 1]):
+            # times 1 + q + ... + q^m: each new coefficient sums m + 1 old ones
+            sums = [0, *accumulate(counts + [0] * m)]
+            counts = [sums[k + 1] - sums[max(k - m, 0)] for k in range(len(sums) - 1)]
+    return counts
 
 
 def word_str(word) -> str:
@@ -216,8 +236,6 @@ class WeylGroup:
         self.identity._word = ()
         self._levels: list = [(self.identity,)]  # strata in lex-min word order
         self._reflections = None  # s_beta permutations and keys, on first use
-        # per stratum: lower_covers' three arrays, and where the run of each v starts
-        self._lower: list = [(array("I"), array("I"), self._pack(()), array("I", (0, 0)))]
 
     # -- element interning ---------------------------------------------------
 
@@ -532,37 +550,3 @@ class WeylGroup:
         """
         ids, bs = self.cover_ids(w)
         return zip(map(self._by_id.__getitem__, ids), bs)
-
-    def lower_covers(self, k: int) -> tuple:
-        """The covers y < v with l(v) = k, as three flat sequences over the
-        pairs, v by v: v.pos, y.pos and the packed index of beta, v = y s_beta.
-
-        By the lifting property (Bjorner-Brenti, Prop. 2.2.7), for the first
-        right descent i of v and u = v s_i, they are u, with root alpha_i, and
-        y s_i, with root s_i(gamma), for each lower cover y = u s_gamma of u
-        with y s_i > y: only the right table and stratum k - 1 are read.
-        """
-        levels, lower = self._levels, self._lower
-        self.elements_of_length(k)
-        n, right, by_id = self.rank, self._right, self._by_id
-        simple, alpha = self.datum.simple_reflections, self._alpha
-        for j in range(len(lower), k + 1):
-            below = levels[j - 2] if j > 1 else ()
-            _, ys_below, bs_below, starts_below = lower[j - 1]
-            vs, ys, bs, starts = array("I"), array("I"), [], array("I", (0,))
-            for p, v in enumerate(levels[j]):
-                i = (v.descents & -v.descents).bit_length() - 1
-                q = by_id[right[v.id * n + i]].pos
-                vs.append(p)
-                ys.append(q)
-                bs.append(alpha[i])
-                s = simple[i]
-                for t in range(starts_below[q], starts_below[q + 1]):
-                    y = below[ys_below[t]]
-                    if not y.descents >> i & 1:
-                        vs.append(p)
-                        ys.append(by_id[right[y.id * n + i]].pos)
-                        bs.append(s[bs_below[t]])
-                starts.append(len(ys))
-            lower.append((vs, ys, self._pack(bs), starts))
-        return lower[k][:3]

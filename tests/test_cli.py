@@ -6,7 +6,9 @@ import pytest
 
 from flagcalc import cli
 from flagcalc.cli import _json_dumps, main
+from flagcalc.rootdata import build_root_datum, cartan_type
 from flagcalc.schubert import SchubertExpansion
+from flagcalc.weylgroup import length_counts
 
 
 def run(capsys, *argv):
@@ -30,6 +32,29 @@ class TestBasis:
             assert code == 2 and out == ""
             assert "rank at most 30" in err
             assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("rank,codim,size", [
+        (12, 20, "109,543,070"),
+        (30, 40, "32,079,666,488,323,342,350"),
+    ])
+    def test_over_the_enumeration_cap_exits_2_at_once(self, capsys, rank, codim, size):
+        # the count up to the length comes from the Poincare polynomial, so
+        # nothing is enumerated before the refusal
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "basis", "--type", "B", "--rank", str(rank), "--codim", str(codim)
+        )
+        assert code == 2 and out == ""
+        assert f"needs {size} elements of length at most {codim}" in err
+        assert "above the cap of 500,000" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_cap_admits_b7_up_to_length_29(self):
+        # B7 up to length 28, the largest enumeration of a pinned run, has
+        # 461,454 elements; up to 29, 491,616; up to 30, 519,056
+        counts = length_counts(build_root_datum(cartan_type("B", 7)).positive_roots)
+        assert sum(counts[:29]) == 461_454
+        assert sum(counts[:30]) <= cli.BASIS_MAX_ELEMENTS < sum(counts[:31])
 
     def test_f4_codim2_count(self, capsys):
         code, out, _ = run(

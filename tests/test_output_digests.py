@@ -9,7 +9,9 @@ rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
 most pivots come from the unit phase, and the B10 one pins Schubert words
 with letters above 9, which are comma-separated.  The G2 and F4 ``so``
 outputs pin the only Chow rings whose degree-2 lattice is spanned by the
-t-classes of an exceptional type, F4's extra class t among them.  The two
+t-classes of an exceptional type, F4's extra class t among them, and the
+spin outputs (no ``--variant``) those over the full weight lattice; both
+take every stratum from the upper covers of the one below.  The two
 ``basis`` outputs pin the lex-min word order of a middle stratum, the order
 that ``pos`` indexes.  The
 ``giambelli`` outputs pin representatives whose descents start at different
@@ -56,6 +58,14 @@ DIGESTS = [
     (
         ("chow", "--type", "B", "--rank", "4", "--variant", "so"),
         "960baeaff070dce0208e1cd1e3a37d72f60a7bce80f967ed410196d12627c9cf",
+    ),
+    (
+        ("chow", "--type", "G2"),
+        "3e278d1efdf529fa05c2a9cec25722be6c0f0539310711f318b37188111754ee",
+    ),
+    (
+        ("chow", "--type", "F4"),
+        "a0141312992b6995d3623b30b111c07393e691b313a29c13e4477a2699d812f8",
     ),
     (
         ("chow", "--type", "G2", "--variant", "so"),

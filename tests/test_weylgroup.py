@@ -7,7 +7,7 @@ import pytest
 
 from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
-from flagcalc.weylgroup import WeylElement, WeylGroup, weyl_order
+from flagcalc.weylgroup import WeylElement, WeylGroup, length_counts, weyl_order
 
 from conftest import left_descents, reduced_words, word
 
@@ -404,18 +404,27 @@ def test_elements_met_before_enumeration(family, rank):
 def test_length_counts(family, rank, counts):
     g = WeylGroup(build_root_datum(cartan_type(family, rank)))
     got = [len(g.elements_of_length(k)) for k in range(len(counts))]
-    assert got == counts
+    assert got == counts == length_counts(g.datum.positive_roots)[: len(counts)]
 
 
 @pytest.mark.parametrize(
     "family,rank,order",
     [("B", 2, 8), ("B", 3, 48), ("B", 4, 384), ("D", 4, 192), ("D", 5, 1920),
-     ("G2", 2, 12), ("F4", 4, 1152)],
+     ("G2", 2, 12), ("F4", 4, 1152), ("B", 5, 3840)],
 )
 def test_total_order_by_enumeration(family, rank, order):
+    # the strata sizes are the coefficients of the Poincare polynomial
     g = WeylGroup(build_root_datum(cartan_type(family, rank)))
-    total = sum(len(g.elements_of_length(k)) for k in range(g.longest_length + 1))
-    assert total == order == g.order()
+    sizes = [len(g.elements_of_length(k)) for k in range(g.longest_length + 1)]
+    assert sizes == length_counts(g.datum.positive_roots)
+    assert sum(sizes) == order == g.order()
+
+
+@pytest.mark.parametrize("family,total", [("B", 3_507_601), ("D", 2_719_374)])
+def test_length_counts_of_rank_8_up_to_length_28(family, total):
+    # out of reach of enumeration in a test; the figures of the rank-8 probes
+    counts = length_counts(build_root_datum(cartan_type(family, 8)).positive_roots)
+    assert sum(counts[:29]) == total
 
 
 def _closed_order(family, rank):
@@ -432,7 +441,11 @@ def _closed_order(family, rank):
     + [("D", n) for n in range(4, 31)],
 )
 def test_order_from_root_heights_matches_closed_formulas(family, rank):
-    assert _fresh_group(family, rank).order() == _closed_order(family, rank)
+    g = _fresh_group(family, rank)
+    assert g.order() == _closed_order(family, rank)
+    # the Poincare polynomial: |W| in all, palindromic, rank-many reflections s_i
+    counts = length_counts(g.datum.positive_roots)
+    assert sum(counts) == g.order() and counts == counts[::-1] and counts[1] == g.rank
 
 
 @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 4), ("D", 5), ("F4", None)])
