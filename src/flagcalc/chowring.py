@@ -23,9 +23,7 @@ t-classes, which produces the extra order-2 generator in codimension 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 from weakref import WeakKeyDictionary
 
@@ -121,17 +119,17 @@ class CokernelStratum:
 
         The substitution of pivot row s pairs each row t with its multiplier
         q.  When row s becomes a pivot, the substitutions that name s take in
-        its own, so they stay closed.  Among the units of a column, the pivot
-        goes to the row that the fewest columns meet, so that its substitution
-        reaches few of them.  Tuples, not dicts, keep the substitutions small:
-        most are empty, and a stratum keeps the rest.  Once each of the rows
-        holds a pivot, all are empty and the columns not yet taken reduce to
-        0, so the phase stops there.
+        its own through ``_reduce``, so they stay closed.  The pivot is the
+        first unit of the column: the strata are small (at most 94 rows and
+        470 columns, F4's codim 12; at most 14 rows on A(G/P) up to B8), so
+        no choice among the units pays for itself.  Tuples, not dicts, keep
+        the substitutions small: most are empty, and a stratum keeps the
+        rest.  Once each of the rows holds a pivot, all are empty and the
+        columns not yet taken reduce to 0, so the phase stops there.
         """
         subs: dict = {}  # pivot row -> ((t, q), ...)
         users: dict = {}  # row -> pivot rows whose substitution may name it
         rest = []
-        count = None  # row -> number of columns that meet it, once a choice needs it
         for col in sorted(columns, key=len):
             if len(subs) == rows:
                 break
@@ -143,38 +141,24 @@ class CokernelStratum:
                 if d:
                     rest.append(d)
                 continue
-            if len(d) > 1:
-                if count is None:
-                    count = Counter(chain.from_iterable(columns))
-                s = min((r for r, a in d.items() if a == 1 or a == -1), key=count.__getitem__)
-                u = d[s]
             del d[s]
             sub = subs[s] = tuple((t, -a * u) for t, a in d.items())
-            for t, _ in sub:
-                users.setdefault(t, []).append(s)
+            for t in d:
+                users.setdefault(t, set()).add(s)
             for x in users.pop(s, ()):
-                other = dict(subs[x])
-                c = other.pop(s, 0)
-                if not c:
-                    continue
-                for t, q in sub:
-                    nv = other.get(t, 0) + c * q
-                    if nv:
-                        if t not in other:
-                            users[t].append(x)
-                        other[t] = nv
-                    elif t in other:
-                        del other[t]
-                subs[x] = tuple(other.items())
+                subs[x] = tuple(_reduce({s: sub}, subs[x]).items())
+                for t in d:
+                    users[t].add(x)
         return subs, (_reduce(subs, d.items()) for d in rest)
 
     @staticmethod
     def _eliminate(rows: list, cols, rowops: list) -> tuple:
         """The general phase: a dense Smith step on cols (dicts row -> entry).
 
-        The unit phase leaves few rows: at most 3 on every stratum of B3-B5,
-        D4-D6, G2 and F4, and at most 8, meeting at most 1,765 distinct
-        columns, on B7 so.  So each row is one list, over the distinct columns,
+        The unit phase leaves few rows: 1 on every stratum of G2 and F4, at
+        most 2 for Spin up to B8 and D8, and on the SO strata of A(G/P),
+        whose c_i columns are even, every row, at most 14 rows and 104
+        columns on B8 so.  So each row is one list, over the distinct columns,
         and the matrix holds the rows not yet pivoted.  Each step pivots on
         an entry v of least absolute value.  Floor row operations leave
         remainders in the rest of its column and are appended to rowops as
@@ -257,16 +241,16 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
     A(G/B): the route of G2 and F4, and the oracle of the B/D route.
 
     Column (lam, y) holds the Chevalley rule lam * Z_y = sum (beta^vee | lam)
-    Z_{y s_beta} over the covers of y; row v.pos is Z_v.  Columns run over y
-    within lam, and one pass over the stratum k - 1 fills them all, y by y,
-    from the upper covers of ``WeylGroup.cover_ids``; stratum k is enumerated
-    first, so every cover has its ``pos``.
+    Z_{y s_beta} over the covers of y; Z_v is the row of v in the stratum k.
+    Columns run over y within lam, and one pass over the stratum k - 1 fills
+    them all, y by y, from the upper covers of ``WeylGroup.cover_ids``.
     The lams run over the degree-2 lattice of the group form: the fundamental
     weights for ``simply_connected``, the t-classes for
-    ``special_orthogonal``.  Returns (number of rows, columns).
+    ``special_orthogonal``.  Returns (the stratum k, columns).
     """
     group, d = calc.group, calc.datum
-    rows = len(group.elements_of_length(k))  # first, so every cover has its pos
+    classes = group.elements_of_length(k)
+    row = {w.id: p for p, w in enumerate(classes)}
     below = group.elements_of_length(k - 1)
     m = len(below)
     lattice = d.fundamental_weights if variant == "simply_connected" else d.t_classes.values()
@@ -276,13 +260,12 @@ def _stratum_columns(calc: SchubertCalc, variant: str, k: int):
         for b in range(group.longest_length)
     ]
     columns = [{} for _ in range(len(pairings) * m)]
-    by_id = group._by_id
     for i, y in enumerate(below):
         for v, b in zip(*group.cover_ids(y)):
-            p = by_id[v].pos
+            p = row[v]
             for jm, x in nonzero[b]:
                 columns[jm + i][p] = x
-    return rows, columns
+    return classes, columns
 
 
 class _Grassmannian:
@@ -327,13 +310,13 @@ class _Grassmannian:
         return levels[k]
 
     def stratum_columns(self, calc: SchubertCalc, variant: str, k: int):
-        """(number of rows, columns) of the codim-k stratum, as
-        ``_stratum_columns`` gives them for A(G/B)."""
-        rows = len(self.classes(calc.group, k))
-        if not rows:
-            return 0, []
+        """(classes, columns) of the codim-k stratum, as ``_stratum_columns``
+        gives them for A(G/B)."""
+        classes = self.classes(calc.group, k)
+        if not classes:
+            return classes, []
         gens = range(0 if variant == "simply_connected" else 1, min(calc.rank, k) + 1)
-        return rows, [
+        return classes, [
             self._column(calc, i, mu)
             for i in gens
             for mu in self.classes(calc.group, k - max(i, 1))
@@ -405,7 +388,9 @@ class ChowComputation:
 
     The family picks the route: G2 and F4 take the strata of A(G/B) from
     ``_stratum_columns``, B_n and D_n those of A(G/P) from the engine's
-    ``_Grassmannian``.
+    ``_Grassmannian``.  Either route names the classes of a stratum, and
+    ``row`` maps the id of each to its row; for B_n and D_n it is the
+    ``_Grassmannian``'s own map, which both forms share.
     """
 
     def __init__(self, calc: SchubertCalc, variant: str):
@@ -414,8 +399,9 @@ class ChowComputation:
         self.calc = calc
         self.variant = variant
         self._strata: dict = {}
-        bd = calc.cartan_type.family in ("B", "D")
-        self._grassmannian = _grassmannian(calc) if bd else None
+        g = _grassmannian(calc) if calc.cartan_type.family in ("B", "D") else None
+        self._columns = _stratum_columns if g is None else g.stratum_columns
+        self.row = {} if g is None else g.row  # element id -> its row
 
     def stratum(self, k: int) -> CokernelStratum:
         """The cokernel of the ideal stratum in codimension k; its rows are
@@ -424,34 +410,32 @@ class ChowComputation:
         if got is None:
             if not 0 <= k <= self.calc.group.longest_length:
                 raise OutOfRangeError(f"codimension {k} out of range")
-            g = self._grassmannian
-            columns = _stratum_columns if g is None else g.stratum_columns
             # codimension 0 holds nothing of the ideal: Z, one row for Z_e
-            got = CokernelStratum(*columns(self.calc, self.variant, k) if k else (1, []))
-            self._strata[k] = got
+            identity = ((self.calc.group.identity,), [])
+            classes, cols = self._columns(self.calc, self.variant, k) if k else identity
+            self.row.update((w.id, p) for p, w in enumerate(classes))
+            got = self._strata[k] = CokernelStratum(len(classes), cols)
         return got
 
     def vector_of(self, x: SchubertExpansion) -> list:
-        """The coefficients of x at the rows of its stratum: w.pos for G2 and
-        F4, the row of the class in A(G/P) for B_n and D_n.
+        """The coefficients of x at the rows of its stratum, read from ``row``.
 
-        ValueError for an element that another group interned (see
-        ``SchubertCalc._own``), and for a class outside A(G/P): a Z_w with a
-        right descent other than n.
+        Every stratum is small (at most 94 rows, F4's codim 12), so the map
+        and the vector cost little.  ValueError for an element that another
+        group interned (see ``SchubertCalc._own``), and for a class without a
+        row, which only a class outside A(G/P) lacks: a Z_w with a right
+        descent other than n.
         """
         vec = [0] * self.stratum(x.codim).rows
-        row = None if self._grassmannian is None else self._grassmannian.row
+        row = self.row
         for w, c in x.coeffs.items():
-            w = self.calc._own(w)
-            if row is None:
-                vec[w.pos] = c
-            elif w.id in row:
-                vec[row[w.id]] = c
-            else:
+            r = row.get(self.calc._own(w).id)
+            if r is None:
                 n = self.calc.rank
                 raise ValueError(
                     f"Z_{w} is outside A(G/P_{n}): it has a right descent other than {n}"
                 )
+            vec[r] = c
         return vec
 
     def classify(self, x: SchubertExpansion) -> tuple:

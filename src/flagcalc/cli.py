@@ -2,13 +2,16 @@
 
 Subcommands: basis, expand, delta, chevalley, giambelli, structconst, chow,
 verify.  Exit codes: 0 on success (and all checks passing for ``verify``),
-1 on verification failure, 2 on usage, parse or input errors.
+1 on verification failure, 2 on usage, parse or input errors.  A reader
+that closes stdout before the output is written (``| head``) also gets 1,
+for output cut short, and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import chowring, presentations
@@ -258,9 +261,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except FlagcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the exit-time flush then writes what is left to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

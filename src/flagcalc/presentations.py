@@ -327,7 +327,7 @@ def gamma_defining_poly(calc: SchubertCalc, k: int) -> tuple:
     if k not in gamma_degrees(ct):
         raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
     if ct.family == "F4" and k == 4:
-        t = d.extra_t_poly()
+        t = Polynomial.linear_form(d.t_classes["t"])
         return elem_sym_t(d, 4, 4) - t * elem_sym_t(d, 3, 4) * 2 + (t**4) * 8, 3
     return elem_sym_t(d, k, d.num_t_classes), 2
 
@@ -533,7 +533,7 @@ def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
                 f"Z_{word} Giambelli identity",
                 lambda: (calc.indicator(_word_element(calc, word)), cls.sum(terms)),
             )
-    t = Polynomial.zero(calc.rank) if g2 else d.extra_t_poly()
+    t = Polynomial.zero(calc.rank) if g2 else Polynomial.linear_form(d.t_classes["t"])
     report.check(
         f"rho1: c1 = {'0' if g2 else '2t'}",
         lambda: (t * 2, elem_sym_t(d, 1, d.num_t_classes)),

@@ -289,14 +289,6 @@ class RootDatum:
             raise OutOfRangeError(f"t-class index {i} out of range")
         return self.t_vectors[i - 1]
 
-    def t_poly(self, i: int) -> Polynomial:
-        return Polynomial.linear_form(self.t_weight(i))
-
-    def extra_t_poly(self) -> Polynomial:
-        if self.extra_t is None:
-            raise OutOfRangeError(f"type {self.cartan_type} has no extra class t")
-        return Polynomial.linear_form(self.extra_t)
-
     def __repr__(self):
         return f"RootDatum({self.cartan_type})"
 
@@ -316,7 +308,7 @@ def elem_sym_t(datum: RootDatum, l: int, m: int) -> Polynomial:
     # e[j] accumulates e_j(t_1, ..., t_i) while i runs over the first m classes.
     e = [Polynomial.one(n)] + [Polynomial.zero(n) for _ in range(l)]
     for i in range(1, m + 1):
-        t = datum.t_poly(i)
+        t = Polynomial.linear_form(datum.t_classes[f"t{i}"])
         for j in range(min(i, l), 0, -1):
             e[j] = e[j] + e[j - 1] * t
     return e[l]

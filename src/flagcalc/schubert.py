@@ -403,9 +403,8 @@ class SchubertCalc:
     # -- products in the Schubert basis ---------------------------------------
 
     def _own(self, w: WeylElement) -> WeylElement:
-        """w itself; ValueError when another group interned w, whose id (and
-        row number ``pos``) would index this group's tables at some other
-        element."""
+        """w itself; ValueError when another group interned w, whose id
+        would index this group's tables at some other element."""
         by_id = self.group._by_id
         if w.id >= len(by_id) or by_id[w.id] is not w:
             raise ValueError(f"Z_{w} is an element of another Weyl group")

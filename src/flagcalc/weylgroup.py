@@ -23,9 +23,10 @@ group keeps, per id, the table row of ids of w s_1, ..., w s_l.  ``_grow``
 fills the rows between neighbouring strata; ``right_id`` is the one other
 step, and fills a slot and its mirror on first use.
 
-Each length stratum is stored once, as a tuple in lex-min word order, and
-enumerating it sets each element's ``pos``, its index in that tuple (None
-before, also for elements interned earlier by ``covers`` or ``right_id``).
+Each length stratum is stored once, as a tuple in lex-min word order.  An
+element records no index in it: the one reader of row numbers, the Chow
+layer, numbers the classes of its own strata, which are small (at most 94
+classes for F4, and 14 per stratum of A(G/P) for B8).
 
 Every product and test is an index lookup.  The permutation of w s_i is
 perm composed with s_i, and its key is w applied to s_i(alpha_j); with bytes
@@ -152,7 +153,7 @@ class WeylElement:
     """One Weyl group element; equality is identity within its interning group."""
 
     __slots__ = (
-        "perm", "length", "_word", "id", "pos", "descents", "_covers", "_lexmin"
+        "perm", "length", "_word", "id", "descents", "_covers", "_lexmin"
     )
 
     def __init__(self, perm, length: int, id: int, descents: int, lexmin: _LexMin):
@@ -160,7 +161,6 @@ class WeylElement:
         self.length = length
         self._word = None  # set by enumeration, or on first read of ``word``
         self.id = id
-        self.pos = None  # index in the stratum tuple, once it is enumerated
         self.descents = descents  # bit i-1 set when l(w s_i) < l(w)
         self._covers = None  # (ids, packed root indices), see covers
         self._lexmin = lexmin
@@ -232,7 +232,6 @@ class WeylGroup:
         self._right: list = []
         pack = self._pack
         self.identity = self._new(pack(range(2 * n_pos)), pack(self._alpha), 0)
-        self.identity.pos = 0
         self.identity._word = ()
         self._levels: list = [(self.identity,)]  # strata in lex-min word order
         self._reflections = None  # s_beta permutations and keys, on first use
@@ -396,7 +395,11 @@ class WeylGroup:
         The previous stratum is walked in lex-min word order and each element's
         ascents in increasing index, so the first element v is reached from
         carries v's lex-min word, min(word(v s_i) + (i,)) over its descents,
-        and the new stratum comes out already sorted.
+        and the new stratum comes out already sorted.  That first visit is
+        the one by the last letter of the word: every later one comes from
+        another v s_i, by another letter.  So a word already set, also one
+        read before enumeration, ends in the letter of the first visit alone,
+        and no set of the elements found is kept.
         """
         n = self.rank
         right, by_id = self._right, self._by_id
@@ -419,14 +422,14 @@ class WeylGroup:
                     right[v.id * n + i] = w.id
                 else:
                     v = by_id[j]
-                if v.pos is None:
-                    v.pos = len(found)
+                word = v._word
+                if word is None or word[-1] == i + 1:  # the first visit
                     v._word = w._word + (i + 1,)
                     found.append(v)
         self._levels.append(tuple(found))
 
     def elements_of_length(self, k: int) -> tuple:
-        """The elements of length k, in lex-min word order; w.pos indexes it."""
+        """The elements of length k, in lex-min word order."""
         if not 0 <= k <= self.longest_length:
             raise OutOfRangeError(
                 f"length {k} out of range 0..{self.longest_length}"

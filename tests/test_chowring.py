@@ -309,7 +309,8 @@ class TestCokernelStratum:
         calc = request.getfixturevalue(fixture)
         for variant in variants:
             for k in range(1, top + 1):
-                rows, columns = _stratum_columns(calc, variant, k)
+                classes, columns = _stratum_columns(calc, variant, k)
+                rows = len(classes)
                 coker = CokernelStratum(rows, columns)
                 res = smith_normal_form(dense_of(rows, columns))
                 assert coker.invariant_factors == res.invariant_factors, (variant, k)
@@ -468,7 +469,8 @@ class TestUnitPhase:
         dense_checked = 0
         for variant in variants:
             for k in range(1, calc.group.longest_length + 1):
-                rows, columns = _stratum_columns(calc, variant, k)
+                classes, columns = _stratum_columns(calc, variant, k)
+                rows = len(classes)
                 coker = CokernelStratum(rows, columns)
                 ref = GeneralPhaseOnly(rows, columns)
                 assert coker.invariant_factors == ref.invariant_factors, (variant, k)
@@ -583,12 +585,11 @@ class TestIdealStrata:
 
 
 class TestForeignClasses:
-    """Classification reads the row of a class in its stratum (w.pos for G2
-    and F4, the row map of A(G/P) keyed by element id for B and D), so a
-    class of another group's elements is refused before its row is read:
-    one of another type (D4, whose Z_3 has an id and a row number that B3's
-    stratum also has) and one of another B3 engine, from a group enumerated
-    to its length or cold (no row number)."""
+    """Classification reads the row of a class in its stratum from a map
+    keyed by element id, so a class of another group's elements is refused
+    before its row is read: one of another type (D4, whose Z_3 has an id
+    that B3's row map also has) and one of another B3 engine, from a group
+    enumerated to its length or cold."""
 
     @pytest.mark.parametrize("enumerated", [False, True])
     @pytest.mark.parametrize("family,rank", [("D", 4), ("B", 3)])
@@ -598,7 +599,7 @@ class TestForeignClasses:
         if enumerated:
             other.group.elements_of_length(1)
         w = other.group.simple_reflection(3)
-        assert (w.pos is None) == (not enumerated)
+        assert len(other.group._levels) == 1 + enumerated
         comp = ChowComputation(SchubertCalc(cartan_type("B", 3)), "special_orthogonal")
         with pytest.raises(ValueError, match="Z_3 is an element of another Weyl group"):
             getattr(comp, method)(other.indicator(w))
@@ -660,22 +661,22 @@ def test_grassmannian_route_matches_the_full_strata(family, rank):
 
     def old(variant, k):
         if (variant, k) not in full:
-            shape = _stratum_columns(calc, variant, k) if k else (1, [])
-            full[variant, k] = CokernelStratum(*shape)
+            classes, columns = _stratum_columns(calc, variant, k) if k else ((g.identity,), [])
+            full[variant, k] = CokernelStratum(len(classes), columns), classes
         return full[variant, k]
 
     def old_class(variant, x):
-        ref = old(variant, x.codim)
+        ref, classes = old(variant, x.codim)
         vec = [0] * ref.rows
         for w, c in x.coeffs.items():
-            vec[w.pos] = c
+            vec[classes.index(w)] = c
         return ref, vec
 
     for pres, shared, limit in runs:
         variant = shared.variant
         comp = ChowComputation(calc, variant)
         for k in range(limit + 1):
-            new, ref = comp.stratum(k), old(variant, k)
+            new, (ref, _) = comp.stratum(k), old(variant, k)
             assert new.rows == len(want_rows[k])
             assert [d for d in new.invariant_factors if d != 1] == [
                 d for d in ref.invariant_factors if d != 1
@@ -698,6 +699,33 @@ def test_grassmannian_route_matches_the_full_strata(family, rank):
         assert grass.classes(g, k) == want  # the same elements, in sort_key order
         for p, w in enumerate(want):
             assert grass.row[w.id] == p
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("family,rank,top", [
+    ("G2", None, None), ("F4", None, 6), ("B", 3, None), ("B", 4, None), ("B", 5, None),
+    ("D", 4, None), ("D", 5, None),
+])
+def test_each_class_reads_as_the_unit_vector_at_its_row(family, rank, top, variant):
+    # the route names the classes of each stratum, and vector_of(Z_w) is the
+    # unit vector at the index of w among them; the strata are asked for
+    # from the top down, so a class is read after the strata above it
+    calc = SchubertCalc(cartan_type(family, rank))
+    g = calc.group
+    comp = ChowComputation(calc, variant)
+    if family in ("B", "D"):
+        strata = _grassmannian_rows(calc)
+        named = chowring._grassmannian(calc).stratum_columns
+    else:
+        strata = [g.elements_of_length(k) for k in range(g.longest_length + 1)]
+        named = _stratum_columns
+    for k in reversed(range((top or g.longest_length) + 1)):
+        classes = named(calc, variant, k)[0] if k else (g.identity,)
+        assert classes == strata[k]
+        assert comp.stratum(k).rows == len(classes)
+        for p, w in enumerate(classes):
+            unit = [int(r == p) for r in range(len(classes))]
+            assert comp.vector_of(calc.indicator(w)) == unit, (k, w)
 
 
 def test_grassmannian_data_dies_with_its_engine():
@@ -734,12 +762,13 @@ def test_grassmannian_columns_match_the_products(family, rank):
     for _, comp, limit in runs:
         first = 0 if comp.variant == "simply_connected" else 1
         for k in range(1, limit + 1):
-            rows, columns = grass.stratum_columns(calc, comp.variant, k)
+            classes, columns = grass.stratum_columns(calc, comp.variant, k)
+            assert classes == grass.classes(g, k)
             want = [
                 {grass.row[v]: c for v, c in calc._times(gens[i], {mu.id: 1}).items()}
                 for i in range(first, min(n, k) + 1)
                 for mu in grass.classes(g, k - max(i, 1))
-            ] if rows else []
+            ] if classes else []
             assert columns == want, (comp.variant, k)
             checked += len(columns)
     assert checked
@@ -835,22 +864,22 @@ def _lattice(d, variant):
 ])
 def test_stratum_columns_are_chevalley_weights(family, rank, variant):
     # column (lam, w) of the codim-k stratum is lam * Z_w by the Chevalley
-    # rule, keyed by the rows v.pos, on a cold engine and on one whose covers
-    # were cached by products before their strata were enumerated
+    # rule, keyed by the row of v in the stratum, on a cold engine and on one
+    # whose covers were cached by products before their strata were enumerated
     ct = cartan_type(family, rank)
     for calc in (SchubertCalc(ct), _warmed(ct)):
         g = calc.group
         basis = _lattice(calc.datum, variant)
         for k in range(1, g.longest_length + 1):
-            rows, columns = _stratum_columns(calc, variant, k)
+            classes, columns = _stratum_columns(calc, variant, k)
             lower = g.elements_of_length(k - 1)
-            assert rows == len(g.elements_of_length(k))
+            assert classes == g.elements_of_length(k)
             assert len(columns) == len(basis) * len(lower)
             for j, lam in enumerate(basis):
-                for w in lower:
+                for i, w in enumerate(lower):
                     want = calc.chevalley_weight(lam, calc.indicator(w))
-                    got = columns[j * len(lower) + w.pos]
-                    assert got == {v.pos: c for v, c in want.coeffs.items()}
+                    got = columns[j * len(lower) + i]
+                    assert got == {classes.index(v): c for v, c in want.coeffs.items()}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -863,16 +892,16 @@ def test_stratum_columns_are_divided_difference_products(family, rank, top, vari
     g = calc.group
     basis = _lattice(calc.datum, variant)
     for k in range(1, (top or g.longest_length) + 1):
-        rows, columns = _stratum_columns(calc, variant, k)
+        classes, columns = _stratum_columns(calc, variant, k)
         lower = g.elements_of_length(k - 1)
-        assert rows == len(g.elements_of_length(k))
+        assert classes == g.elements_of_length(k)
         assert len(columns) == len(basis) * len(lower)
         for j, lam in enumerate(basis):
             form = Polynomial.linear_form(lam)
-            for y in lower:
+            for i, y in enumerate(lower):
                 want = calc.schubert_expand(form * calc.giambelli_poly(y))
-                got = columns[j * len(lower) + y.pos]
-                assert got == {v.pos: c for v, c in want.coeffs.items()}, (k, j, y)
+                got = columns[j * len(lower) + i]
+                assert got == {classes.index(v): c for v, c in want.coeffs.items()}, (k, j, y)
 
 
 class TestChowGroups:

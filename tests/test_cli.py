@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -579,3 +583,42 @@ class TestParserBuilds:
         single = self.exit_output(capsys, main, argv)
         full = self.exit_output(capsys, cli.build_parser().parse_args, argv)
         assert single == full
+
+
+def _cli_process(argv, stdout):
+    """flagcalc run as its own process on this tree's sources."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "flagcalc.cli", *argv],
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written gets exit 1,
+    for output cut short, and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--type", "G2", "--codim", "1"],  # still buffered at the flush
+        ["basis", "--type", "B", "--rank", "6", "--codim", "18"],  # fails in print
+        ["chow", "--type", "G2"],  # several prints
+    ], ids=["small", "large", "chow"])
+    def test_pipe_without_a_reader(self, argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = _cli_process(argv, w)
+        finally:
+            os.close(w)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_reader_that_takes_one_byte(self):
+        # flagcalc basis --type B --rank 7 --codim 16 | head -c 1: 310 kB of
+        # words against a 64 kB pipe, so the write fails after the read
+        argv = ["basis", "--type", "B", "--rank", "7", "--codim", "16"]
+        proc = _cli_process(argv, subprocess.PIPE)
+        assert proc.stdout.read(1) == b"1"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")

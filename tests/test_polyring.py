@@ -41,7 +41,8 @@ def test_monomial_product():
 
 def test_g2_t_class_product(calc_g2):
     d = calc_g2.datum
-    prod = d.t_poly(1) * d.t_poly(2) * d.t_poly(3)
+    t1, t2, t3 = map(Polynomial.linear_form, d.t_classes.values())
+    prod = t1 * t2 * t3
     assert prod == Polynomial(2, {(3, 0): 2, (2, 1): -3, (1, 2): 1})
 
 
@@ -259,7 +260,7 @@ def test_weyl_substitute_table_action(calc_g2):
     # s1 applied to t3 gives -t3
     d = calc_g2.datum
     s1 = calc_g2.group.simple_reflection(1)
-    t3 = d.t_poly(3)
+    t3 = Polynomial.linear_form(d.t_classes["t3"])
     assert weyl_substitute(s1, t3) == -t3
 
 
@@ -310,7 +311,8 @@ class TestParser:
         assert p == q
 
     def test_extra_t_only_for_f4(self, calc_f4, calc_b3):
-        assert parse_polynomial("t", calc_f4.datum) == calc_f4.datum.extra_t_poly()
+        t = Polynomial.linear_form(calc_f4.datum.t_classes["t"])
+        assert parse_polynomial("t", calc_f4.datum) == t
         with pytest.raises(ParseError):
             parse_polynomial("t", calc_b3.datum)
 

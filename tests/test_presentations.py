@@ -18,6 +18,7 @@ from flagcalc.presentations import (
     gamma_word,
     verify_presentations,
 )
+from flagcalc.polyring import Polynomial
 from flagcalc.rootdata import cartan_type
 from flagcalc.schubert import SchubertCalc, SchubertExpansion, calculus_for
 
@@ -351,7 +352,7 @@ def _f4_high_relations_by_polynomials(calc):
     """rho6, rho8 and rho12 of F4 as (right side, left side), with the pure
     t-powers expanded as polynomials and t^j * x as j Chevalley steps."""
     d = calc.datum
-    t = d.extra_t_poly()
+    t = Polynomial.linear_form(d.t_classes["t"])
     g3, g4 = gamma_expansion(calc, 3), gamma_expansion(calc, 4)
 
     def chev_t(x, times):
@@ -382,7 +383,7 @@ class TestClassMemo:
 
     def test_t_powers_are_the_polynomial_expansions(self, calc_f4):
         d = calc_f4.datum
-        t1, t = d.t_poly(1), d.extra_t_poly()
+        t1, t = (Polynomial.linear_form(d.t_classes[name]) for name in ("t1", "t"))
         cls = pres._Classes(calc_f4)
         for i in range(13):
             for j in range(13 - i):

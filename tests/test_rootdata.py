@@ -116,7 +116,7 @@ def test_t_basis_f4():
     assert tuple(d.t_classes.values()) == d.t_vectors + (d.extra_t,)
     # t = c_1 / 2
     c1 = elem_sym_t(d, 1, 4)
-    assert c1 == d.extra_t_poly() * 2
+    assert c1 == Polynomial.linear_form(d.t_classes["t"]) * 2
 
 
 def test_t_basis_d5():

@@ -472,18 +472,20 @@ def test_parabolic_layers_are_the_minimal_coset_representatives(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
-def test_pos_indexes_the_stored_stratum(family, rank):
+def test_the_stored_stratum_is_one_sorted_tuple(family, rank):
     g = _fresh_group(family, rank)
     for k in range(g.longest_length + 1):
         s = g.elements_of_length(k)
         assert type(s) is tuple
         assert s is g.sorted_stratum(k)
-        assert [w.pos for w in s] == list(range(len(s)))
+        assert len(set(s)) == len(s) and all(w.length == k for w in s)
+        assert [w.word for w in s] == sorted(w.word for w in s)
 
 
-def test_pos_of_elements_met_before_enumeration():
+def test_strata_hold_elements_met_before_enumeration():
     # covers and element_from_word intern elements of strata not enumerated
-    # yet; enumeration later gives them the same pos and word as in a warm group
+    # yet, and every other one has its word read; enumeration later puts
+    # each in the same place, with the same word, as in a warm group
     cold, warm = _fresh_group("B", 5), _fresh_group("B", 5)
     early = []
     for w in _enumerate(warm)[::7]:
@@ -491,13 +493,12 @@ def test_pos_of_elements_met_before_enumeration():
         early.append(u)
         early.extend(v for v, _ in cold.covers(u))
     assert len(cold._levels) == 1
-    assert all(u.pos is None for u in early if u.length)
-    assert [(w.pos, w.word) for w in _enumerate(cold)] == [
-        (w.pos, w.word) for w in _enumerate(warm)
-    ]
+    for u in early[::2]:
+        assert u.word == warm.element_from_word(u.word).word
+    assert [w.word for w in _enumerate(cold)] == [w.word for w in _enumerate(warm)]
     for u in early:
-        assert cold.elements_of_length(u.length)[u.pos] is u
-        assert u.pos == warm.element_from_word(u.word).pos
+        p = cold.elements_of_length(u.length).index(u)
+        assert warm.elements_of_length(u.length)[p] is warm.element_from_word(u.word)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("D", 4), ("G2", 2), ("F4", 4)])
