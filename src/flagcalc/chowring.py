@@ -9,8 +9,10 @@ over a basis of the degree-2 lattice and the classes of length k-1, built
 by the Chevalley rule from the upper Bruhat covers of the stratum below
 (``_stratum_columns``).  For B_n and D_n it is A(G/P), P the maximal
 parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
-Schubert classes are the rows, and the columns are c_i(S) * Z_mu, plus
-Z_{s_n} * Z_mu for Spin, from Chevalley steps alone (``_Grassmannian``).
+Schubert classes are the rows, each named by a strict partition, and the
+columns are c_i(S) * Z_mu, plus Z_{s_n} * Z_mu for Spin, by the Pieri rule
+on those partitions (``_Grassmannian``, ``_pieri``; Hiller and Boe, 1986;
+Pragacz, 1991).  Only c_i(S) * Z_e comes from Chevalley steps.
 Codimension 0 holds nothing of the ideal.  A cokernel is diagonalised in
 two phases: closed substitutions take the unit pivots, nearly every row,
 and a dense Smith step the few rows left; the pivots give the invariant
@@ -31,7 +33,7 @@ from .errors import OutOfRangeError
 from .presentations import VerificationReport, gamma_degrees, gamma_word
 from .rootdata import CartanType, cartan_type
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
-from .weylgroup import word_str
+from .weylgroup import WeylElement, word_str
 
 VARIANTS = ("simply_connected", "special_orthogonal")
 
@@ -278,34 +280,62 @@ class _Grassmannian:
     flag-bundle formula).  The SO ideal (t_1, ..., t_n) thus leaves
     A(G/P) / (c_1(S), ..., c_n(S)), and the Spin ideal adds omega_n =
     Z_{s_n}.  A(G/P) has the basis Z_w, w with right descents in {n}: 2^n
-    classes for B_n, 2^(n-1) for D_n, walked from the identity by
-    ``WeylGroup.parabolic_layer`` and enumerating no stratum.
+    classes for B_n, 2^(n-1) for D_n.
+
+    Each class is named by its strict partition lam inside rho_m = (m, ...,
+    1), m = n for B_n and n - 1 for D_n, with |lam| = l(w): these are the
+    P-tilde classes tau_lam.  The classes are walked from the identity one
+    box at a time, and adding the box (r, c), r <= c, of the shifted diagram
+    multiplies w on the left by s_a.  For B_n, a = n - (c - r).  For D_n,
+    a = n - 1 - (c - r) off the diagonal, and a box (r, r) on it has a = n
+    for odd r and n - 1 for even r.  So the walk interns only classes of
+    A(G/P) and enumerates no stratum.
 
     Stratum k has one row per class of length k, in ``sort_key`` order;
-    ``row`` maps an element id to it.  Its columns are c_i * Z_mu =
-    e_i(t_1..t_n) * Z_mu (computed, not taken from the paper), and for Spin
-    Z_{s_n} * Z_mu as well, one Chevalley step by omega_n.  The c_i columns
-    come from Chevalley steps alone, by e_l(t_1..t_m) = e_l(t_1..t_(m-1)) +
-    t_m e_(l-1)(t_1..t_(m-1)): level l of mu holds e_l(t_1..t_m) * Z_mu for
-    m = 0..n, classes of A(G/B) keyed by element id, and level l + 1 takes
-    one step by each t_m from it.  Each mu is raised one level at a time,
-    only as far as a stratum asks, and keeps only its highest level; every
-    column is kept, keyed by generator and mu, so strata come out the same
-    in any request order and the second group form only adds its own.
+    ``row`` maps an element id to it.  Its columns are c_i * Z_mu, and for
+    Spin Z_{s_n} * Z_mu as well, where Z_{s_n} = tau_1.  c_i * Z_e =
+    e_i(t_1..t_n) is computed, not taken from the paper: by Chevalley steps
+    from the identity, e_l(t_1..t_m) = e_l(t_1..t_(m-1)) + t_m
+    e_(l-1)(t_1..t_(m-1)) (``_raise_level``), once per engine and only as
+    far as a stratum asks.  Its terms are special classes tau_j, one-row
+    partitions, and c_i * Z_mu is the sum of their products with tau_mu by
+    the Pieri rule (``_pieri``; Hiller and Boe, Adv. Math. 62, 1986;
+    Pragacz, LNM 1478, 1991).  So the columns intern nothing outside W^P but
+    the support of the identity's raise and the covers its steps scan.
+    Every column is kept, keyed by generator and mu, so strata come out the
+    same in any request order and the second group form only adds its own.
     Nothing here refers to the engine, which ``_grassmannian`` keys it by.
     """
 
     def __init__(self, group):
+        n = group.rank
+        self._labels = _box_labels(group.datum.cartan_type.family, n)
         self._levels = [(group.identity,)]
         self.row = {group.identity.id: 0}  # element id -> its row in its stratum
+        self.partition = {group.identity.id: ()}  # element id -> its strict partition
+        self._row_of = {(): 0}  # strict partition -> its row
         self._columns: dict = {}  # (i, mu id) -> c_i * Z_mu (Z_{s_n} * Z_mu for i = 0)
-        self._raised: dict = {}  # mu id -> (l, [e_l(t_1..t_m) * Z_mu for m = 0..n])
+        # c_i * Z_e as pairs (j, a), a tau_j, for i = 1, 2, ...; i = 0 is Z_{s_n}
+        self._specials = [((1, 1),)]
+        self._level = [{group.identity.id: 1}] * (n + 1)  # the identity's raise
 
     def classes(self, group, k: int) -> tuple:
-        levels = self._levels
+        levels, partition, labels = self._levels, self.partition, self._labels
         while len(levels) <= k:
-            layer = group.parabolic_layer(group.rank, levels[-1])
-            self.row.update((w.id, p) for p, w in enumerate(layer))
+            found = {}  # partition -> its class
+            for w in levels[-1]:
+                lam = partition[w.id]
+                for r, length in enumerate(lam + (0,)):
+                    if r < len(labels) and length < len(labels[r]) and (
+                        not r or length + 1 < lam[r - 1]
+                    ):
+                        mu = lam[:r] + (length + 1,) + lam[r + 1:]
+                        if mu not in found:
+                            found[mu] = group.simple_times(labels[r][length], w)
+            layer = tuple(sorted(found.values(), key=WeylElement.sort_key))
+            partition.update((w.id, mu) for mu, w in found.items())
+            for p, w in enumerate(layer):
+                self.row[w.id] = self._row_of[partition[w.id]] = p
             levels.append(layer)
         return levels[k]
 
@@ -325,32 +355,31 @@ class _Grassmannian:
     def _column(self, calc: SchubertCalc, i: int, mu) -> dict:
         """c_i * Z_mu (Z_{s_n} * Z_mu for i = 0), as a dict row -> entry."""
         got = self._columns.get((i, mu.id))
-        if got is not None:
-            return got
-        d, n = calc.datum, calc.rank
-        if not i:
-            pairing = calc.root_pairings(d.fundamental_weights[n - 1])
-            got = self._columns[0, mu.id] = self._rows(calc, calc._chevalley(pairing, {mu.id: 1}))
-            return got
-        pairings = [calc.root_pairings(t) for t in d.t_classes.values()]
-        l, level = self._raised.get(mu.id) or (0, [{mu.id: 1}] * (n + 1))
-        while l < i:
-            level, l = _raise_level(calc, pairings, level), l + 1
-            self.classes(calc.group, mu.length + l)  # the rows of c_l * Z_mu
-            self._columns[l, mu.id] = self._rows(calc, level[n])
-        self._raised[mu.id] = l, level
-        return self._columns[i, mu.id]
+        if got is None:
+            got, lam, m, row_of = {}, self.partition[mu.id], len(self._labels), self._row_of
+            for j, a in self._special(calc, i):
+                for nu, b in _pieri(j, lam, m).items():
+                    r = row_of[nu]
+                    got[r] = got.get(r, 0) + a * b
+            self._columns[i, mu.id] = got
+        return got
 
-    def _rows(self, calc: SchubertCalc, coeffs: dict) -> dict:
-        """Coefficients keyed by element id, as a column keyed by row; a class
-        outside A(G/P) is a fault, never dropped."""
-        row, out = self.row, {}
-        for v, c in coeffs.items():
-            r = row.get(v)
-            if r is None:
-                raise AssertionError(f"Z_{calc.group._by_id[v]} is not a class of A(G/P)")
-            out[r] = c
-        return out
+    def _special(self, calc: SchubertCalc, i: int) -> tuple:
+        """c_i * Z_e as pairs (j, a), a tau_j; a class other than a special
+        one is a fault, never dropped."""
+        specials, group = self._specials, calc.group
+        while len(specials) <= i:
+            pairings = [calc.root_pairings(t) for t in calc.datum.t_classes.values()]
+            self._level = _raise_level(calc, pairings, self._level)
+            self.classes(group, len(specials))  # name the classes of c_l * Z_e
+            terms = []
+            for v, a in self._level[-1].items():
+                lam = self.partition.get(v)
+                if lam is None or len(lam) != 1:
+                    raise AssertionError(f"Z_{group._by_id[v]} is not a special class of A(G/P)")
+                terms.append((lam[0], a))
+            specials.append(tuple(terms))
+        return specials[i]
 
 
 def _raise_level(calc: SchubertCalc, pairings: list, level: list) -> list:
@@ -369,6 +398,45 @@ def _raise_level(calc: SchubertCalc, pairings: list, level: list) -> list:
                 else:
                     del acc[v]
         out.append(acc)
+    return out
+
+
+def _box_labels(family: str, n: int) -> tuple:
+    """Per row r of rho_m, from 0, the labels of its boxes from the diagonal
+    out: the box c places right of the diagonal is added by s_a on the left,
+    a = labels[r][c] (see ``_Grassmannian``)."""
+    if family == "B":
+        return tuple(tuple(n - c for c in range(n - r)) for r in range(n))
+    return tuple((n - r % 2, *(n - 1 - c for c in range(1, n - 1 - r))) for r in range(n - 1))
+
+
+def _pieri(k: int, lam: tuple, m: int) -> dict:
+    """tau_k * tau_lam in A(G/P), as a dict partition -> coefficient.
+
+    The sum of 2^(N - 1) tau_mu over the strict mu inside rho_m with |mu| =
+    |lam| + k and mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; N is the number of
+    rows that gain boxes, less the number of rows j + 1 that reach the old
+    end of row j, mu_(j+1) = lam_j, and so join its new boxes.  That is
+    Pieri's rule for the P-tilde classes (Hiller and Boe, 1986; Pragacz,
+    1991), and a strict mu never has mu_(j+1) = lam_j = mu_j.
+    """
+    tops, lows, out = (m, *lam), (*lam, 0), {}
+    room = [0] * (len(lows) + 1)  # room[j]: the boxes rows j.. may gain
+    for j in reversed(range(len(lows))):
+        room[j] = room[j + 1] + tops[j] - lows[j]
+
+    def extend(j: int, left: int, mu: tuple, n: int) -> None:
+        if not left:
+            out[mu + lam[j:]] = 2 ** (n - 1)
+            return
+        low, top = lows[j], tops[j]
+        for x in range(max(low, low + left - room[j + 1]), min(top, low + left) + 1):
+            joins = j > 0 and x == top  # row j reaches the old end of row j - 1
+            if joins and mu[j - 1] == top:
+                continue  # mu_j = mu_(j-1): not strict
+            extend(j + 1, left - x + low, mu + (x,), n + (x > low) - joins)
+
+    extend(0, k, (), 0)
     return out
 
 

@@ -10,7 +10,7 @@ lexicographically minimal reduced word; words use 1-based simple-root
 indices, matching the usual s_1, ..., s_l labels.  Enumeration sets the word
 of each element of a stratum it fills.  An element interned outside it (by
 ``right_id``, a cover scan, ``root_reflection``, ``inverse`` or
-``parabolic_layer``) takes its length from the caller and computes its word
+``simple_times``) takes its length from the caller and computes its word
 from its own permutation the first time ``word`` or ``sort_key`` is read, so
 words that are never printed or sorted cost nothing.
 
@@ -47,9 +47,10 @@ cover; a candidate several steps above w is dropped.  So high-rank groups
 are never enumerated just to find covers.  The Chow rings of G2 and F4
 scan the covers of each element of an enumerated stratum.  Those of B_n
 and D_n enumerate no stratum: they walk the minimal coset representatives
-of a maximal parabolic subgroup by left multiplication
-(``parabolic_layer``), and their columns are Chevalley steps, which scan
-the upper covers of elements met outside enumeration.
+of a maximal parabolic subgroup by left multiplication (``simple_times``),
+and their columns come from the Pieri rule; only the classes c_i * Z_e are
+Chevalley steps, which scan the upper covers of elements met outside
+enumeration.
 
 The action matrix on weight coordinates is computed on access from the
 permutation, for ``act`` and the tests; no enumeration or cover path uses
@@ -344,31 +345,15 @@ class WeylGroup:
             letters.append(i + 1)
             perm = self._times[i](t)
 
-    def parabolic_layer(self, j: int, layer) -> tuple:
-        """The next layer of minimal coset representatives of W / W_J, J every
-        simple index but j: the w whose right descents lie in {j}.
+    def simple_times(self, i: int, w: WeylElement) -> WeylElement:
+        """s_i w, from the permutation s_i after w.perm; only it is interned.
 
-        layer holds the representatives of some length k; the result holds
-        those of length k + 1, in ``sort_key`` order.  Each is s_i w for some
-        w of layer, since s_i v is a representative for a left descent i of
-        one, v.  By Deodhar's lemma, for a left ascent i of w (w^{-1}(alpha_i)
-        positive), s_i w is a representative unless w^{-1}(alpha_i) is a
-        simple root alpha_m, m != j, and then s_i w = w s_m.  So one lookup in
-        w.perm tells which s_i w to take, and only those are interned, from
-        the permutation s_i after w.perm.
+        It lies above w exactly when w^{-1}(alpha_i) is a positive root, one
+        lookup in w.perm.
         """
-        n_pos, alpha, pad = self._n_pos, self._alpha, self._pad
-        others = {a for m, a in enumerate(alpha, 1) if m != j}
-        left = self._lexmin_word._left
-        found = {}
-        for w in layer:
-            perm = w.perm
-            for i, a in enumerate(alpha):
-                r = perm.index(a)  # w^{-1}(alpha_i)
-                if r < n_pos and r not in others:
-                    p = left[i](perm)
-                    found[self._element(p, self._key_of(p + pad), w.length + 1)] = None
-        return tuple(sorted(found, key=WeylElement.sort_key))
+        perm = self._lexmin_word._left[i - 1](w.perm)
+        up = w.perm.index(self._alpha[i - 1]) < self._n_pos
+        return self._element(perm, self._key_of(perm + self._pad), w.length + (1 if up else -1))
 
     def act(self, w: WeylElement, lam: Weight) -> Weight:
         if len(lam) != self.rank:

@@ -621,19 +621,26 @@ class TestClassesOutsideAGP:
 
 
 def test_a_column_term_outside_agp_raises(monkeypatch):
-    # c_i * Z_mu lies in A(G/P); a term without a row is a fault, not dropped
-    calc = SchubertCalc(cartan_type("B", 3))
-    s1 = calc.group.simple_reflection(1)
+    # c_i * Z_e is a sum of special classes tau_j; a term that is not one, an
+    # element outside A(G/P) or a class of A(G/P) with a two-row partition,
+    # is a fault, named and never dropped
     real = chowring._raise_level
+    for text in ("1", "323"):
+        calc = SchubertCalc(cartan_type("B", 3))
+        w = word(calc, text)
+        raised = []
 
-    def raise_level(calc, pairings, level):
-        out = real(calc, pairings, level)
-        out[-1] = {**out[-1], s1.id: 1}
-        return out
+        def raise_level(calc, pairings, level):
+            out = real(calc, pairings, level)
+            raised.append(out)
+            if len(raised) == w.length:
+                out[-1] = {**out[-1], w.id: 1}
+            return out
 
-    monkeypatch.setattr(chowring, "_raise_level", raise_level)
-    with pytest.raises(AssertionError, match=re.escape("Z_1 is not a class of A(G/P)")):
-        ChowComputation(calc, "special_orthogonal").stratum(1)
+        monkeypatch.setattr(chowring, "_raise_level", raise_level)
+        message = f"Z_{text} is not a special class of A(G/P)"
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            ChowComputation(calc, "special_orthogonal").stratum(w.length)
 
 
 def _grassmannian_rows(calc) -> list:
@@ -735,7 +742,7 @@ def test_grassmannian_data_dies_with_its_engine():
     calc = calculus_for(cartan_type("D", 5))
     assert verify_chow("D", 5).all_passed
     data = chowring._grassmannian(calc)
-    assert data._columns and data._raised
+    assert data._columns and len(data._specials) > 1
     ref = weakref.ref(data)
     del calc, data
     calculus_for.cache_clear()
@@ -774,6 +781,80 @@ def test_grassmannian_columns_match_the_products(family, rank):
     assert checked
 
 
+def _walk(family, rank):
+    """A fresh engine, its _Grassmannian walked to the top, and the class of
+    each strict partition."""
+    calc = SchubertCalc(cartan_type(family, rank))
+    grass = chowring._grassmannian(calc)
+    k = 0
+    while grass.classes(calc.group, k):
+        k += 1
+    named = {lam: calc.group._by_id[v] for v, lam in grass.partition.items()}
+    return calc, grass, named
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("D", 4), ("D", 5), ("D", 6),
+])
+def test_the_partition_walk_is_onto_the_grassmannian_classes(family, rank):
+    # the labelled walk from the identity gives, length by length and in
+    # sort_key order, the w with right descents in {n} filtered from the
+    # enumerated strata, each named by a strict partition inside rho_m with
+    # |lam| = l(w); it enumerates no stratum
+    calc, grass, named = _walk(family, rank)
+    g = calc.group
+    m = rank if family == "B" else rank - 1
+    assert len(g._levels) == 1
+    for k, want in enumerate(_grassmannian_rows(calc)):
+        got = grass.classes(g, k)
+        assert [w.word for w in got] == [w.word for w in want], k
+        for w in got:
+            lam = grass.partition[w.id]
+            assert w.length == k == sum(lam)
+            assert all(a > b for a, b in zip(lam, lam[1:])) and lam[:1] <= (m,)
+    assert len(named) == len(grass.partition) == 2 ** m
+
+
+@pytest.mark.parametrize("family,rank", [("B", 7), ("B", 8), ("D", 7), ("D", 8)])
+def test_the_partition_walk_gives_every_class(family, rank):
+    # 2^n classes for B_n and 2^(n-1) for D_n, distinct elements with
+    # distinct partitions, walked without enumerating a stratum
+    calc, grass, named = _walk(family, rank)
+    m = rank if family == "B" else rank - 1
+    assert len(named) == len(set(named.values())) == 2 ** m
+    assert all(w.length == sum(lam) for lam, w in named.items())
+    assert len(calc.group._levels) == 1
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("B", 7),
+    ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8),
+])
+def test_the_pieri_rule_matches_the_products(family, rank):
+    # tau_k * tau_lam by the Pieri rule against the Leibniz product of the two
+    # classes in A(G/B), for every special tau_k and every strict lam inside
+    # rho_m with |lam| + k <= |rho_m|
+    calc, grass, named = _walk(family, rank)
+    m = rank if family == "B" else rank - 1
+    dim = m * (m + 1) // 2
+    checked = 0
+    for lam, w in named.items():
+        for k in range(1, min(m, dim - sum(lam)) + 1):
+            got = {named[mu]: c for mu, c in chowring._pieri(k, lam, m).items()}
+            assert got == calc.structure_constants(named[(k,)], w).coeffs, (k, lam)
+            checked += 1
+    assert checked == sum(min(m, dim - sum(lam)) for lam in named)
+
+
+def test_low_codimensions_of_d12_intern_few_elements():
+    # the columns intern no element outside W^P but the support of the
+    # identity's raise: 10,177 elements when each mu was raised through A(G/B)
+    calculus_for.cache_clear()
+    chow_to_json("D", 12, "simply_connected", max_codim=3)
+    assert len(calculus_for(cartan_type("D", 12)).group._by_id) < 2000
+    calculus_for.cache_clear()
+
+
 def _chow_answers(family, rank, order):
     """Per group form: the invariant factors of every stratum up to the
     default limit, the order of each generator class and the answers to the
@@ -803,7 +884,7 @@ def _chow_answers(family, rank, order):
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5)])
 def test_strata_do_not_depend_on_the_request_order(family, rank):
-    # each mu keeps only its highest level of the e_l(t) recursion, so a
+    # the identity's e_l(t) recursion keeps only its highest level, so a
     # stratum asked for after a higher one must still find its columns
     want = _chow_answers(family, rank, lambda variant, limit: range(limit + 1))
 

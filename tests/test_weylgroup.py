@@ -7,7 +7,7 @@ import pytest
 
 from flagcalc.errors import InvalidWordError, NotARootError, OutOfRangeError
 from flagcalc.rootdata import build_root_datum, cartan_type
-from flagcalc.weylgroup import WeylElement, WeylGroup, length_counts, weyl_order
+from flagcalc.weylgroup import WeylElement, WeylGroup, length_counts
 
 from conftest import left_descents, reduced_words, word
 
@@ -449,26 +449,20 @@ def test_order_from_root_heights_matches_closed_formulas(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 4), ("D", 5), ("F4", None)])
-def test_parabolic_layers_are_the_minimal_coset_representatives(family, rank):
-    # for each j, the layers walked from the identity on a cold group are the
-    # w with right descents in {j}, in stratum order, |W| / |W_J| of them;
-    # the walk enumerates no stratum
-    for j in range(1, build_root_datum(cartan_type(family, rank)).rank + 1):
-        cold, warm = _fresh_group(family, rank), _fresh_group(family, rank)
-        rest = ~(1 << (j - 1))
-        layers = [(cold.identity,)]
-        while layers[-1]:
-            layers.append(cold.parabolic_layer(j, layers[-1]))
-        assert len(cold._levels) == 1
-        total = 0
-        for k in range(warm.longest_length + 1):
-            want = [w.word for w in warm.elements_of_length(k) if not w.descents & rest]
-            got = layers[k] if k < len(layers) else ()
-            assert [w.word for w in got] == want, (j, k)
-            assert all(w.length == k for w in got)
-            total += len(got)
-        levi = [r for r in cold.datum.positive_roots if not r.simple_coords[j - 1]]
-        assert total == cold.order() // weyl_order(levi)
+def test_simple_times_is_left_multiplication(family, rank):
+    # s_i w against the word (i,) + word(w) on a warm group, with its length,
+    # up or down; on a cold group that holds w and the identity alone, each
+    # other s_i w is new, and only it is interned
+    warm = _fresh_group(family, rank)
+    for w in _enumerate(warm):
+        cold = _fresh_group(family, rank)
+        v = cold._element(w.perm, cold._key_of(w.perm + cold._pad), w.length)
+        for i in range(1, warm.rank + 1):
+            before = len(cold._by_id)
+            got = cold.simple_times(i, v)
+            assert len(cold._by_id) == before + (got is not cold.identity)
+            want = warm.element_from_word((i,) + w.word)
+            assert got.word == want.word and got.length == want.length
 
 
 @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3), ("D", 4), ("F4", None)])
