@@ -33,7 +33,7 @@ from .errors import OutOfRangeError
 from .presentations import VerificationReport, gamma_degrees, gamma_word
 from .rootdata import CartanType, cartan_type
 from .schubert import SchubertCalc, SchubertExpansion, calculus_for
-from .weylgroup import WeylElement, word_str
+from .weylgroup import word_str
 
 VARIANTS = ("simply_connected", "special_orthogonal")
 
@@ -291,19 +291,19 @@ class _Grassmannian:
     for odd r and n - 1 for even r.  So the walk interns only classes of
     A(G/P) and enumerates no stratum.
 
-    Stratum k has one row per class of length k, in ``sort_key`` order;
-    ``row`` maps an element id to it.  Its columns are c_i * Z_mu, and for
-    Spin Z_{s_n} * Z_mu as well, where Z_{s_n} = tau_1.  c_i * Z_e =
-    e_i(t_1..t_n) is computed, not taken from the paper: by Chevalley steps
-    from the identity, e_l(t_1..t_m) = e_l(t_1..t_(m-1)) + t_m
+    Stratum k has one row per class of length k, in the order of their
+    partitions; ``_row_of`` maps a partition to it.  Its columns are c_i *
+    Z_mu, and for Spin Z_{s_n} * Z_mu as well, where Z_{s_n} = tau_1.  c_i *
+    Z_e = e_i(t_1..t_n) is computed, not taken from the paper: by Chevalley
+    steps from the identity, e_l(t_1..t_m) = e_l(t_1..t_(m-1)) + t_m
     e_(l-1)(t_1..t_(m-1)) (``_raise_level``), once per engine and only as
     far as a stratum asks.  Its terms are special classes tau_j, one-row
     partitions, and c_i * Z_mu is the sum of their products with tau_mu by
     the Pieri rule (``_pieri``; Hiller and Boe, Adv. Math. 62, 1986;
     Pragacz, LNM 1478, 1991).  So the columns intern nothing outside W^P but
-    the support of the identity's raise and the covers its steps scan.
-    Every column is kept, keyed by generator and mu, so strata come out the
-    same in any request order and the second group form only adds its own.
+    the support of the identity's raise and the covers its steps scan.  Every
+    column is kept, keyed by generator and mu, so strata come out the same
+    in any request order and the second group form only adds its own.
     Nothing here refers to the engine, which ``_grassmannian`` keys it by.
     """
 
@@ -311,7 +311,6 @@ class _Grassmannian:
         n = group.rank
         self._labels = _box_labels(group.datum.cartan_type.family, n)
         self._levels = [(group.identity,)]
-        self.row = {group.identity.id: 0}  # element id -> its row in its stratum
         self.partition = {group.identity.id: ()}  # element id -> its strict partition
         self._row_of = {(): 0}  # strict partition -> its row
         self._columns: dict = {}  # (i, mu id) -> c_i * Z_mu (Z_{s_n} * Z_mu for i = 0)
@@ -332,11 +331,10 @@ class _Grassmannian:
                         mu = lam[:r] + (length + 1,) + lam[r + 1:]
                         if mu not in found:
                             found[mu] = group.simple_times(labels[r][length], w)
-            layer = tuple(sorted(found.values(), key=WeylElement.sort_key))
+            order = sorted(found)
             partition.update((w.id, mu) for mu, w in found.items())
-            for p, w in enumerate(layer):
-                self.row[w.id] = self._row_of[partition[w.id]] = p
-            levels.append(layer)
+            self._row_of.update((mu, p) for p, mu in enumerate(order))
+            levels.append(tuple(found[mu] for mu in order))
         return levels[k]
 
     def stratum_columns(self, calc: SchubertCalc, variant: str, k: int):
@@ -457,8 +455,7 @@ class ChowComputation:
     The family picks the route: G2 and F4 take the strata of A(G/B) from
     ``_stratum_columns``, B_n and D_n those of A(G/P) from the engine's
     ``_Grassmannian``.  Either route names the classes of a stratum, and
-    ``row`` maps the id of each to its row; for B_n and D_n it is the
-    ``_Grassmannian``'s own map, which both forms share.
+    ``stratum`` maps the id of each to its row in ``row``.
     """
 
     def __init__(self, calc: SchubertCalc, variant: str):
@@ -467,9 +464,9 @@ class ChowComputation:
         self.calc = calc
         self.variant = variant
         self._strata: dict = {}
-        g = _grassmannian(calc) if calc.cartan_type.family in ("B", "D") else None
-        self._columns = _stratum_columns if g is None else g.stratum_columns
-        self.row = {} if g is None else g.row  # element id -> its row
+        bd = calc.cartan_type.family in ("B", "D")
+        self._columns = _grassmannian(calc).stratum_columns if bd else _stratum_columns
+        self.row: dict = {}  # element id -> its row in its stratum
 
     def stratum(self, k: int) -> CokernelStratum:
         """The cokernel of the ideal stratum in codimension k; its rows are
@@ -488,11 +485,12 @@ class ChowComputation:
     def vector_of(self, x: SchubertExpansion) -> list:
         """The coefficients of x at the rows of its stratum, read from ``row``.
 
-        Every stratum is small (at most 94 rows, F4's codim 12), so the map
-        and the vector cost little.  ValueError for an element that another
-        group interned (see ``SchubertCalc._own``), and for a class without a
-        row, which only a class outside A(G/P) lacks: a Z_w with a right
-        descent other than n.
+        A vector has one entry per class of the stratum: at most 94 on A(G/B)
+        (F4's codim 12), and on A(G/P) the peak coefficient of the product of
+        (1 + q^j) over j <= m, 14 on B8, 40 on B10, 124 on B12 and 1,314 on
+        B16.  ValueError for an element that another group interned (see
+        ``SchubertCalc._own``), and for a class without a row, which only a
+        class outside A(G/P) lacks: a Z_w with a right descent other than n.
         """
         vec = [0] * self.stratum(x.codim).rows
         row = self.row

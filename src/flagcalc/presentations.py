@@ -300,7 +300,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _word_element(calc: SchubertCalc, word: str):
+def _word_element(calc: SchubertCalc, word):
+    """The element of a word: a digit string, or a tuple of letters."""
     return calc.group.element_from_word([int(ch) for ch in word])
 
 
@@ -371,20 +372,22 @@ def degree2_generator_images(calc: SchubertCalc) -> dict:
 
 
 def expected_degree2_table(ct: CartanType) -> dict:
-    """The displayed degree-2 expansions, keyed by generator symbol."""
+    """The displayed degree-2 expansions, keyed by generator symbol.  The
+    B/D words are tuples of letters, since from rank 10 up a letter has
+    two digits; the G2/F4 words are digit strings."""
     n = ct.rank
     if ct.family == "B":
-        out = {"t1": {"1": 1}}
+        out = {"t1": {(1,): 1}}
         for i in range(2, n):
-            out[f"t{i}"] = {str(i - 1): -1, str(i): 1}
-        out[f"t{n}"] = {str(n - 1): -1, str(n): 2}
+            out[f"t{i}"] = {(i - 1,): -1, (i,): 1}
+        out[f"t{n}"] = {(n - 1,): -1, (n,): 2}
         return out
     if ct.family == "D":
-        out = {"t1": {"1": 1}}
+        out = {"t1": {(1,): 1}}
         for i in range(2, n - 1):
-            out[f"t{i}"] = {str(i - 1): -1, str(i): 1}
-        out[f"t{n - 1}"] = {str(n - 2): -1, str(n - 1): 1, str(n): 1}
-        out[f"t{n}"] = {str(n - 1): -1, str(n): 1}
+            out[f"t{i}"] = {(i - 1,): -1, (i,): 1}
+        out[f"t{n - 1}"] = {(n - 2,): -1, (n - 1,): 1, (n,): 1}
+        out[f"t{n}"] = {(n - 1,): -1, (n,): 1}
         return out
     if ct.family == "G2":
         return dict(G2_DEGREE2)

@@ -25,8 +25,9 @@ step, and fills a slot and its mirror on first use.
 
 Each length stratum is stored once, as a tuple in lex-min word order.  An
 element records no index in it: the one reader of row numbers, the Chow
-layer, numbers the classes of its own strata, which are small (at most 94
-classes for F4, and 14 per stratum of A(G/P) for B8).
+layer, numbers the classes of its own strata: at most 94 for F4, and on
+A(G/P) the peak coefficient of the product of (1 + q^j) over j <= m, which
+is 14 for B8, 124 for B12 and 1,314 for B16.
 
 Every product and test is an index lookup.  The permutation of w s_i is
 perm composed with s_i, and its key is w applied to s_i(alpha_j); with bytes

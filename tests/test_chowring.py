@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from flagcalc import chowring, cli
+from flagcalc import chowring, cli, weylgroup
 from flagcalc.chowring import (
     VARIANTS,
     ChowComputation,
@@ -703,9 +703,9 @@ def test_grassmannian_route_matches_the_full_strata(family, rank):
                 assert comp.class_order(power) == ref.class_order(vec)
     grass = chowring._grassmannian(calc)
     for k, want in enumerate(want_rows):
-        assert grass.classes(g, k) == want  # the same elements, in sort_key order
-        for p, w in enumerate(want):
-            assert grass.row[w.id] == p
+        got = grass.classes(g, k)
+        assert len(got) == len(want) and set(got) == set(want)  # the same elements
+        assert [grass._row_of[grass.partition[w.id]] for w in got] == list(range(len(got)))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -715,24 +715,29 @@ def test_grassmannian_route_matches_the_full_strata(family, rank):
 ])
 def test_each_class_reads_as_the_unit_vector_at_its_row(family, rank, top, variant):
     # the route names the classes of each stratum, and vector_of(Z_w) is the
-    # unit vector at the index of w among them; the strata are asked for
-    # from the top down, so a class is read after the strata above it
+    # unit vector at the index of w among them, which for B/D is the row of
+    # its partition; the strata are asked for from the top down, so a class
+    # is read after the strata above it
     calc = SchubertCalc(cartan_type(family, rank))
     g = calc.group
     comp = ChowComputation(calc, variant)
     if family in ("B", "D"):
         strata = _grassmannian_rows(calc)
-        named = chowring._grassmannian(calc).stratum_columns
+        grass = chowring._grassmannian(calc)
+        named = grass.stratum_columns
     else:
         strata = [g.elements_of_length(k) for k in range(g.longest_length + 1)]
         named = _stratum_columns
     for k in reversed(range((top or g.longest_length) + 1)):
         classes = named(calc, variant, k)[0] if k else (g.identity,)
-        assert classes == strata[k]
+        assert len(classes) == len(strata[k]) and set(classes) == set(strata[k])
         assert comp.stratum(k).rows == len(classes)
         for p, w in enumerate(classes):
             unit = [int(r == p) for r in range(len(classes))]
             assert comp.vector_of(calc.indicator(w)) == unit, (k, w)
+            assert comp.row[w.id] == p
+            if family in ("B", "D"):
+                assert grass._row_of[grass.partition[w.id]] == p
 
 
 def test_grassmannian_data_dies_with_its_engine():
@@ -762,6 +767,7 @@ def test_grassmannian_columns_match_the_products(family, rank):
     calc = SchubertCalc(cartan_type(family, rank))
     g, n = calc.group, rank
     grass = chowring._grassmannian(calc)
+    row_of, partition = grass._row_of, grass.partition
     gens = {i: calc._ids(calc.schubert_expand(elem_sym_t(calc.datum, i, n)).coeffs)
             for i in range(1, n + 1)}
     gens[0] = {g.simple_reflection(n).id: 1}
@@ -772,7 +778,7 @@ def test_grassmannian_columns_match_the_products(family, rank):
             classes, columns = grass.stratum_columns(calc, comp.variant, k)
             assert classes == grass.classes(g, k)
             want = [
-                {grass.row[v]: c for v, c in calc._times(gens[i], {mu.id: 1}).items()}
+                {row_of[partition[v]]: c for v, c in calc._times(gens[i], {mu.id: 1}).items()}
                 for i in range(first, min(n, k) + 1)
                 for mu in grass.classes(g, k - max(i, 1))
             ] if classes else []
@@ -797,17 +803,19 @@ def _walk(family, rank):
     ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("D", 4), ("D", 5), ("D", 6),
 ])
 def test_the_partition_walk_is_onto_the_grassmannian_classes(family, rank):
-    # the labelled walk from the identity gives, length by length and in
-    # sort_key order, the w with right descents in {n} filtered from the
-    # enumerated strata, each named by a strict partition inside rho_m with
-    # |lam| = l(w); it enumerates no stratum
+    # the labelled walk from the identity gives, length by length, the w
+    # with right descents in {n} filtered from the enumerated strata, each
+    # named by a strict partition inside rho_m with |lam| = l(w) and listed
+    # in the order of the partitions; it enumerates no stratum
     calc, grass, named = _walk(family, rank)
     g = calc.group
     m = rank if family == "B" else rank - 1
     assert len(g._levels) == 1
     for k, want in enumerate(_grassmannian_rows(calc)):
         got = grass.classes(g, k)
-        assert [w.word for w in got] == [w.word for w in want], k
+        assert len(got) == len(want) and set(got) == set(want), k
+        lams = [grass.partition[w.id] for w in got]
+        assert lams == sorted(lams), k
         for w in got:
             lam = grass.partition[w.id]
             assert w.length == k == sum(lam)
@@ -853,6 +861,25 @@ def test_low_codimensions_of_d12_intern_few_elements():
     chow_to_json("D", 12, "simply_connected", max_codim=3)
     assert len(calculus_for(cartan_type("D", 12)).group._by_id) < 2000
     calculus_for.cache_clear()
+
+
+@pytest.mark.parametrize("family,rank", [("B", 7), ("D", 7)])
+def test_the_bd_strata_compute_no_lex_min_word(family, rank, monkeypatch):
+    # a B/D row is named by its strict partition alone, so the strata of both
+    # forms up to the default limit ask no element for its lex-min word
+    _, _, runs = chowring._chow_setup(family, rank, None, None)
+    calc = SchubertCalc(cartan_type(family, rank))
+    calls = [0]
+    lexmin = weylgroup._LexMin.__call__
+
+    def counted(self, perm):
+        calls[0] += 1
+        return lexmin(self, perm)
+
+    monkeypatch.setattr(weylgroup._LexMin, "__call__", counted)
+    for _, shared, limit in runs:
+        chow_groups(calc, shared.variant, limit)
+    assert calls == [0]
 
 
 def _chow_answers(family, rank, order):

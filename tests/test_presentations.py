@@ -137,6 +137,19 @@ class TestDegree2Images:
         assert got["t4"] == expansion(calc_d5, {"3": -1, "4": 1, "5": 1})
         assert got["t5"] == expansion(calc_d5, {"4": -1, "5": 1})
 
+    @pytest.mark.parametrize("family,rank", [("B", 10), ("D", 10)])
+    def test_two_digit_letters_pass(self, family, rank):
+        # the letter 10 is one letter, not 1 then 0
+        rep = verify_presentations(family, rank)
+        assert rep.all_passed, [c.name for c in rep.failures()]
+
+    @pytest.mark.parametrize("family", ["B", "D"])
+    def test_every_word_is_one_letter_at_rank_12(self, family):
+        tables = expected_degree2_table(cartan_type(family, 12)).values()
+        words = [w for table in tables for w in table]
+        assert all(len(w) == 1 and 1 <= w[0] <= 12 for w in words)
+        assert {w[0] for w in words} == set(range(1, 13))
+
     def test_f4_t3(self, calc_f4):
         got = degree2_generator_images(calc_f4)
         assert got["t3"] == expansion(calc_f4, {"1": -1, "2": 1, "4": -1})
