@@ -10,9 +10,10 @@ by the Chevalley rule from the upper Bruhat covers of the stratum below
 (``_stratum_columns``).  For B_n and D_n it is A(G/P), P the maximal
 parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
 Schubert classes are the rows, each named by a strict partition, and the
-columns are c_i(S) * Z_mu, plus Z_{s_n} * Z_mu for Spin, by the Pieri rule
-on those partitions (``_Grassmannian``, ``_pieri``; Hiller and Boe, 1986;
-Pragacz, 1991).  Only c_i(S) * Z_e comes from Chevalley steps.
+columns are c_i(S) * Z_mu, with Z_{s_n} * Z_mu in place of c_1(S) * Z_mu for
+Spin, by the Pieri rule on those partitions (``_Grassmannian``, ``_pieri``;
+Hiller and Boe, 1986; Pragacz, 1991).  Only c_i(S) * Z_e comes from
+Chevalley steps, the engine's ``chern_class``.
 Codimension 0 holds nothing of the ideal.  A cokernel is diagonalised in
 two phases: closed substitutions take the unit pivots, nearly every row,
 and a dense Smith step the few rows left; the pivots give the invariant
@@ -293,30 +294,29 @@ class _Grassmannian:
 
     Stratum k has one row per class of length k, in the order of their
     partitions; ``_row_of`` maps a partition to it.  Its columns are c_i *
-    Z_mu, and for Spin Z_{s_n} * Z_mu as well, where Z_{s_n} = tau_1.  c_i *
-    Z_e = e_i(t_1..t_n) is computed, not taken from the paper: by Chevalley
-    steps from the identity, e_l(t_1..t_m) = e_l(t_1..t_(m-1)) + t_m
-    e_(l-1)(t_1..t_(m-1)) (``_raise_level``), once per engine and only as
-    far as a stratum asks.  Its terms are special classes tau_j, one-row
-    partitions, and c_i * Z_mu is the sum of their products with tau_mu by
-    the Pieri rule (``_pieri``; Hiller and Boe, Adv. Math. 62, 1986;
-    Pragacz, LNM 1478, 1991).  So the columns intern nothing outside W^P but
-    the support of the identity's raise and the covers its steps scan.  Every
+    Z_mu for SO.  For Spin they are Z_{s_n} * Z_mu, where Z_{s_n} = tau_1,
+    and c_i * Z_mu for i >= 2: P is maximal, so A^1(G/P) = Z tau_1 and every
+    c_1 * Z_mu is a multiple of tau_1 * Z_mu.  c_i * Z_e = e_i(t_1..t_n) is
+    computed, not taken from the paper: it is the engine's Chern class
+    (``SchubertCalc.chern_class``), raised by Chevalley steps from the
+    identity.  Its terms are special classes tau_j, one-row partitions, and
+    c_i * Z_mu is the sum of their products with tau_mu by the Pieri rule
+    (``_pieri``; Hiller and Boe, Adv. Math. 62, 1986; Pragacz, LNM 1478,
+    1991).  So the columns intern nothing outside W^P but the support of the
+    partial Chern classes and the covers their steps scan.  Every
     column is kept, keyed by generator and mu, so strata come out the same
     in any request order and the second group form only adds its own.
     Nothing here refers to the engine, which ``_grassmannian`` keys it by.
     """
 
     def __init__(self, group):
-        n = group.rank
-        self._labels = _box_labels(group.datum.cartan_type.family, n)
+        self._labels = _box_labels(group.datum.cartan_type.family, group.rank)
         self._levels = [(group.identity,)]
         self.partition = {group.identity.id: ()}  # element id -> its strict partition
         self._row_of = {(): 0}  # strict partition -> its row
         self._columns: dict = {}  # (i, mu id) -> c_i * Z_mu (Z_{s_n} * Z_mu for i = 0)
-        # c_i * Z_e as pairs (j, a), a tau_j, for i = 1, 2, ...; i = 0 is Z_{s_n}
-        self._specials = [((1, 1),)]
-        self._level = [{group.identity.id: 1}] * (n + 1)  # the identity's raise
+        # i -> c_i * Z_e as pairs (j, a), a tau_j; i = 0 is Z_{s_n} = tau_1
+        self._specials = {0: ((1, 1),)}
 
     def classes(self, group, k: int) -> tuple:
         levels, partition, labels = self._levels, self.partition, self._labels
@@ -343,7 +343,8 @@ class _Grassmannian:
         classes = self.classes(calc.group, k)
         if not classes:
             return classes, []
-        gens = range(0 if variant == "simply_connected" else 1, min(calc.rank, k) + 1)
+        top = min(calc.rank, k) + 1
+        gens = (0, *range(2, top)) if variant == "simply_connected" else range(1, top)
         return classes, [
             self._column(calc, i, mu)
             for i in gens
@@ -363,40 +364,19 @@ class _Grassmannian:
         return got
 
     def _special(self, calc: SchubertCalc, i: int) -> tuple:
-        """c_i * Z_e as pairs (j, a), a tau_j; a class other than a special
-        one is a fault, never dropped."""
-        specials, group = self._specials, calc.group
-        while len(specials) <= i:
-            pairings = [calc.root_pairings(t) for t in calc.datum.t_classes.values()]
-            self._level = _raise_level(calc, pairings, self._level)
-            self.classes(group, len(specials))  # name the classes of c_l * Z_e
-            terms = []
-            for v, a in self._level[-1].items():
-                lam = self.partition.get(v)
+        """c_i * Z_e (``SchubertCalc.chern_class``) as pairs (j, a), a tau_j;
+        a class other than a special one is a fault, never dropped.  The
+        classes of length i are named, as ``stratum_columns`` walks to k >= i."""
+        got = self._specials.get(i)
+        if got is None:
+            got = []
+            for v, a in calc.chern_class(i).coeffs.items():
+                lam = self.partition.get(v.id)
                 if lam is None or len(lam) != 1:
-                    raise AssertionError(f"Z_{group._by_id[v]} is not a special class of A(G/P)")
-                terms.append((lam[0], a))
-            specials.append(tuple(terms))
-        return specials[i]
-
-
-def _raise_level(calc: SchubertCalc, pairings: list, level: list) -> list:
-    """[e_l(t_1..t_m) * Z_mu for m = 0..n] from level = [e_(l-1)(t_1..t_m) *
-    Z_mu for m = 0..n], one Chevalley step by each t_m: the partial sums of
-    t_m e_(l-1)(t_1..t_(m-1)) * Z_mu over m."""
-    out, acc = [{}], {}
-    for pairing, below in zip(pairings, level):
-        step = calc._chevalley(pairing, below)
-        if step:
-            acc = dict(acc)
-            for v, c in step.items():
-                c += acc.get(v, 0)
-                if c:
-                    acc[v] = c
-                else:
-                    del acc[v]
-        out.append(acc)
-    return out
+                    raise AssertionError(f"Z_{v} is not a special class of A(G/P)")
+                got.append((lam[0], a))
+            got = self._specials[i] = tuple(got)
+        return got
 
 
 def _box_labels(family: str, n: int) -> tuple:

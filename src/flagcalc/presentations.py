@@ -9,22 +9,26 @@ and 12, the Weyl-element tables for G2/F4, and the longest-word data.
 ``verify_presentations`` recomputes each of them from scratch and reports an
 exact comparison per check.
 
+Every class that is exactly a Chern class c_k = e_k(t_1..t_r) is the
+engine's ``chern_class``, raised by Chevalley steps: c_k = 2 gamma_k and
+every gamma_k but F4's gamma_4, c_n = 0 for D_n and the right side of rho3.
 Polynomials reach the Schubert basis through the divided differences
-(``schubert_expand``) only where the statement is about a polynomial: c_k
-and the relations rho1-rho4 on it, the definitions of gamma_k, the degree-2
-images and the divided-difference tables.  Everything else is a relation
-side, a map {(i, j, ks): c} of terms c * t1^i * t^j * gamma_k1...gamma_km,
-read through one class memo per suite (``_Classes``): each power of t1 or t
-is one Chevalley step on a class already computed, and each gamma product is
-taken once.
+(``schubert_expand``) only for the classes of other polynomials: rho2, rho4,
+F4's 3 gamma_4 = c_4 - 2t c_3 + 8t^4 and the degree-2 images.  The
+divided-difference tables, rho1 and the B/D Delta identities are statements
+about the polynomials c_k and their partial sums themselves.  Everything
+else is a relation side, a map {(i, j, ks): c} of terms c * t1^i * t^j *
+gamma_k1...gamma_km, read through one class memo per suite (``_Classes``):
+each power of t1 or t is one Chevalley step on a class already computed, and
+each gamma product is taken once.
 
 Every check runs through ``VerificationReport.check``: a check whose
 computation raises is recorded as a failed check under the same name it has
 when it passes, with the exception in ``got``, and the suite goes on.  So a
 report has the same checks, in the same order, whatever their outcome.
-Shared inputs, the polynomials c_k and their partial sums as well as the
-gamma classes, are computed on first use inside the checks that need them,
-so a failure there fails exactly those checks.
+Shared inputs, the polynomials c_k and their partial sums, the Chern
+classes and the gamma classes, are computed on first use inside the checks
+that need them, so a failure there fails exactly those checks.
 """
 
 from __future__ import annotations
@@ -320,13 +324,17 @@ def gamma_degrees(ct: CartanType) -> tuple:
     return tuple(range(1, ct.rank + (ct.family == "B")))
 
 
+def _check_gamma(ct: CartanType, k: int) -> None:
+    if k not in gamma_degrees(ct):
+        raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
+
+
 def gamma_defining_poly(calc: SchubertCalc, k: int) -> tuple:
     """The polynomial whose class equals m * gamma_k, with the multiplier m:
     c_k = 2 gamma_k, except 3 gamma_4 = c_4 - 2t c_3 + 8t^4 in F4."""
     ct = calc.cartan_type
     d = calc.datum
-    if k not in gamma_degrees(ct):
-        raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
+    _check_gamma(ct, k)
     if ct.family == "F4" and k == 4:
         t = Polynomial.linear_form(d.t_classes["t"])
         return elem_sym_t(d, 4, 4) - t * elem_sym_t(d, 3, 4) * 2 + (t**4) * 8, 3
@@ -334,10 +342,16 @@ def gamma_defining_poly(calc: SchubertCalc, k: int) -> tuple:
 
 
 def gamma_expansion(calc: SchubertCalc, k: int) -> SchubertExpansion:
-    """Schubert expansion of gamma_k, obtained from m*gamma_k = c(f) and
-    exact division by the multiplier m."""
-    f, mult = gamma_defining_poly(calc, k)
-    full = calc.schubert_expand(f)
+    """Schubert expansion of gamma_k, obtained from m*gamma_k and exact
+    division by the multiplier m.  Where m*gamma_k is the Chern class c_k =
+    2 gamma_k, it is the engine's ``chern_class``; F4's 3 gamma_4 = c_4 -
+    2t c_3 + 8t^4 is no Chern class and is expanded from its polynomial."""
+    if (calc.cartan_type.family, k) == ("F4", 4):
+        f, mult = gamma_defining_poly(calc, k)
+        full = calc.schubert_expand(f)
+    else:
+        _check_gamma(calc.cartan_type, k)
+        full, mult = calc.chern_class(k), 2
     coeffs = {}
     for w, c in full.coeffs.items():
         if c % mult:
@@ -354,8 +368,7 @@ def gamma_word(ct: CartanType, k: int) -> tuple:
     n = ct.rank
     if ct.family not in ("B", "D"):
         raise OutOfRangeError("gamma_word is only defined for types B and D")
-    if k not in gamma_degrees(ct):
-        raise OutOfRangeError(f"gamma_{k} does not exist for {ct}")
+    _check_gamma(ct, k)
     if ct.family == "B":
         return tuple(range(n - k + 1, n + 1))
     if k == 1:
@@ -549,8 +562,7 @@ def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
         ),
     )
     report.check(
-        "rho3: c3 = 2*gamma3",
-        lambda: (cls(0, 0, (3,)).scale(2), calc.schubert_expand(c3())),
+        "rho3: c3 = 2*gamma3", lambda: (cls(0, 0, (3,)).scale(2), calc.chern_class(3))
     )
     if g2:
 
@@ -619,7 +631,7 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
         w = word_str(gamma_word(ct, k))
         report.check(
             f"c_{k} = 2*Z_{w}",
-            lambda: (zword(k).scale(2), calc.schubert_expand(csym(k, n))),
+            lambda: (zword(k).scale(2), calc.chern_class(k)),
         )
         report.check(f"gamma_{k} = Z_{w}", lambda: (zword(k), cls(0, 0, (k,))))
 
@@ -630,7 +642,7 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
     if not odd:
         report.check(
             f"c_{n} = 0 in H^{2 * n}",
-            lambda: (SchubertExpansion(n), calc.schubert_expand(csym(n, n))),
+            lambda: (SchubertExpansion(n), calc.chern_class(n)),
         )
 
     def quadratic(k):

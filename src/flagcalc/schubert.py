@@ -7,7 +7,10 @@ the (immutable) root datum and Weyl group together with its memo caches:
 * per-variable tables for the divided difference kernel, the packed rows
   Delta_i(w_i^k) that ``Polynomial.replace_powers`` reads;
 * the pairings (beta^vee | lam) with the positive roots, one tuple per
-  weight lam, for the Chevalley rule in products and in the Chow rings.
+  weight lam, for the Chevalley rule in products and in the Chow rings;
+* the Chern classes c_l = e_l(t_1..t_r) in the Schubert basis, with their
+  partial classes e_l(t_1..t_m), raised by Chevalley steps one degree at a
+  time and only as far as asked (``chern_class``).
 
 A Giambelli representative keeps nothing on the engine: each call is one
 walk.  It starts at the highest element it needs, x = w0 w_{0,J}, whose
@@ -162,6 +165,8 @@ class SchubertCalc:
         self.weyl_order = self.group.order()
         self._dd_tables: dict = {}
         self._pairings: dict = {}  # tuple(lam) -> root_pairings(lam)
+        # per degree l, e_l(t_1..t_m) * Z_e for m = 0..r, keyed by element id
+        self._chern = (({self.group.identity.id: 1},) * (self.datum.num_t_classes + 1),)
 
     # -- divided differences -------------------------------------------------
 
@@ -318,6 +323,28 @@ class SchubertCalc:
         return self.chevalley_weight(
             self.datum.fundamental_weights[alpha - 1], self.indicator(w)
         )
+
+    def chern_class(self, l: int) -> SchubertExpansion:
+        """c_l = e_l(t_1..t_r) * Z_e in the Schubert basis, r = num_t_classes.
+
+        By Chevalley steps from Z_e, no polynomial formed: e_l(t_1..t_m) =
+        e_l(t_1..t_(m-1)) + t_m e_(l-1)(t_1..t_(m-1)), so the partial classes
+        of degree l are the running sums over m of t_m times those of degree
+        l - 1.  Each degree is raised once per engine, and the tuple of
+        degrees is replaced whole, so concurrent callers only duplicate work.
+        """
+        if not 0 <= l <= self.datum.num_t_classes:
+            raise OutOfRangeError(f"c_{l} is out of range for {self.cartan_type}")
+        levels = self._chern
+        while len(levels) <= l:
+            out = [{}]
+            for t, below in zip(self.datum.t_vectors, levels[-1]):
+                acc = dict(out[-1])
+                for v, c in self._chevalley(self.root_pairings(t), below).items():
+                    acc[v] = acc.get(v, 0) + c
+                out.append({v: c for v, c in acc.items() if c})
+            levels = self._chern = (*levels, tuple(out))
+        return SchubertExpansion(l, self._from_ids(levels[l][-1]))
 
     # -- Giambelli representatives ---------------------------------------------
 

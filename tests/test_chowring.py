@@ -623,21 +623,17 @@ class TestClassesOutsideAGP:
 def test_a_column_term_outside_agp_raises(monkeypatch):
     # c_i * Z_e is a sum of special classes tau_j; a term that is not one, an
     # element outside A(G/P) or a class of A(G/P) with a two-row partition,
-    # is a fault, named and never dropped
-    real = chowring._raise_level
+    # is a fault, named and never dropped; the term is added to the engine's
+    # Chern class of its degree
     for text in ("1", "323"):
         calc = SchubertCalc(cartan_type("B", 3))
         w = word(calc, text)
-        raised = []
+        real = calc.chern_class
 
-        def raise_level(calc, pairings, level):
-            out = real(calc, pairings, level)
-            raised.append(out)
-            if len(raised) == w.length:
-                out[-1] = {**out[-1], w.id: 1}
-            return out
+        def chern_class(l):
+            return real(l) + calc.indicator(w) if l == w.length else real(l)
 
-        monkeypatch.setattr(chowring, "_raise_level", raise_level)
+        monkeypatch.setattr(calc, "chern_class", chern_class)
         message = f"Z_{text} is not a special class of A(G/P)"
         with pytest.raises(AssertionError, match=re.escape(message)):
             ChowComputation(calc, "special_orthogonal").stratum(w.length)
@@ -762,7 +758,8 @@ def test_grassmannian_columns_match_the_products(family, rank):
     # every column c_i * Z_mu from the e_l(t) recursion against the Leibniz
     # product of the Schubert expansion of e_i(t_1..t_n) with Z_mu, and every
     # Spin column Z_{s_n} * Z_mu against the product with Z_{s_n}, for each
-    # Grassmannian mu and i up to the default limit of each form
+    # Grassmannian mu and i up to the default limit of each form; Spin takes
+    # no c_1 column, and each c_1 * Z_mu it leaves out is twice Z_{s_n} * Z_mu
     _, _, runs = chowring._chow_setup(family, rank, None, None)
     calc = SchubertCalc(cartan_type(family, rank))
     g, n = calc.group, rank
@@ -773,18 +770,33 @@ def test_grassmannian_columns_match_the_products(family, rank):
     gens[0] = {g.simple_reflection(n).id: 1}
     checked = 0
     for _, comp, limit in runs:
-        first = 0 if comp.variant == "simply_connected" else 1
+        spin = comp.variant == "simply_connected"
         for k in range(1, limit + 1):
             classes, columns = grass.stratum_columns(calc, comp.variant, k)
             assert classes == grass.classes(g, k)
+            top = min(n, k) + 1
             want = [
                 {row_of[partition[v]]: c for v, c in calc._times(gens[i], {mu.id: 1}).items()}
-                for i in range(first, min(n, k) + 1)
+                for i in ((0, *range(2, top)) if spin else range(1, top))
                 for mu in grass.classes(g, k - max(i, 1))
             ] if classes else []
             assert columns == want, (comp.variant, k)
             checked += len(columns)
+            for mu in grass.classes(g, k - 1) if spin else ():
+                tau = calc._times(gens[0], {mu.id: 1})
+                assert calc._times(gens[1], {mu.id: 1}) == {v: 2 * c for v, c in tau.items()}
     assert checked
+
+
+@pytest.mark.parametrize("family,rank", [("B", 6), ("D", 7)])
+def test_spin_strata_build_no_c1_column(family, rank):
+    # P_n is maximal, so A^1(G/P) = Z tau_1 and c_1 * Z_mu is a multiple of
+    # the column Z_{s_n} * Z_mu = tau_1 * Z_mu: a Spin run builds no c_1 column
+    [(_, _, limit)] = chowring._chow_setup(family, rank, "simply_connected", None)[2]
+    calc = SchubertCalc(cartan_type(family, rank))
+    chow_groups(calc, "simply_connected", limit)
+    keys = chowring._grassmannian(calc)._columns
+    assert {i for i, _ in keys} == {0, *range(2, min(rank, limit) + 1)}
 
 
 def _walk(family, rank):

@@ -5,7 +5,9 @@ data; the sha256 of the JSON stdout pins it byte for byte, so a refactor of
 the suites or the engines that changes a single check name, value or
 ordering fails here.  ``verify --type all`` holds every check string, so it
 also pins the signed-sum text of polynomials and Schubert expansions.  The
-rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
+rank-10 ``verify`` outputs pin the B/D suites above the default sweep, whose
+degree-2 tables have the letter 10 and whose Chern classes reach degree 10.
+The rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
 most pivots come from the unit phase, and the B10 one pins Schubert words
 with letters above 9, which are comma-separated.  The G2 and F4 ``so``
 outputs pin the only Chow rings whose degree-2 lattice is spanned by the
@@ -54,6 +56,14 @@ DIGESTS = [
     (
         ("verify", "--type", "D", "--rank", "4"),
         "24d0fd0f58fcc8c273a410d9063f95e1fca4894e941a92e230c5c6c034c5e968",
+    ),
+    (
+        ("verify", "--type", "B", "--rank", "10"),
+        "b1b2ec1db8e08fac03650e15592b7215501a6677344e745763ad4a2e2a5685c9",
+    ),
+    (
+        ("verify", "--type", "D", "--rank", "10"),
+        "234994e808a260135968cb77a9c2dabcf9db42f406b13ded1e047a2589452012",
     ),
     (
         ("chow", "--type", "B", "--rank", "4", "--variant", "so"),

@@ -328,6 +328,22 @@ class TestGammaCalls:
         assert len(calls) == (2 + 3 + 4 + 5) + (3 + 4)
 
 
+def test_bd_suites_expand_no_polynomial_of_degree_2_or_more(monkeypatch):
+    """c_k = 2*Z_w, gamma_k = Z_w and c_n = 0 read the engine's Chern
+    classes: the B/D suites expand only the linear degree-2 generators."""
+    degrees = []
+    real = SchubertCalc.schubert_expand
+
+    def recording(calc, f):
+        degrees.append(f.degree())
+        return real(calc, f)
+
+    monkeypatch.setattr(SchubertCalc, "schubert_expand", recording)
+    for family in ("B", "D"):
+        assert verify_presentations(family).all_passed
+    assert degrees and max(degrees) == 1
+
+
 class TestElemSymFailure:
     """A failure while building c_k or one of its partial sums fails exactly
     the checks that read it, and the suite goes on."""

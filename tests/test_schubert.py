@@ -636,6 +636,29 @@ class TestExpansion:
             calc_g2.schubert_expand(Polynomial.variable(2, 0) ** 7)
 
 
+class TestChernClass:
+    """The engine's Chern classes, raised by Chevalley steps, against the
+    Schubert expansions of the polynomials e_l(t_1..t_r)."""
+
+    @pytest.mark.parametrize("family,rank", [
+        ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("B", 7),
+        ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("G2", None), ("F4", None),
+    ])
+    def test_chern_class_is_the_expansion_of_e_l(self, family, rank):
+        calc = SchubertCalc(cartan_type(family, rank))
+        d = calc.datum
+        r = d.num_t_classes
+        for l in range(r + 1):
+            got = calc.chern_class(l)
+            assert got.codim == l
+            assert str(got) == str(calc.schubert_expand(elem_sym_t(d, l, r))), l
+
+    def test_out_of_range_degree_raises(self, calc_f4):
+        for l in (-1, 5):
+            with pytest.raises(OutOfRangeError, match=f"c_{l} is out of range"):
+                calc_f4.chern_class(l)
+
+
 class TestSupportWalk:
     """``_expand_raw`` walks the support of Delta_w f only, and agrees with
     the stratum walk (``stratum_expand``) wherever that can run."""
