@@ -14,10 +14,13 @@ columns are c_i(S) * Z_mu, with Z_{s_n} * Z_mu in place of c_1(S) * Z_mu for
 Spin, by the Pieri rule on those partitions (``_Grassmannian``, ``_pieri``;
 Hiller and Boe, 1986; Pragacz, 1991).  Only c_i(S) * Z_e comes from
 Chevalley steps, the engine's ``chern_class``.
-Codimension 0 holds nothing of the ideal.  A cokernel is diagonalised in
-two phases: closed substitutions take the unit pivots, nearly every row,
-and a dense Smith step the few rows left; the pivots give the invariant
-factors.  All arithmetic stays in exact integers.
+Codimension 0 holds nothing of the ideal.  A cokernel first divides out
+the gcd of its entries (2 on the SO strata of A(G/P), 1 elsewhere) and is
+diagonalised in two phases: closed substitutions take the unit pivots,
+nearly every row, and a dense Smith step the few rows left; the pivots give
+the invariant factors.  The generator powers of the checks are Leibniz
+products on A(G/B) for G2 and F4, and Pieri products of special classes on
+A(G/P) for B_n and D_n.  All arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -76,9 +79,15 @@ def _reduce(subs: dict, entries) -> dict:
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
-    The columns are dicts row -> entry, read and never changed.  Two phases
-    bring the matrix to a diagonal U M V; column operations never change
-    cokernel coordinates, so only U is kept, as one record per phase.
+    The columns are dicts row -> entry, read and never changed.  The
+    content g, the gcd of every entry, is divided out first; the scan stops
+    once the gcd is 1, at the first column on G2 and F4.  Two phases bring
+    M/g to a diagonal U (M/g) V = D; column operations never change cokernel
+    coordinates, so only U is kept, as one record per phase.  U M V = g D,
+    so the invariant factors of M are g times those of M/g, the units
+    included, and each unit pivot is a Z/g summand.  Every SO column of
+    A(G/P) is even (c_i * Z_e is 2 tau_i), so there g = 2: the unit phase
+    pivots on every row and the dense step gets none.
 
     The unit phase takes the columns shortest first and pivots on a +-1
     entry u of each, at row s.  The row operations row_t += -a_t u row_s
@@ -90,9 +99,15 @@ class CokernelStratum:
     substitutions, kept closed, and the rows left without a pivot: reducing
     a vector by them equals replaying its row operations on the rows left.
 
+    The coordinate of pivot row s under U is v_s plus multiples of v at the
+    rows that pivoted before s: no later row operation touches s, and rows
+    that never pivot are never the source of one.  On the pivot rows that is
+    a unitriangular change of coordinates, so for g > 1 the pivot rows
+    (``_units``) read v_s modulo g itself as the class map's Z/g part.
+
     The columns left without a unit go to the general phase, ``_eliminate``,
     on the rows left; its row operations are the second record.  The
-    cokernel is the sum of Z/d over its pivots d and one Z per row that
+    cokernel is the sum of Z/(g d) over its pivots d and one Z per row that
     never held a pivot; one gcd/lcm pass turns the pivots into the
     divisibility chain of invariant factors.  Which rows hold the pivots
     depends on the order of the columns, the invariant factors do not.
@@ -100,18 +115,27 @@ class CokernelStratum:
 
     def __init__(self, rows: int, columns: list):
         self.rows = rows
+        g = 0  # the content: the gcd of every entry, read until it is 1
+        for col in columns:
+            g = gcd(g, *col.values())
+            if g == 1:
+                break
+        self._g = g = g or 1
+        if g > 1:
+            columns = [{r: a // g for r, a in col.items()} for col in columns]
         subs, rest = self._unit_phase(rows, columns)
+        self._units = list(subs) if g > 1 else []  # the unit pivot rows, each a Z/g
         self._left = [r for r in range(rows) if r not in subs]
         self._subs = {s: sub for s, sub in subs.items() if sub}
         self._rowops = []
         pivots, self._free_rows = self._eliminate(self._left, rest, self._rowops)
-        self._pivots = [(i, d) for i, d in pivots if d > 1]
-        self.moduli = tuple(d for _, d in self._pivots)
+        self._pivots = [(i, g * d) for i, d in pivots if g * d > 1]
+        self.moduli = (g,) * len(self._units) + tuple(d for _, d in self._pivots)
         chain = list(self.moduli)
         for i in range(len(chain)):
             for j in range(i + 1, len(chain)):
-                g = gcd(chain[i], chain[j])
-                chain[i], chain[j] = g, chain[i] * chain[j] // g
+                c = gcd(chain[i], chain[j])
+                chain[i], chain[j] = c, chain[i] * chain[j] // c
         self.invariant_factors = [1] * (len(subs) + len(pivots) - len(chain)) + chain
         self.torsion = [d for d in chain if d > 1]
         self.free_rank = len(self._free_rows)
@@ -124,11 +148,11 @@ class CokernelStratum:
         q.  When row s becomes a pivot, the substitutions that name s take in
         its own through ``_reduce``, so they stay closed.  The pivot is the
         first unit of the column: the strata are small (at most 94 rows and
-        470 columns, F4's codim 12; at most 14 rows on A(G/P) up to B8), so
-        no choice among the units pays for itself.  Tuples, not dicts, keep
-        the substitutions small: most are empty, and a stratum keeps the
-        rest.  Once each of the rows holds a pivot, all are empty and the
-        columns not yet taken reduce to 0, so the phase stops there.
+        470 columns, F4's codim 12; at most 14 rows on A(G/P) up to B8, 124
+        on B12), so no choice among the units pays for itself.  Tuples, not
+        dicts, keep the substitutions small: most are empty, and a stratum
+        keeps the rest.  Once each of the rows holds a pivot, all are empty
+        and the columns not yet taken reduce to 0, so the phase stops there.
         """
         subs: dict = {}  # pivot row -> ((t, q), ...)
         users: dict = {}  # row -> pivot rows whose substitution may name it
@@ -158,16 +182,17 @@ class CokernelStratum:
     def _eliminate(rows: list, cols, rowops: list) -> tuple:
         """The general phase: a dense Smith step on cols (dicts row -> entry).
 
-        The unit phase leaves few rows: 1 on every stratum of G2 and F4, at
-        most 2 for Spin up to B8 and D8, and on the SO strata of A(G/P),
-        whose c_i columns are even, every row, at most 14 rows and 104
-        columns on B8 so.  So each row is one list, over the distinct columns,
-        and the matrix holds the rows not yet pivoted.  Each step pivots on
-        an entry v of least absolute value.  Floor row operations leave
-        remainders in the rest of its column and are appended to rowops as
-        (t, s, q), row_t += q * row_s; remainder column operations do the
-        same along its row, unrecorded.  The pivot retires once both are
-        clean; otherwise the least entry has shrunk.
+        The unit phase leaves few rows: 1 on every stratum of G2 and F4, none
+        on the SO strata of A(G/P) once their content 2 is divided out, and
+        for Spin at most 2 up to B8 and D8, 6 on B10 and 23 of 124 on B12.
+        So each row is one list, over the distinct columns, and the matrix
+        holds the rows not yet pivoted.  Each step pivots on an entry v of
+        least absolute value, found by a scan of the whole matrix: on the
+        Spin strata from rank 12 up that scan is a cost.  Floor row
+        operations leave remainders in the rest of its column and are
+        appended to rowops as (t, s, q), row_t += q * row_s; remainder column
+        operations do the same along its row, unrecorded.  The pivot retires
+        once both are clean; otherwise the least entry has shrunk.
 
         Rows are numbered by their index in ``rows``.  Returns (pivots, free
         rows): the pivots as pairs (row, |v|) in retirement order, and the
@@ -206,14 +231,16 @@ class CokernelStratum:
         """Class of an integer vector in the cokernel.
 
         Returns (torsion residues, free coordinates).  The residues follow
-        ``moduli``, one per non-unit pivot, each reduced modulo its pivot; the
-        zero class has all zeros in both parts.
+        ``moduli``, one per pivot whose modulus is not 1, each reduced modulo
+        it: first v at the unit pivot rows modulo g, then the general phase's
+        pivots.  The zero class has all zeros in both parts.
         """
         d = _reduce(self._subs, enumerate(vec))
         v = [d.get(r, 0) for r in self._left]
         for t, s, q in self._rowops:
             v[t] += q * v[s]
-        torsion = tuple(v[i] % p for i, p in self._pivots)
+        units = tuple(vec[s] % self._g for s in self._units)
+        torsion = units + tuple(v[i] % p for i, p in self._pivots)
         free = tuple(v[i] for i in self._free_rows)
         return torsion, free
 
@@ -418,6 +445,16 @@ def _pieri(k: int, lam: tuple, m: int) -> dict:
     return out
 
 
+def _pieri_times(k: int, x: dict, m: int) -> dict:
+    """tau_k * x in A(G/P), x a dict strict partition -> coefficient, by
+    ``_pieri``; every coefficient is positive, so nothing cancels."""
+    out: dict = {}
+    for lam, a in x.items():
+        for nu, b in _pieri(k, lam, m).items():
+            out[nu] = out.get(nu, 0) + a * b
+    return out
+
+
 _GRASSMANNIANS: WeakKeyDictionary = WeakKeyDictionary()  # engine -> its _Grassmannian
 
 
@@ -435,7 +472,8 @@ class ChowComputation:
     The family picks the route: G2 and F4 take the strata of A(G/B) from
     ``_stratum_columns``, B_n and D_n those of A(G/P) from the engine's
     ``_Grassmannian``.  Either route names the classes of a stratum, and
-    ``stratum`` maps the id of each to its row in ``row``.
+    ``stratum`` maps the id of each to its row in ``row``.  The family also
+    picks how the generator powers of the checks are taken (``power``).
     """
 
     def __init__(self, calc: SchubertCalc, variant: str):
@@ -444,9 +482,10 @@ class ChowComputation:
         self.calc = calc
         self.variant = variant
         self._strata: dict = {}
-        bd = calc.cartan_type.family in ("B", "D")
-        self._columns = _grassmannian(calc).stratum_columns if bd else _stratum_columns
+        self._grass = _grassmannian(calc) if calc.cartan_type.family in ("B", "D") else None
+        self._columns = self._grass.stratum_columns if self._grass else _stratum_columns
         self.row: dict = {}  # element id -> its row in its stratum
+        self._powers: dict = {}  # (w, e) -> Z_w^e, for the powers that were computed
 
     def stratum(self, k: int) -> CokernelStratum:
         """The cokernel of the ideal stratum in codimension k; its rows are
@@ -492,6 +531,40 @@ class ChowComputation:
 
     def is_zero_class(self, x: SchubertExpansion) -> bool:
         return self.stratum(x.codim).is_zero_class(self.vector_of(x))
+
+    def power(self, w, e: int):
+        """Z_w^e as Z_w^(e-1) * Z_w, each power kept; one whose lower power
+        raised raises again, with the same error.  G2 and F4 take Leibniz
+        products on A(G/B).  On B/D, Z_w must be a special class tau_k of
+        A(G/P) (anything else is a fault), and tau_k^e is a dict strict
+        partition -> coefficient, by the Pieri rule (``_pieri_times``)."""
+        got = self._powers.get((w, e))
+        if got is None:
+            calc, grass = self.calc, self._grass
+            if grass is None:
+                got = calc.indicator(w) if e == 1 else calc.mul_expansions(
+                    self.power(w, e - 1), self.power(w, 1))
+            elif e > 1:
+                got = _pieri_times(w.length, self.power(w, e - 1), len(grass._labels))
+            else:
+                grass.classes(calc.group, w.length)  # names every class of length l(w)
+                if grass.partition.get(w.id) != (w.length,):
+                    raise AssertionError(f"Z_{w} is not a special class of A(G/P)")
+                got = {(w.length,): 1}
+            self._powers[w, e] = got
+        return got
+
+    def power_is_zero(self, w, e: int) -> bool:
+        """Whether Z_w^e (``power``) lies in the ideal; on B/D its partitions
+        are read through ``_row_of`` on the stratum e * l(w)."""
+        x = self.power(w, e)
+        if self._grass is None:
+            return self.is_zero_class(x)
+        coker = self.stratum(e * w.length)
+        vec = [0] * coker.rows
+        for lam, c in x.items():
+            vec[self._grass._row_of[lam]] = c
+        return coker.is_zero_class(vec)
 
 
 @dataclass(frozen=True)
@@ -705,7 +778,10 @@ def verify_chow(
     Runs the additive comparison stratum by stratum against the monomial
     oracle, checks that the stated Schubert classes generate the torsion with
     the right order, and confirms each generator power vanishes exactly at its
-    stated exponent and not before.
+    stated exponent and not before.  On B_n and D_n every check stays on
+    A(G/P): the generators are special classes tau_k, and their powers are
+    taken by the Pieri rule (``ChowComputation.power``); G2 and F4 take
+    Leibniz products on A(G/B).
     """
     ct, _, runs = _chow_setup(family, rank, variant, max_codim)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
@@ -722,8 +798,10 @@ def _check_variant(
 ) -> GradedAbelianGroup | None:
     """Add the checks of one group form to report, on the strata of comp.
 
-    Returns the additive strata (a GradedAbelianGroup), or None when
-    computing them raised.
+    Each power check reads Z_w^e from ``comp.power``, chained on Z_w^(e-1),
+    so a check whose lower power raised fails with the same error.  Returns
+    the additive strata (a GradedAbelianGroup), or None when computing them
+    raised.
     """
     calc = comp.calc
     label = pres.group_name
@@ -742,22 +820,12 @@ def _check_variant(
         ),
     )
 
-    powers: dict = {}  # (w, e) -> Z_w^e, for the powers that were computed
-
-    def power(w, e):
-        """Z_w^e as Z_w^(e-1) * Z_w; a power whose lower power raised raises
-        again, with the same error."""
-        if (w, e) not in powers:
-            powers[w, e] = calc.mul_expansions(power(w, e - 1), powers[w, 1])
-        return powers[w, e]
-
     def power_vanishes(gen, w, e):
-        zero = comp.is_zero_class(power(w, e))
+        zero = comp.power_is_zero(w, e)
         return "zero" if e >= gen.power else "nonzero", "zero" if zero else "nonzero"
 
     for gen in pres.generators:
         w = calc.group.element_from_word(gen.schubert_word)
-        powers[w, 1] = calc.indicator(w)
         report.check(
             f"{label}: order of [Z_{w.word_str()}]",
             lambda: (gen.torsion, comp.class_order(calc.indicator(w))),

@@ -3,6 +3,7 @@ import random
 import re
 import weakref
 from dataclasses import dataclass
+from math import gcd
 
 import pytest
 
@@ -321,17 +322,21 @@ class TestCokernelStratum:
                     assert coker.is_zero_class(vec), (variant, k, col)
 
     def test_dense_step_on_every_row(self):
-        # no entry is a unit, so the unit phase pivots on no row and the whole
-        # matrix reaches the dense Smith step; the sparse general phase is the
+        # no entry is a unit and the entries have no common factor, so nothing
+        # is divided out, the unit phase pivots on no row and the whole matrix
+        # reaches the dense Smith step; the sparse general phase is the
         # reference for its class map
         rng = random.Random(35)
         values = (2, 3, 4, 6, -2, -3, -4, -6)
         for _ in range(60):
-            rows = rng.randint(1, 8)
-            cols = [
-                {r: rng.choice(values) for r in rng.sample(range(rows), rng.randint(0, rows))}
-                for _ in range(rng.randint(1, 10))
-            ]
+            content = 2
+            while content > 1:
+                rows = rng.randint(1, 8)
+                cols = [
+                    {r: rng.choice(values) for r in rng.sample(range(rows), rng.randint(0, rows))}
+                    for _ in range(rng.randint(1, 10))
+                ]
+                content = gcd(*(v for col in cols for v in col.values()))
             coker = CokernelStratum(rows, cols)
             assert coker._left == list(range(rows)) and not coker._subs
             res = smith_normal_form(dense_of(rows, cols))
@@ -799,6 +804,18 @@ def test_spin_strata_build_no_c1_column(family, rank):
     assert {i for i, _ in keys} == {0, *range(2, min(rank, limit) + 1)}
 
 
+@pytest.mark.parametrize("family,rank", [("B", 8), ("D", 8)])
+def test_so_strata_send_no_row_to_the_dense_step(family, rank):
+    # every SO column c_i * Z_mu is even, c_i * Z_e being 2 tau_i; with the
+    # content 2 divided out, the unit phase pivots on every row of every
+    # stratum above codim 0, and each pivot is a Z/2 summand
+    [(_, comp, limit)] = chowring._chow_setup(family, rank, "special_orthogonal", None)[2]
+    for k in range(1, limit + 1):
+        coker = comp.stratum(k)
+        assert (coker._g, coker._left, coker._rowops) == (2, [], []), k
+        assert coker.moduli == (2,) * coker.rows == tuple(coker.torsion), k
+
+
 def _walk(family, rank):
     """A fresh engine, its _Grassmannian walked to the top, and the class of
     each strict partition."""
@@ -864,6 +881,33 @@ def test_the_pieri_rule_matches_the_products(family, rank):
             assert got == calc.structure_constants(named[(k,)], w).coeffs, (k, lam)
             checked += 1
     assert checked == sum(min(m, dim - sum(lam)) for lam in named)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6), ("B", 7), ("B", 8), ("B", 10),
+    ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("D", 8), ("D", 10),
+])
+def test_the_pieri_powers_match_the_products(family, rank):
+    # every power that the checks of either form reach, tau_k^e by the Pieri
+    # chain of ChowComputation.power, against the Leibniz power of Z_w in
+    # A(G/B) read through the partitions of its classes
+    _, calc, runs = chowring._chow_setup(family, rank, None, None)
+    grass = chowring._grassmannian(calc)
+    grass.classes(calc.group, max(limit for _, _, limit in runs))  # name every class
+    checked = 0
+    for pres, comp, limit in runs:
+        for gen in pres.generators:
+            w = calc.group.element_from_word(gen.schubert_word)
+            z = power = calc.indicator(w)
+            assert comp.power(w, 1) == {grass.partition[w.id]: 1} == {(gen.codim,): 1}
+            for e in range(2, gen.power + 1):
+                if e * gen.codim > limit:
+                    break
+                power = calc.mul_expansions(power, z)
+                want = {grass.partition[v.id]: c for v, c in power.coeffs.items()}
+                assert comp.power(w, e) == want, (comp.variant, gen.symbol, e)
+                checked += 1
+    assert checked
 
 
 def test_low_codimensions_of_d12_intern_few_elements():
@@ -1163,11 +1207,18 @@ class TestVerifyChow:
         assert len(calls) == 1
         assert all(c["pass"] for c in payload["checks"])
 
-    @pytest.mark.parametrize(
-        "target", ["SchubertCalc.mul_expansions", "chow_groups", "_stratum_factors"]
-    )
-    @pytest.mark.parametrize("family,rank", [("G2", None), ("B", 3)])
+    @pytest.mark.parametrize("family,rank,target", [
+        ("G2", None, "SchubertCalc.mul_expansions"),
+        ("G2", None, "chow_groups"),
+        ("G2", None, "_stratum_factors"),
+        ("F4", None, "SchubertCalc.mul_expansions"),
+        ("B", 3, "_pieri_times"),
+        ("B", 3, "chow_groups"),
+        ("B", 3, "_stratum_factors"),
+    ])
     def test_fault_keeps_every_check(self, monkeypatch, target, family, rank):
+        # the power checks take Leibniz products on G2 and F4, and the Pieri
+        # rule on B/D
         passing = verify_chow(family, rank)
         assert passing.all_passed
 
@@ -1185,7 +1236,8 @@ class TestVerifyChow:
             assert (c.expected, c.got) == ("no error", "RuntimeError: injected")
 
     def test_generator_powers_are_chained(self, monkeypatch):
-        # X^e is X^(e-1) * X: one product per power check, none from scratch
+        # on F4, X^e is X^(e-1) * X by Leibniz products: one product per power
+        # check, none computed anew
         calls = []
         real = SchubertCalc.mul_expansions
 
@@ -1194,6 +1246,25 @@ class TestVerifyChow:
             return real(calc, a, b)
 
         monkeypatch.setattr(SchubertCalc, "mul_expansions", counting)
+        rep = verify_chow("F4")
+        assert rep.all_passed
+        powers = [c.name for c in rep.checks if "^" in c.name]
+        assert len(calls) == len(powers) == 3
+        # X3^2, X4^2 and X4^3 (X3 of codim 3, X4 of 4)
+        assert calls == [(3, 3), (4, 4), (8, 4)]
+
+    def test_bd_generator_powers_are_pieri_chained(self, monkeypatch):
+        # on B3, X^e is tau_k * X^(e-1) by the Pieri rule: one step per power
+        # check, none computed anew, and no Leibniz product
+        calls = []
+        real = chowring._pieri_times
+
+        def counting(k, x, m):
+            calls.append((sum(next(iter(x))), k))
+            return real(k, x, m)
+
+        monkeypatch.setattr(chowring, "_pieri_times", counting)
+        monkeypatch.setattr(SchubertCalc, "mul_expansions", None)
         rep = verify_chow("B", 3)
         assert rep.all_passed
         powers = [c.name for c in rep.checks if "^" in c.name]
@@ -1201,9 +1272,15 @@ class TestVerifyChow:
         # Spin(7): X3^2; SO(7): X1^2, X1^3, X1^4 and X3^2 (X1 of codim 1, X3 of 3)
         assert calls == [(3, 3), (1, 1), (2, 1), (3, 1), (3, 3)]
 
+    def _squares_raise(self, family, rank):
+        failed = verify_chow(family, rank).failures()
+        for c in failed:
+            assert (c.expected, c.got) == ("no error", "RuntimeError: injected square")
+        return [c.name for c in failed]
+
     def test_a_power_fails_with_the_error_of_its_lower_power(self, monkeypatch):
         # squares raise: every power check fails under its own name with that
-        # error, X1^3 and X1^4 because X1^2 raised, and nothing else fails
+        # error, X4^3 because X4^2 raised, and nothing else fails
         real = SchubertCalc.mul_expansions
 
         def squares_raise(calc, a, b):
@@ -1212,17 +1289,31 @@ class TestVerifyChow:
             return real(calc, a, b)
 
         monkeypatch.setattr(SchubertCalc, "mul_expansions", squares_raise)
-        rep = verify_chow("B", 3)
-        failed = rep.failures()
-        assert [c.name for c in failed] == [
+        assert self._squares_raise("F4", None) == [
+            "F4: X3^2 = 0",
+            "F4: X4^2 != 0",
+            "F4: X4^3 = 0",
+        ]
+
+    def test_a_bd_power_fails_with_the_error_of_its_lower_power(self, monkeypatch):
+        # the Pieri step that squares tau_k raises: every power check fails
+        # under its own name with that error, X1^3 and X1^4 because X1^2
+        # raised, and nothing else fails
+        real = chowring._pieri_times
+
+        def squares_raise(k, x, m):
+            if x == {(k,): 1}:
+                raise RuntimeError("injected square")
+            return real(k, x, m)
+
+        monkeypatch.setattr(chowring, "_pieri_times", squares_raise)
+        assert self._squares_raise("B", 3) == [
             "Spin(7): X3^2 = 0",
             "SO(7): X1^2 != 0",
             "SO(7): X1^3 != 0",
             "SO(7): X1^4 = 0",
             "SO(7): X3^2 = 0",
         ]
-        for c in failed:
-            assert (c.expected, c.got) == ("no error", "RuntimeError: injected square")
 
     def test_json_payload_raises_when_the_strata_fail(self, monkeypatch):
         import flagcalc.chowring as chowring

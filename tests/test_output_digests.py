@@ -9,7 +9,11 @@ rank-10 ``verify`` outputs pin the B/D suites above the default sweep, whose
 degree-2 tables have the letter 10 and whose Chern classes reach degree 10.
 The rank-6 ``chow`` outputs pin Chow rings whose strata are large enough that
 most pivots come from the unit phase, and the B10 one pins Schubert words
-with letters above 9, which are comma-separated.  The G2 and F4 ``so``
+with letters above 9, which are comma-separated.  The B12 and D12 ``chow``
+outputs, in both forms, pin the rank where the generator powers reach codim
+48 (B12) and the SO strata have up to 124 rows; their digests were computed
+by the Leibniz powers and the undivided cokernels that the Pieri powers and
+the content division replaced.  The G2 and F4 ``so``
 outputs pin the only Chow rings whose degree-2 lattice is spanned by the
 t-classes of an exceptional type, F4's extra class t among them, and the
 spin outputs (no ``--variant``) those over the full weight lattice; both
@@ -96,6 +100,22 @@ DIGESTS = [
     (
         ("chow", "--type", "B", "--rank", "10", "--max-codim", "3"),
         "902f09b7aafad155dfa1764cfcdbf76afa4b1ff6766b82585ef9b0bbc5cc705b",
+    ),
+    (
+        ("chow", "--type", "B", "--rank", "12"),
+        "9582115477ab3607df9373c4ea0803ced9856a671e1ed537cf26bdfefb0ff2cc",
+    ),
+    (
+        ("chow", "--type", "B", "--rank", "12", "--variant", "so"),
+        "f316f8e3a48ae36d04d23c418270d8205f8b6a5b97492b65f0402cb234c13515",
+    ),
+    (
+        ("chow", "--type", "D", "--rank", "12"),
+        "a62cb70432359084c2fa965f4f1306ada92f0cdcd41e7e55a11c5101bf6a7a91",
+    ),
+    (
+        ("chow", "--type", "D", "--rank", "12", "--variant", "so"),
+        "a4704883cc2c139b84c75eb5128fa86e7eb0b81f9757429284f8f209b9850b17",
     ),
     (
         ("basis", "--type", "D", "--rank", "5", "--codim", "10"),

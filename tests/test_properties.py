@@ -25,7 +25,7 @@ from flagcalc.exprparse import parse_polynomial  # noqa: E402
 from flagcalc.polyring import Polynomial  # noqa: E402
 from flagcalc.rootdata import cartan_type  # noqa: E402
 from flagcalc.schubert import calculus_for  # noqa: E402
-from test_chowring import dense_of, smith_normal_form  # noqa: E402
+from test_chowring import GeneralPhaseOnly, dense_of, smith_normal_form  # noqa: E402
 
 TYPES = {"G2": ("G2", None), "B3": ("B", 3), "D4": ("D", 4), "F4": ("F4", None)}
 COEFFS = st.one_of(
@@ -183,6 +183,60 @@ def test_cokernel_class_map(case):
         assert not any(coker.is_zero_class([k * x for x in a]) for k in range(1, order))
     else:
         assert any(fa)
+
+
+def dense_class_order(res, vec):
+    """Order of the class of vec from the dense Smith form U M V = D: the
+    lcm over the diagonal of d / gcd(d, (U vec)_i), 0 for a nonzero
+    coordinate on a zero or missing diagonal entry."""
+    y = [sum(u * x for u, x in zip(row, vec)) for row in res.U]
+    order = 1
+    for i, yi in enumerate(y):
+        d = abs(res.diagonal[i]) if i < len(res.diagonal) else 0
+        if not d:
+            if yi:
+                return 0
+            continue
+        k = d // math.gcd(d, yi)
+        order = order * k // math.gcd(order, k)
+    return order
+
+
+@FAST
+@given(sparse_matrices(), st.sampled_from((2, 3, 4, 6)))
+def test_scaled_cokernel(case, g):
+    # every entry a multiple of g: the stratum divides g out, so its unit
+    # pivots are Z/g summands; the dense Smith form of the scaled matrix, the
+    # sparse general phase alone and the cokernel of M/g are the references
+    rows, columns, a, b = case
+    scaled = [{r: g * v for r, v in col.items()} for col in columns]
+    coker = CokernelStratum(rows, scaled)
+    ref, quotient = GeneralPhaseOnly(rows, scaled), GeneralPhaseOnly(rows, columns)
+    res = smith_normal_form(dense_of(rows, scaled))
+    assert coker.invariant_factors == ref.invariant_factors == res.invariant_factors
+    assert coker.invariant_factors == [g * d for d in quotient.invariant_factors]
+    assert coker.torsion == ref.torsion == [d for d in res.invariant_factors if d > 1]
+    assert coker.free_rank == rows - len(res.invariant_factors)
+    assert math.prod(coker.moduli) == math.prod(coker.torsion)
+    for vec in (a, b, [g * x for x in a], [g * x + y for x, y in zip(a, b)]):
+        order = dense_class_order(res, vec)
+        assert coker.class_order(vec) == ref.class_order(vec) == order
+        assert coker.is_zero_class(vec) == ref.is_zero_class(vec) == (order == 1)
+        # v is zero iff g divides it and v/g is zero for M/g; k0 = g /
+        # gcd(g, content(v)) is the order of v modulo g
+        divisible = all(x % g == 0 for x in vec)
+        reduced = [x // g for x in vec]
+        assert coker.is_zero_class(vec) == (divisible and quotient.is_zero_class(reduced))
+        k0 = g // math.gcd(g, *vec)
+        assert order == k0 * quotient.class_order([k0 * x // g for x in vec])
+    for column in scaled:
+        assert coker.is_zero_class(column_vector(rows, column))
+    (ta, fa), (tb, fb) = coker.classify(a), coker.classify(b)
+    tab, fab = coker.classify([x + y for x, y in zip(a, b)])
+    assert len(ta) == len(coker.moduli)
+    assert all(0 <= t < d for t, d in zip(ta, coker.moduli))
+    assert tab == tuple((x + y) % d for x, y, d in zip(ta, tb, coker.moduli))
+    assert fab == tuple(x + y for x, y in zip(fa, fb))
 
 
 # ---------------------------------------------------------------------------
