@@ -5,22 +5,24 @@ The module stores, as plain data, every displayed identity that the
 verification suite checks: divided-difference value tables, the expansions of
 the degree-2 generators and of the higher generators gamma_k, the ten
 Giambelli-polynomial identities for F4, the relations of F4 of degree 6, 8
-and 12, the Weyl-element tables for G2/F4, and the longest-word data.
-``verify_presentations`` recomputes each of them from scratch and reports an
-exact comparison per check.
+and 12 and that of G2 of degree 6, the Weyl-element tables for G2/F4, and
+the longest-word data.  ``verify_presentations`` recomputes each of them
+from scratch and reports an exact comparison per check.
 
 Every class that is exactly a Chern class c_k = e_k(t_1..t_r) is the
 engine's ``chern_class``, raised by Chevalley steps: c_k = 2 gamma_k and
-every gamma_k but F4's gamma_4, c_n = 0 for D_n and the right side of rho3.
-Polynomials reach the Schubert basis through the divided differences
-(``schubert_expand``) only for the classes of other polynomials: rho2, rho4,
-F4's 3 gamma_4 = c_4 - 2t c_3 + 8t^4 and the degree-2 images.  The
-divided-difference tables, rho1 and the B/D Delta identities are statements
-about the polynomials c_k and their partial sums themselves.  Everything
-else is a relation side, a map {(i, j, ks): c} of terms c * t1^i * t^j *
-gamma_k1...gamma_km, read through one class memo per suite (``_Classes``):
-each power of t1 or t is one Chevalley step on a class already computed, and
-each gamma product is taken once.
+every gamma_k but F4's gamma_4, and c_n = 0 for D_n.  Polynomials reach the
+Schubert basis through the divided differences (``schubert_expand``) for
+rho2, the c_3 of rho3, rho4, F4's 3 gamma_4 = c_4 - 2t c_3 + 8t^4 and the
+degree-2 images.  So rho3, c_3 = 2 gamma_3 on G2 and F4, is the cross-check
+between the two routes: gamma_3 is ``chern_class(3)`` halved, and c_3 is
+the polynomial expanded.  The divided-difference tables, rho1 and the B/D
+Delta identities are statements about the polynomials c_k and their
+partial sums themselves.  Everything else is a relation side, a map
+{(i, j, ks): c} of terms c * t1^i * t^j * gamma_k1...gamma_km, read through
+one class memo per suite (``_Classes``): each power of t1 or t is one
+Chevalley step on a class already computed, and each gamma product is taken
+once.
 
 Every check runs through ``VerificationReport.check``: a check whose
 computation raises is recorded as a failed check under the same name it has
@@ -181,6 +183,10 @@ F4_HIGH_RELATIONS = {
         {(0, 0, (4, 4, 4)): 1, (0, 8, (4,)): 12},
     ),
 }
+
+# The G2 relation of degree 6, in the same form; its right side 0 is written
+# 0 * gamma3^2, since a side is a nonempty map and so has a degree.
+G2_HIGH_RELATIONS = {"rho6: gamma3^2 = 0": ({(0, 0, (3, 3)): 0}, {(0, 0, (3, 3)): 1})}
 
 # Degree-2 generator expansions for B_n / D_n, as functions of n; see
 # expected_degree2_table below.
@@ -469,12 +475,13 @@ def _check_action_table(calc, report, table):
             report.check(f"action s{i}({sym})", lambda: images(i, sym))
 
 
-def _check_degree2_images(calc: SchubertCalc, report: VerificationReport):
-    """One check per degree-2 generator: its Schubert expansion against the table."""
+def _check_degree2_images(calc: SchubertCalc, report: VerificationReport, prefix: str):
+    """One check per degree-2 generator, named after ``prefix``: its Schubert
+    expansion against the table."""
     images = cache(lambda: degree2_generator_images(calc))
     for sym, tab in expected_degree2_table(calc.cartan_type).items():
         report.check(
-            f"degree-2 image of {sym}",
+            f"{prefix}degree-2 image of {sym}",
             lambda: (_expansion_from_table(calc, 1, tab), images()[sym]),
         )
 
@@ -489,35 +496,43 @@ def _element_table_row(calc: SchubertCalc, k: int, words: list) -> tuple:
 
 
 def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
-    ct = calc.cartan_type
     d = calc.datum
-    g2 = ct.family == "G2"
+    g2 = calc.cartan_type.family == "G2"
     c3 = cache(lambda: elem_sym_t(d, 3, d.num_t_classes))
-    f4 = cache(lambda: gamma_defining_poly(calc, 4)[0])
     cls = _Classes(calc)
 
     def delta_value(word, f, val):
         got = calc.delta_w(_word_element(calc, word), f())
         return Polynomial.constant(calc.rank, val), got
 
+    # The family's tables; the relations of G2 are F4's rho1, rho2, rho3 and
+    # rho6 with t = 0, and G2 has no Giambelli identities.
+    if g2:
+        elements, actions, gammas = G2_ELEMENT_TABLE, G2_ACTION_TABLE, {3: G2_GAMMA3}
+        deltas = [("c3", c3, G2_DELTA_C3)]
+        giambelli, relations = {}, G2_HIGH_RELATIONS
+        t, two_t, two_t2 = Polynomial.zero(calc.rank), "0", "0"
+    else:
+        elements, actions = F4_ELEMENT_TABLE, F4_ACTION_TABLE
+        gammas = {3: F4_GAMMA3, 4: F4_GAMMA4}
+        f4 = cache(lambda: gamma_defining_poly(calc, 4)[0])
+        deltas = [("c3", c3, F4_DELTA_C3), ("c4-2tc3+8t^4", f4, F4_DELTA_C4)]
+        giambelli, relations = F4_GIAMBELLI_IDENTITIES, F4_HIGH_RELATIONS
+        t, two_t, two_t2 = Polynomial.linear_form(d.t_classes["t"]), "2t", "2t^2"
+
     # Element tables and the action tables pin the conventions.
-    table = G2_ELEMENT_TABLE if g2 else F4_ELEMENT_TABLE
-    for k, words in table.items():
+    for k, words in elements.items():
         report.check(
             f"element table length {k}", lambda: _element_table_row(calc, k, words)
         )
-    _check_action_table(calc, report, G2_ACTION_TABLE if g2 else F4_ACTION_TABLE)
+    _check_action_table(calc, report, actions)
 
     # Divided-difference tables.
-    dtable = G2_DELTA_C3 if g2 else F4_DELTA_C3
-    for word, val in dtable.items():
-        report.check(f"Delta_{word}(c3)", lambda: delta_value(word, c3, val))
+    for label, f, table in deltas:
+        for word, val in table.items():
+            report.check(f"Delta_{word}({label})", lambda: delta_value(word, f, val))
 
     if not g2:
-        for word, val in F4_DELTA_C4.items():
-            report.check(
-                f"Delta_{word}(c4-2tc3+8t^4)", lambda: delta_value(word, f4, val)
-            )
 
         def w0_row():
             same = _word_element(calc, F4_W0_WORD) == calc.group.longest_element()
@@ -526,67 +541,58 @@ def _verify_exceptional(calc: SchubertCalc, report: VerificationReport):
 
         report.check("longest element matches printed word", w0_row)
 
-    # gamma expansions.
-    gtable = {3: G2_GAMMA3} if g2 else {3: F4_GAMMA3, 4: F4_GAMMA4}
-    for k, tab in gtable.items():
+    for k, tab in gammas.items():
         report.check(
             f"gamma_{k} expansion",
             lambda: (_expansion_from_table(calc, k, tab), cls(0, 0, (k,))),
         )
 
-    _check_degree2_images(calc, report)
+    _check_degree2_images(calc, report, "")
 
-    # Giambelli identities and Borel relations in the Schubert basis; the
-    # relations of G2 are those of F4 of degree <= 3 with t = 0.
-    if not g2:
-        for word, (a, lin, rest) in F4_GIAMBELLI_IDENTITIES.items():
-            # Z_w = a*gamma_4 + L(t1,t)*gamma_3 + R(t1,t)
-            terms = {(i, j, ()): c for (i, j), c in rest.items()}
-            terms.update({(i, j, (3,)): c for (i, j), c in lin.items()})
-            if a:
-                terms[0, 0, (4,)] = a
-            report.check(
-                f"Z_{word} Giambelli identity",
-                lambda: (calc.indicator(_word_element(calc, word)), cls.sum(terms)),
-            )
-    t = Polynomial.zero(calc.rank) if g2 else Polynomial.linear_form(d.t_classes["t"])
+    # Giambelli identities and Borel relations in the Schubert basis.
+    for word, (a, lin, rest) in giambelli.items():
+        # Z_w = a*gamma_4 + L(t1,t)*gamma_3 + R(t1,t)
+        terms = {(i, j, ()): c for (i, j), c in rest.items()}
+        terms.update({(i, j, (3,)): c for (i, j), c in lin.items()})
+        if a:
+            terms[0, 0, (4,)] = a
+        report.check(
+            f"Z_{word} Giambelli identity",
+            lambda: (calc.indicator(_word_element(calc, word)), cls.sum(terms)),
+        )
     report.check(
-        f"rho1: c1 = {'0' if g2 else '2t'}",
-        lambda: (t * 2, elem_sym_t(d, 1, d.num_t_classes)),
+        f"rho1: c1 = {two_t}", lambda: (t * 2, elem_sym_t(d, 1, d.num_t_classes))
     )
     report.check(
-        f"rho2: c2 = {'0' if g2 else '2t^2'} in H^4",
+        f"rho2: c2 = {two_t2} in H^4",
         lambda: (
             SchubertExpansion(2),
             calc.schubert_expand(elem_sym_t(d, 2, d.num_t_classes) - (t**2) * 2),
         ),
     )
+    # 2*gamma3 is the Chern class c_3 halved, against the polynomial c_3.
     report.check(
-        "rho3: c3 = 2*gamma3", lambda: (cls(0, 0, (3,)).scale(2), calc.chern_class(3))
+        "rho3: c3 = 2*gamma3",
+        lambda: (cls(0, 0, (3,)).scale(2), calc.schubert_expand(c3())),
     )
-    if g2:
+    if not g2:
 
-        def rho6():
-            w121 = _word_element(calc, "121")
-            return SchubertExpansion(6), calc.structure_constants(w121, w121)
+        def rho4():
+            # c4 + 8t^4 = 3*gamma4 + 4*t*gamma3
+            lhs = calc.schubert_expand(elem_sym_t(d, 4, 4) + (t**4) * 8)
+            return cls.sum({(0, 0, (4,)): 3, (0, 1, (3,)): 4}), lhs
 
-        report.check("rho6: gamma3^2 = 0", rho6)
-        return
-
-    def rho4():
-        # c4 + 8t^4 = 3*gamma4 + 4*t*gamma3
-        lhs = calc.schubert_expand(elem_sym_t(d, 4, 4) + (t**4) * 8)
-        return cls.sum({(0, 0, (4,)): 3, (0, 1, (3,)): 4}), lhs
-
-    report.check("rho4: c4 - 4t*gamma3 + 8t^4 = 3*gamma4", rho4)
-    for name, (rhs, lhs) in F4_HIGH_RELATIONS.items():
+        report.check("rho4: c4 - 4t*gamma3 + 8t^4 = 3*gamma4", rho4)
+    for name, (rhs, lhs) in relations.items():
         report.check(name, lambda: (cls.sum(rhs), cls.sum(lhs)))
 
 
 def _verify_bd(calc: SchubertCalc, report: VerificationReport):
+    """The checks of one B_n/D_n type, each named after the type, as "B3: "."""
     ct = calc.cartan_type
     n = ct.rank
     odd = ct.family == "B"
+    p = f"{ct.name}: "
     # Inputs shared by several checks, each computed once on first use.
     csym = cache(lambda l, m: elem_sym_t(calc.datum, l, m) if l else Polynomial.one(n))
     zword = cache(
@@ -602,12 +608,12 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
     for k in range(1, kmax + 1):
         for i in range(1, n):
             report.check(
-                f"Delta_{i}(c_{k}) = 0",
+                f"{p}Delta_{i}(c_{k}) = 0",
                 lambda: delta_row(i, csym(k, n), Polynomial.zero(n)),
             )
         m = n - 1 if odd else n - 2
         report.check(
-            f"Delta_{n}(c_{k}) = 2c_{k - 1}^({m})",
+            f"{p}Delta_{n}(c_{k}) = 2c_{k - 1}^({m})",
             lambda: delta_row(n, csym(k, n), csym(k - 1, m) * 2),
         )
 
@@ -618,11 +624,11 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
                 continue
             for i in range(1, n - j):
                 report.check(
-                    f"Delta_{i}(c-part k={k} j={j}) = 0",
+                    f"{p}Delta_{i}(c-part k={k} j={j}) = 0",
                     lambda: delta_row(i, csym(l, n - j), Polynomial.zero(n)),
                 )
             report.check(
-                f"Delta_{n - j}(c-part k={k} j={j})",
+                f"{p}Delta_{n - j}(c-part k={k} j={j})",
                 lambda: delta_row(n - j, csym(l, n - j), csym(l - 1, n - j - 1)),
             )
 
@@ -630,18 +636,18 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
     for k in range(1, kmax + 1):
         w = word_str(gamma_word(ct, k))
         report.check(
-            f"c_{k} = 2*Z_{w}",
+            f"{p}c_{k} = 2*Z_{w}",
             lambda: (zword(k).scale(2), calc.chern_class(k)),
         )
-        report.check(f"gamma_{k} = Z_{w}", lambda: (zword(k), cls(0, 0, (k,))))
+        report.check(f"{p}gamma_{k} = Z_{w}", lambda: (zword(k), cls(0, 0, (k,))))
 
-    _check_degree2_images(calc, report)
+    _check_degree2_images(calc, report, p)
 
     # (e) the quadratic relations, with each product gamma_i gamma_{2k-i}
     # taken once in the Schubert basis, plus c_n = 0 for D.
     if not odd:
         report.check(
-            f"c_{n} = 0 in H^{2 * n}",
+            f"{p}c_{n} = 0 in H^{2 * n}",
             lambda: (SchubertExpansion(n), calc.chern_class(n)),
         )
 
@@ -657,7 +663,7 @@ def _verify_bd(calc: SchubertCalc, report: VerificationReport):
         return SchubertExpansion(2 * k), cls.sum(terms)
 
     for k in range(1, kmax + 1):
-        report.check(f"quadratic relation at gamma_{2 * k}", lambda: quadratic(k))
+        report.check(f"{p}quadratic relation at gamma_{2 * k}", lambda: quadratic(k))
 
 
 def presentation_types(family: str, rank: int | None = None) -> list:
@@ -682,8 +688,5 @@ def verify_presentations(family: str, rank: int | None = None) -> VerificationRe
         f"{family}-series presentation checks (ranks {[ct.rank for ct in types]})", []
     )
     for ct in types:
-        sub = VerificationReport("", [])
-        _verify_bd(calculus_for(ct), sub)
-        for c in sub.checks:
-            report.add(f"{ct.name}: {c.name}", c.expected, c.got)
+        _verify_bd(calculus_for(ct), report)
     return report

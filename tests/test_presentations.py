@@ -310,6 +310,49 @@ class TestFaultInjection:
             "rho12: gamma4^3 relation",
         }
 
+    def test_g2_failures_are_the_gamma_checks(self, monkeypatch):
+        """rho6 reads the gamma_3 it names, not a table class."""
+        monkeypatch.setattr(pres, "gamma_expansion", _raising_on("G2"))
+        failed = {c.name for c in verify_presentations("G2").failures()}
+        assert failed == {
+            "gamma_3 expansion",
+            "rho3: c3 = 2*gamma3",
+            "rho6: gamma3^2 = 0",
+        }
+
+    @pytest.mark.parametrize("family", ["G2", "F4"])
+    def test_rho3_catches_a_wrong_chern_class(self, monkeypatch, family):
+        """c_3 off by 2*Z_w still halves to a gamma_3, so only the
+        polynomial side of rho3 can tell."""
+        calc = calculus_for(cartan_type(family))
+        real = calc.chern_class
+        w = calc.group.elements_of_length(3)[0]
+
+        def chern_class(l):
+            got = real(l)
+            return got + calc.indicator(w).scale(2) if l == 3 else got
+
+        monkeypatch.setattr(calc, "chern_class", chern_class)
+        failed = {c.name for c in verify_presentations(family).failures()}
+        assert "rho3: c3 = 2*gamma3" in failed
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_bd_checks_are_added_once(monkeypatch, family):
+    """Each B/D check goes into the family report under its type's name
+    directly, not through a report of its own type first."""
+    calls = []
+    real = VerificationReport.add
+
+    def add(report, name, expected, got):
+        calls.append(name)
+        real(report, name, expected, got)
+
+    monkeypatch.setattr(VerificationReport, "add", add)
+    rep = verify_presentations(family)
+    assert rep.all_passed
+    assert calls == [c.name for c in rep.checks]
+
 
 class TestGammaCalls:
     def test_bd_pass_computes_each_gamma_once(self, monkeypatch):
@@ -430,7 +473,8 @@ class TestClassMemo:
     def test_each_product_is_taken_once(self, monkeypatch):
         """A default G2+F4+B+D pass multiplies each gamma monomial once: the
         quadratic relations take gamma_i gamma_{2k-i} once per unordered
-        pair, and F4's gamma3*gamma4 and gamma4^2 serve every relation."""
+        pair, F4's gamma3*gamma4 and gamma4^2 serve every relation, and
+        G2's rho6 takes gamma3^2 once."""
         calls = []
         real = SchubertCalc.mul_expansions
 
@@ -441,7 +485,7 @@ class TestClassMemo:
         monkeypatch.setattr(SchubertCalc, "mul_expansions", counting)
         for family in ("G2", "F4", "B", "D"):
             assert verify_presentations(family).all_passed
-        assert Counter(calls) == {"F4": 4, "B": 21, "D": 10}
+        assert Counter(calls) == {"G2": 1, "F4": 4, "B": 21, "D": 10}
 
     @pytest.mark.parametrize("family,rank", [("F4", None), ("B", 3)])
     def test_class_memo_is_freed_with_its_suite(self, family, rank):
