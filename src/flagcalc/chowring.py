@@ -12,8 +12,9 @@ parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
 Schubert classes are the rows, each named by a strict partition, and the
 columns are c_i(S) * Z_mu, with Z_{s_n} * Z_mu in place of c_1(S) * Z_mu for
 Spin, by the Pieri rule on those partitions (``_Grassmannian``, ``_pieri``;
-Hiller and Boe, 1986; Pragacz, 1991).  Only c_i(S) * Z_e comes from
-Chevalley steps, the engine's ``chern_class``.
+Hiller and Boe, 1986; Pragacz, 1991): one walk per mu gives its strips of
+every size, which the engine keeps for both forms.  Only c_i(S) * Z_e comes
+from Chevalley steps, the engine's ``chern_class``.
 Codimension 0 holds nothing of the ideal.  A cokernel first divides out
 the gcd of its entries (2 on the SO strata of A(G/P), 1 elsewhere) and is
 diagonalised in two phases: closed substitutions take the unit pivots,
@@ -326,14 +327,22 @@ class _Grassmannian:
     c_1 * Z_mu is a multiple of tau_1 * Z_mu.  c_i * Z_e = e_i(t_1..t_n) is
     computed, not taken from the paper: it is the engine's Chern class
     (``SchubertCalc.chern_class``), raised by Chevalley steps from the
-    identity.  Its terms are special classes tau_j, one-row partitions, and
-    c_i * Z_mu is the sum of their products with tau_mu by the Pieri rule
-    (``_pieri``; Hiller and Boe, Adv. Math. 62, 1986; Pragacz, LNM 1478,
-    1991).  So the columns intern nothing outside W^P but the support of the
-    partial Chern classes and the covers their steps scan.  Every
-    column is kept, keyed by generator and mu, so strata come out the same
-    in any request order and the second group form only adds its own.
-    Nothing here refers to the engine, which ``_grassmannian`` keys it by.
+    identity.  Being of degree i it is a * tau_i, a special class, and c_i *
+    Z_mu is a times the product tau_i * tau_mu by the Pieri rule (Hiller and
+    Boe, Adv. Math. 62, 1986; Pragacz, LNM 1478, 1991).  So the columns
+    intern nothing outside W^P but the support of the partial Chern classes
+    and the covers their steps scan.
+
+    One walk per mu (``_pieri``) gives tau_j * tau_mu for every strip size j
+    at once, keyed by row, and the strips are kept for both group forms: the
+    SO c_1 column and the Spin tau_1 column read the same strip 1.  The
+    columns are built from them when their stratum is, and not kept.  A walk
+    stops at size min(m, limit - |mu|), limit the highest codimension a run
+    set up on the engine (``ChowComputation.reach``), since larger strips
+    land in strata no run builds; a stratum above it (a generator's order
+    check above ``max_codim``) walks mu again to the size it needs.  Strata
+    come out the same in any request order.  Nothing here refers to the
+    engine, which ``_grassmannian`` keys it by.
     """
 
     def __init__(self, group):
@@ -341,9 +350,10 @@ class _Grassmannian:
         self._levels = [(group.identity,)]
         self.partition = {group.identity.id: ()}  # element id -> its strict partition
         self._row_of = {(): 0}  # strict partition -> its row
-        self._columns: dict = {}  # (i, mu id) -> c_i * Z_mu (Z_{s_n} * Z_mu for i = 0)
-        # i -> c_i * Z_e as pairs (j, a), a tau_j; i = 0 is Z_{s_n} = tau_1
-        self._specials = {0: ((1, 1),)}
+        self.limit = 0  # the highest codimension a run set up on the engine
+        self._strips: dict = {}  # mu id -> tau_j * Z_mu by j, as ``_pieri`` gives them
+        # i -> c_i * Z_e as (j, a), a tau_j; i = 0 is Z_{s_n} = tau_1
+        self._specials = {0: (1, 1)}
 
     def classes(self, group, k: int) -> tuple:
         levels, partition, labels = self._levels, self.partition, self._labels
@@ -380,29 +390,32 @@ class _Grassmannian:
 
     def _column(self, calc: SchubertCalc, i: int, mu) -> dict:
         """c_i * Z_mu (Z_{s_n} * Z_mu for i = 0), as a dict row -> entry."""
-        got = self._columns.get((i, mu.id))
-        if got is None:
-            got, lam, m, row_of = {}, self.partition[mu.id], len(self._labels), self._row_of
-            for j, a in self._special(calc, i):
-                for nu, b in _pieri(j, lam, m).items():
-                    r = row_of[nu]
-                    got[r] = got.get(r, 0) + a * b
-            self._columns[i, mu.id] = got
-        return got
+        j, a = self._special(calc, i)
+        if not a:
+            return {}
+        strips = self._strips.get(mu.id)
+        if strips is None or len(strips) <= j:
+            m, length = len(self._labels), mu.length
+            top = max(j, min(m, self.limit - length))
+            self.classes(calc.group, length + top)  # names the rows the strips reach
+            strips = self._strips[mu.id] = _pieri(self.partition[mu.id], m, top, self._row_of)
+        strip = strips[j]
+        return strip if a == 1 else {r: a * b for r, b in strip.items()}
 
     def _special(self, calc: SchubertCalc, i: int) -> tuple:
-        """c_i * Z_e (``SchubertCalc.chern_class``) as pairs (j, a), a tau_j;
-        a class other than a special one is a fault, never dropped.  The
-        classes of length i are named, as ``stratum_columns`` walks to k >= i."""
+        """c_i * Z_e (``SchubertCalc.chern_class``) as (j, a), a tau_j: j = i
+        by degree, and a = 0 when c_i * Z_e = 0 (c_n on D_n).  A class other
+        than a special one is a fault, never dropped.  The classes of length
+        i are named, as ``stratum_columns`` walks to k >= i."""
         got = self._specials.get(i)
         if got is None:
-            got = []
+            got = (i, 0)
             for v, a in calc.chern_class(i).coeffs.items():
                 lam = self.partition.get(v.id)
                 if lam is None or len(lam) != 1:
                     raise AssertionError(f"Z_{v} is not a special class of A(G/P)")
-                got.append((lam[0], a))
-            got = self._specials[i] = tuple(got)
+                got = (lam[0], a)
+            self._specials[i] = got
         return got
 
 
@@ -415,34 +428,53 @@ def _box_labels(family: str, n: int) -> tuple:
     return tuple((n - r % 2, *(n - 1 - c for c in range(1, n - 1 - r))) for r in range(n - 1))
 
 
-def _pieri(k: int, lam: tuple, m: int) -> dict:
-    """tau_k * tau_lam in A(G/P), as a dict partition -> coefficient.
+def _pieri(lam: tuple, m: int, top: int, names) -> list:
+    """tau_k * tau_lam in A(G/P) for every k <= top, by one walk over lam.
 
-    The sum of 2^(N - 1) tau_mu over the strict mu inside rho_m with |mu| =
-    |lam| + k and mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...; N is the number of
-    rows that gain boxes, less the number of rows j + 1 that reach the old
-    end of row j, mu_(j+1) = lam_j, and so join its new boxes.  That is
-    Pieri's rule for the P-tilde classes (Hiller and Boe, 1986; Pragacz,
-    1991), and a strict mu never has mu_(j+1) = lam_j = mu_j.
+    Returns out: out[k], for 1 <= k <= top, is a dict names[mu] ->
+    coefficient (out[0] is None).  tau_k * tau_lam is the sum of 2^(N - 1)
+    tau_mu over the strict mu inside rho_m with |mu| = |lam| + k and mu_1 >=
+    lam_1 >= mu_2 >= lam_2 >= ...; N is the number of rows that gain boxes,
+    less the number of rows j + 1 that reach the old end of row j, mu_(j+1)
+    = lam_j, and so join its new boxes.  That is Pieri's rule for the
+    P-tilde classes (Hiller and Boe, 1986; Pragacz, 1991), and a strict mu
+    never has mu_(j+1) = lam_j = mu_j.
+
+    Each strip is one step of the walk: it picks the next row to gain boxes
+    and how many, and every strip of size below top extends to the later
+    rows.  The rows it skips keep lam's lengths, so a row right below a
+    skipped one stays short of it.  Each out[k] lists its mu in
+    lexicographic order, as a walk for k alone would list them: the unit
+    phase meets the entries of a column, and picks its pivot, in that order.
     """
-    tops, lows, out = (m, *lam), (*lam, 0), {}
-    room = [0] * (len(lows) + 1)  # room[j]: the boxes rows j.. may gain
-    for j in reversed(range(len(lows))):
-        room[j] = room[j + 1] + tops[j] - lows[j]
+    out = [None] + [{} for _ in range(top)]
+    tops, lows = (m, *lam), (*lam, 0)
+    tails = [lam[j:] for j in range(len(lows) + 1)]
 
-    def extend(j: int, left: int, mu: tuple, n: int) -> None:
-        if not left:
-            out[mu + lam[j:]] = 2 ** (n - 1)
-            return
-        low, top = lows[j], tops[j]
-        for x in range(max(low, low + left - room[j + 1]), min(top, low + left) + 1):
-            joins = j > 0 and x == top  # row j reaches the old end of row j - 1
-            if joins and mu[j - 1] == top:
-                continue  # mu_j = mu_(j-1): not strict
-            extend(j + 1, left - x + low, mu + (x,), n + (x > low) - joins)
+    def grow(j: int, head: tuple, size: int, n: int) -> None:
+        # head: rows 0..j-1 of mu; row j - 1 gained boxes unless j = 0
+        for r in reversed(range(j, len(lows))):
+            low, cap = lows[r], tops[r]
+            if r > j:
+                cap -= 1  # row r - 1 kept its length lam_(r-1): mu_r stays below it
+            start = head + tails[j][:r - j]
+            for x in range(low + 1, min(cap, low + top - size) + 1):
+                # N grows by one unless row r reaches the old end of row r - 1
+                s, nn = size + x - low, n + (not r or x != tops[r])
+                mu = start + (x,)
+                out[s][names[mu + tails[r + 1]]] = 1 << (nn - 1)
+                if s < top:
+                    grow(r + 1, mu, s, nn)
 
-    extend(0, k, (), 0)
+    grow(0, (), 0, 0)
     return out
+
+
+class _Itself(dict):
+    """names for a walk keyed by the partitions themselves."""
+
+    def __missing__(self, mu):
+        return mu
 
 
 def _pieri_times(k: int, x: dict, m: int) -> dict:
@@ -450,7 +482,7 @@ def _pieri_times(k: int, x: dict, m: int) -> dict:
     ``_pieri``; every coefficient is positive, so nothing cancels."""
     out: dict = {}
     for lam, a in x.items():
-        for nu, b in _pieri(k, lam, m).items():
+        for nu, b in _pieri(lam, m, k, _Itself())[k].items():
             out[nu] = out.get(nu, 0) + a * b
     return out
 
@@ -486,6 +518,12 @@ class ChowComputation:
         self._columns = self._grass.stratum_columns if self._grass else _stratum_columns
         self.row: dict = {}  # element id -> its row in its stratum
         self._powers: dict = {}  # (w, e) -> Z_w^e, for the powers that were computed
+
+    def reach(self, limit: int) -> None:
+        """Announce strata up to codim limit: on B/D each Pieri walk of the
+        engine then gives a partition's strips up to that limit at once."""
+        if self._grass is not None:
+            self._grass.limit = max(self._grass.limit, limit)
 
     def stratum(self, k: int) -> CokernelStratum:
         """The cokernel of the ideal stratum in codimension k; its rows are
@@ -614,6 +652,7 @@ def chow_groups(
     """
     _check_max_codim(calc, max_codim)
     comp = comp or ChowComputation(calc, variant)
+    comp.reach(max_codim)
     strata = []
     for k in range(max_codim + 1):
         fs = _stratum_factors(comp.stratum(k))
@@ -764,6 +803,8 @@ def _chow_setup(family: str, rank, variant, max_codim):
             peak = max((g.power * g.codim for g in pres.generators), default=3)
             limit = min(2 * peak, n_pos)
         runs.append((pres, ChowComputation(calc, var), limit))
+    for _, comp, limit in runs:  # before any stratum, so that each walk serves both forms
+        comp.reach(limit)
     return ct, calc, runs
 
 

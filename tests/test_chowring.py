@@ -742,18 +742,77 @@ def test_each_class_reads_as_the_unit_vector_at_its_row(family, rank, top, varia
 
 
 def test_grassmannian_data_dies_with_its_engine():
-    # the classes, c_i and columns of A(G/P) live as long as the engine: once
-    # calculus_for forgets it, nothing keeps them
+    # the classes, c_i and Pieri strips of A(G/P) live as long as the engine:
+    # once calculus_for forgets it, nothing keeps them
     calculus_for.cache_clear()
     calc = calculus_for(cartan_type("D", 5))
     assert verify_chow("D", 5).all_passed
     data = chowring._grassmannian(calc)
-    assert data._columns and len(data._specials) > 1
+    assert data._strips and len(data._specials) > 1
     ref = weakref.ref(data)
     del calc, data
     calculus_for.cache_clear()
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("family", ["B", "D"])
+def test_strips_grow_past_the_limit_they_were_first_walked_for(family, variant):
+    # a max_codim=3 run walks each mu only to codim 3 and to the generator
+    # strata its order checks read; a default run on the same engine walks mu
+    # again to its own limit, and a max_codim=3 run after a default one walks
+    # nothing and reads the longer strips: each result equals a fresh engine's
+    def run(max_codim, fresh):
+        if fresh:
+            calculus_for.cache_clear()
+        return chow_to_json(family, 8, variant, max_codim=max_codim)
+
+    want = {max_codim: run(max_codim, True) for max_codim in (3, None)}
+    for order in ((3, None), (None, 3)):
+        calculus_for.cache_clear()
+        calc = calculus_for(cartan_type(family, 8))
+        grass = chowring._grassmannian(calc)
+        assert run(order[0], False) == want[order[0]], order
+        first = dict(grass._strips)
+        assert run(order[1], False) == want[order[1]], order
+        assert calculus_for(cartan_type(family, 8)) is calc
+        grown = [i for i, strips in first.items() if grass._strips[i] is not strips]
+        if order[0] == 3:
+            assert all(len(grass._strips[i]) > len(first[i]) for i in grown) and grown
+        else:
+            assert grass._strips == first and not grown
+    calculus_for.cache_clear()
+
+
+@pytest.mark.parametrize("family,rank", [("D", 5), ("B", 8)])
+def test_one_walk_per_partition_per_engine(monkeypatch, family, rank):
+    # a verify_chow of both forms walks each mu whose columns it builds once,
+    # for every strip size and both forms, also on B8, where the Spin limit
+    # (28) is below the SO one (32); the power checks take their own Pieri
+    # steps, keyed by partition
+    calculus_for.cache_clear()
+    calc = calculus_for(cartan_type(family, rank))
+    grass = chowring._grassmannian(calc)
+    walks, steps = [], []
+    real = chowring._pieri
+
+    def counting(lam, m, top, names):
+        (walks if names is grass._row_of else steps).append(lam)
+        return real(lam, m, top, names)
+
+    monkeypatch.setattr(chowring, "_pieri", counting)
+    rep = verify_chow(family, rank)
+    assert rep.all_passed
+    size = 2 * rank + (family == "B")
+    assert {c.name.split(":")[0] for c in rep.checks} == {f"Spin({size})", f"SO({size})"}
+    m = len(grass._labels)
+    dim = m * (m + 1) // 2  # |rho_m|: stratum dim + 1 is empty
+    want = [lam for k in range(min(grass.limit, dim)) for lam in map(
+        grass.partition.get, (w.id for w in grass.classes(calc.group, k)))]
+    assert sorted(walks) == sorted(want) and len(set(walks)) == len(walks)
+    assert steps  # the power checks, one Pieri step per partition of each lower power
+    calculus_for.cache_clear()
 
 
 @pytest.mark.parametrize("family,rank", [
@@ -796,12 +855,17 @@ def test_grassmannian_columns_match_the_products(family, rank):
 @pytest.mark.parametrize("family,rank", [("B", 6), ("D", 7)])
 def test_spin_strata_build_no_c1_column(family, rank):
     # P_n is maximal, so A^1(G/P) = Z tau_1 and c_1 * Z_mu is a multiple of
-    # the column Z_{s_n} * Z_mu = tau_1 * Z_mu: a Spin run builds no c_1 column
+    # the column Z_{s_n} * Z_mu = tau_1 * Z_mu: a Spin run builds no c_1 column,
+    # so it never asks for c_1; its columns read the strips of each mu below
+    # the limit, strip 1 for tau_1
     [(_, _, limit)] = chowring._chow_setup(family, rank, "simply_connected", None)[2]
     calc = SchubertCalc(cartan_type(family, rank))
     chow_groups(calc, "simply_connected", limit)
-    keys = chowring._grassmannian(calc)._columns
-    assert {i for i, _ in keys} == {0, *range(2, min(rank, limit) + 1)}
+    grass = chowring._grassmannian(calc)
+    assert set(grass._specials) == {0, *range(2, min(rank, limit) + 1)}
+    dim = len(grass._labels) * (len(grass._labels) + 1) // 2  # |rho_m|
+    below = [mu.id for k in range(min(limit, dim)) for mu in grass.classes(calc.group, k)]
+    assert sorted(grass._strips) == sorted(below)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 8), ("D", 8)])
@@ -876,9 +940,11 @@ def test_the_pieri_rule_matches_the_products(family, rank):
     dim = m * (m + 1) // 2
     checked = 0
     for lam, w in named.items():
-        for k in range(1, min(m, dim - sum(lam)) + 1):
-            got = {named[mu]: c for mu, c in chowring._pieri(k, lam, m).items()}
-            assert got == calc.structure_constants(named[(k,)], w).coeffs, (k, lam)
+        top = min(m, dim - sum(lam))
+        strips = chowring._pieri(lam, m, top, named)  # one walk for every k
+        assert len(strips) == top + 1 and strips[0] is None
+        for k in range(1, top + 1):
+            assert strips[k] == calc.structure_constants(named[(k,)], w).coeffs, (k, lam)
             checked += 1
     assert checked == sum(min(m, dim - sum(lam)) for lam in named)
 
