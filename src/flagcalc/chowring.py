@@ -20,8 +20,10 @@ the gcd of its entries (2 on the SO strata of A(G/P), 1 elsewhere) and is
 diagonalised in two phases: closed substitutions take the unit pivots,
 nearly every row, and a dense Smith step the few rows left; the pivots give
 the invariant factors.  The generator powers of the checks are Leibniz
-products on A(G/B) for G2 and F4, and Pieri products of special classes on
-A(G/P) for B_n and D_n.  All arithmetic stays in exact integers.
+products on A(G/B) for G2 and F4.  For B_n and D_n they stay on A(G/P):
+tau_k^e is tau_k^(e-1) * tau_k, a sum of the strips the engine keeps
+(``_Grassmannian.times``), and is classified like any other Schubert
+expansion.  All arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
 (Spin, G2, F4); ``special_orthogonal`` the sublattice spanned by the
@@ -335,14 +337,15 @@ class _Grassmannian:
 
     One walk per mu (``_pieri``) gives tau_j * tau_mu for every strip size j
     at once, keyed by row, and the strips are kept for both group forms: the
-    SO c_1 column and the Spin tau_1 column read the same strip 1.  The
-    columns are built from them when their stratum is, and not kept.  A walk
+    SO c_1 column and the Spin tau_1 column read the same strip 1, and the
+    power checks read strip k for x * tau_k (``times``).  The columns are
+    built from the strips when their stratum is, and not kept.  A walk
     stops at size min(m, limit - |mu|), limit the highest codimension a run
     set up on the engine (``ChowComputation.reach``), since larger strips
     land in strata no run builds; a stratum above it (a generator's order
-    check above ``max_codim``) walks mu again to the size it needs.  Strata
-    come out the same in any request order.  Nothing here refers to the
-    engine, which ``_grassmannian`` keys it by.
+    check above ``max_codim``) walks mu again to the size it needs
+    (``_strip``).  Strata come out the same in any request order.  Nothing
+    here refers to the engine, which ``_grassmannian`` keys it by.
     """
 
     def __init__(self, group):
@@ -352,8 +355,7 @@ class _Grassmannian:
         self._row_of = {(): 0}  # strict partition -> its row
         self.limit = 0  # the highest codimension a run set up on the engine
         self._strips: dict = {}  # mu id -> tau_j * Z_mu by j, as ``_pieri`` gives them
-        # i -> c_i * Z_e as (j, a), a tau_j; i = 0 is Z_{s_n} = tau_1
-        self._specials = {0: (1, 1)}
+        self._specials: dict = {}  # i -> c_i * Z_e as (j, a), a tau_j
 
     def classes(self, group, k: int) -> tuple:
         levels, partition, labels = self._levels, self.partition, self._labels
@@ -380,27 +382,46 @@ class _Grassmannian:
         classes = self.classes(calc.group, k)
         if not classes:
             return classes, []
+        spin = variant == "simply_connected"  # Z_{s_n} = tau_1 in place of c_1
         top = min(calc.rank, k) + 1
-        gens = (0, *range(2, top)) if variant == "simply_connected" else range(1, top)
+        specials = [(1, 1)] * spin + [self._special(calc, i) for i in range(1 + spin, top)]
         return classes, [
-            self._column(calc, i, mu)
-            for i in gens
-            for mu in self.classes(calc.group, k - max(i, 1))
+            self._column(calc, j, a, mu)
+            for j, a in specials
+            for mu in self.classes(calc.group, k - j)
         ]
 
-    def _column(self, calc: SchubertCalc, i: int, mu) -> dict:
-        """c_i * Z_mu (Z_{s_n} * Z_mu for i = 0), as a dict row -> entry."""
-        j, a = self._special(calc, i)
-        if not a:
-            return {}
+    def _column(self, calc: SchubertCalc, j: int, a: int, mu) -> dict:
+        """a * tau_j * Z_mu, as a dict row -> entry."""
+        strip = self._strip(calc, mu, j) if a else {}
+        return strip if a == 1 else {r: a * b for r, b in strip.items()}
+
+    def _strip(self, calc: SchubertCalc, mu, j: int) -> dict:
+        """tau_j * Z_mu, as a dict row -> coefficient, from the kept walk of
+        mu; a walk that stopped short of j is taken again, at least to j."""
         strips = self._strips.get(mu.id)
         if strips is None or len(strips) <= j:
             m, length = len(self._labels), mu.length
             top = max(j, min(m, self.limit - length))
             self.classes(calc.group, length + top)  # names the rows the strips reach
             strips = self._strips[mu.id] = _pieri(self.partition[mu.id], m, top, self._row_of)
-        strip = strips[j]
-        return strip if a == 1 else {r: a * b for r, b in strip.items()}
+        return strips[j]
+
+    def times(self, calc: SchubertCalc, x: SchubertExpansion, z: SchubertExpansion):
+        """x * z in A(G/P), z a multiple of a special class tau_k (any other
+        class is a fault): the sum of the strips tau_k * Z_mu over the classes
+        mu of x, each row read back as its class."""
+        k = z.codim
+        self.classes(calc.group, k)  # names every class of length k
+        out: dict = {}
+        for w, c in z.coeffs.items():
+            if self.partition.get(w.id) != (k,):
+                raise AssertionError(f"Z_{w} is not a special class of A(G/P)")
+            for mu, a in x.coeffs.items():
+                for r, b in self._strip(calc, mu, k).items():
+                    out[r] = out.get(r, 0) + c * a * b
+        classes = self.classes(calc.group, x.codim + k)
+        return SchubertExpansion(x.codim + k, {classes[r]: v for r, v in out.items()})
 
     def _special(self, calc: SchubertCalc, i: int) -> tuple:
         """c_i * Z_e (``SchubertCalc.chern_class``) as (j, a), a tau_j: j = i
@@ -467,23 +488,6 @@ def _pieri(lam: tuple, m: int, top: int, names) -> list:
                     grow(r + 1, mu, s, nn)
 
     grow(0, (), 0, 0)
-    return out
-
-
-class _Itself(dict):
-    """names for a walk keyed by the partitions themselves."""
-
-    def __missing__(self, mu):
-        return mu
-
-
-def _pieri_times(k: int, x: dict, m: int) -> dict:
-    """tau_k * x in A(G/P), x a dict strict partition -> coefficient, by
-    ``_pieri``; every coefficient is positive, so nothing cancels."""
-    out: dict = {}
-    for lam, a in x.items():
-        for nu, b in _pieri(lam, m, k, _Itself())[k].items():
-            out[nu] = out.get(nu, 0) + a * b
     return out
 
 
@@ -570,39 +574,23 @@ class ChowComputation:
     def is_zero_class(self, x: SchubertExpansion) -> bool:
         return self.stratum(x.codim).is_zero_class(self.vector_of(x))
 
-    def power(self, w, e: int):
+    def power(self, w, e: int) -> SchubertExpansion:
         """Z_w^e as Z_w^(e-1) * Z_w, each power kept; one whose lower power
         raised raises again, with the same error.  G2 and F4 take Leibniz
         products on A(G/B).  On B/D, Z_w must be a special class tau_k of
-        A(G/P) (anything else is a fault), and tau_k^e is a dict strict
-        partition -> coefficient, by the Pieri rule (``_pieri_times``)."""
+        A(G/P) (anything else is a fault), and each product sums the
+        engine's Pieri strips (``_Grassmannian.times``)."""
         got = self._powers.get((w, e))
         if got is None:
-            calc, grass = self.calc, self._grass
-            if grass is None:
-                got = calc.indicator(w) if e == 1 else calc.mul_expansions(
-                    self.power(w, e - 1), self.power(w, 1))
-            elif e > 1:
-                got = _pieri_times(w.length, self.power(w, e - 1), len(grass._labels))
+            calc = self.calc
+            if e == 1:
+                got = calc.indicator(w)
+            elif self._grass is None:
+                got = calc.mul_expansions(self.power(w, e - 1), self.power(w, 1))
             else:
-                grass.classes(calc.group, w.length)  # names every class of length l(w)
-                if grass.partition.get(w.id) != (w.length,):
-                    raise AssertionError(f"Z_{w} is not a special class of A(G/P)")
-                got = {(w.length,): 1}
+                got = self._grass.times(calc, self.power(w, e - 1), self.power(w, 1))
             self._powers[w, e] = got
         return got
-
-    def power_is_zero(self, w, e: int) -> bool:
-        """Whether Z_w^e (``power``) lies in the ideal; on B/D its partitions
-        are read through ``_row_of`` on the stratum e * l(w)."""
-        x = self.power(w, e)
-        if self._grass is None:
-            return self.is_zero_class(x)
-        coker = self.stratum(e * w.length)
-        vec = [0] * coker.rows
-        for lam, c in x.items():
-            vec[self._grass._row_of[lam]] = c
-        return coker.is_zero_class(vec)
 
 
 @dataclass(frozen=True)
@@ -821,8 +809,8 @@ def verify_chow(
     the right order, and confirms each generator power vanishes exactly at its
     stated exponent and not before.  On B_n and D_n every check stays on
     A(G/P): the generators are special classes tau_k, and their powers are
-    taken by the Pieri rule (``ChowComputation.power``); G2 and F4 take
-    Leibniz products on A(G/B).
+    sums of the engine's Pieri strips (``ChowComputation.power``); G2 and F4
+    take Leibniz products on A(G/B).
     """
     ct, _, runs = _chow_setup(family, rank, variant, max_codim)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
@@ -862,7 +850,7 @@ def _check_variant(
     )
 
     def power_vanishes(gen, w, e):
-        zero = comp.power_is_zero(w, e)
+        zero = comp.is_zero_class(comp.power(w, e))
         return "zero" if e >= gen.power else "nonzero", "zero" if zero else "nonzero"
 
     for gen in pres.generators:

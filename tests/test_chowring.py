@@ -789,16 +789,17 @@ def test_strips_grow_past_the_limit_they_were_first_walked_for(family, variant):
 def test_one_walk_per_partition_per_engine(monkeypatch, family, rank):
     # a verify_chow of both forms walks each mu whose columns it builds once,
     # for every strip size and both forms, also on B8, where the Spin limit
-    # (28) is below the SO one (32); the power checks take their own Pieri
-    # steps, keyed by partition
+    # (28) is below the SO one (32); every walk is keyed by row, and the power
+    # checks read the kept strips, adding no walk
     calculus_for.cache_clear()
     calc = calculus_for(cartan_type(family, rank))
     grass = chowring._grassmannian(calc)
-    walks, steps = [], []
+    walks, keys = [], []
     real = chowring._pieri
 
     def counting(lam, m, top, names):
-        (walks if names is grass._row_of else steps).append(lam)
+        walks.append(lam)
+        keys.append(names)
         return real(lam, m, top, names)
 
     monkeypatch.setattr(chowring, "_pieri", counting)
@@ -810,8 +811,9 @@ def test_one_walk_per_partition_per_engine(monkeypatch, family, rank):
     dim = m * (m + 1) // 2  # |rho_m|: stratum dim + 1 is empty
     want = [lam for k in range(min(grass.limit, dim)) for lam in map(
         grass.partition.get, (w.id for w in grass.classes(calc.group, k)))]
+    assert all(names is grass._row_of for names in keys)
     assert sorted(walks) == sorted(want) and len(set(walks)) == len(walks)
-    assert steps  # the power checks, one Pieri step per partition of each lower power
+    assert any("^" in c.name for c in rep.checks)  # the power checks ran
     calculus_for.cache_clear()
 
 
@@ -862,7 +864,7 @@ def test_spin_strata_build_no_c1_column(family, rank):
     calc = SchubertCalc(cartan_type(family, rank))
     chow_groups(calc, "simply_connected", limit)
     grass = chowring._grassmannian(calc)
-    assert set(grass._specials) == {0, *range(2, min(rank, limit) + 1)}
+    assert set(grass._specials) == set(range(2, min(rank, limit) + 1))
     dim = len(grass._labels) * (len(grass._labels) + 1) // 2  # |rho_m|
     below = [mu.id for k in range(min(limit, dim)) for mu in grass.classes(calc.group, k)]
     assert sorted(grass._strips) == sorted(below)
@@ -956,24 +958,36 @@ def test_the_pieri_rule_matches_the_products(family, rank):
 def test_the_pieri_powers_match_the_products(family, rank):
     # every power that the checks of either form reach, tau_k^e by the Pieri
     # chain of ChowComputation.power, against the Leibniz power of Z_w in
-    # A(G/B) read through the partitions of its classes
+    # A(G/B)
     _, calc, runs = chowring._chow_setup(family, rank, None, None)
-    grass = chowring._grassmannian(calc)
-    grass.classes(calc.group, max(limit for _, _, limit in runs))  # name every class
     checked = 0
     for pres, comp, limit in runs:
         for gen in pres.generators:
             w = calc.group.element_from_word(gen.schubert_word)
             z = power = calc.indicator(w)
-            assert comp.power(w, 1) == {grass.partition[w.id]: 1} == {(gen.codim,): 1}
+            assert comp.power(w, 1) == z
             for e in range(2, gen.power + 1):
                 if e * gen.codim > limit:
                     break
                 power = calc.mul_expansions(power, z)
-                want = {grass.partition[v.id]: c for v, c in power.coeffs.items()}
-                assert comp.power(w, e) == want, (comp.variant, gen.symbol, e)
+                assert comp.power(w, e) == power, (comp.variant, gen.symbol, e)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["323", "1"])
+def test_a_bd_power_of_a_class_other_than_a_special_one_raises(name, variant):
+    # on B3, Z_323 is tau_(2,1), a class of A(G/P) but not a special one, and
+    # Z_1 lies outside A(G/P): Z^1 is the class itself, and each higher power
+    # is a fault, not a Pieri product
+    calc = SchubertCalc(cartan_type("B", 3))
+    comp = ChowComputation(calc, variant)
+    w = calc.group.element_from_word(tuple(map(int, name)))
+    assert comp.power(w, 1) == calc.indicator(w)
+    for e in (2, 3):
+        with pytest.raises(AssertionError, match=rf"^Z_{name} is not a special class of A\(G/P\)$"):
+            comp.power(w, e)
 
 
 def test_low_codimensions_of_d12_intern_few_elements():
@@ -1278,7 +1292,7 @@ class TestVerifyChow:
         ("G2", None, "chow_groups"),
         ("G2", None, "_stratum_factors"),
         ("F4", None, "SchubertCalc.mul_expansions"),
-        ("B", 3, "_pieri_times"),
+        ("B", 3, "_Grassmannian.times"),
         ("B", 3, "chow_groups"),
         ("B", 3, "_stratum_factors"),
     ])
@@ -1320,16 +1334,16 @@ class TestVerifyChow:
         assert calls == [(3, 3), (4, 4), (8, 4)]
 
     def test_bd_generator_powers_are_pieri_chained(self, monkeypatch):
-        # on B3, X^e is tau_k * X^(e-1) by the Pieri rule: one step per power
-        # check, none computed anew, and no Leibniz product
+        # on B3, X^e is X^(e-1) * tau_k by the Pieri rule: one product per
+        # power check, none computed anew, and no Leibniz product
         calls = []
-        real = chowring._pieri_times
+        real = chowring._Grassmannian.times
 
-        def counting(k, x, m):
-            calls.append((sum(next(iter(x))), k))
-            return real(k, x, m)
+        def counting(grass, calc, x, z):
+            calls.append((x.codim, z.codim))
+            return real(grass, calc, x, z)
 
-        monkeypatch.setattr(chowring, "_pieri_times", counting)
+        monkeypatch.setattr(chowring._Grassmannian, "times", counting)
         monkeypatch.setattr(SchubertCalc, "mul_expansions", None)
         rep = verify_chow("B", 3)
         assert rep.all_passed
@@ -1362,17 +1376,17 @@ class TestVerifyChow:
         ]
 
     def test_a_bd_power_fails_with_the_error_of_its_lower_power(self, monkeypatch):
-        # the Pieri step that squares tau_k raises: every power check fails
+        # the Pieri product that squares tau_k raises: every power check fails
         # under its own name with that error, X1^3 and X1^4 because X1^2
         # raised, and nothing else fails
-        real = chowring._pieri_times
+        real = chowring._Grassmannian.times
 
-        def squares_raise(k, x, m):
-            if x == {(k,): 1}:
+        def squares_raise(grass, calc, x, z):
+            if x is z:
                 raise RuntimeError("injected square")
-            return real(k, x, m)
+            return real(grass, calc, x, z)
 
-        monkeypatch.setattr(chowring, "_pieri_times", squares_raise)
+        monkeypatch.setattr(chowring._Grassmannian, "times", squares_raise)
         assert self._squares_raise("B", 3) == [
             "Spin(7): X3^2 = 0",
             "SO(7): X1^2 != 0",
