@@ -12,9 +12,10 @@ parabolic subgroup that leaves out alpha_n: its 2^n (B) or 2^(n-1) (D)
 Schubert classes are the rows, each named by a strict partition, and the
 columns are c_i(S) * Z_mu, with Z_{s_n} * Z_mu in place of c_1(S) * Z_mu for
 Spin, by the Pieri rule on those partitions (``_Grassmannian``, ``_pieri``;
-Hiller and Boe, 1986; Pragacz, 1991): one walk per mu gives its strips of
-every size, which the engine keeps for both forms.  Only c_i(S) * Z_e comes
-from Chevalley steps, the engine's ``chern_class``.
+Hiller and Boe, 1986; Pragacz, 1991): one walk down from each row of a
+stratum gives every strip that lands on it, and the engine keeps that table
+for both forms.  Only c_i(S) * Z_e comes from Chevalley steps, the engine's
+``chern_class``.
 Codimension 0 holds nothing of the ideal.  A cokernel first divides out
 the gcd of its entries (2 on the SO strata of A(G/P), 1 elsewhere) and is
 diagonalised in two phases: closed substitutions take the unit pivots,
@@ -335,17 +336,16 @@ class _Grassmannian:
     intern nothing outside W^P but the support of the partial Chern classes
     and the covers their steps scan.
 
-    One walk per mu (``_pieri``) gives tau_j * tau_mu for every strip size j
-    at once, keyed by row, and the strips are kept for both group forms: the
-    SO c_1 column and the Spin tau_1 column read the same strip 1, and the
-    power checks read strip k for x * tau_k (``times``).  The columns are
-    built from the strips when their stratum is, and not kept.  A walk
-    stops at size min(m, limit - |mu|), limit the highest codimension a run
-    set up on the engine (``ChowComputation.reach``), since larger strips
-    land in strata no run builds; a stratum above it (a generator's order
-    check above ``max_codim``) walks mu again to the size it needs
-    (``_strip``).  Strata come out the same in any request order.  Nothing
-    here refers to the engine, which ``_grassmannian`` keys it by.
+    The strips tau_j * tau_mu are kept by the codim k = |mu| + j they land
+    in: the table of k holds, for each j <= min(m, k), one column per mu of
+    length k - j, listed by row.  Its first reader (``_strip``) builds it
+    whole, by one walk down from each row of stratum k (``_pieri``), and the
+    table is kept for both group forms: the SO c_1 column and the Spin tau_1
+    column read the same strip 1, and the power checks read strip k for x *
+    tau_k (``times``).  The columns are built from the strips when their
+    stratum is, and not kept.  Each stratum builds only the tables it reads,
+    so strata come out the same in any request order.  Nothing here refers
+    to the engine, which ``_grassmannian`` keys it by.
     """
 
     def __init__(self, group):
@@ -353,8 +353,7 @@ class _Grassmannian:
         self._levels = [(group.identity,)]
         self.partition = {group.identity.id: ()}  # element id -> its strict partition
         self._row_of = {(): 0}  # strict partition -> its row
-        self.limit = 0  # the highest codimension a run set up on the engine
-        self._strips: dict = {}  # mu id -> tau_j * Z_mu by j, as ``_pieri`` gives them
+        self._tables: dict = {}  # codim k -> [j][row of mu] -> tau_j * Z_mu, |mu| = k - j
         self._specials: dict = {}  # i -> c_i * Z_e as (j, a), a tau_j
 
     def classes(self, group, k: int) -> tuple:
@@ -397,15 +396,20 @@ class _Grassmannian:
         return strip if a == 1 else {r: a * b for r, b in strip.items()}
 
     def _strip(self, calc: SchubertCalc, mu, j: int) -> dict:
-        """tau_j * Z_mu, as a dict row -> coefficient, from the kept walk of
-        mu; a walk that stopped short of j is taken again, at least to j."""
-        strips = self._strips.get(mu.id)
-        if strips is None or len(strips) <= j:
-            m, length = len(self._labels), mu.length
-            top = max(j, min(m, self.limit - length))
-            self.classes(calc.group, length + top)  # names the rows the strips reach
-            strips = self._strips[mu.id] = _pieri(self.partition[mu.id], m, top, self._row_of)
-        return strips[j]
+        """tau_j * Z_mu, as a dict row -> coefficient: column mu of the table
+        of codim |mu| + j, which its first reader builds by one ``_pieri``
+        walk down from each row."""
+        k = mu.length + j
+        table = self._tables.get(k)
+        if table is None:
+            self.classes(calc.group, k)  # walks and names every class up to length k
+            levels = self._levels
+            table = self._tables[k] = [None] + [
+                [{} for _ in levels[k - i]] for i in range(1, min(len(self._labels), k) + 1)
+            ]
+            for p, nu in enumerate(levels[k]):
+                _pieri(self.partition[nu.id], p, table, self._row_of)
+        return table[j][self._row_of[self.partition[mu.id]]]
 
     def times(self, calc: SchubertCalc, x: SchubertExpansion, z: SchubertExpansion):
         """x * z in A(G/P), z a multiple of a special class tau_k (any other
@@ -449,46 +453,44 @@ def _box_labels(family: str, n: int) -> tuple:
     return tuple((n - r % 2, *(n - 1 - c for c in range(1, n - 1 - r))) for r in range(n - 1))
 
 
-def _pieri(lam: tuple, m: int, top: int, names) -> list:
-    """tau_k * tau_lam in A(G/P) for every k <= top, by one walk over lam.
+def _pieri(nu: tuple, p: int, table: list, names) -> None:
+    """Writes row p, the class tau_nu, into every column of table that holds it.
 
-    Returns out: out[k], for 1 <= k <= top, is a dict names[mu] ->
-    coefficient (out[0] is None).  tau_k * tau_lam is the sum of 2^(N - 1)
-    tau_mu over the strict mu inside rho_m with |mu| = |lam| + k and mu_1 >=
-    lam_1 >= mu_2 >= lam_2 >= ...; N is the number of rows that gain boxes,
-    less the number of rows j + 1 that reach the old end of row j, mu_(j+1)
-    = lam_j, and so join its new boxes.  That is Pieri's rule for the
-    P-tilde classes (Hiller and Boe, 1986; Pragacz, 1991), and a strict mu
-    never has mu_(j+1) = lam_j = mu_j.
+    table[j][names[lam]] is tau_j * tau_lam, a dict row -> coefficient, for
+    1 <= j < len(table).  tau_j * tau_lam is the sum of 2^(N - 1) tau_nu
+    over the strict nu inside rho_m with |nu| = |lam| + j and nu_1 >= lam_1
+    >= nu_2 >= lam_2 >= ...; N is the number of rows that lose boxes from nu
+    to lam, less the number of rows r that start at the end of row r - 1 of
+    lam, nu_r = lam_(r-1), and so join its boxes.  That is Pieri's rule for
+    the P-tilde classes (Hiller and Boe, 1986; Pragacz, 1991), read from nu
+    down: a strict lam never has nu_r = lam_(r-1) = lam_r.
 
-    Each strip is one step of the walk: it picks the next row to gain boxes
-    and how many, and every strip of size below top extends to the later
-    rows.  The rows it skips keep lam's lengths, so a row right below a
-    skipped one stays short of it.  Each out[k] lists its mu in
-    lexicographic order, as a walk for k alone would list them: the unit
-    phase meets the entries of a column, and picks its pivot, in that order.
+    The walk takes lam_r from min(nu_r, lam_(r-1) - 1) down to nu_(r+1), row
+    by row, and stops once the strip is longer than len(table) - 1, which is
+    min(m, |nu|) as ``_Grassmannian._strip`` builds it.  Only the last
+    row of lam can be 0.  Called for the rows of a stratum in order, it
+    appends each column's entries in row order, which is the lexicographic
+    order of the partitions: the unit phase meets the entries of a column,
+    and picks its pivot, in that order.
     """
-    out = [None] + [{} for _ in range(top)]
-    tops, lows = (m, *lam), (*lam, 0)
-    tails = [lam[j:] for j in range(len(lows) + 1)]
+    top, lows = len(table) - 1, (*nu[1:], 0)
 
-    def grow(j: int, head: tuple, size: int, n: int) -> None:
-        # head: rows 0..j-1 of mu; row j - 1 gained boxes unless j = 0
-        for r in reversed(range(j, len(lows))):
-            low, cap = lows[r], tops[r]
-            if r > j:
-                cap -= 1  # row r - 1 kept its length lam_(r-1): mu_r stays below it
-            start = head + tails[j][:r - j]
-            for x in range(low + 1, min(cap, low + top - size) + 1):
-                # N grows by one unless row r reaches the old end of row r - 1
-                s, nn = size + x - low, n + (not r or x != tops[r])
-                mu = start + (x,)
-                out[s][names[mu + tails[r + 1]]] = 1 << (nn - 1)
-                if s < top:
-                    grow(r + 1, mu, s, nn)
+    def shrink(r: int, head: tuple, size: int, n: int) -> None:
+        # head: rows 0..r-1 of lam
+        v = nu[r]
+        joins = r and v == head[-1]  # row r of nu starts at the end of row r - 1 of lam
+        for x in range(min(v, head[-1] - 1) if r else v, lows[r] - 1, -1):
+            s = size + v - x
+            if s > top:
+                return
+            nn = n + (x < v and not joins)  # N counts row r if it loses boxes and joins none
+            lam = head + (x,) if x else head
+            if r + 1 < len(nu):
+                shrink(r + 1, lam, s, nn)
+            elif s:
+                table[s][names[lam]][p] = 1 << (nn - 1)
 
-    grow(0, (), 0, 0)
-    return out
+    shrink(0, (), 0, 0)
 
 
 _GRASSMANNIANS: WeakKeyDictionary = WeakKeyDictionary()  # engine -> its _Grassmannian
@@ -508,7 +510,8 @@ class ChowComputation:
     The family picks the route: G2 and F4 take the strata of A(G/B) from
     ``_stratum_columns``, B_n and D_n those of A(G/P) from the engine's
     ``_Grassmannian``.  Either route names the classes of a stratum, and
-    ``stratum`` maps the id of each to its row in ``row``.  The family also
+    ``stratum`` maps the id of each to its row in ``row``.  A stratum is
+    built on first request, from nothing but the engine.  The family also
     picks how the generator powers of the checks are taken (``power``).
     """
 
@@ -522,12 +525,6 @@ class ChowComputation:
         self._columns = self._grass.stratum_columns if self._grass else _stratum_columns
         self.row: dict = {}  # element id -> its row in its stratum
         self._powers: dict = {}  # (w, e) -> Z_w^e, for the powers that were computed
-
-    def reach(self, limit: int) -> None:
-        """Announce strata up to codim limit: on B/D each Pieri walk of the
-        engine then gives a partition's strips up to that limit at once."""
-        if self._grass is not None:
-            self._grass.limit = max(self._grass.limit, limit)
 
     def stratum(self, k: int) -> CokernelStratum:
         """The cokernel of the ideal stratum in codimension k; its rows are
@@ -636,11 +633,15 @@ def chow_groups(
 ) -> GradedAbelianGroup:
     """Additive structure of the quotient ring up to codimension max_codim.
 
-    max_codim must lie in 1..N; anything else raises OutOfRangeError.
+    max_codim must lie in 1..N; anything else raises OutOfRangeError.  comp,
+    when given, keeps the strata and must be a ChowComputation of this engine
+    and variant; any other raises ValueError.
     """
     _check_max_codim(calc, max_codim)
-    comp = comp or ChowComputation(calc, variant)
-    comp.reach(max_codim)
+    if comp is None:
+        comp = ChowComputation(calc, variant)
+    elif comp.calc is not calc or comp.variant != variant:
+        raise ValueError("comp was built for another engine or group form")
     strata = []
     for k in range(max_codim + 1):
         fs = _stratum_factors(comp.stratum(k))
@@ -791,8 +792,6 @@ def _chow_setup(family: str, rank, variant, max_codim):
             peak = max((g.power * g.codim for g in pres.generators), default=3)
             limit = min(2 * peak, n_pos)
         runs.append((pres, ChowComputation(calc, var), limit))
-    for _, comp, limit in runs:  # before any stratum, so that each walk serves both forms
-        comp.reach(limit)
     return ct, calc, runs
 
 

@@ -742,13 +742,13 @@ def test_each_class_reads_as_the_unit_vector_at_its_row(family, rank, top, varia
 
 
 def test_grassmannian_data_dies_with_its_engine():
-    # the classes, c_i and Pieri strips of A(G/P) live as long as the engine:
+    # the classes, c_i and Pieri tables of A(G/P) live as long as the engine:
     # once calculus_for forgets it, nothing keeps them
     calculus_for.cache_clear()
     calc = calculus_for(cartan_type("D", 5))
     assert verify_chow("D", 5).all_passed
     data = chowring._grassmannian(calc)
-    assert data._strips and len(data._specials) > 1
+    assert data._tables and len(data._specials) > 1
     ref = weakref.ref(data)
     del calc, data
     calculus_for.cache_clear()
@@ -759,10 +759,10 @@ def test_grassmannian_data_dies_with_its_engine():
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("family", ["B", "D"])
 def test_strips_grow_past_the_limit_they_were_first_walked_for(family, variant):
-    # a max_codim=3 run walks each mu only to codim 3 and to the generator
-    # strata its order checks read; a default run on the same engine walks mu
-    # again to its own limit, and a max_codim=3 run after a default one walks
-    # nothing and reads the longer strips: each result equals a fresh engine's
+    # a max_codim=3 run builds the tables of codim 3 and below and of the
+    # generator strata its order checks read; a default run on the same engine
+    # builds the tables above, and a max_codim=3 run after a default one builds
+    # none and reads the tables kept: each result equals a fresh engine's
     def run(max_codim, fresh):
         if fresh:
             calculus_for.cache_clear()
@@ -772,48 +772,50 @@ def test_strips_grow_past_the_limit_they_were_first_walked_for(family, variant):
     for order in ((3, None), (None, 3)):
         calculus_for.cache_clear()
         calc = calculus_for(cartan_type(family, 8))
-        grass = chowring._grassmannian(calc)
         assert run(order[0], False) == want[order[0]], order
-        first = dict(grass._strips)
         assert run(order[1], False) == want[order[1]], order
         assert calculus_for(cartan_type(family, 8)) is calc
-        grown = [i for i, strips in first.items() if grass._strips[i] is not strips]
-        if order[0] == 3:
-            assert all(len(grass._strips[i]) > len(first[i]) for i in grown) and grown
-        else:
-            assert grass._strips == first and not grown
     calculus_for.cache_clear()
 
 
 @pytest.mark.parametrize("family,rank", [("D", 5), ("B", 8)])
-def test_one_walk_per_partition_per_engine(monkeypatch, family, rank):
-    # a verify_chow of both forms walks each mu whose columns it builds once,
-    # for every strip size and both forms, also on B8, where the Spin limit
-    # (28) is below the SO one (32); every walk is keyed by row, and the power
-    # checks read the kept strips, adding no walk
+def test_one_walk_per_row_per_engine(monkeypatch, family, rank):
+    # a verify_chow of both forms walks each row of each codim whose table it
+    # builds once, for every strip size and both forms, also on B8, where the
+    # SO strata 29-32 lie above the Spin limit (28); every walk is keyed by
+    # row, and the power checks read the tables kept, adding no walk
     calculus_for.cache_clear()
     calc = calculus_for(cartan_type(family, rank))
     grass = chowring._grassmannian(calc)
-    walks, keys = [], []
-    real = chowring._pieri
+    walks, keys, powers = [], [], []
+    real, times = chowring._pieri, chowring._Grassmannian.times
 
-    def counting(lam, m, top, names):
-        walks.append(lam)
+    def counting(nu, p, table, names):
+        walks.append((nu, p))
         keys.append(names)
-        return real(lam, m, top, names)
+        return real(nu, p, table, names)
+
+    def product(self, calc, x, z):
+        before = len(walks)
+        got = times(self, calc, x, z)
+        powers.append(len(walks) - before)
+        return got
 
     monkeypatch.setattr(chowring, "_pieri", counting)
+    monkeypatch.setattr(chowring._Grassmannian, "times", product)
     rep = verify_chow(family, rank)
     assert rep.all_passed
     size = 2 * rank + (family == "B")
     assert {c.name.split(":")[0] for c in rep.checks} == {f"Spin({size})", f"SO({size})"}
+    limit = max(limit for _, _, limit in chowring._chow_setup(family, rank, None, None)[2])
     m = len(grass._labels)
     dim = m * (m + 1) // 2  # |rho_m|: stratum dim + 1 is empty
-    want = [lam for k in range(min(grass.limit, dim)) for lam in map(
-        grass.partition.get, (w.id for w in grass.classes(calc.group, k)))]
+    assert set(grass._tables) == set(range(1, min(limit, dim) + 1))
+    want = [(grass.partition[w.id], p) for k in grass._tables
+            for p, w in enumerate(grass.classes(calc.group, k))]
     assert all(names is grass._row_of for names in keys)
     assert sorted(walks) == sorted(want) and len(set(walks)) == len(walks)
-    assert any("^" in c.name for c in rep.checks)  # the power checks ran
+    assert powers and not any(powers)  # the power checks ran, and walked nothing
     calculus_for.cache_clear()
 
 
@@ -858,16 +860,15 @@ def test_grassmannian_columns_match_the_products(family, rank):
 def test_spin_strata_build_no_c1_column(family, rank):
     # P_n is maximal, so A^1(G/P) = Z tau_1 and c_1 * Z_mu is a multiple of
     # the column Z_{s_n} * Z_mu = tau_1 * Z_mu: a Spin run builds no c_1 column,
-    # so it never asks for c_1; its columns read the strips of each mu below
-    # the limit, strip 1 for tau_1
+    # so it never asks for c_1; its columns read the table of each codim up
+    # to the limit, strip 1 for tau_1
     [(_, _, limit)] = chowring._chow_setup(family, rank, "simply_connected", None)[2]
     calc = SchubertCalc(cartan_type(family, rank))
     chow_groups(calc, "simply_connected", limit)
     grass = chowring._grassmannian(calc)
     assert set(grass._specials) == set(range(2, min(rank, limit) + 1))
     dim = len(grass._labels) * (len(grass._labels) + 1) // 2  # |rho_m|
-    below = [mu.id for k in range(min(limit, dim)) for mu in grass.classes(calc.group, k)]
-    assert sorted(grass._strips) == sorted(below)
+    assert set(grass._tables) == set(range(1, min(limit, dim) + 1))
 
 
 @pytest.mark.parametrize("family,rank", [("B", 8), ("D", 8)])
@@ -936,17 +937,19 @@ def test_the_partition_walk_gives_every_class(family, rank):
 def test_the_pieri_rule_matches_the_products(family, rank):
     # tau_k * tau_lam by the Pieri rule against the Leibniz product of the two
     # classes in A(G/B), for every special tau_k and every strict lam inside
-    # rho_m with |lam| + k <= |rho_m|
+    # rho_m with |lam| + k <= |rho_m|; each strip lists its rows in order
     calc, grass, named = _walk(family, rank)
     m = rank if family == "B" else rank - 1
     dim = m * (m + 1) // 2
     checked = 0
     for lam, w in named.items():
         top = min(m, dim - sum(lam))
-        strips = chowring._pieri(lam, m, top, named)  # one walk for every k
-        assert len(strips) == top + 1 and strips[0] is None
         for k in range(1, top + 1):
-            assert strips[k] == calc.structure_constants(named[(k,)], w).coeffs, (k, lam)
+            strip = grass._strip(calc, w, k)
+            assert list(strip) == sorted(strip), (k, lam)
+            rows = grass.classes(calc.group, sum(lam) + k)
+            got = {rows[r]: c for r, c in strip.items()}
+            assert got == calc.structure_constants(named[(k,)], w).coeffs, (k, lam)
             checked += 1
     assert checked == sum(min(m, dim - sum(lam)) for lam in named)
 
@@ -1172,6 +1175,21 @@ class TestChowGroups:
     def test_spin5_is_trivial(self, calc_b2):
         got = chow_groups(calc_b2, "simply_connected", 4)
         assert got.strata == ((0, (0,)),)
+
+    def test_a_computation_of_another_form_or_engine_raises(self):
+        # the strata kept by comp are those of its own engine and form: on B4
+        # the Spin ones read 0: Z; 3: Z/2, not the SO ones, so neither is
+        # taken for the other
+        calc = SchubertCalc(cartan_type("B", 4))
+        so = chow_groups(calc, "special_orthogonal", 4)
+        assert str(so) == "0: Z; 1: Z/2; 2: Z/2; 3: Z/2 + Z/2; 4: Z/2 + Z/2"
+        for comp in (
+            ChowComputation(calc, "simply_connected"),
+            ChowComputation(SchubertCalc(cartan_type("B", 4)), "special_orthogonal"),
+        ):
+            with pytest.raises(ValueError, match="^comp was built for another engine or group form$"):
+                chow_groups(calc, "special_orthogonal", 4, comp)
+        assert chow_groups(calc, "special_orthogonal", 4, ChowComputation(calc, "special_orthogonal")) == so
 
     @pytest.mark.parametrize("max_codim", [0, -3, 7])
     def test_max_codim_out_of_range(self, calc_g2, max_codim):

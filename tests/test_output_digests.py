@@ -118,6 +118,10 @@ DIGESTS = [
         "a4704883cc2c139b84c75eb5128fa86e7eb0b81f9757429284f8f209b9850b17",
     ),
     (
+        ("chow", "--type", "D", "--rank", "16", "--max-codim", "4"),
+        "2068959208daad36ca20abe12621f4230887f71f2592f1ee4cb52842602f208e",
+    ),
+    (
         ("basis", "--type", "D", "--rank", "5", "--codim", "10"),
         "181c62ab0fc483c7b06e2ce37f1c28d4f55e4fbcef8b20206ec7b85cdb708221",
     ),
