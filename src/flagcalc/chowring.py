@@ -16,14 +16,15 @@ Hiller and Boe, 1986; Pragacz, 1991): one walk down from each row of a
 stratum gives every strip that lands on it, and the engine keeps that table
 for both forms.  Only c_i(S) * Z_e comes from Chevalley steps, the engine's
 ``chern_class``.
-Codimension 0 holds nothing of the ideal.  A cokernel first divides out
-the gcd of its entries (2 on the SO strata of A(G/P), 1 elsewhere) and is
-diagonalised in two phases: closed substitutions take the unit pivots,
-nearly every row, and a dense Smith step the few rows left; the pivots give
-the invariant factors.  The generator powers of the checks are Leibniz
-products on A(G/B) for G2 and F4.  For B_n and D_n they stay on A(G/P):
-tau_k^e is tau_k^(e-1) * tau_k, a sum of the strips the engine keeps
-(``_Grassmannian.times``), and is classified like any other Schubert
+Codimension 0 holds nothing of the ideal.  A cokernel reads its columns as
+given, with no divided copy: their content g, the gcd of every entry, is 2
+on the SO strata of A(G/P) and 1 elsewhere, and the units are the entries
++-g.  It is diagonalised in two phases: closed substitutions take the unit
+pivots, nearly every row, and a dense Smith step the few rows left; the
+pivots give the invariant factors.  The generator powers of the checks are
+Leibniz products on A(G/B) for G2 and F4.  For B_n and D_n they stay on
+A(G/P): tau_k^e is tau_k^(e-1) * tau_k, a sum of the strips the engine
+keeps (``_Grassmannian.times``), and is classified like any other Schubert
 expansion.  All arithmetic stays in exact integers.
 
 Group forms: ``simply_connected`` takes the full weight lattice in degree 2
@@ -83,25 +84,27 @@ def _reduce(subs: dict, entries) -> dict:
 class CokernelStratum:
     """Cokernel of one ideal stratum, with a class map for reductions.
 
-    The columns are dicts row -> entry, read and never changed.  The
-    content g, the gcd of every entry, is divided out first; the scan stops
-    once the gcd is 1, at the first column on G2 and F4.  Two phases bring
-    M/g to a diagonal U (M/g) V = D; column operations never change cokernel
-    coordinates, so only U is kept, as one record per phase.  U M V = g D,
-    so the invariant factors of M are g times those of M/g, the units
-    included, and each unit pivot is a Z/g summand.  Every SO column of
-    A(G/P) is even (c_i * Z_e is 2 tau_i), so there g = 2: the unit phase
-    pivots on every row and the dense step gets none.
+    The columns are dicts row -> entry, read as given and never changed or
+    copied.  Their content g, the gcd of every entry, is read first; the
+    scan stops once the gcd is 1, at the first column on G2 and F4.  Every
+    entry is a multiple of g, and row operations with integer multipliers
+    keep it so: the units of the first phase are the entries +-g, and each
+    is a Z/g summand, nothing for g = 1.  Two phases bring M to a diagonal
+    U M V = D; column operations never change cokernel coordinates, so only
+    U is kept, as one record per phase.  Every SO column of A(G/P) is even
+    (c_i * Z_e is 2 tau_i), so there g = 2: the unit phase pivots on every
+    row and the dense step gets none.
 
-    The unit phase takes the columns shortest first and pivots on a +-1
-    entry u of each, at row s.  The row operations row_t += -a_t u row_s
-    that clear the other entries a_t of the pivot column, with the column
-    operations that clear row s elsewhere, amount to a substitution: an entry
-    b at row s becomes -a_t u b at each row t.  Each column is reduced by the
-    substitutions so far (``_reduce``) before its pivot is chosen; no row
-    keeps the set of columns it meets.  The phase's record is its non-empty
-    substitutions, kept closed, and the rows left without a pivot: reducing
-    a vector by them equals replaying its row operations on the rows left.
+    The unit phase takes the columns shortest first and pivots on an entry
+    u = +-g of each, at row s.  The row operations row_t += (-a_t / u) row_s,
+    by exact integer quotients, clear the other entries a_t of the pivot
+    column; with the column operations that clear row s elsewhere, they
+    amount to a substitution: an entry b at row s becomes (-a_t / u) b at
+    each row t.  Each column is reduced by the substitutions so far
+    (``_reduce``) before its pivot is chosen; no row keeps the set of
+    columns it meets.  The phase's record is its non-empty substitutions,
+    kept closed, and the rows left without a pivot: reducing a vector by
+    them equals replaying its row operations on the rows left.
 
     The coordinate of pivot row s under U is v_s plus multiples of v at the
     rows that pivoted before s: no later row operation touches s, and rows
@@ -111,10 +114,10 @@ class CokernelStratum:
 
     The columns left without a unit go to the general phase, ``_eliminate``,
     on the rows left; its row operations are the second record.  The
-    cokernel is the sum of Z/(g d) over its pivots d and one Z per row that
-    never held a pivot; one gcd/lcm pass turns the pivots into the
-    divisibility chain of invariant factors.  Which rows hold the pivots
-    depends on the order of the columns, the invariant factors do not.
+    cokernel is the sum of Z/d over its pivots d, d = g at each unit, and
+    one Z per row that never held a pivot; one gcd/lcm pass turns the pivots
+    into the divisibility chain of invariant factors.  Which rows hold the
+    pivots depends on the order of the columns, the invariant factors do not.
     """
 
     def __init__(self, rows: int, columns: list):
@@ -125,15 +128,13 @@ class CokernelStratum:
             if g == 1:
                 break
         self._g = g = g or 1
-        if g > 1:
-            columns = [{r: a // g for r, a in col.items()} for col in columns]
-        subs, rest = self._unit_phase(rows, columns)
+        subs, rest = self._unit_phase(rows, columns, g)
         self._units = list(subs) if g > 1 else []  # the unit pivot rows, each a Z/g
         self._left = [r for r in range(rows) if r not in subs]
         self._subs = {s: sub for s, sub in subs.items() if sub}
         self._rowops = []
         pivots, self._free_rows = self._eliminate(self._left, rest, self._rowops)
-        self._pivots = [(i, g * d) for i, d in pivots if g * d > 1]
+        self._pivots = [(i, d) for i, d in pivots if d > 1]
         self.moduli = (g,) * len(self._units) + tuple(d for _, d in self._pivots)
         chain = list(self.moduli)
         for i in range(len(chain)):
@@ -145,18 +146,20 @@ class CokernelStratum:
         self.free_rank = len(self._free_rows)
 
     @staticmethod
-    def _unit_phase(rows: int, columns) -> tuple:
+    def _unit_phase(rows: int, columns, g: int) -> tuple:
         """(substitution per unit pivot row, iterator of the reduced columns left).
 
+        g is the content of the columns, and the units are the entries +-g.
         The substitution of pivot row s pairs each row t with its multiplier
-        q.  When row s becomes a pivot, the substitutions that name s take in
-        its own through ``_reduce``, so they stay closed.  The pivot is the
-        first unit of the column: the strata are small (at most 94 rows and
-        470 columns, F4's codim 12; at most 14 rows on A(G/P) up to B8, 124
-        on B12), so no choice among the units pays for itself.  Tuples, not
-        dicts, keep the substitutions small: most are empty, and a stratum
-        keeps the rest.  Once each of the rows holds a pivot, all are empty
-        and the columns not yet taken reduce to 0, so the phase stops there.
+        q = -a_t / u, an exact quotient.  When row s becomes a pivot, the
+        substitutions that name s take in its own through ``_reduce``, so
+        they stay closed.  The pivot is the first unit of the column: the
+        strata are small (at most 94 rows and 470 columns, F4's codim 12; at
+        most 14 rows on A(G/P) up to B8, 124 on B12), so no choice among the
+        units pays for itself.  Tuples, not dicts, keep the substitutions
+        small: most are empty, and a stratum keeps the rest.  Once each of
+        the rows holds a pivot, all are empty and the columns not yet taken
+        reduce to 0, so the phase stops there.
         """
         subs: dict = {}  # pivot row -> ((t, q), ...)
         users: dict = {}  # row -> pivot rows whose substitution may name it
@@ -166,14 +169,14 @@ class CokernelStratum:
                 break
             d = _reduce(subs, col.items())
             for s, u in d.items():
-                if u == 1 or u == -1:
+                if u == g or u == -g:
                     break
             else:
                 if d:
                     rest.append(d)
                 continue
             del d[s]
-            sub = subs[s] = tuple((t, -a * u) for t, a in d.items())
+            sub = subs[s] = tuple((t, -a // u) for t, a in d.items())
             for t in d:
                 users.setdefault(t, set()).add(s)
             for x in users.pop(s, ()):
@@ -187,7 +190,7 @@ class CokernelStratum:
         """The general phase: a dense Smith step on cols (dicts row -> entry).
 
         The unit phase leaves few rows: 1 on every stratum of G2 and F4, none
-        on the SO strata of A(G/P) once their content 2 is divided out, and
+        on the SO strata of A(G/P), whose units are the entries +-2, and
         for Spin at most 2 up to B8 and D8, 6 on B10 and 23 of 124 on B12.
         So each row is one list, over the distinct columns, and the matrix
         holds the rows not yet pivoted.  Each step pivots on an entry v of
@@ -412,36 +415,35 @@ class _Grassmannian:
         return table[j][self._row_of[self.partition[mu.id]]]
 
     def times(self, calc: SchubertCalc, x: SchubertExpansion, z: SchubertExpansion):
-        """x * z in A(G/P), z a multiple of a special class tau_k (any other
-        class is a fault): the sum of the strips tau_k * Z_mu over the classes
+        """x * z in A(G/P), z = a * tau_k (``_as_special``; any other class is
+        a fault): a times the sum of the strips tau_k * Z_mu over the classes
         mu of x, each row read back as its class."""
-        k = z.codim
-        self.classes(calc.group, k)  # names every class of length k
+        k, c = self._as_special(calc.group, z)
         out: dict = {}
-        for w, c in z.coeffs.items():
-            if self.partition.get(w.id) != (k,):
-                raise AssertionError(f"Z_{w} is not a special class of A(G/P)")
-            for mu, a in x.coeffs.items():
-                for r, b in self._strip(calc, mu, k).items():
-                    out[r] = out.get(r, 0) + c * a * b
+        for mu, a in x.coeffs.items():
+            for r, b in self._strip(calc, mu, k).items():
+                out[r] = out.get(r, 0) + c * a * b
         classes = self.classes(calc.group, x.codim + k)
         return SchubertExpansion(x.codim + k, {classes[r]: v for r, v in out.items()})
 
     def _special(self, calc: SchubertCalc, i: int) -> tuple:
-        """c_i * Z_e (``SchubertCalc.chern_class``) as (j, a), a tau_j: j = i
-        by degree, and a = 0 when c_i * Z_e = 0 (c_n on D_n).  A class other
-        than a special one is a fault, never dropped.  The classes of length
-        i are named, as ``stratum_columns`` walks to k >= i."""
+        """c_i * Z_e (``SchubertCalc.chern_class``) as (j, a), a tau_j
+        (``_as_special``), kept by i; a = 0 when c_i * Z_e = 0 (c_n on D_n)."""
         got = self._specials.get(i)
         if got is None:
-            got = (i, 0)
-            for v, a in calc.chern_class(i).coeffs.items():
-                lam = self.partition.get(v.id)
-                if lam is None or len(lam) != 1:
-                    raise AssertionError(f"Z_{v} is not a special class of A(G/P)")
-                got = (lam[0], a)
-            self._specials[i] = got
+            got = self._specials[i] = self._as_special(calc.group, calc.chern_class(i))
         return got
+
+    def _as_special(self, group, z: SchubertExpansion) -> tuple:
+        """(j, a) with z = a tau_j: j is the codim of z, by degree, and a = 0
+        when z = 0.  A class of z other than tau_j is a fault, never dropped.
+        Names every class of length j first."""
+        j, a = z.codim, 0
+        self.classes(group, j)
+        for w, a in z.coeffs.items():
+            if self.partition.get(w.id) != (j,):
+                raise AssertionError(f"Z_{w} is not a special class of A(G/P)")
+        return j, a
 
 
 def _box_labels(family: str, n: int) -> tuple:
@@ -511,8 +513,9 @@ class ChowComputation:
     ``_stratum_columns``, B_n and D_n those of A(G/P) from the engine's
     ``_Grassmannian``.  Either route names the classes of a stratum, and
     ``stratum`` maps the id of each to its row in ``row``.  A stratum is
-    built on first request, from nothing but the engine.  The family also
-    picks how the generator powers of the checks are taken (``power``).
+    built on first request, from nothing but the engine, and ``groups``
+    reads the additive structure off the strata kept.  The family also picks
+    how the generator powers of the checks are taken (``power``).
     """
 
     def __init__(self, calc: SchubertCalc, variant: str):
@@ -539,6 +542,14 @@ class ChowComputation:
             self.row.update((w.id, p) for p, w in enumerate(classes))
             got = self._strata[k] = CokernelStratum(len(classes), cols)
         return got
+
+    def groups(self, max_codim: int) -> GradedAbelianGroup:
+        """Additive structure of the quotient ring up to codimension
+        max_codim, from the strata kept; max_codim must lie in 1..N, anything
+        else raises OutOfRangeError."""
+        _check_max_codim(self.calc, max_codim)
+        factors = ((k, _stratum_factors(self.stratum(k))) for k in range(max_codim + 1))
+        return GradedAbelianGroup(tuple((k, fs) for k, fs in factors if fs))
 
     def vector_of(self, x: SchubertExpansion) -> list:
         """The coefficients of x at the rows of its stratum, read from ``row``.
@@ -625,29 +636,10 @@ def _stratum_factors(coker: CokernelStratum) -> tuple:
     return tuple(coker.torsion + [0] * coker.free_rank)
 
 
-def chow_groups(
-    calc: SchubertCalc,
-    variant: str,
-    max_codim: int,
-    comp: ChowComputation | None = None,
-) -> GradedAbelianGroup:
-    """Additive structure of the quotient ring up to codimension max_codim.
-
-    max_codim must lie in 1..N; anything else raises OutOfRangeError.  comp,
-    when given, keeps the strata and must be a ChowComputation of this engine
-    and variant; any other raises ValueError.
-    """
-    _check_max_codim(calc, max_codim)
-    if comp is None:
-        comp = ChowComputation(calc, variant)
-    elif comp.calc is not calc or comp.variant != variant:
-        raise ValueError("comp was built for another engine or group form")
-    strata = []
-    for k in range(max_codim + 1):
-        fs = _stratum_factors(comp.stratum(k))
-        if fs:
-            strata.append((k, fs))
-    return GradedAbelianGroup(tuple(strata))
+def chow_groups(calc: SchubertCalc, variant: str, max_codim: int) -> GradedAbelianGroup:
+    """Additive structure of the quotient ring up to codimension max_codim
+    (``ChowComputation.groups``)."""
+    return ChowComputation(calc, variant).groups(max_codim)
 
 
 # ---------------------------------------------------------------------------
@@ -823,22 +815,19 @@ def _check_variant(
     pres: ChowPresentation,
     comp: ChowComputation,
     limit: int,
-) -> GradedAbelianGroup | None:
+) -> None:
     """Add the checks of one group form to report, on the strata of comp.
 
-    Each power check reads Z_w^e from ``comp.power``, chained on Z_w^(e-1),
-    so a check whose lower power raised fails with the same error.  Returns
-    the additive strata (a GradedAbelianGroup), or None when computing them
-    raised.
+    The strata check reads ``comp.groups``, so the strata built for it are
+    the ones every later check reads.  Each power check reads Z_w^e from
+    ``comp.power``, chained on Z_w^(e-1), so a check whose lower power raised
+    fails with the same error.
     """
     calc = comp.calc
     label = pres.group_name
-    groups = report.check(
+    report.check(
         f"{label}: additive strata (codim <= {limit})",
-        lambda: (
-            presentation_strata(pres, limit),
-            chow_groups(calc, comp.variant, limit, comp),
-        ),
+        lambda: (presentation_strata(pres, limit), comp.groups(limit)),
     )
     report.check(
         f"{label}: codim-1 stratum",
@@ -865,7 +854,6 @@ def _check_variant(
                 f"{label}: {gen.symbol}^{e} {'=' if e >= gen.power else '!='} 0",
                 lambda: power_vanishes(gen, w, e),
             )
-    return groups
 
 
 def chow_to_json(
@@ -874,12 +862,16 @@ def chow_to_json(
     variant: str,
     max_codim: int | None = None,
 ) -> dict:
-    """JSON payload for the CLI: strata, presentation and check results."""
-    ct, calc, [(pres, comp, limit)] = _chow_setup(family, rank, variant, max_codim)
+    """JSON payload for the CLI: strata, presentation and check results.
+
+    The strata are read (``ChowComputation.groups``) before any check runs,
+    so a stratum that raises raises here, once; the checks then read the
+    strata kept.
+    """
+    ct, _, [(pres, comp, limit)] = _chow_setup(family, rank, variant, max_codim)
+    groups = comp.groups(limit)
     report = VerificationReport(f"{ct.name} Chow ring checks", [])
-    groups = _check_variant(report, pres, comp, limit)
-    if groups is None:  # the strata check raised; raise its error here
-        groups = chow_groups(calc, variant, limit, comp)
+    _check_variant(report, pres, comp, limit)
     return {
         "type": ct.name,
         "variant": variant,

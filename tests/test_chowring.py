@@ -21,6 +21,7 @@ from flagcalc.chowring import (
 )
 from flagcalc.errors import OutOfRangeError
 from flagcalc.polyring import Polynomial
+from flagcalc.presentations import VerificationReport
 from flagcalc.rootdata import cartan_type, elem_sym_t
 from flagcalc.schubert import SchubertCalc, SchubertExpansion, calculus_for
 
@@ -322,8 +323,8 @@ class TestCokernelStratum:
                     assert coker.is_zero_class(vec), (variant, k, col)
 
     def test_dense_step_on_every_row(self):
-        # no entry is a unit and the entries have no common factor, so nothing
-        # is divided out, the unit phase pivots on no row and the whole matrix
+        # the entries have no common factor, so the units are +-1; no entry is
+        # one, so the unit phase pivots on no row and the whole matrix
         # reaches the dense Smith step; the sparse general phase is the
         # reference for its class map
         rng = random.Random(35)
@@ -444,7 +445,7 @@ class GeneralPhaseOnly(CokernelStratum):
     """
 
     @staticmethod
-    def _unit_phase(rows, columns):
+    def _unit_phase(rows, columns, g):
         return {}, [{r: v for r, v in col.items() if v} for col in columns]
 
     _eliminate = staticmethod(sparse_eliminate)
@@ -756,28 +757,6 @@ def test_grassmannian_data_dies_with_its_engine():
     assert ref() is None
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("family", ["B", "D"])
-def test_strips_grow_past_the_limit_they_were_first_walked_for(family, variant):
-    # a max_codim=3 run builds the tables of codim 3 and below and of the
-    # generator strata its order checks read; a default run on the same engine
-    # builds the tables above, and a max_codim=3 run after a default one builds
-    # none and reads the tables kept: each result equals a fresh engine's
-    def run(max_codim, fresh):
-        if fresh:
-            calculus_for.cache_clear()
-        return chow_to_json(family, 8, variant, max_codim=max_codim)
-
-    want = {max_codim: run(max_codim, True) for max_codim in (3, None)}
-    for order in ((3, None), (None, 3)):
-        calculus_for.cache_clear()
-        calc = calculus_for(cartan_type(family, 8))
-        assert run(order[0], False) == want[order[0]], order
-        assert run(order[1], False) == want[order[1]], order
-        assert calculus_for(cartan_type(family, 8)) is calc
-    calculus_for.cache_clear()
-
-
 @pytest.mark.parametrize("family,rank", [("D", 5), ("B", 8)])
 def test_one_walk_per_row_per_engine(monkeypatch, family, rank):
     # a verify_chow of both forms walks each row of each codim whose table it
@@ -873,14 +852,41 @@ def test_spin_strata_build_no_c1_column(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("B", 8), ("D", 8)])
 def test_so_strata_send_no_row_to_the_dense_step(family, rank):
-    # every SO column c_i * Z_mu is even, c_i * Z_e being 2 tau_i; with the
-    # content 2 divided out, the unit phase pivots on every row of every
-    # stratum above codim 0, and each pivot is a Z/2 summand
+    # every SO column c_i * Z_mu is even, c_i * Z_e being 2 tau_i; with
+    # content 2 the units are the entries +-2, the unit phase pivots on every
+    # row of every stratum above codim 0, and each pivot is a Z/2 summand
     [(_, comp, limit)] = chowring._chow_setup(family, rank, "special_orthogonal", None)[2]
     for k in range(1, limit + 1):
         coker = comp.stratum(k)
         assert (coker._g, coker._left, coker._rowops) == (2, [], []), k
         assert coker.moduli == (2,) * coker.rows == tuple(coker.torsion), k
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5)])
+def test_the_unit_phase_reads_the_columns_as_given(monkeypatch, family, rank):
+    # an SO stratum has content 2 and no divided copy: its unit phase gets
+    # the caller's column dicts themselves, and pivots on the entries +-2
+    calc = SchubertCalc(cartan_type(family, rank))
+    grass = chowring._grassmannian(calc)
+    real, seen = CokernelStratum._unit_phase, []
+
+    def recording(rows, columns, *content):
+        seen.append(list(columns))
+        return real(rows, columns, *content)
+
+    monkeypatch.setattr(CokernelStratum, "_unit_phase", staticmethod(recording))
+    k = 1
+    while True:
+        classes, columns = grass.stratum_columns(calc, "special_orthogonal", k)
+        if not classes:
+            break
+        seen.clear()
+        coker = CokernelStratum(len(classes), columns)
+        [got] = seen
+        assert len(got) == len(columns) and all(a is b for a, b in zip(got, columns)), k
+        assert coker._g == 2 and coker.moduli == (2,) * len(classes), k
+        k += 1
+    assert k == 11  # |rho_4| + 1: every stratum of A(G/P) was built
 
 
 def _walk(family, rank):
@@ -1048,10 +1054,44 @@ def _chow_answers(family, rank, order):
     return out
 
 
-@pytest.mark.parametrize("family,rank", [("B", 4), ("D", 5)])
-def test_strata_do_not_depend_on_the_request_order(family, rank):
-    # the identity's e_l(t) recursion keeps only its highest level, so a
-    # stratum asked for after a higher one must still find its columns
+def _json_runs_in_either_order(family, rank, variant):
+    """A max_codim=3 run and a default run of chow_to_json on one engine,
+    in either order, each against a fresh engine's."""
+    def run(max_codim, fresh):
+        if fresh:
+            calculus_for.cache_clear()
+        return chow_to_json(family, rank, variant, max_codim=max_codim)
+
+    want = {max_codim: run(max_codim, True) for max_codim in (3, None)}
+    for order in ((3, None), (None, 3)):
+        calculus_for.cache_clear()
+        calc = calculus_for(cartan_type(family, rank))
+        assert run(order[0], False) == want[order[0]], order
+        assert run(order[1], False) == want[order[1]], order
+        assert calculus_for(cartan_type(family, rank)) is calc
+    calculus_for.cache_clear()
+
+
+REQUEST_ORDER_CASES = [("B", 4, None), ("D", 5, None)] + [
+    (family, 8, variant) for family in ("B", "D") for variant in VARIANTS
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank,variant",
+    REQUEST_ORDER_CASES,
+    ids=["-".join(map(str, filter(None, case))) for case in REQUEST_ORDER_CASES],
+)
+def test_strata_do_not_depend_on_the_request_order(family, rank, variant):
+    # a stratum is built from its engine alone, and the Pieri tables that
+    # the engine keeps are whole once built: on B4 and D5, both forms, the
+    # strata asked for in any order, after a higher one too; on B8 and D8,
+    # one form per case, a max_codim=3 run of chow_to_json, which builds the
+    # tables of codim 3 and below and of the generator strata its order
+    # checks read, and a default run on the same engine, in either order
+    if variant:
+        _json_runs_in_either_order(family, rank, variant)
+        return
     want = _chow_answers(family, rank, lambda variant, limit: range(limit + 1))
 
     def shuffled(seed):
@@ -1176,20 +1216,9 @@ class TestChowGroups:
         got = chow_groups(calc_b2, "simply_connected", 4)
         assert got.strata == ((0, (0,)),)
 
-    def test_a_computation_of_another_form_or_engine_raises(self):
-        # the strata kept by comp are those of its own engine and form: on B4
-        # the Spin ones read 0: Z; 3: Z/2, not the SO ones, so neither is
-        # taken for the other
-        calc = SchubertCalc(cartan_type("B", 4))
-        so = chow_groups(calc, "special_orthogonal", 4)
-        assert str(so) == "0: Z; 1: Z/2; 2: Z/2; 3: Z/2 + Z/2; 4: Z/2 + Z/2"
-        for comp in (
-            ChowComputation(calc, "simply_connected"),
-            ChowComputation(SchubertCalc(cartan_type("B", 4)), "special_orthogonal"),
-        ):
-            with pytest.raises(ValueError, match="^comp was built for another engine or group form$"):
-                chow_groups(calc, "special_orthogonal", 4, comp)
-        assert chow_groups(calc, "special_orthogonal", 4, ChowComputation(calc, "special_orthogonal")) == so
+    def test_so9_strata(self, calc_b4):
+        got = chow_groups(calc_b4, "special_orthogonal", 4)
+        assert str(got) == "0: Z; 1: Z/2; 2: Z/2; 3: Z/2 + Z/2; 4: Z/2 + Z/2"
 
     @pytest.mark.parametrize("max_codim", [0, -3, 7])
     def test_max_codim_out_of_range(self, calc_g2, max_codim):
@@ -1291,27 +1320,52 @@ class TestVerifyChow:
             chow_to_json("G2", None, "simply_connected", max_codim)
 
     def test_json_payload_builds_the_groups_once(self, monkeypatch):
-        import flagcalc.chowring as chowring
+        # each stratum is built once: the payload reads the strata before
+        # the checks, and the strata check and every later one read the
+        # strata kept; B3's SO limit is 9
+        built = []
+        real = chowring._Grassmannian.stratum_columns
 
-        calls = []
-        real = chowring.chow_groups
+        def counting(grass, calc, variant, k):
+            built.append(k)
+            return real(grass, calc, variant, k)
 
-        def counting(*args):
-            calls.append(args[2])
-            return real(*args)
-
-        monkeypatch.setattr(chowring, "chow_groups", counting)
+        monkeypatch.setattr(chowring._Grassmannian, "stratum_columns", counting)
         payload = chow_to_json("B", 3, "special_orthogonal")
-        assert len(calls) == 1
+        assert built == list(range(1, 10))
+        assert [s["codim"] for s in payload["strata"]] == list(range(7))
         assert all(c["pass"] for c in payload["checks"])
+
+    @pytest.mark.parametrize("family,rank,variant,target", [
+        ("G2", None, "simply_connected", "_stratum_columns"),
+        ("B", 3, "special_orthogonal", "_Grassmannian.stratum_columns"),
+    ])
+    def test_json_payload_raises_before_any_check(self, monkeypatch, family, rank, variant, target):
+        # a stratum that raises stops the payload where its strata are read,
+        # once, before any check is computed
+        names = []
+        real = VerificationReport.check
+
+        def recording(report, name, compute):
+            names.append(name)
+            return real(report, name, compute)
+
+        def boom(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(VerificationReport, "check", recording)
+        monkeypatch.setattr(f"flagcalc.chowring.{target}", boom)
+        with pytest.raises(RuntimeError, match="^injected$"):
+            chow_to_json(family, rank, variant)
+        assert names == []
 
     @pytest.mark.parametrize("family,rank,target", [
         ("G2", None, "SchubertCalc.mul_expansions"),
-        ("G2", None, "chow_groups"),
+        ("G2", None, "ChowComputation.groups"),
         ("G2", None, "_stratum_factors"),
         ("F4", None, "SchubertCalc.mul_expansions"),
         ("B", 3, "_Grassmannian.times"),
-        ("B", 3, "chow_groups"),
+        ("B", 3, "ChowComputation.groups"),
         ("B", 3, "_stratum_factors"),
     ])
     def test_fault_keeps_every_check(self, monkeypatch, target, family, rank):
@@ -1414,12 +1468,10 @@ class TestVerifyChow:
         ]
 
     def test_json_payload_raises_when_the_strata_fail(self, monkeypatch):
-        import flagcalc.chowring as chowring
-
         def boom(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(chowring, "chow_groups", boom)
+        monkeypatch.setattr(ChowComputation, "groups", boom)
         with pytest.raises(RuntimeError, match="injected"):
             chow_to_json("G2", None, "simply_connected")
 

@@ -12,8 +12,8 @@ most pivots come from the unit phase, and the B10 one pins Schubert words
 with letters above 9, which are comma-separated.  The B12 and D12 ``chow``
 outputs, in both forms, pin the rank where the generator powers reach codim
 48 (B12) and the SO strata have up to 124 rows; their digests were computed
-by the Leibniz powers and the undivided cokernels that the Pieri powers and
-the content division replaced.  The G2 and F4 ``so``
+by the Leibniz powers, and by cokernels that sent every SO row to the dense
+Smith step, before the Pieri powers and the units +-2 replaced them.  The G2 and F4 ``so``
 outputs pin the only Chow rings whose degree-2 lattice is spanned by the
 t-classes of an exceptional type, F4's extra class t among them, and the
 spin outputs (no ``--variant``) those over the full weight lattice; both
@@ -34,6 +34,12 @@ support, at ranks where enumerating the strata up to the degree is slow
 the end of the B diagram, so B30 prints the bytes of B12: the B30 ``w2^6``
 digest is that of B12 ``w2^6`` as the stratum walk computed it, and the
 B12 ``(w1+w2)^8`` digest is the stratum walk's too.
+
+The table outputs are pinned too, for the commands whose table adds lines
+that the JSON does not print: ``verify --type all`` with its
+``checks: N passed, M failed`` and ``total:`` lines, and the ``chow``
+tables of B5 ``so`` and F4, which render the JSON payload's strata and the
+count of its checks.
 """
 
 import contextlib
@@ -180,10 +186,37 @@ DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", DIGESTS, ids=[" ".join(a) for a, _ in DIGESTS])
-def test_json_stdout_digest(argv, digest):
+TABLE_DIGESTS = [
+    (
+        ("verify", "--type", "all"),
+        "08385311f0a48cb785dff6a04077f90357d9a440f1eaa2e856ced04eec150692",
+    ),
+    (
+        ("chow", "--type", "B", "--rank", "5", "--variant", "so"),
+        "f1253f374d16169c7311b7976ef85254f5101df7623d557903ce9e30056b9486",
+    ),
+    (
+        ("chow", "--type", "F4"),
+        "711c369e2082573a88738df5bcdb0c38c9c09d7098549ecfa290be05b196d231",
+    ),
+]
+
+
+def _stdout_digest(argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main([*argv, "--format", "json"])
+        code = cli.main(list(argv))
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", DIGESTS, ids=[" ".join(a) for a, _ in DIGESTS])
+def test_json_stdout_digest(argv, digest):
+    assert _stdout_digest([*argv, "--format", "json"]) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest", TABLE_DIGESTS, ids=[" ".join(a) for a, _ in TABLE_DIGESTS]
+)
+def test_table_stdout_digest(argv, digest):
+    assert _stdout_digest(argv) == digest

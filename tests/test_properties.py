@@ -205,9 +205,10 @@ def dense_class_order(res, vec):
 @FAST
 @given(sparse_matrices(), st.sampled_from((2, 3, 4, 6)))
 def test_scaled_cokernel(case, g):
-    # every entry a multiple of g: the stratum divides g out, so its unit
-    # pivots are Z/g summands; the dense Smith form of the scaled matrix, the
-    # sparse general phase alone and the cokernel of M/g are the references
+    # every entry a multiple of g: the stratum's units are the entries +-g,
+    # so its unit pivots are Z/g summands; the dense Smith form of the scaled
+    # matrix, the sparse general phase alone and the cokernel of M/g are the
+    # references
     rows, columns, a, b = case
     scaled = [{r: g * v for r, v in col.items()} for col in columns]
     coker = CokernelStratum(rows, scaled)
